@@ -167,6 +167,21 @@ mod tests {
     }
 
     #[test]
+    fn dump_restore_is_a_fixpoint_for_non_ascii_text_and_large_floats() {
+        let mut s = Store::new();
+        s.execute(&Request::Insert {
+            record: Record::from_pairs([("FILE", Value::str("person"))])
+                .with("name", Value::str("Müller"))
+                .with("city", Value::str("東京 'Ōsaka'"))
+                .with("big", Value::Float(1e20)),
+        })
+        .unwrap();
+        let text = dump(&s);
+        assert!(text.contains("'Müller'"), "{text}");
+        assert_eq!(dump(&restore(&text).unwrap()), text);
+    }
+
+    #[test]
     fn restored_constraints_are_live() {
         let restored = restore(&dump(&sample())).unwrap();
         let mut restored = restored;

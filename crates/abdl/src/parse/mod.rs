@@ -1,4 +1,6 @@
-//! Text parser for ABDL requests and transactions.
+//! Text parser for ABDL requests and transactions, and the one
+//! tokenizer and token [`Cursor`] that every MLDS language parser
+//! (CODASYL, Daplex, SQL, DL/I) is written over.
 //!
 //! The grammar follows the request sketches of Chapters II, III and VI of
 //! the thesis:
@@ -28,7 +30,7 @@
 mod lexer;
 mod parser;
 
-pub use lexer::{Lexer, Token, TokenKind};
+pub use lexer::{tokenize, Cursor, Dialect, Tok, Token};
 pub use parser::{parse_request, parse_transaction};
 
 #[cfg(test)]
@@ -190,6 +192,32 @@ mod tests {
             let printed = req.to_string();
             let reparsed = parse_request(&printed).unwrap();
             assert_eq!(req, reparsed, "round trip failed for {text}");
+        }
+    }
+
+    /// Printing and re-parsing is a fixpoint for values whose text is
+    /// easy to get wrong: non-ASCII strings and integral floats too
+    /// large for a plain decimal point.
+    #[test]
+    fn round_trips_non_ascii_text_and_large_floats() {
+        let values = [
+            Value::str("Müller"),
+            Value::str("東京 'Ōsaka'"),
+            Value::Float(1e15),
+            Value::Float(-1e15),
+            Value::Float(1e20),
+            Value::Float(-2.5e300),
+            Value::Float(f64::MAX),
+            Value::Float(1e15 + 0.5),
+        ];
+        for value in values {
+            let req = parse_request(&format!("INSERT (<FILE, t>, <v, {value}>)")).unwrap();
+            match &req {
+                Request::Insert { record } => assert_eq!(record.get("v"), Some(&value)),
+                other => panic!("wrong request: {other:?}"),
+            }
+            let printed = req.to_string();
+            assert_eq!(parse_request(&printed).unwrap().to_string(), printed);
         }
     }
 }

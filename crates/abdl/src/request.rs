@@ -25,6 +25,14 @@ pub enum Aggregate {
     Max,
 }
 
+impl Aggregate {
+    /// The aggregate a name spells (case-insensitive), if any.
+    pub fn from_name(name: &str) -> Option<Aggregate> {
+        use Aggregate::*;
+        [Count, Sum, Avg, Min, Max].into_iter().find(|a| name.eq_ignore_ascii_case(&a.to_string()))
+    }
+}
+
 impl fmt::Display for Aggregate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -142,18 +142,15 @@ fn cmp_f64(a: f64, b: f64) -> Ordering {
 
 impl fmt::Display for Value {
     /// Canonical ABDL rendering: strings are single-quoted with `''`
-    /// escaping, floats always carry a decimal point, `NULL` is literal.
+    /// escaping, finite floats always carry a decimal point or an
+    /// exponent (so they re-parse as floats), `NULL` is literal.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => write!(f, "NULL"),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => {
-                if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                    write!(f, "{x:.1}")
-                } else {
-                    write!(f, "{x}")
-                }
-            }
+            Value::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => write!(f, "{x:.1}"),
+            Value::Float(x) if x.fract() == 0.0 => write!(f, "{x:e}"),
+            Value::Float(x) => write!(f, "{x}"),
             Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
         }
     }

@@ -26,22 +26,23 @@
 //! (round-trip tested).
 
 use crate::error::{Error, Result};
-use crate::lex::{Cursor, Tok};
 use crate::schema::{
     AttrType, Insertion, NetAttrType, NetworkSchema, Owner, RecordType, Retention, Selection,
     SetType,
 };
+use crate::DIALECT;
 use crate::SYSTEM;
+use abdl::parse::{Cursor, Tok};
 use std::fmt::Write as _;
 
 /// Parse a network schema from DDL text (validated before returning).
 pub fn parse_schema(src: &str) -> Result<NetworkSchema> {
-    let mut c = Cursor::new(src)?;
+    let mut c = Cursor::new(src, &DIALECT)?;
     let mut schema = NetworkSchema::default();
 
     c.expect_kws(&["SCHEMA", "NAME", "IS"])?;
     schema.name = c.name("schema name")?;
-    eat_terminators(&mut c);
+    c.eat_terminators();
 
     while !c.at_eof() {
         if c.at_kw("RECORD") {
@@ -59,16 +60,10 @@ pub fn parse_schema(src: &str) -> Result<NetworkSchema> {
     Ok(schema)
 }
 
-fn eat_terminators(c: &mut Cursor) {
-    while matches!(c.peek(), Tok::Period | Tok::Semi) {
-        c.bump();
-    }
-}
-
 fn parse_record(c: &mut Cursor, schema: &mut NetworkSchema) -> Result<()> {
     c.expect_kws(&["RECORD", "NAME", "IS"])?;
     let mut record = RecordType::new(c.name("record type name")?);
-    eat_terminators(c);
+    c.eat_terminators();
 
     loop {
         match c.peek().clone() {
@@ -79,11 +74,12 @@ fn parse_record(c: &mut Cursor, schema: &mut NetworkSchema) -> Result<()> {
                 c.expect_kws(&["TYPE", "IS"])?;
                 let typ = parse_attr_type(c)?;
                 let check = parse_check(c)?;
-                eat_terminators(c);
+                c.eat_terminators();
                 record.attrs.push(AttrType {
                     name,
-                    level: u8::try_from(level)
-                        .map_err(|_| c.err(format!("level number {level} out of range")))?,
+                    level: u8::try_from(level).map_err(|_| {
+                        c.err::<Error>(format!("level number {level} out of range"))
+                    })?,
                     typ,
                     dup_allowed: true,
                     check,
@@ -93,7 +89,7 @@ fn parse_record(c: &mut Cursor, schema: &mut NetworkSchema) -> Result<()> {
                 c.bump();
                 c.expect_kws(&["ARE", "NOT", "ALLOWED", "FOR"])?;
                 let items = c.name_list("data item name")?;
-                eat_terminators(c);
+                c.eat_terminators();
                 for item in &items {
                     if let Some(attr) = record.attrs.iter_mut().find(|a| &a.name == item) {
                         attr.dup_allowed = false;
@@ -116,7 +112,7 @@ fn parse_attr_type(c: &mut Cursor) -> Result<NetAttrType> {
             let dec = match *c.peek() {
                 Tok::Int(d) => {
                     c.bump();
-                    u16::try_from(d).map_err(|_| c.err("decimal length out of range"))?
+                    u16::try_from(d).map_err(|_| c.err::<Error>("decimal length out of range"))?
                 }
                 _ => 2,
             };
@@ -125,7 +121,8 @@ fn parse_attr_type(c: &mut Cursor) -> Result<NetAttrType> {
         "CHARACTER" | "CHAR" => {
             let len = c.int("character length")?;
             Ok(NetAttrType::Char {
-                len: u16::try_from(len).map_err(|_| c.err("character length out of range"))?,
+                len: u16::try_from(len)
+                    .map_err(|_| c.err::<Error>("character length out of range"))?,
             })
         }
         other => Err(c.err(format!("unknown data type `{other}`"))),
@@ -156,7 +153,7 @@ fn parse_check(c: &mut Cursor) -> Result<Option<crate::schema::ValueCheck>> {
 fn parse_set(c: &mut Cursor, schema: &mut NetworkSchema) -> Result<()> {
     c.expect_kws(&["SET", "NAME", "IS"])?;
     let name = c.name("set name")?;
-    eat_terminators(c);
+    c.eat_terminators();
 
     let mut owner: Option<Owner> = None;
     let mut member: Option<String> = None;
@@ -174,12 +171,12 @@ fn parse_set(c: &mut Cursor, schema: &mut NetworkSchema) -> Result<()> {
             } else {
                 Owner::Record(who)
             });
-            eat_terminators(c);
+            c.eat_terminators();
         } else if c.at_kw("MEMBER") {
             c.bump();
             c.expect_kw("IS")?;
             member = Some(c.name("member record")?);
-            eat_terminators(c);
+            c.eat_terminators();
         } else if c.at_kw("INSERTION") {
             c.bump();
             c.expect_kw("IS")?;
@@ -189,7 +186,7 @@ fn parse_set(c: &mut Cursor, schema: &mut NetworkSchema) -> Result<()> {
                 "MANUAL" => Insertion::Manual,
                 other => return Err(c.err(format!("unknown insertion mode `{other}`"))),
             };
-            eat_terminators(c);
+            c.eat_terminators();
         } else if c.at_kw("RETENTION") {
             c.bump();
             c.expect_kw("IS")?;
@@ -200,14 +197,14 @@ fn parse_set(c: &mut Cursor, schema: &mut NetworkSchema) -> Result<()> {
                 "MANUAL" => Retention::Manual,
                 other => return Err(c.err(format!("unknown retention mode `{other}`"))),
             };
-            eat_terminators(c);
+            c.eat_terminators();
         } else if c.at_kw("SET") && matches!(c.peek2(), Tok::Word(w) if w.eq_ignore_ascii_case("SELECTION"))
         {
             c.bump();
             c.bump();
             c.expect_kws(&["IS", "BY"])?;
             selection = parse_selection(c)?;
-            eat_terminators(c);
+            c.eat_terminators();
         } else {
             break;
         }

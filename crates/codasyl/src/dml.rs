@@ -12,7 +12,8 @@
 //! in every worked example of the thesis.
 
 use crate::error::Result;
-use crate::lex::{Cursor, Tok};
+use crate::DIALECT;
+use abdl::parse::{Cursor, Tok};
 use abdl::Value;
 use std::fmt;
 
@@ -246,31 +247,23 @@ impl fmt::Display for Statement {
 /// optionally separated by `;` or `.` (one statement per line in the
 /// thesis's examples).
 pub fn parse_statements(src: &str) -> Result<Vec<Statement>> {
-    let mut c = Cursor::new(src)?;
+    let mut c = Cursor::new(src, &DIALECT)?;
     let mut out = Vec::new();
-    eat_terminators(&mut c);
+    c.eat_terminators();
     while !c.at_eof() {
         out.push(parse_statement(&mut c)?);
-        eat_terminators(&mut c);
+        c.eat_terminators();
     }
     Ok(out)
 }
 
 /// Parse exactly one statement from `src`.
 pub fn parse_statement_str(src: &str) -> Result<Statement> {
-    let mut c = Cursor::new(src)?;
+    let mut c = Cursor::new(src, &DIALECT)?;
     let stmt = parse_statement(&mut c)?;
-    eat_terminators(&mut c);
-    if !c.at_eof() {
-        return Err(c.err(format!("unexpected trailing input: {:?}", c.peek())));
-    }
+    c.eat_terminators();
+    c.expect_eof()?;
     Ok(stmt)
-}
-
-fn eat_terminators(c: &mut Cursor) {
-    while matches!(c.peek(), Tok::Semi | Tok::Period) {
-        c.bump();
-    }
 }
 
 fn parse_statement(c: &mut Cursor) -> Result<Statement> {
@@ -317,25 +310,7 @@ fn parse_statement(c: &mut Cursor) -> Result<Statement> {
 }
 
 fn parse_move(c: &mut Cursor) -> Result<Statement> {
-    let value = match c.peek().clone() {
-        Tok::Str(s) => {
-            c.bump();
-            Value::Str(s)
-        }
-        Tok::Int(i) => {
-            c.bump();
-            Value::Int(i)
-        }
-        Tok::Float(x) => {
-            c.bump();
-            Value::Float(x)
-        }
-        Tok::Word(w) if w.eq_ignore_ascii_case("NULL") => {
-            c.bump();
-            Value::Null
-        }
-        other => return Err(c.err(format!("expected literal after MOVE, found {other:?}"))),
-    };
+    let value = c.literal("literal after MOVE")?;
     c.expect_kw("TO")?;
     let item = c.name("data item")?;
     c.expect_kw("IN")?;
@@ -559,6 +534,12 @@ mod tests {
     #[test]
     fn mismatched_using_record_is_rejected() {
         assert!(parse_statement_str("FIND ANY course USING title IN student").is_err());
+    }
+
+    #[test]
+    fn non_ascii_literal_decodes_as_utf8() {
+        let stmt = parse_statement_str("MOVE 'Müller' TO name IN person").unwrap();
+        assert!(matches!(stmt, Statement::Move { value, .. } if value == Value::str("Müller")));
     }
 
     #[test]

@@ -40,6 +40,8 @@ pub enum Error {
         /// The offending value, rendered.
         got: String,
     },
+    /// A kernel-level failure surfaced through the network interface.
+    Kernel(abdl::Error),
 }
 
 impl fmt::Display for Error {
@@ -55,8 +57,18 @@ impl fmt::Display for Error {
             Error::TypeMismatch { record, item, expected, got } => {
                 write!(f, "value {got} does not fit `{record}.{item}` (declared {expected})")
             }
+            Error::Kernel(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for Error {}
+
+impl From<abdl::Error> for Error {
+    fn from(e: abdl::Error) -> Self {
+        match e {
+            abdl::Error::Parse { msg, offset } => Error::Parse { msg, offset },
+            e => Error::Kernel(e),
+        }
+    }
+}

@@ -51,7 +51,6 @@ pub mod cit;
 pub mod ddl;
 pub mod dml;
 pub mod error;
-pub mod lex;
 pub mod schema;
 pub mod uwa;
 
@@ -62,6 +61,10 @@ pub use schema::{
     Selection, SetOrigin, SetType, ValueCheck,
 };
 pub use uwa::Uwa;
+
+/// How the CODASYL DDL and DML parsers tokenize: `-` never continues a word,
+/// so `a-1` is the name `a` and the number `-1`.
+const DIALECT: abdl::parse::Dialect = abdl::parse::Dialect { hyphen_in_words: false };
 
 /// The reserved owner name for SYSTEM-owned (singular) sets.
 pub const SYSTEM: &str = "SYSTEM";

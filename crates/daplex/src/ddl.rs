@@ -33,17 +33,18 @@
 //! (forward references); the parser resolves them in a second pass.
 
 use crate::error::{Error, Result};
-use crate::lex::{Cursor, Tok};
 use crate::schema::{
     BaseKind, EntitySubtype, EntityType, FnRange, Function, FunctionalSchema, NonEntityClass,
     NonEntityType, OverlapConstraint, UniqueConstraint,
 };
+use crate::DIALECT;
+use abdl::parse::{Cursor, Tok};
 use abdl::Value;
 use std::fmt::Write as _;
 
 /// Parse and validate a functional schema from Daplex DDL text.
 pub fn parse_schema(src: &str) -> Result<FunctionalSchema> {
-    let mut c = Cursor::new(src)?;
+    let mut c = Cursor::new(src, &DIALECT)?;
     let mut raw = RawSchema::default();
 
     c.expect_kw("DATABASE")?;
@@ -59,7 +60,7 @@ pub fn parse_schema(src: &str) -> Result<FunctionalSchema> {
         if c.at_kw("END") {
             c.bump();
             c.expect_kw("DATABASE")?;
-            let _ = c.eat_semi();
+            c.eat(Tok::Semi);
             break;
         }
         if c.at_kw("TYPE") {
@@ -71,14 +72,14 @@ pub fn parse_schema(src: &str) -> Result<FunctionalSchema> {
             let functions = c.name_list("function name")?;
             c.expect_kw("WITHIN")?;
             let within = c.name("entity type")?;
-            c.expect_semi()?;
+            c.expect_tok(Tok::Semi, "`;`")?;
             raw.uniques.push(UniqueConstraint { functions, within });
         } else if c.at_kw("OVERLAP") {
             c.bump();
             let left = c.name_list("subtype name")?;
             c.expect_kw("WITH")?;
             let right = c.name_list("subtype name")?;
-            c.expect_semi()?;
+            c.expect_tok(Tok::Semi, "`;`")?;
             raw.overlaps.push(OverlapConstraint { left, right });
         } else {
             return Err(c.err(format!(
@@ -91,27 +92,6 @@ pub fn parse_schema(src: &str) -> Result<FunctionalSchema> {
     let schema = raw.resolve()?;
     schema.validate()?;
     Ok(schema)
-}
-
-// Small Cursor extensions local to this parser.
-trait CursorExt {
-    fn eat_semi(&mut self) -> bool;
-    fn expect_semi(&mut self) -> Result<()>;
-}
-
-impl CursorExt for Cursor {
-    fn eat_semi(&mut self) -> bool {
-        if *self.peek() == Tok::Semi {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_semi(&mut self) -> Result<()> {
-        self.expect_tok(Tok::Semi, "`;`")
-    }
 }
 
 /// Unresolved function range: named types may be forward references.
@@ -208,12 +188,12 @@ fn parse_type(c: &mut Cursor, raw: &mut RawSchema) -> Result<()> {
             let fname = c.name("function name")?;
             c.expect_tok(Tok::Colon, "`:` after function name")?;
             let (range, set_valued) = parse_fn_range(c)?;
-            c.expect_semi()?;
+            c.expect_tok(Tok::Semi, "`;`")?;
             fns.push(RawFunction { name: fname, range, set_valued });
         }
         c.expect_kw("END")?;
         c.expect_kw("ENTITY")?;
-        c.expect_semi()?;
+        c.expect_tok(Tok::Semi, "`;`")?;
         if supertypes.is_empty() {
             raw.entities.push((name, fns));
         } else {
@@ -233,7 +213,7 @@ fn parse_type(c: &mut Cursor, raw: &mut RawSchema) -> Result<()> {
     } else {
         None
     };
-    c.expect_semi()?;
+    c.expect_tok(Tok::Semi, "`;`")?;
     let class = match (derived, &parent) {
         (true, Some(p)) => NonEntityClass::Derived { of: p.clone() },
         (true, None) => NonEntityClass::Derived { of: builtin_name(&kind) },
@@ -276,7 +256,8 @@ fn parse_scalar_or_named(
             c.expect_tok(Tok::RParen, "`)` after string length")?;
             Ok((
                 BaseKind::Str {
-                    len: u16::try_from(len).map_err(|_| c.err("string length out of range"))?,
+                    len: u16::try_from(len)
+                        .map_err(|_| c.err::<Error>("string length out of range"))?,
                 },
                 None,
             ))
@@ -298,7 +279,7 @@ fn parse_scalar_or_named(
                 .non_entities
                 .iter()
                 .find(|n| n.name == word)
-                .ok_or_else(|| c.err(format!("unknown non-entity type `{word}`")))?;
+                .ok_or_else(|| c.err::<Error>(format!("unknown non-entity type `{word}`")))?;
             Ok((parent.kind.clone(), Some(word)))
         }
     }
@@ -320,7 +301,8 @@ fn parse_fn_range(c: &mut Cursor) -> Result<(RawRange, bool)> {
             let len = c.int("string length")?;
             c.expect_tok(Tok::RParen, "`)` after string length")?;
             RawRange::Inline(FnRange::Str {
-                len: u16::try_from(len).map_err(|_| c.err("string length out of range"))?,
+                len: u16::try_from(len)
+                    .map_err(|_| c.err::<Error>("string length out of range"))?,
             })
         }
         "INTEGER" => RawRange::Inline(FnRange::Int),
@@ -357,7 +339,7 @@ fn parse_constant(c: &mut Cursor, raw: &mut RawSchema) -> Result<()> {
         }
         other => return Err(c.err(format!("expected literal constant, found {other:?}"))),
     };
-    c.expect_semi()?;
+    c.expect_tok(Tok::Semi, "`;`")?;
     raw.non_entities.push(NonEntityType {
         name,
         class: NonEntityClass::Base,

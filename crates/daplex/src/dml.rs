@@ -23,8 +23,9 @@
 
 use crate::ab_map::{entity_query, fn_storage, FnStorage, Loader};
 use crate::error::{Error, Result};
-use crate::lex::{Cursor, Tok};
 use crate::names;
+use crate::DIALECT;
+use abdl::parse::{Cursor, Tok};
 use abdl::{Kernel, Predicate, Query, RelOp, Request, Value, FILE_ATTR};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -148,16 +149,12 @@ pub enum Outcome {
 
 /// Parse a sequence of Daplex DML statements.
 pub fn parse_statements(src: &str) -> Result<Vec<DaplexStatement>> {
-    let mut c = Cursor::new(src)?;
+    let mut c = Cursor::new(src, &DIALECT)?;
     let mut out = Vec::new();
-    while *c.peek() == Tok::Semi {
-        c.bump();
-    }
+    c.eat_semis();
     while !c.at_eof() {
         out.push(parse_statement(&mut c)?);
-        while *c.peek() == Tok::Semi {
-            c.bump();
-        }
+        c.eat_semis();
     }
     Ok(out)
 }
@@ -179,9 +176,7 @@ fn parse_statement(c: &mut Cursor) -> Result<DaplexStatement> {
             let f = c.name("function name")?;
             c.expect_tok(Tok::Assign, "`:=`")?;
             values.push((f, parse_literal(c)?));
-            if *c.peek() == Tok::Comma {
-                c.bump();
-            } else {
+            if !c.eat(Tok::Comma) {
                 break;
             }
         }
@@ -254,8 +249,7 @@ fn parse_such_that(c: &mut Cursor, entity: &str) -> Result<Vec<FnPredicate>> {
         let mut depth = 1usize;
         loop {
             let word = c.name("function name or entity variable")?;
-            if *c.peek() == Tok::LParen {
-                c.bump();
+            if c.eat(Tok::LParen) {
                 depth += 1;
                 path.push(word);
                 continue;
@@ -271,15 +265,10 @@ fn parse_such_that(c: &mut Cursor, entity: &str) -> Result<Vec<FnPredicate>> {
         for _ in 0..depth {
             c.expect_tok(Tok::RParen, "`)`")?;
         }
-        let op = match c.bump() {
-            Tok::Eq => RelOp::Eq,
-            Tok::Ne => RelOp::Ne,
-            Tok::Lt => RelOp::Lt,
-            Tok::Le => RelOp::Le,
-            Tok::Gt => RelOp::Gt,
-            Tok::Ge => RelOp::Ge,
-            other => return Err(c.err(format!("expected relational operator, found {other:?}"))),
-        };
+        let tok = c.bump();
+        let op = tok.relop().ok_or_else(|| {
+            c.err::<Error>(format!("expected relational operator, found {tok:?}"))
+        })?;
         let value = parse_literal(c)?;
         preds.push(FnPredicate { path, op, value });
         if !c.eat_kw("AND") {
@@ -294,13 +283,11 @@ fn parse_fn_list(c: &mut Cursor) -> Result<Vec<Vec<String>>> {
     loop {
         let mut path = vec![c.name("function name")?];
         // Optional (possibly nested) application syntax: f(g(var)).
-        if *c.peek() == Tok::LParen {
-            c.bump();
+        if c.eat(Tok::LParen) {
             let mut depth = 1usize;
             loop {
                 let word = c.name("function name or entity variable")?;
-                if *c.peek() == Tok::LParen {
-                    c.bump();
+                if c.eat(Tok::LParen) {
                     depth += 1;
                     path.push(word);
                 } else {
@@ -312,9 +299,7 @@ fn parse_fn_list(c: &mut Cursor) -> Result<Vec<Vec<String>>> {
             }
         }
         out.push(path);
-        if *c.peek() == Tok::Comma {
-            c.bump();
-        } else {
+        if !c.eat(Tok::Comma) {
             break;
         }
     }
@@ -322,17 +307,12 @@ fn parse_fn_list(c: &mut Cursor) -> Result<Vec<Vec<String>>> {
 }
 
 fn parse_literal(c: &mut Cursor) -> Result<Value> {
-    let v = match c.peek().clone() {
-        Tok::Int(i) => Value::Int(i),
-        Tok::Float(f) => Value::Float(f),
-        Tok::Str(s) => Value::Str(s),
-        Tok::Word(w) if w.eq_ignore_ascii_case("NULL") => Value::Null,
-        Tok::Word(w) if w.eq_ignore_ascii_case("TRUE") => Value::str("true"),
-        Tok::Word(w) if w.eq_ignore_ascii_case("FALSE") => Value::str("false"),
-        other => return Err(c.err(format!("expected literal, found {other:?}"))),
-    };
-    c.bump();
-    Ok(v)
+    for boolean in ["true", "false"] {
+        if c.eat_kw(boolean) {
+            return Ok(Value::str(boolean));
+        }
+    }
+    Ok(c.literal("literal")?)
 }
 
 /// Render a multi-valued path result as a single display value (one
@@ -776,6 +756,13 @@ mod tests {
             }
         }
         (outcomes, loader, store)
+    }
+
+    #[test]
+    fn non_ascii_literal_decodes_as_utf8() {
+        let stmts = parse_statements("CREATE student (name := 'Müller');").unwrap();
+        let [DaplexStatement::Create { values, .. }] = &stmts[..] else { panic!("{stmts:?}") };
+        assert_eq!(values, &vec![("name".to_owned(), Value::str("Müller"))]);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod ab_map;
 pub mod ddl;
 pub mod dml;
 pub mod error;
-pub mod lex;
 pub mod names;
 pub mod schema;
 pub mod university;
@@ -54,3 +53,7 @@ pub use schema::{
     BaseKind, EntitySubtype, EntityType, FnRange, Function, FunctionalSchema, NonEntityClass,
     NonEntityType, OverlapConstraint, UniqueConstraint,
 };
+
+/// How the Daplex DDL and DML parsers tokenize: `-` never continues a word,
+/// so `a-1` is the name `a` and the number `-1`.
+const DIALECT: abdl::parse::Dialect = abdl::parse::Dialect { hyphen_in_words: false };

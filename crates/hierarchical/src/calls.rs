@@ -2,8 +2,9 @@
 
 use crate::ab_map::{coerce, key_attr};
 use crate::error::{Error, Result};
-use crate::lex::{Cursor, Tok};
 use crate::schema::{arc_attr, HierSchema};
+use crate::DIALECT;
+use abdl::parse::{Cursor, Tok};
 use abdl::{Kernel, Modifier, Predicate, Query, Record, RelOp, Request, Value, FILE_ATTR};
 use std::collections::HashMap;
 
@@ -73,7 +74,7 @@ impl DliCall {
 
 /// Parse a script of DL/I calls (one per line, `;`/`.` tolerated).
 pub fn parse_calls(src: &str) -> Result<Vec<DliCall>> {
-    let mut c = Cursor::new(src)?;
+    let mut c = Cursor::new(src, &DIALECT)?;
     let mut out = Vec::new();
     c.eat_terminators();
     while !c.at_eof() {
@@ -120,25 +121,15 @@ fn is_verb(word: &str) -> bool {
 fn parse_ssa(c: &mut Cursor) -> Result<Ssa> {
     let segment = c.name("segment name")?;
     let mut preds = Vec::new();
-    if *c.peek() == Tok::LParen {
-        c.bump();
+    if c.eat(Tok::LParen) {
         loop {
             let field = c.name("field name")?;
-            let op = match c.bump() {
-                Tok::Eq => RelOp::Eq,
-                Tok::Ne => RelOp::Ne,
-                Tok::Lt => RelOp::Lt,
-                Tok::Le => RelOp::Le,
-                Tok::Gt => RelOp::Gt,
-                Tok::Ge => RelOp::Ge,
-                other => {
-                    return Err(c.err(format!("expected relational operator, found {other:?}")))
-                }
-            };
-            preds.push((field, op, parse_value(c)?));
-            if *c.peek() == Tok::Comma {
-                c.bump();
-            } else {
+            let tok = c.bump();
+            let op = tok.relop().ok_or_else(|| {
+                c.err::<Error>(format!("expected relational operator, found {tok:?}"))
+            })?;
+            preds.push((field, op, c.literal("literal")?));
+            if !c.eat(Tok::Comma) {
                 break;
             }
         }
@@ -153,27 +144,13 @@ fn parse_assignments(c: &mut Cursor) -> Result<Vec<(String, Value)>> {
     loop {
         let field = c.name("field name")?;
         c.expect_tok(Tok::Eq, "`=`")?;
-        out.push((field, parse_value(c)?));
-        if *c.peek() == Tok::Comma {
-            c.bump();
-        } else {
+        out.push((field, c.literal("literal")?));
+        if !c.eat(Tok::Comma) {
             break;
         }
     }
     c.expect_tok(Tok::RParen, "`)` closing field list")?;
     Ok(out)
-}
-
-fn parse_value(c: &mut Cursor) -> Result<Value> {
-    let v = match c.peek().clone() {
-        Tok::Int(i) => Value::Int(i),
-        Tok::Float(f) => Value::Float(f),
-        Tok::Str(s) => Value::Str(s),
-        Tok::Word(w) if w.eq_ignore_ascii_case("NULL") => Value::Null,
-        other => return Err(c.err(format!("expected literal, found {other:?}"))),
-    };
-    c.bump();
-    Ok(v)
 }
 
 /// What one executed call produced.
@@ -577,6 +554,13 @@ mod tests {
         }
         session.reset_position();
         (session, store)
+    }
+
+    #[test]
+    fn non_ascii_literal_decodes_as_utf8() {
+        let calls = parse_calls("ISRT course (title = 'Müller')").unwrap();
+        let [DliCall::Isrt { values, .. }] = &calls[..] else { panic!("{calls:?}") };
+        assert_eq!(values, &vec![("title".to_owned(), Value::str("Müller"))]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The DBD (database definition) parser and printer.
 
-use crate::error::Result;
-use crate::lex::{Cursor, Tok};
+use crate::error::{Error, Result};
 use crate::schema::{Field, FieldType, HierSchema, Segment};
+use crate::DIALECT;
+use abdl::parse::{Cursor, Tok};
 use std::fmt::Write as _;
 
 /// Parse a hierarchical database definition:
@@ -21,7 +22,7 @@ use std::fmt::Write as _;
 ///   SEQUENCE IS cno.
 /// ```
 pub fn parse_schema(src: &str) -> Result<HierSchema> {
-    let mut c = Cursor::new(src)?;
+    let mut c = Cursor::new(src, &DIALECT)?;
     let mut schema = HierSchema::default();
     c.expect_kw("HIERARCHY")?;
     c.expect_kw("NAME")?;
@@ -73,7 +74,7 @@ fn parse_type(c: &mut Cursor) -> Result<FieldType> {
         "CHARACTER" | "CHAR" => {
             let len = c.int("character length")?;
             Ok(FieldType::Char {
-                len: u16::try_from(len).map_err(|_| c.err("length out of range"))?,
+                len: u16::try_from(len).map_err(|_| c.err::<Error>("length out of range"))?,
             })
         }
         other => Err(c.err(format!("unknown field type `{other}`"))),

@@ -89,6 +89,9 @@ impl std::error::Error for Error {}
 
 impl From<abdl::Error> for Error {
     fn from(e: abdl::Error) -> Self {
-        Error::Kernel(e)
+        match e {
+            abdl::Error::Parse { msg, offset } => Error::Parse { msg, offset },
+            e => Error::Kernel(e),
+        }
     }
 }

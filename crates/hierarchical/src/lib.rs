@@ -49,9 +49,12 @@ pub mod ab_map;
 pub mod calls;
 pub mod ddl;
 pub mod error;
-pub mod lex;
 pub mod schema;
 
 pub use calls::{DliCall, DliSession, Ssa};
 pub use error::{Error, Result};
 pub use schema::{Field, FieldType, HierSchema, Segment};
+
+/// How the DBD and DL/I call parsers tokenize: `-` never continues a word,
+/// so `a-1` is the name `a` and the number `-1`.
+const DIALECT: abdl::parse::Dialect = abdl::parse::Dialect { hyphen_in_words: false };

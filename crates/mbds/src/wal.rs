@@ -1282,9 +1282,20 @@ impl LogCursor {
 mod tests {
     use super::*;
     use abdl::{Record, Value};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn rec(file: &str, v: i64) -> Record {
         Record::from_pairs([("FILE", Value::str(file))]).with(file.to_owned(), Value::Int(v))
+    }
+
+    /// A new, empty directory for one call: the unit tests run as threads
+    /// of one process, so the pid alone does not tell them apart.
+    fn fresh_dir(tag: &str) -> std::path::PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("mbds-{tag}-{}-{n}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
@@ -1567,9 +1578,7 @@ mod tests {
 
     #[test]
     fn file_log_drop_torn_tail_is_atomic_under_a_concurrent_cursor() {
-        let dir =
-            std::env::temp_dir().join(format!("mbds-wal-tail-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = fresh_dir("wal-tail-test");
         {
             let mut wal = Wal::create(Box::new(FileLog::open(&dir).unwrap()));
             for i in 0..4 {
@@ -1608,8 +1617,7 @@ mod tests {
 
     #[test]
     fn file_log_round_trips_through_a_directory() {
-        let dir = std::env::temp_dir().join(format!("mbds-wal-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = fresh_dir("wal-test");
         {
             let mut wal = Wal::create(Box::new(FileLog::open(&dir).unwrap()));
             wal.append(&LogRecord::CreateFile { name: "f".into() }).unwrap();

@@ -1,14 +1,15 @@
 //! SQL DDL: `CREATE DATABASE` / `CREATE TABLE` parsing and printing.
 
-use crate::error::Result;
-use crate::lex::{Cursor, Tok};
+use crate::error::{Error, Result};
 use crate::schema::{ColType, Column, RelSchema, Table};
+use crate::DIALECT;
+use abdl::parse::{Cursor, Tok};
 use std::fmt::Write as _;
 
 /// Parse a DDL script: one `CREATE DATABASE` followed by `CREATE TABLE`
 /// statements.
 pub fn parse_schema(src: &str) -> Result<RelSchema> {
-    let mut c = Cursor::new(src)?;
+    let mut c = Cursor::new(src, &DIALECT)?;
     let mut schema = RelSchema::default();
     c.expect_kw("CREATE")?;
     c.expect_kw("DATABASE")?;
@@ -33,9 +34,7 @@ fn parse_table(c: &mut Cursor) -> Result<Table> {
             c.expect_tok(Tok::LParen, "`(`")?;
             loop {
                 table.primary_key.push(c.name("key column")?);
-                if *c.peek() == Tok::Comma {
-                    c.bump();
-                } else {
+                if !c.eat(Tok::Comma) {
                     break;
                 }
             }
@@ -71,7 +70,7 @@ fn parse_type(c: &mut Cursor) -> Result<ColType> {
             let len = c.int("character length")?;
             c.expect_tok(Tok::RParen, "`)` after length")?;
             Ok(ColType::Char {
-                len: u16::try_from(len).map_err(|_| c.err("length out of range"))?,
+                len: u16::try_from(len).map_err(|_| c.err::<Error>("length out of range"))?,
             })
         }
         other => Err(c.err(format!("unknown column type `{other}`"))),

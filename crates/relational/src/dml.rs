@@ -1,7 +1,8 @@
 //! The SQL DML subset: statement AST and parser.
 
-use crate::error::Result;
-use crate::lex::{Cursor, Tok};
+use crate::error::{Error, Result};
+use crate::DIALECT;
+use abdl::parse::{Cursor, Tok};
 use abdl::{Aggregate, RelOp, Value};
 
 /// A possibly-qualified column reference (`city` / `s.city`).
@@ -110,16 +111,12 @@ pub enum SqlStatement {
 
 /// Parse a script of `;`-separated SQL statements.
 pub fn parse_statements(src: &str) -> Result<Vec<SqlStatement>> {
-    let mut c = Cursor::new(src)?;
+    let mut c = Cursor::new(src, &DIALECT)?;
     let mut out = Vec::new();
-    while *c.peek() == Tok::Semi {
-        c.bump();
-    }
+    c.eat_semis();
     while !c.at_eof() {
         out.push(parse_statement(&mut c)?);
-        while *c.peek() == Tok::Semi {
-            c.bump();
-        }
+        c.eat_semis();
     }
     Ok(out)
 }
@@ -144,9 +141,7 @@ fn parse_statement(c: &mut Cursor) -> Result<SqlStatement> {
         let mut columns = Vec::new();
         loop {
             columns.push(c.name("column name")?);
-            if *c.peek() == Tok::Comma {
-                c.bump();
-            } else {
+            if !c.eat(Tok::Comma) {
                 break;
             }
         }
@@ -155,10 +150,8 @@ fn parse_statement(c: &mut Cursor) -> Result<SqlStatement> {
         c.expect_tok(Tok::LParen, "`(` opening value list")?;
         let mut values = Vec::new();
         loop {
-            values.push(parse_value(c)?);
-            if *c.peek() == Tok::Comma {
-                c.bump();
-            } else {
+            values.push(c.literal("literal")?);
+            if !c.eat(Tok::Comma) {
                 break;
             }
         }
@@ -172,10 +165,8 @@ fn parse_statement(c: &mut Cursor) -> Result<SqlStatement> {
         loop {
             let col = c.name("column name")?;
             c.expect_tok(Tok::Eq, "`=`")?;
-            sets.push((col, parse_value(c)?));
-            if *c.peek() == Tok::Comma {
-                c.bump();
-            } else {
+            sets.push((col, c.literal("literal")?));
+            if !c.eat(Tok::Comma) {
                 break;
             }
         }
@@ -194,22 +185,12 @@ fn parse_statement(c: &mut Cursor) -> Result<SqlStatement> {
 fn parse_select(c: &mut Cursor) -> Result<SqlStatement> {
     let mut items = Vec::new();
     loop {
-        if *c.peek() == Tok::Star {
-            c.bump();
+        if c.eat(Tok::Star) {
             items.push(SelectItem::All);
         } else {
             let word = c.name("column or aggregate")?;
-            let agg = match word.to_ascii_uppercase().as_str() {
-                "COUNT" => Some(Aggregate::Count),
-                "SUM" => Some(Aggregate::Sum),
-                "AVG" => Some(Aggregate::Avg),
-                "MIN" => Some(Aggregate::Min),
-                "MAX" => Some(Aggregate::Max),
-                _ => None,
-            };
-            match (agg, c.peek().clone()) {
-                (Some(op), Tok::LParen) => {
-                    c.bump();
+            match Aggregate::from_name(&word) {
+                Some(op) if c.eat(Tok::LParen) => {
                     let col = parse_colref_from(c, None)?;
                     c.expect_tok(Tok::RParen, "`)` closing aggregate")?;
                     items.push(SelectItem::Agg(op, col));
@@ -217,9 +198,7 @@ fn parse_select(c: &mut Cursor) -> Result<SqlStatement> {
                 _ => items.push(SelectItem::Col(finish_colref(c, word)?)),
             }
         }
-        if *c.peek() == Tok::Comma {
-            c.bump();
-        } else {
+        if !c.eat(Tok::Comma) {
             break;
         }
     }
@@ -239,9 +218,7 @@ fn parse_select(c: &mut Cursor) -> Result<SqlStatement> {
             _ => None,
         };
         from.push(FromItem { table, alias });
-        if *c.peek() == Tok::Comma {
-            c.bump();
-        } else {
+        if !c.eat(Tok::Comma) {
             break;
         }
     }
@@ -286,28 +263,18 @@ fn parse_conj(c: &mut Cursor) -> Result<Vec<SqlPred>> {
 }
 
 fn parse_pred(c: &mut Cursor) -> Result<SqlPred> {
-    let parens = if *c.peek() == Tok::LParen {
-        c.bump();
-        true
-    } else {
-        false
-    };
+    let parens = c.eat(Tok::LParen);
     let lhs = parse_colref_from(c, None)?;
-    let op = match c.bump() {
-        Tok::Eq => RelOp::Eq,
-        Tok::Ne => RelOp::Ne,
-        Tok::Lt => RelOp::Lt,
-        Tok::Le => RelOp::Le,
-        Tok::Gt => RelOp::Gt,
-        Tok::Ge => RelOp::Ge,
-        other => return Err(c.err(format!("expected relational operator, found {other:?}"))),
-    };
+    let tok = c.bump();
+    let op = tok
+        .relop()
+        .ok_or_else(|| c.err::<Error>(format!("expected relational operator, found {tok:?}")))?;
     let rhs = match c.peek().clone() {
         Tok::Word(w) if !w.eq_ignore_ascii_case("NULL") => {
             c.bump();
             Rhs::Col(finish_colref(c, w)?)
         }
-        _ => Rhs::Value(parse_value(c)?),
+        _ => Rhs::Value(c.literal("literal")?),
     };
     if parens {
         c.expect_tok(Tok::RParen, "`)` closing predicate")?;
@@ -326,25 +293,12 @@ fn parse_colref_from(c: &mut Cursor, word: Option<String>) -> Result<ColRef> {
 }
 
 fn finish_colref(c: &mut Cursor, first: String) -> Result<ColRef> {
-    if *c.peek() == Tok::Dot {
-        c.bump();
+    if c.eat(Tok::Dot) {
         let column = c.name("column name")?;
         Ok(ColRef { qualifier: Some(first), column })
     } else {
         Ok(ColRef { qualifier: None, column: first })
     }
-}
-
-fn parse_value(c: &mut Cursor) -> Result<Value> {
-    let v = match c.peek().clone() {
-        Tok::Int(i) => Value::Int(i),
-        Tok::Float(f) => Value::Float(f),
-        Tok::Str(s) => Value::Str(s),
-        Tok::Word(w) if w.eq_ignore_ascii_case("NULL") => Value::Null,
-        other => return Err(c.err(format!("expected literal, found {other:?}"))),
-    };
-    c.bump();
-    Ok(v)
 }
 
 #[cfg(test)]
@@ -418,5 +372,13 @@ mod tests {
         assert!(parse_statement_str("INSERT t VALUES (1);").is_err());
         assert!(parse_statement_str("DROP TABLE t;").is_err());
         assert!(parse_statement_str("SELECT a FROM t WHERE a ** 2;").is_err());
+    }
+
+    #[test]
+    fn non_ascii_names_and_literals_decode_as_utf8() {
+        let s = parse_statement_str("INSERT INTO café (name) VALUES ('Müller');").unwrap();
+        let SqlStatement::Insert { table, values, .. } = s else { panic!() };
+        assert_eq!(table, "café");
+        assert_eq!(values, vec![Value::str("Müller")]);
     }
 }

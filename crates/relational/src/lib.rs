@@ -60,10 +60,13 @@ pub mod ab_map;
 pub mod ddl;
 pub mod dml;
 pub mod error;
-pub mod lex;
 pub mod schema;
 pub mod translate;
 
 pub use error::{Error, Result};
 pub use schema::{ColType, Column, RelSchema, Table};
 pub use translate::{RowSet, SqlTranslator};
+
+/// How the SQL DDL and DML parsers tokenize: `-` never continues a word,
+/// so `a-1` is the name `a` and the number `-1`.
+const DIALECT: abdl::parse::Dialect = abdl::parse::Dialect { hyphen_in_words: false };

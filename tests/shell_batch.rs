@@ -1,11 +1,23 @@
 //! Drive the `mlds-shell` binary in batch mode: the user-facing LIL
 //! loop, exercised end-to-end as a process.
 
+use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A new, empty directory for one call. The tests of this binary run as
+/// threads of one process, so the pid alone does not tell them apart.
+fn fresh_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("mlds-shell-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
 
 fn run_shell(script: &str) -> (String, String) {
-    let dir = std::env::temp_dir().join(format!("mlds-shell-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("test");
     let path = dir.join("script.mlds");
     std::fs::write(&path, script).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_mlds-shell"))
@@ -64,9 +76,7 @@ fn batch_script_reports_errors_without_dying() {
 /// sessions.
 #[test]
 fn codasyl_currency_survives_controller_recovery() {
-    let dir = std::env::temp_dir().join(format!("mlds-shell-recover-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("recover");
     let wal = dir.join("wal");
     let (stdout, stderr) = run_shell(&format!(
         ".durable {wal} 4\n\
@@ -115,9 +125,7 @@ fn stats_reports_kernel_work_counters() {
     assert!(field(&stdout, "requests executed:") > 0, "{stdout}");
     assert_eq!(field(&stdout, "backend messages:"), 0, "{stdout}");
 
-    let dir = std::env::temp_dir().join(format!("mlds-shell-stats-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("stats");
     let wal = dir.join("wal");
     let (stdout, stderr) =
         run_shell(&format!(".durable {} 4\n.demo\n.stats\n.quit\n", wal.display()));
@@ -130,8 +138,7 @@ fn stats_reports_kernel_work_counters() {
 
 #[test]
 fn save_and_load_round_trip_through_the_shell() {
-    let dir = std::env::temp_dir().join(format!("mlds-shell-save-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("save");
     let dump = dir.join("kernel.abdl");
     let (_, stderr) = run_shell(&format!(
         ".demo\n.save {}\n.quit\n",
