@@ -5,6 +5,8 @@
 use crate::workload;
 use abdl::{Kernel, Store};
 use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Experiment ids with one-line descriptions.
@@ -737,6 +739,17 @@ fn e15_retrieval_counters(scoped: bool) -> (f64, f64) {
     )
 }
 
+/// A new, empty temp directory for one call. Experiments also run as
+/// tests — threads of one process — so the pid alone does not tell two
+/// calls with the same parameters apart.
+fn fresh_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("mlds-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 /// Wall-clock milliseconds and WAL append count for 120 durable inserts
 /// over a file-backed log, committed either as ten 12-request
 /// transactions (one sync each, group commit) or one request at a time
@@ -744,12 +757,7 @@ fn e15_retrieval_counters(scoped: bool) -> (f64, f64) {
 fn e15_wal_ms(grouped: bool) -> (f64, u64) {
     const INSERTS: i64 = 120;
     const BATCH: i64 = 12;
-    let dir = std::env::temp_dir().join(format!(
-        "mlds-e15-{}-{}",
-        std::process::id(),
-        if grouped { "txn" } else { "single" }
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir(if grouped { "e15-txn" } else { "e15-single" });
     let mut c = mbds::Controller::durable(4, 2, &dir).expect("durable controller");
     c.try_create_file("f").expect("create f");
     let start = Instant::now();
@@ -1167,8 +1175,7 @@ pub struct E18Report {
 /// histogram, replay-equivalence flag, scheduler flights, WAL syncs).
 fn e18_run(sessions: u64, per_session: u64) -> (f64, crate::timing::Histogram, bool, u64, u64) {
     use crate::timing::Histogram;
-    let dir = std::env::temp_dir().join(format!("mlds-e18-{}-{sessions}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir(&format!("e18-{sessions}"));
     let mut mlds = mlds::Mlds::durable_backend(4, &dir).expect("durable controller");
     {
         let mut ns = mlds::NamespacedKernel::new(mlds.kernel_mut(), "db");
@@ -1571,12 +1578,7 @@ fn e20_run(
 ) -> (f64, crate::timing::Histogram, bool, abdl::ExecTotals) {
     use crate::timing::Histogram;
     const DBS: u64 = 4;
-    let dir = std::env::temp_dir().join(format!(
-        "mlds-e20-{}-{sessions}-{read_pct}-{}-{backends}",
-        std::process::id(),
-        u8::from(parallel)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir(&format!("e20-{sessions}-{read_pct}-{}-{backends}", u8::from(parallel)));
     let mut mlds = mlds::Mlds::durable_backend(backends, &dir).expect("durable controller");
     // Seed through `execute_batch` so the WAL batches its syncs —
     // thousands of serially fsynced inserts would dwarf the run.

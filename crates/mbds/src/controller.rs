@@ -163,10 +163,106 @@ struct BackendHandle {
     /// `Some` when this backend is a separate OS process reached over
     /// TCP; the channel fields above are inert placeholders then.
     tcp: Option<TcpLink>,
-    /// The last frame sent on the TCP link — the retransmission stash.
-    /// The controller keeps at most one request in flight per backend,
-    /// so one slot is exactly enough.
-    last_frame: Option<Frame>,
+    /// The TCP link's retransmission window (unused on the channel
+    /// bus). A staged flight keeps several requests in flight per
+    /// backend, so a retry must be able to resend any of them.
+    window: RetransmitWindow,
+}
+
+impl BackendHandle {
+    /// A handle on the channel bus: `tx` reaches the worker, replies
+    /// come back on `reply`.
+    fn local(
+        tx: Sender<Envelope>,
+        (reply_tx, rx): (Sender<Reply>, Receiver<Reply>),
+        join: Option<JoinHandle<()>>,
+    ) -> Self {
+        BackendHandle { tx, rx, reply_tx, join, tcp: None, window: RetransmitWindow::default() }
+    }
+
+    /// A handle for a backend process reached over `link`.
+    fn remote(link: TcpLink) -> Self {
+        let (tx, _) = channel();
+        BackendHandle { tcp: Some(link), ..BackendHandle::local(tx, channel(), None) }
+    }
+}
+
+/// Every frame sent on one TCP link whose reply has not been taken
+/// yet, plus replies that overtook the seq being awaited.
+#[derive(Default)]
+struct RetransmitWindow {
+    /// Sent frames keyed by seq; an entry leaves when its reply is
+    /// taken. A retry resends all of them in seq order.
+    unacked: BTreeMap<u64, Frame>,
+    /// Replies to seqs still in `unacked` that arrived while an
+    /// earlier seq was being awaited (a flight's collect phase awaits
+    /// in admission order; a retransmission can answer out of it).
+    early: BTreeMap<u64, Frame>,
+}
+
+impl RetransmitWindow {
+    /// Forget every outstanding seq: the link was given up or
+    /// replaced, so nothing sent on it may ever be retransmitted.
+    fn clear(&mut self) {
+        self.unacked.clear();
+        self.early.clear();
+    }
+}
+
+/// The unique index: per `(file, constraint group)`, every stored value
+/// tuple → the keys holding it.
+pub(crate) type UniqueIndex = HashMap<(String, usize), BTreeMap<Vec<Value>, KeySet>>;
+
+/// The keys stored under one unique-index tuple. Almost always exactly
+/// one — the constraint forbids more — so that case lives inline
+/// instead of in a per-tuple tree node; `Many` only arises when a
+/// constraint is declared over existing duplicates or an UPDATE
+/// creates one. Iterates in ascending key order either way.
+#[derive(Debug, Clone, Default)]
+pub(crate) enum KeySet {
+    #[default]
+    Empty,
+    One(DbKey),
+    Many(BTreeSet<DbKey>),
+}
+
+impl KeySet {
+    pub(crate) fn insert(&mut self, key: DbKey) {
+        match self {
+            KeySet::Empty => *self = KeySet::One(key),
+            KeySet::One(k) if *k == key => {}
+            KeySet::One(k) => *self = KeySet::Many(BTreeSet::from([*k, key])),
+            KeySet::Many(keys) => {
+                keys.insert(key);
+            }
+        }
+    }
+
+    pub(crate) fn remove(&mut self, key: &DbKey) {
+        match self {
+            KeySet::One(k) if k == key => *self = KeySet::Empty,
+            KeySet::Many(keys) => {
+                keys.remove(key);
+                if keys.len() == 1 {
+                    *self = KeySet::One(*keys.first().expect("one key"));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        matches!(self, KeySet::Empty)
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &DbKey> {
+        let (one, many) = match self {
+            KeySet::Empty => (None, None),
+            KeySet::One(k) => (Some(k), None),
+            KeySet::Many(keys) => (None, Some(keys.iter())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
 }
 
 /// The shared state of a socket-transport cluster: where the backend
@@ -204,7 +300,7 @@ pub(crate) struct PromotedParts {
     pub(crate) unique_groups: HashMap<String, Vec<Vec<String>>>,
     pub(crate) files: Vec<String>,
     pub(crate) directory: Directory,
-    pub(crate) unique_index: HashMap<(String, usize), BTreeMap<Vec<Value>, BTreeSet<DbKey>>>,
+    pub(crate) unique_index: UniqueIndex,
     pub(crate) resident: HashMap<String, Vec<u64>>,
     pub(crate) dead: Vec<usize>,
     pub(crate) draining: BTreeSet<usize>,
@@ -264,7 +360,7 @@ pub struct Controller {
     /// keys holding it. Every insert flows through the controller, so
     /// this is authoritative and replaces the pre-insert broadcast
     /// probe; it is rebuilt (incrementally) by snapshot + WAL replay.
-    unique_index: HashMap<(String, usize), BTreeMap<Vec<Value>, BTreeSet<DbKey>>>,
+    unique_index: UniqueIndex,
     /// Per-file, per-backend record counts derived from the directory —
     /// which backends can hold records of each file. Drives file-scoped
     /// routing; may over-count for records whose data was lost (safe:
@@ -374,12 +470,7 @@ impl Controller {
             // Swap the thread-backed handle for a TCP one and retire
             // the placeholder thread: dropping its command sender
             // disconnects the worker loop, which then exits.
-            let (tx, _) = channel::<Envelope>();
-            let (reply_tx, rx) = channel::<Reply>();
-            let old = std::mem::replace(
-                &mut c.backends[i],
-                BackendHandle { tx, rx, reply_tx, join: None, tcp: Some(link), last_frame: None },
-            );
+            let old = std::mem::replace(&mut c.backends[i], BackendHandle::remote(link));
             c.bus.lock().expect("bus lock")[i] = c.backends[i].tx.clone();
             let BackendHandle { tx: old_tx, join: old_join, .. } = old;
             drop(old_tx);
@@ -595,18 +686,13 @@ impl Controller {
                 .map(|(i, addr)| {
                     let mut tcp = TcpLink::new(i, addr, client_id, Arc::clone(&shared.plan));
                     let _ = tcp.connect(epoch, link.reply_timeout);
-                    let (tx, _) = channel::<Envelope>();
-                    let (reply_tx, rx) = channel::<Reply>();
-                    BackendHandle { tx, rx, reply_tx, join: None, tcp: Some(tcp), last_frame: None }
+                    BackendHandle::remote(tcp)
                 })
                 .collect()
         } else {
             senders
                 .into_iter()
-                .map(|tx| {
-                    let (reply_tx, rx) = channel::<Reply>();
-                    BackendHandle { tx, rx, reply_tx, join: None, tcp: None, last_frame: None }
-                })
+                .map(|tx| BackendHandle::local(tx, channel(), None))
                 .collect()
         };
         let mut c = Controller {
@@ -715,11 +801,7 @@ impl Controller {
         let epoch = self.epoch;
         let dial = self.reply_timeout;
         let Some(link) = self.backends[i].tcp.as_mut() else { return false };
-        let sent = match link.send(&frame) {
-            Ok(()) => true,
-            Err(_) => link.connect(epoch, dial).is_ok() && link.send(&frame).is_ok(),
-        };
-        if !sent {
+        if !send_redialing(link, &frame, epoch, dial) {
             return false;
         }
         let deadline = Instant::now() + dial;
@@ -850,7 +932,7 @@ impl Controller {
             .log_append(LogRecord::RestartBegin { backend: i })
             .and_then(|()| self.log_append(LogRecord::RestartEnd { backend: i }));
         let flush = self.wal_commit_batch();
-        self.backends[i].last_frame = None;
+        self.backends[i].window.clear();
         self.health.restarted(i);
         self.degraded_dirty = true;
         logged?;
@@ -1452,7 +1534,7 @@ impl Controller {
             let mut link = TcpLink::new(i, bp.addr, self.client_id, Arc::clone(&shared.plan));
             let _ = link.connect(self.epoch, self.reply_timeout);
             self.backends[i].tcp = Some(link);
-            self.backends[i].last_frame = None;
+            self.backends[i].window.clear();
             // A respawned process starts with an empty fault plan and a
             // fresh message counter — exactly like a respawned worker
             // thread, except the plan must be re-shipped.
@@ -1734,16 +1816,7 @@ impl Controller {
                 })?;
                 shared.addrs.lock().expect("net addrs lock").push(bp.addr);
                 shared.children.lock().expect("net children lock").push(Some(bp.child));
-                let (tx, _) = channel::<Envelope>();
-                let (reply_tx, rx) = channel::<Reply>();
-                self.backends.push(BackendHandle {
-                    tx,
-                    rx,
-                    reply_tx,
-                    join: None,
-                    tcp: Some(link),
-                    last_frame: None,
-                });
+                self.backends.push(BackendHandle::remote(link));
                 self.bus.lock().expect("bus lock").push(self.backends[i].tx.clone());
                 let plan = self.faults.lock().expect("fault plan lock").clone();
                 if !plan.is_empty() {
@@ -2200,23 +2273,25 @@ impl Controller {
     /// Socket-transport send: write the frame, re-dialing once if the
     /// connection is gone (connection re-establishment is part of the
     /// transport's manners — only a failed re-dial demotes the
-    /// backend). The frame is stashed for retransmission.
+    /// backend). The frame joins the link's retransmission window.
     fn send_to_tcp(&mut self, i: usize, seq: u64, op: BackendOp) -> bool {
         let frame = Controller::op_frame(op, seq, self.epoch);
-        let epoch = self.epoch;
-        let dial = self.reply_timeout;
-        let link = self.backends[i].tcp.as_mut().expect("tcp link");
-        let sent = match link.send(&frame) {
-            Ok(()) => true,
-            Err(_) => link.connect(epoch, dial).is_ok() && link.send(&frame).is_ok(),
-        };
-        if sent {
-            self.backends[i].last_frame = Some(frame);
+        let (epoch, dial) = (self.epoch, self.reply_timeout);
+        let b = &mut self.backends[i];
+        if send_redialing(b.tcp.as_mut().expect("tcp link"), &frame, epoch, dial) {
+            b.window.unacked.insert(seq, frame);
             return true;
         }
+        self.give_up_tcp(i);
+        false
+    }
+
+    /// The socket to backend `i` is gone for good: mark it dead and
+    /// abandon its window, so no seq sent on it is retransmitted later.
+    fn give_up_tcp(&mut self, i: usize) {
+        self.backends[i].window.clear();
         self.health.channel_closed(i);
         self.note_dead(i);
-        false
     }
 
     /// Await backend `i`'s reply to `seq`. Stale replies (from earlier
@@ -2258,10 +2333,24 @@ impl Controller {
     /// bounded-exponential retransmission sub-waits — a dropped frame
     /// is usually recovered by a retry *inside* the window, so the
     /// health board only sees losses the retry budget could not hide.
+    /// A reply that arrived early (while an earlier seq of the same
+    /// flight was awaited) is taken without touching the socket; a seq
+    /// whose window was abandoned (the link was given up earlier in
+    /// the flight) answers `None` at once.
     fn recv_reply_tcp(&mut self, i: usize, seq: u64) -> Option<Result<Response>> {
+        let window = &mut self.backends[i].window;
+        if !window.unacked.contains_key(&seq) {
+            return None;
+        }
+        if let Some(frame) = window.early.remove(&seq) {
+            window.unacked.remove(&seq);
+            self.health.reply_received(i);
+            return Some(decode_reply(&frame));
+        }
         loop {
             match self.await_window_tcp(i, seq) {
                 Ok(Some(result)) => {
+                    self.backends[i].window.unacked.remove(&seq);
                     self.health.reply_received(i);
                     return Some(result);
                 }
@@ -2270,14 +2359,14 @@ impl Controller {
                     match self.health.missed_reply(i) {
                         BackendState::Suspect => continue,
                         _ => {
+                            self.backends[i].window.clear();
                             self.note_dead(i);
                             return None;
                         }
                     }
                 }
                 Err(()) => {
-                    self.health.channel_closed(i);
-                    self.note_dead(i);
+                    self.give_up_tcp(i);
                     return None;
                 }
             }
@@ -2286,9 +2375,11 @@ impl Controller {
 
     /// One reply window over the socket. The window is split into
     /// `retry_budget + 1` sub-waits with doubling lengths (1, 2, 4, …
-    /// shares of the window); each expiry retransmits the stashed
-    /// frame — idempotent request ids make that safe — and counts into
-    /// `retries`/`backoff_ms`. `Ok(None)` = window exhausted (a health
+    /// shares of the window); each expiry retransmits the link's whole
+    /// window of unanswered frames — idempotent request ids make that
+    /// safe — and counts into `retries`/`backoff_ms`. A reply to
+    /// another seq still in the window is kept for its own collector;
+    /// anything else is stale. `Ok(None)` = window exhausted (a health
     /// strike); `Err(())` = connection lost and not re-establishable.
     fn await_window_tcp(
         &mut self,
@@ -2307,19 +2398,19 @@ impl Controller {
                 return Ok(None);
             }
             let wait = sub.min(left);
-            let link = self.backends[i].tcp.as_mut().expect("tcp link");
-            match link.recv(wait) {
+            let b = &mut self.backends[i];
+            match b.tcp.as_mut().expect("tcp link").recv(wait) {
                 Ok(Some(frame)) => {
-                    if frame.seq != seq
-                        || (frame.kind != kind::REPLY_OK && frame.kind != kind::REPLY_ERR)
-                    {
-                        continue; // stale round, duplicate, or probe ack
+                    if frame.kind != kind::REPLY_OK && frame.kind != kind::REPLY_ERR {
+                        continue; // probe ack
                     }
-                    return Ok(Some(match WireReply::from_frame(&frame) {
-                        Ok(WireReply::Ok(resp)) => Ok(resp),
-                        Ok(WireReply::Err(e)) => Err(e),
-                        _ => Err(Error::Internal("wire: undecodable reply frame".into())),
-                    }));
+                    if frame.seq == seq {
+                        return Ok(Some(decode_reply(&frame)));
+                    }
+                    if b.window.unacked.contains_key(&frame.seq) {
+                        b.window.early.insert(frame.seq, frame);
+                    }
+                    // Otherwise a stale round or a duplicate: dropped.
                 }
                 Ok(None) => {
                     if attempt >= budget {
@@ -2349,17 +2440,17 @@ impl Controller {
         }
     }
 
-    /// Resend the stashed frame on backend `i`'s link, re-dialing once
-    /// if the write fails.
+    /// Resend backend `i`'s whole window of unanswered frames, in seq
+    /// order, re-dialing once if a write fails. Frames whose replies
+    /// were lost are answered from the backend's reply cache; frames
+    /// that never arrived are applied now — possibly after later
+    /// members of their flight, which is safe because a flight's
+    /// members pairwise commute.
     fn retransmit(&mut self, i: usize) -> bool {
-        let Some(frame) = self.backends[i].last_frame.clone() else { return true };
-        let epoch = self.epoch;
-        let dial = self.reply_timeout;
-        let link = self.backends[i].tcp.as_mut().expect("tcp link");
-        match link.send(&frame) {
-            Ok(()) => true,
-            Err(_) => link.connect(epoch, dial).is_ok() && link.send(&frame).is_ok(),
-        }
+        let (epoch, dial) = (self.epoch, self.reply_timeout);
+        let BackendHandle { tcp, window, .. } = &mut self.backends[i];
+        let link = tcp.as_mut().expect("tcp link");
+        window.unacked.values().all(|frame| send_redialing(link, frame, epoch, dial))
     }
 
     /// Broadcast a request to every serving backend — the unscoped
@@ -2653,11 +2744,15 @@ impl Controller {
     ///
     /// Order discipline: all three phases walk the flight in admission
     /// order. The controller-side reads (unique check, key allocation,
-    /// rotor step, routing) happen serially during staging, and the
-    /// per-backend channels are FIFO, so each backend observes the
-    /// members' operations in admission order and the replies come
-    /// back in the same order the collection phase awaits them — the
-    /// flight is equivalent to executing its members serially.
+    /// rotor step, routing) happen serially during staging. On the
+    /// channel bus the per-backend channels are FIFO, so each backend
+    /// observes the members' operations in admission order. Over TCP a
+    /// dropped frame is retransmitted after later members of its
+    /// flight were applied, and replies are taken out of the link's
+    /// retransmission window in whatever order they arrive; that is
+    /// still equivalent to serial execution because the scheduler
+    /// only puts pairwise-commuting members in one flight
+    /// ([`Footprint::conflicts`]).
     ///
     /// Reads ride the same discipline. A read staged after an insert
     /// of the same flight routes against the directory as it stood
@@ -2683,7 +2778,8 @@ impl Controller {
             }
         }
         // Phase 2 — collect: await every staged reply in admission
-        // order (FIFO channels deliver them in exactly this order).
+        // order (FIFO channels deliver them in exactly this order; a
+        // TCP link keeps replies that overtake the awaited seq).
         // Nothing new is sent here, so no member's pending reply can
         // be mistaken for a stale one and discarded.
         for s in &mut staged {
@@ -3064,10 +3160,12 @@ impl Kernel for Controller {
     /// mixed read/insert flights (key-/file-disjoint footprints)
     /// alike, with key-pinned point reads going out as single-backend
     /// probes; a conflicting request closes the flight (a
-    /// `conflict_stalls` tick) and waits for it to drain. Because the per-backend channels are FIFO and both the
-    /// staging and the collection walk in admission order, the result
-    /// is always equivalent to executing the batch serially in
-    /// admission order (`tests/concurrent_equivalence.rs`).
+    /// `conflict_stalls` tick) and waits for it to drain, and a flight
+    /// also closes at [`net::REPLY_CACHE`] members. Because flight
+    /// members pairwise commute and both the staging and the
+    /// collection walk in admission order, the result is always
+    /// equivalent to executing the batch serially in admission order
+    /// (`tests/concurrent_equivalence.rs`), on either transport.
     ///
     /// The whole batch runs inside one WAL group-commit batch: every
     /// session's appends are buffered and flushed with a single sync —
@@ -3082,26 +3180,31 @@ impl Kernel for Controller {
         self.totals.batched_requests += requests.len() as u64;
         self.wal_begin_batch();
         let mut results = Vec::with_capacity(requests.len());
-        // Staging keeps several requests in flight per backend; the
-        // socket transport's single retransmission slot per link
-        // assumes at most one, and the legacy broadcast unique probe
-        // would interleave reads into the staged stream — both fall
-        // back to the solo path (still batched for group commit). An
-        // in-flight group move is a standing broadcast-write conflict:
-        // while the rebalance queue is non-empty the scheduler refuses
-        // to stage flights at all (each batch member runs solo, after
-        // any move its own `execute` pumps), so no staged read can
-        // overlap a directory retarget.
+        // Staging keeps several requests in flight per backend, on the
+        // channel bus and over TCP alike (each link's retransmission
+        // window covers every staged seq). The legacy broadcast unique
+        // probe would interleave reads into the staged stream, so it
+        // falls back to the solo path (still batched for group
+        // commit). An in-flight group move is a standing
+        // broadcast-write conflict: while the rebalance queue is
+        // non-empty the scheduler refuses to stage flights at all
+        // (each batch member runs solo, after any move its own
+        // `execute` pumps), so no staged read can overlap a directory
+        // retarget.
         let rebalancing = !self.rebalancer.is_idle();
-        if rebalancing && self.net.is_none() && self.unique_via_index {
+        if rebalancing && self.unique_via_index {
             self.totals.rebalance_stalls += requests.len() as u64;
         }
-        let stageable = self.net.is_none() && self.unique_via_index && !rebalancing;
+        let stageable = self.unique_via_index && !rebalancing;
         let mut i = 0;
         while i < requests.len() {
             let mut flight_fps: Vec<Footprint> = Vec::new();
             let mut j = i;
-            while stageable && j < requests.len() {
+            // A flight closes at `REPLY_CACHE` members: a backend
+            // answers a retransmitted seq from its reply cache only
+            // while the seq is within that distance of the newest one
+            // it has seen, and a flight's seqs span at most its length.
+            while stageable && j < requests.len() && j - i < net::REPLY_CACHE as usize {
                 // Inserts and retrieves stage; deletes, updates and
                 // joins run dependent controller-side rounds and
                 // execute solo.
@@ -3378,6 +3481,23 @@ pub(crate) fn logical_digest_of(snap: &SnapshotData) -> String {
     out
 }
 
+/// Write `frame` on `link`, re-dialing once if the connection is gone.
+fn send_redialing(link: &mut TcpLink, frame: &Frame, epoch: u64, dial: Duration) -> bool {
+    match link.send(frame) {
+        Ok(()) => true,
+        Err(_) => link.connect(epoch, dial).is_ok() && link.send(frame).is_ok(),
+    }
+}
+
+/// The operation result a backend's reply frame carries.
+fn decode_reply(frame: &Frame) -> Result<Response> {
+    match WireReply::from_frame(frame) {
+        Ok(WireReply::Ok(resp)) => Ok(resp),
+        Ok(WireReply::Err(e)) => Err(e),
+        _ => Err(Error::Internal("wire: undecodable reply frame".into())),
+    }
+}
+
 fn spawn_backend(
     index: usize,
     fence: Arc<AtomicU64>,
@@ -3389,7 +3509,7 @@ fn spawn_backend(
         .name(format!("mbds-backend-{index}"))
         .spawn(move || backend_loop(index, backend_rx, fence, faults))
         .expect("spawn backend thread");
-    BackendHandle { tx, rx, reply_tx, join: Some(join), tcp: None, last_frame: None }
+    BackendHandle::local(tx, (reply_tx, rx), Some(join))
 }
 
 /// One backend: a private store served over the bus, with fault
@@ -3470,6 +3590,26 @@ mod tests {
     use super::*;
     use abdl::parse::parse_request;
     use abdl::Value;
+
+    #[test]
+    fn key_set_iterates_ascending_in_every_shape() {
+        let keys = |s: &KeySet| s.iter().map(|k| k.0).collect::<Vec<_>>();
+        let mut s = KeySet::default();
+        assert!(s.is_empty());
+        s.insert(DbKey(7));
+        s.insert(DbKey(7));
+        assert_eq!(keys(&s), [7]);
+        s.insert(DbKey(3));
+        s.insert(DbKey(9));
+        assert_eq!(keys(&s), [3, 7, 9]);
+        s.remove(&DbKey(7));
+        s.remove(&DbKey(9));
+        assert!(matches!(s, KeySet::One(DbKey(3))), "{s:?}");
+        s.remove(&DbKey(4));
+        s.remove(&DbKey(3));
+        assert!(s.is_empty());
+        assert_eq!(keys(&s), Vec::<u64>::new());
+    }
 
     fn insert(k: &mut impl Kernel, file: &str, key: i64, extra: &[(&str, Value)]) {
         let mut rec = Record::from_pairs([("FILE", Value::str(file))]);

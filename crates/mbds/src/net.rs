@@ -1231,10 +1231,12 @@ struct ServerState {
     replies: BTreeMap<u64, BTreeMap<u64, Frame>>,
 }
 
-/// How many past replies are retained per client for idempotent
-/// retransmission. The controller's retry budget is tiny, so a short
-/// window is plenty.
-const REPLY_CACHE: u64 = 256;
+/// How far below a newly applied seq a client's past replies are still
+/// retained for idempotent retransmission. The controller closes every
+/// staged flight at this many members, so every seq a link's
+/// retransmission window can resend is still answered from the cache
+/// instead of being re-applied.
+pub(crate) const REPLY_CACHE: u64 = 256;
 
 fn apply_op(state: &mut ServerState, op: &WireOp) -> Result<Response> {
     match op {

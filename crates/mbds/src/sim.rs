@@ -33,7 +33,7 @@
 //! (a ~30 ms track read, millisecond-scale bus messages); only the
 //! *shape* of the curves matters for the reproduction.
 
-use crate::controller::{PromotedParts, DEFAULT_REPLICATION};
+use crate::controller::{PromotedParts, UniqueIndex, DEFAULT_REPLICATION};
 use crate::directory::Directory;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::placement::Partitioner;
@@ -44,7 +44,7 @@ use abdl::{
     DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, RelOp, Request, Response, Result,
     Store, Transaction, Value,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Cost-model parameters (microseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +100,7 @@ pub struct SimCluster {
     pending_error: Option<Error>,
     /// Exact mirror of the threaded controller's unique-value index:
     /// `(file, group-index) → tuple of group values → keys`.
-    unique_index: HashMap<(String, usize), BTreeMap<Vec<Value>, BTreeSet<DbKey>>>,
+    unique_index: UniqueIndex,
     /// Per-file, per-backend resident-record counts (directory-derived,
     /// liveness-independent), driving file-scoped routing.
     resident: HashMap<String, Vec<u64>>,

@@ -166,10 +166,6 @@ fn drive(svc: &mut MldsService<Controller>, sessions: u64, per_session: usize) {
     drive_with(svc, sessions, per_session, session_requests);
 }
 
-fn tcp_transport() -> bool {
-    std::env::var("MBDS_TRANSPORT").is_ok_and(|v| v == "tcp")
-}
-
 /// The property test proper: N concurrent sessions over two databases,
 /// every admitted request's outcome compared against a serial replay,
 /// then the final controller state compared digest-for-digest.
@@ -232,19 +228,14 @@ fn read_heavy_concurrent_execution_matches_serial_admission_order() {
 
     assert_eq!(report.admissions.len(), SESSIONS as usize * REQUESTS_PER_SESSION);
     let totals = live.exec_totals();
-    if !tcp_transport() {
-        // The socket transport falls back to the solo path (one
-        // in-flight request per link); the counters are an in-process
-        // claim, the equivalence below holds on both.
-        assert!(
-            totals.sched_read_flights > 0,
-            "a 90%-read concurrent mix never formed a read flight: {totals:?}"
-        );
-        assert!(
-            totals.read_probes > 0,
-            "key-scoped point reads never probed a single backend: {totals:?}"
-        );
-    }
+    assert!(
+        totals.sched_read_flights > 0,
+        "a 90%-read concurrent mix never formed a read flight: {totals:?}"
+    );
+    assert!(
+        totals.read_probes > 0,
+        "key-scoped point reads never probed a single backend: {totals:?}"
+    );
 
     let mut serial = Mlds::multi_backend(BACKENDS);
     configure(serial.kernel_mut());
@@ -341,14 +332,12 @@ fn mixed_read_insert_flight_matches_serial_semantics() {
         serial.state_digest().unwrap(),
         "mixed flight diverged from serial execution"
     );
-    if !tcp_transport() {
-        let t = batched.exec_totals();
-        assert_eq!(t.sched_flights, 1, "batch should fly as one flight: {t:?}");
-        assert_eq!(t.sched_mixed_flights, 1);
-        assert_eq!(t.sched_max_flight, 5);
-        assert_eq!(t.conflict_stalls, 0);
-        assert!(t.read_probes >= 3, "point reads should probe single backends: {t:?}");
-    }
+    let t = batched.exec_totals();
+    assert_eq!(t.sched_flights, 1, "batch should fly as one flight: {t:?}");
+    assert_eq!(t.sched_mixed_flights, 1);
+    assert_eq!(t.sched_max_flight, 5);
+    assert_eq!(t.conflict_stalls, 0);
+    assert!(t.read_probes >= 3, "point reads should probe single backends: {t:?}");
 }
 
 /// A hot standby tailing the concurrent primary's group-committed log

@@ -352,17 +352,9 @@ fn backend_crash_mid_read_wave_fails_over_probes_and_matches_serial() {
         assert_eq!(resp.records().len(), 1, "read {i} lost its record to the crash");
     }
 
-    // The staged pipeline (and so the failover counters) only run on
-    // the in-process transport; over TCP the batch falls back to the
-    // solo path, whose own failover the assertions above still cover.
-    if !std::env::var("MBDS_TRANSPORT").is_ok_and(|v| v == "tcp") {
-        let t = c.exec_totals();
-        assert!(t.sched_read_flights >= 1, "reads never formed a flight: {t:?}");
-        assert!(
-            t.read_probe_failovers >= 1,
-            "the crash never cost a probe failover: {t:?}"
-        );
-    }
+    let t = c.exec_totals();
+    assert!(t.sched_read_flights >= 1, "reads never formed a flight: {t:?}");
+    assert!(t.read_probe_failovers >= 1, "the crash never cost a probe failover: {t:?}");
 
     // Restart the dead backend (the survivor re-replicates as donor)
     // and pin the digest against a clean serial run of the same work.

@@ -388,15 +388,14 @@ fn faulty_ship_link_standby_converges_and_promotes_to_primary_digest() {
 }
 
 /// Property 3, through the batch front door: the same lossy links, but
-/// the workload arrives as `execute_batch` calls mixing inserts and
-/// point reads — the path every sharded-dispatcher session takes. Over
-/// TCP the scheduler keeps its serial fallback, so this pins that the
-/// batch API's retry/idempotency story is exactly the solo path's: the
-/// final digest equals a clean serial run's.
+/// the workload arrives as `execute_batch` calls mixing inserts,
+/// updates and reads — the path every sharded-dispatcher session
+/// takes. The scheduler stages flights over TCP too, so retries resend
+/// whole retransmission windows and replies arrive out of the order
+/// they are collected in; the final digest must still equal a clean
+/// serial run's.
 #[test]
 fn lossy_link_batched_workload_converges_to_clean_digest() {
-    use mlds::abdl::parse::parse_request;
-
     let mut rng = Prng::seed_from_u64(0xBA7C);
     let mut batches: Vec<Vec<Request>> = Vec::new();
     for _ in 0..10 {
@@ -456,4 +455,89 @@ fn lossy_link_batched_workload_converges_to_clean_digest() {
 
     assert_eq!(lossy.state_digest().unwrap(), want_digest, "batched lossy run diverged");
     assert_eq!(probe(&mut lossy), want_answers);
+    let totals = lossy.exec_totals();
+    assert!(totals.sched_flights > 0, "no batch staged a flight over TCP: {totals:?}");
+}
+
+/// A request's full answer: affected count, records and groups, or the
+/// error text.
+fn outcome(result: &mlds::abdl::Result<mlds::abdl::Response>) -> String {
+    match result {
+        Ok(r) => {
+            let mut records = r.records().to_vec();
+            records.sort_by_key(|(k, _)| *k);
+            format!("ok {} {records:?} {:?}", r.affected, r.groups)
+        }
+        Err(e) => format!("err {e}"),
+    }
+}
+
+/// Staged flights over a faulty link: one batch of 400 pairwise
+/// commuting unique-keyed inserts and point reads — longer than the
+/// backends' reply cache, so the scheduler must close a flight at the
+/// cap — with frames dropped, duplicated and reordered mid-flight in
+/// both directions of one link. Each retry resends the link's whole
+/// window of unanswered frames; per-request outcomes, the state digest
+/// and the unique index must all equal a serial run of the same batch.
+#[test]
+fn long_faulty_flight_over_tcp_matches_serial_execution() {
+    const SEEDED: i64 = 16;
+    let build = || {
+        let mut c = Controller::over_tcp(BACKENDS, REPLICATION).unwrap();
+        c.try_create_file("u").unwrap();
+        c.add_unique_constraint("u", vec!["k".into()]);
+        for k in 0..SEEDED {
+            c.execute(&unique_insert(k)).unwrap();
+        }
+        c
+    };
+    // Even members insert fresh keys, odd members read seeded ones: no
+    // two members conflict, so only the flight cap can split the batch.
+    let batch: Vec<Request> = (0..400i64)
+        .map(|n| {
+            if n % 2 == 0 {
+                unique_insert(1000 + n)
+            } else {
+                parse_request(&format!("RETRIEVE ((FILE = u) and (k = {})) (*)", n % SEEDED))
+                    .unwrap()
+            }
+        })
+        .collect();
+
+    let mut serial = build();
+    let want: Vec<String> = batch.iter().map(|r| outcome(&serial.execute(r))).collect();
+
+    let mut faulty = build();
+    faulty.set_reply_timeout(std::time::Duration::from_millis(400));
+    faulty.set_retry_budget(4);
+    // Every link has moved at most `sent` frames each way so far, so
+    // these all fire inside the batch, early in the first flight.
+    let sent = faulty.exec_totals().messages_sent;
+    faulty.set_net_fault_plan(
+        NetFaultPlan::new()
+            .with(0, LinkDir::Send, sent + 5, NetFaultKind::Drop)
+            .with(0, LinkDir::Send, sent + 9, NetFaultKind::Duplicate)
+            .with(0, LinkDir::Send, sent + 13, NetFaultKind::Reorder)
+            .with(0, LinkDir::Recv, sent + 6, NetFaultKind::Drop)
+            .with(0, LinkDir::Recv, sent + 10, NetFaultKind::Duplicate)
+            .with(0, LinkDir::Recv, sent + 14, NetFaultKind::Reorder),
+    );
+    let got: Vec<String> = faulty.execute_batch(&batch).iter().map(outcome).collect();
+
+    for (n, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "request {n} diverged from serial execution");
+    }
+    let t = faulty.exec_totals();
+    assert_eq!(faulty.alive_count(), BACKENDS, "a lost frame was never resent: {t:?}");
+    assert_eq!(faulty.state_digest().unwrap(), serial.state_digest().unwrap());
+    assert_eq!(faulty.unique_index_digest(), serial.unique_index_digest());
+    assert!(t.retries > 0, "the fault plan never cost a retry: {t:?}");
+    assert_eq!(t.conflict_stalls, 0, "{t:?}");
+    assert!(t.sched_flights >= 2, "the reply-cache cap never closed a flight: {t:?}");
+}
+
+fn unique_insert(k: i64) -> Request {
+    Request::Insert {
+        record: Record::from_pairs([("FILE", Value::str("u"))]).with("k", Value::Int(k)),
+    }
 }

@@ -556,10 +556,7 @@ fn batches_stall_while_a_move_is_in_flight() {
     }
     let t = c.exec_totals();
     // The stall counter records requests that *would have staged* but
-    // ran solo because of the move queue. The socket transport never
-    // stages flights in the first place, so there is nothing to stall.
-    if std::env::var("MBDS_TRANSPORT").as_deref() != Ok("tcp") {
-        assert!(t.rebalance_stalls > 0, "batch under rebalance must count stalls");
-    }
+    // ran solo because of the move queue.
+    assert!(t.rebalance_stalls > 0, "batch under rebalance must count stalls");
     c.finish_rebalance().unwrap();
 }

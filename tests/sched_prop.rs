@@ -225,9 +225,7 @@ fn read_only_batches_always_form_a_single_flight() {
             }
         }
         // Integration: the scheduler actually flies the whole batch as
-        // one read flight. (The socket transport executes batches on
-        // the solo path — one in-flight request per link — so the
-        // flight counters are an in-process claim.)
+        // one read flight, on either transport.
         let mut c = kernel();
         for i in 0..6 {
             let rec = Record::from_pairs([("FILE", Value::str("g"))])
@@ -237,9 +235,6 @@ fn read_only_batches_always_form_a_single_flight() {
         }
         let results = c.execute_batch(&batch);
         assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
-        if std::env::var("MBDS_TRANSPORT").is_ok_and(|v| v == "tcp") {
-            continue;
-        }
         let t = c.exec_totals();
         assert_eq!(t.sched_flights, 1, "batch of {n} reads split into flights");
         assert_eq!(t.sched_read_flights, 1);
