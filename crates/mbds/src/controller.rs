@@ -210,8 +210,10 @@ impl RetransmitWindow {
 }
 
 /// The unique index: per `(file, constraint group)`, every stored value
-/// tuple → the keys holding it.
-pub(crate) type UniqueIndex = HashMap<(String, usize), BTreeMap<Vec<Value>, KeySet>>;
+/// tuple → the keys holding it. One entry per stored record, so both
+/// halves are kept to 16 bytes: the tuple is a boxed slice (no spare
+/// capacity word) and [`KeySet`] boxes its rare `Many` case.
+pub(crate) type UniqueIndex = HashMap<(String, usize), BTreeMap<Box<[Value]>, KeySet>>;
 
 /// The keys stored under one unique-index tuple. Almost always exactly
 /// one — the constraint forbids more — so that case lives inline
@@ -223,7 +225,10 @@ pub(crate) enum KeySet {
     #[default]
     Empty,
     One(DbKey),
-    Many(BTreeSet<DbKey>),
+    // Boxed on purpose: the extra allocation lands on the rare case and
+    // keeps every `KeySet` (one per stored record) at 16 bytes.
+    #[allow(clippy::box_collection)]
+    Many(Box<BTreeSet<DbKey>>),
 }
 
 impl KeySet {
@@ -231,7 +236,7 @@ impl KeySet {
         match self {
             KeySet::Empty => *self = KeySet::One(key),
             KeySet::One(k) if *k == key => {}
-            KeySet::One(k) => *self = KeySet::Many(BTreeSet::from([*k, key])),
+            KeySet::One(k) => *self = KeySet::Many(Box::new(BTreeSet::from([*k, key]))),
             KeySet::Many(keys) => {
                 keys.insert(key);
             }
@@ -801,7 +806,7 @@ impl Controller {
         let epoch = self.epoch;
         let dial = self.reply_timeout;
         let Some(link) = self.backends[i].tcp.as_mut() else { return false };
-        if !send_redialing(link, &frame, epoch, dial) {
+        if !queue_redialing(link, &frame, epoch, dial) || link.flush().is_err() {
             return false;
         }
         let deadline = Instant::now() + dial;
@@ -1053,7 +1058,7 @@ impl Controller {
     /// The index tuple of `record` under a constraint group: one value
     /// per attribute, NULL standing in for absent ones — exactly the
     /// values an equality probe would compare against.
-    fn group_tuple(record: &Record, group: &[String]) -> Vec<Value> {
+    fn group_tuple(record: &Record, group: &[String]) -> Box<[Value]> {
         group.iter().map(|a| record.get_or_null(a).clone()).collect()
     }
 
@@ -2270,15 +2275,17 @@ impl Controller {
         .into_frame(seq, epoch)
     }
 
-    /// Socket-transport send: write the frame, re-dialing once if the
-    /// connection is gone (connection re-establishment is part of the
-    /// transport's manners — only a failed re-dial demotes the
-    /// backend). The frame joins the link's retransmission window.
+    /// Socket-transport send: queue the frame on the link, re-dialing
+    /// once if the connection is gone (connection re-establishment is
+    /// part of the transport's manners — only a failed re-dial demotes
+    /// the backend). The frame joins the link's retransmission window;
+    /// it is written with the rest of the link's queue when the
+    /// controller next waits for a reply ([`Controller::flush_links`]).
     fn send_to_tcp(&mut self, i: usize, seq: u64, op: BackendOp) -> bool {
         let frame = Controller::op_frame(op, seq, self.epoch);
         let (epoch, dial) = (self.epoch, self.reply_timeout);
         let b = &mut self.backends[i];
-        if send_redialing(b.tcp.as_mut().expect("tcp link"), &frame, epoch, dial) {
+        if queue_redialing(b.tcp.as_mut().expect("tcp link"), &frame, epoch, dial) {
             b.window.unacked.insert(seq, frame);
             return true;
         }
@@ -2338,6 +2345,7 @@ impl Controller {
     /// whose window was abandoned (the link was given up earlier in
     /// the flight) answers `None` at once.
     fn recv_reply_tcp(&mut self, i: usize, seq: u64) -> Option<Result<Response>> {
+        self.flush_links();
         let window = &mut self.backends[i].window;
         if !window.unacked.contains_key(&seq) {
             return None;
@@ -2370,6 +2378,18 @@ impl Controller {
                     return None;
                 }
             }
+        }
+    }
+
+    /// Write out every link's queued frames, so a flight's (or a
+    /// broadcast round's) requests reach all of their backends before
+    /// the controller blocks on the first reply. A failed write drops
+    /// that link's connection; its frames are all in its
+    /// retransmission window, and the wait for its reply re-dials and
+    /// resends them.
+    fn flush_links(&mut self) {
+        for link in self.backends.iter_mut().filter_map(|b| b.tcp.as_mut()) {
+            let _ = link.flush();
         }
     }
 
@@ -2440,8 +2460,9 @@ impl Controller {
         }
     }
 
-    /// Resend backend `i`'s whole window of unanswered frames, in seq
-    /// order, re-dialing once if a write fails. Frames whose replies
+    /// Queue backend `i`'s whole window of unanswered frames, in seq
+    /// order, re-dialing once if the connection is gone; the wait that
+    /// follows writes them as one burst. Frames whose replies
     /// were lost are answered from the backend's reply cache; frames
     /// that never arrived are applied now — possibly after later
     /// members of their flight, which is safe because a flight's
@@ -2450,7 +2471,7 @@ impl Controller {
         let (epoch, dial) = (self.epoch, self.reply_timeout);
         let BackendHandle { tcp, window, .. } = &mut self.backends[i];
         let link = tcp.as_mut().expect("tcp link");
-        window.unacked.values().all(|frame| send_redialing(link, frame, epoch, dial))
+        window.unacked.values().all(|frame| queue_redialing(link, frame, epoch, dial))
     }
 
     /// Broadcast a request to every serving backend — the unscoped
@@ -2570,7 +2591,7 @@ impl Controller {
             let keys = self
                 .unique_index
                 .get(&(file.to_owned(), gi))
-                .and_then(|m| m.get(&tuple))
+                .and_then(|m| m.get(tuple.as_slice()))
                 .map(|s| s.iter().copied().collect())
                 .unwrap_or_default();
             return Some(keys);
@@ -3481,11 +3502,11 @@ pub(crate) fn logical_digest_of(snap: &SnapshotData) -> String {
     out
 }
 
-/// Write `frame` on `link`, re-dialing once if the connection is gone.
-fn send_redialing(link: &mut TcpLink, frame: &Frame, epoch: u64, dial: Duration) -> bool {
-    match link.send(frame) {
+/// Queue `frame` on `link`, re-dialing once if the connection is gone.
+fn queue_redialing(link: &mut TcpLink, frame: &Frame, epoch: u64, dial: Duration) -> bool {
+    match link.queue(frame) {
         Ok(()) => true,
-        Err(_) => link.connect(epoch, dial).is_ok() && link.send(frame).is_ok(),
+        Err(_) => link.connect(epoch, dial).is_ok() && link.queue(frame).is_ok(),
     }
 }
 
@@ -3593,6 +3614,8 @@ mod tests {
 
     #[test]
     fn key_set_iterates_ascending_in_every_shape() {
+        // One per stored record: the common `One` case stays inline.
+        assert_eq!(std::mem::size_of::<KeySet>(), 16);
         let keys = |s: &KeySet| s.iter().map(|k| k.0).collect::<Vec<_>>();
         let mut s = KeySet::default();
         assert!(s.is_empty());

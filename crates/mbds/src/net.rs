@@ -129,63 +129,108 @@ pub enum FrameRead {
     Corrupt,
 }
 
-/// Incremental frame reader. Retains partial progress across read
-/// timeouts, so a `WouldBlock`/`TimedOut` in the middle of a frame
-/// never desyncs the stream — the next call resumes where it left off.
+/// How many bytes one [`FrameReader`] refill asks the socket for. A
+/// burst of small frames (a flight's requests, or their replies) lands
+/// in one `read`; a frame larger than this gets a buffer of its size.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Incremental, buffered frame reader. One `read` pulls up to
+/// [`READ_CHUNK`] bytes, so a burst of frames costs one syscall and the
+/// frames behind the first are handed out without touching the socket.
+/// Partial progress survives read timeouts, so a `WouldBlock`/`TimedOut`
+/// in the middle of a frame never desyncs the stream — the next call
+/// resumes where it left off.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    header: [u8; 8],
-    header_fill: usize,
-    payload: Vec<u8>,
-    payload_fill: usize,
+    /// Received bytes; `buf[start..end]` is not yet consumed.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameReader {
-    /// A reader with no partial progress.
+    /// A reader with no partial progress (its buffer is allocated on
+    /// the first read).
     pub fn new() -> Self {
         FrameReader::default()
     }
 
-    /// Pull one frame from `r`. Timeout-style errors (`WouldBlock`,
-    /// `TimedOut`) are returned to the caller with all partial progress
-    /// retained; EOF surfaces as `UnexpectedEof`.
+    /// The length prefix of the frame at the head of the buffer, once
+    /// its 8-byte header has arrived. An insane length is fatal.
+    fn head_len(&self) -> Option<io::Result<usize>> {
+        let head = self.buf.get(self.start..self.end).filter(|h| h.len() >= 8)?;
+        let len = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes"));
+        Some(if (FRAME_HEAD as u32..=MAX_FRAME).contains(&len) {
+            Ok(len as usize)
+        } else {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame length {len} outside [{FRAME_HEAD}, {MAX_FRAME}]"),
+            ))
+        })
+    }
+
+    /// True when the next [`read_from`](Self::read_from) returns
+    /// without touching its reader: a whole frame (or a fatal length)
+    /// is already buffered. A server writes its pending replies out
+    /// exactly when this turns false — just before it would block.
+    pub fn has_frame(&self) -> bool {
+        match self.head_len() {
+            Some(Ok(len)) => self.end - self.start >= 8 + len,
+            Some(Err(_)) => true,
+            None => false,
+        }
+    }
+
+    /// Pull one frame, reading from `r` only when no whole frame is
+    /// buffered. Timeout-style errors (`WouldBlock`, `TimedOut`) are
+    /// returned to the caller with all partial progress retained; EOF
+    /// surfaces as `UnexpectedEof`.
     pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<FrameRead> {
-        while self.header_fill < 8 {
-            let n = r.read(&mut self.header[self.header_fill..8])?;
+        loop {
+            let need = match self.head_len().transpose()? {
+                Some(len) if self.end - self.start >= 8 + len => return Ok(self.take(len)),
+                Some(len) => 8 + len,
+                None => 8,
+            };
+            if self.start == self.end {
+                self.start = 0;
+                self.end = 0;
+                if self.buf.len() > READ_CHUNK {
+                    // Drained after an outsized frame: give it back.
+                    self.buf = Vec::new();
+                }
+            }
+            if self.start + need > self.buf.len() {
+                // Make room for the whole frame: slide the partial one
+                // to the front and grow to fit it.
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+                self.buf.resize(need.max(READ_CHUNK), 0);
+            }
+            let n = r.read(&mut self.buf[self.end..])?;
             if n == 0 {
                 return Err(io::ErrorKind::UnexpectedEof.into());
             }
-            self.header_fill += n;
+            self.end += n;
         }
-        if self.payload.is_empty() {
-            let len = u32::from_le_bytes(self.header[0..4].try_into().expect("4 bytes"));
-            if len < FRAME_HEAD as u32 || len > MAX_FRAME {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("frame length {len} outside [{FRAME_HEAD}, {MAX_FRAME}]"),
-                ));
-            }
-            self.payload = vec![0; len as usize];
-            self.payload_fill = 0;
-        }
-        while self.payload_fill < self.payload.len() {
-            let n = r.read(&mut self.payload[self.payload_fill..])?;
-            if n == 0 {
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            self.payload_fill += n;
-        }
-        let expect = u32::from_le_bytes(self.header[4..8].try_into().expect("4 bytes"));
-        let payload = std::mem::take(&mut self.payload);
-        self.header_fill = 0;
-        self.payload_fill = 0;
-        if crc32(&payload) != expect {
-            return Ok(FrameRead::Corrupt);
+    }
+
+    /// Consume the buffered frame at the head (payload length `len`)
+    /// and verify its checksum.
+    fn take(&mut self, len: usize) -> FrameRead {
+        let at = self.start;
+        self.start += 8 + len;
+        let expect = u32::from_le_bytes(self.buf[at + 4..at + 8].try_into().expect("4 bytes"));
+        let payload = &self.buf[at + 8..at + 8 + len];
+        if crc32(payload) != expect {
+            return FrameRead::Corrupt;
         }
         let kind = payload[0];
         let seq = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
         let epoch = u64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
-        Ok(FrameRead::Frame(Frame { kind, seq, epoch, body: payload[FRAME_HEAD..].to_vec() }))
+        FrameRead::Frame(Frame { kind, seq, epoch, body: payload[FRAME_HEAD..].to_vec() })
     }
 }
 
@@ -899,9 +944,14 @@ pub struct TcpLink {
     plan: Arc<Mutex<NetFaultPlan>>,
     stream: Option<TcpStream>,
     reader: FrameReader,
+    /// Encoded frames queued by [`queue`](Self::queue) and not yet
+    /// written: they leave in one `write` at the next
+    /// [`flush`](Self::flush) (or receive), so a flight's frames reach
+    /// the backend as one burst instead of one segment each.
+    out: Vec<u8>,
     frames_sent: u64,
     frames_recv: u64,
-    /// Frame held back by a send-direction Reorder, written after the
+    /// Frame held back by a send-direction Reorder, queued after the
     /// next outgoing frame.
     held_send: Option<Vec<u8>>,
     /// Frame held back by a recv-direction Reorder, delivered after
@@ -929,6 +979,7 @@ impl TcpLink {
             plan,
             stream: None,
             reader: FrameReader::new(),
+            out: Vec::new(),
             frames_sent: 0,
             frames_recv: 0,
             held_send: None,
@@ -946,8 +997,7 @@ impl TcpLink {
     /// Sever the link: sends and receives fail until [`heal`](Self::heal).
     pub fn sever(&mut self) {
         self.severed = true;
-        self.stream = None;
-        self.reader = FrameReader::new();
+        self.disconnect();
         self.pending_in.clear();
         self.held_recv = None;
         self.held_send = None;
@@ -968,6 +1018,16 @@ impl TcpLink {
         self.stream.is_some()
     }
 
+    /// Forget the connection and everything buffered on it in either
+    /// direction. Queued frames are not lost for good: every one of them
+    /// is in the caller's retransmission window, which re-sends them on
+    /// the next connection.
+    fn disconnect(&mut self) {
+        self.stream = None;
+        self.reader = FrameReader::new();
+        self.out.clear();
+    }
+
     /// Establish (or re-establish) the connection: dial, send `Hello`
     /// at `epoch`, and wait up to `timeout` for the `HelloAck`.
     /// Returns the backend's fence epoch.
@@ -977,10 +1037,13 @@ impl TcpLink {
         }
         let stream = TcpStream::connect_timeout(&self.addr, timeout).map_err(|_| LinkError::Closed)?;
         stream.set_nodelay(true).ok();
+        // Frames queued for the old connection must not precede the
+        // Hello on the new one (the backend keys its reply cache by the
+        // client id the Hello names); the caller's window resends them.
+        self.disconnect();
         self.stream = Some(stream);
-        self.reader = FrameReader::new();
-        let hello = WireOp::Hello { client_id: self.client_id }.into_frame(0, epoch);
-        self.write_raw(&hello.to_bytes())?;
+        self.out = WireOp::Hello { client_id: self.client_id }.into_frame(0, epoch).to_bytes();
+        self.flush()?;
         let deadline = std::time::Instant::now() + timeout;
         loop {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
@@ -998,21 +1061,39 @@ impl TcpLink {
         }
     }
 
-    fn write_raw(&mut self, bytes: &[u8]) -> std::result::Result<(), LinkError> {
+    /// Write every queued frame in one `write_all` (a no-op when none
+    /// is queued). A failed write drops the connection, and the queue
+    /// with it.
+    pub fn flush(&mut self) -> std::result::Result<(), LinkError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
         let stream = self.stream.as_mut().ok_or(LinkError::Closed)?;
-        match stream.write_all(bytes).and_then(|_| stream.flush()) {
-            Ok(()) => Ok(()),
+        match stream.write_all(&self.out) {
+            Ok(()) => {
+                self.out.clear();
+                Ok(())
+            }
             Err(_) => {
-                self.stream = None;
+                self.disconnect();
                 Err(LinkError::Closed)
             }
         }
     }
 
-    /// Send one frame, applying send-direction faults. `Drop` consumes
-    /// the frame silently (the caller's retry path recovers it);
-    /// `Sever` partitions the link.
+    /// Send one frame now: [`queue`](Self::queue) it and
+    /// [`flush`](Self::flush) the link.
     pub fn send(&mut self, frame: &Frame) -> std::result::Result<(), LinkError> {
+        self.queue(frame)?;
+        self.flush()
+    }
+
+    /// Queue one frame for the next flush, applying send-direction
+    /// faults now, frame by frame, so a seeded plan fires on the same
+    /// frames whether or not they share a write. `Drop` consumes the
+    /// frame silently (the caller's retry path recovers it); `Sever`
+    /// partitions the link.
+    pub fn queue(&mut self, frame: &Frame) -> std::result::Result<(), LinkError> {
         if self.severed {
             return Err(LinkError::Closed);
         }
@@ -1029,11 +1110,11 @@ impl TcpLink {
             Some(NetFaultKind::Drop) => return Ok(()),
             Some(NetFaultKind::DelayMs(ms)) => {
                 std::thread::sleep(Duration::from_millis(ms));
-                self.write_raw(&bytes)?;
+                self.out.extend_from_slice(&bytes);
             }
             Some(NetFaultKind::Duplicate) => {
-                self.write_raw(&bytes)?;
-                self.write_raw(&bytes)?;
+                self.out.extend_from_slice(&bytes);
+                self.out.extend_from_slice(&bytes);
             }
             Some(NetFaultKind::Reorder) => {
                 self.held_send = Some(bytes);
@@ -1043,21 +1124,23 @@ impl TcpLink {
                 self.sever();
                 return Err(LinkError::Closed);
             }
-            None => self.write_raw(&bytes)?,
+            None => self.out.extend_from_slice(&bytes),
         }
         if let Some(held) = self.held_send.take() {
-            self.write_raw(&held)?;
+            self.out.extend_from_slice(&held);
         }
         Ok(())
     }
 
     /// Receive one frame within `timeout`, applying recv-direction
-    /// faults. Corrupt frames are skipped in place; `Ok(None)` means
-    /// the window expired.
+    /// faults; queued frames are flushed first, so a reply is never
+    /// awaited for a request still sitting in the queue. Corrupt frames
+    /// are skipped in place; `Ok(None)` means the window expired.
     pub fn recv(&mut self, timeout: Duration) -> std::result::Result<Option<Frame>, LinkError> {
         if self.severed {
             return Err(LinkError::Closed);
         }
+        self.flush()?;
         let deadline = std::time::Instant::now() + timeout;
         loop {
             if let Some(frame) = self.pending_in.pop_front() {
@@ -1103,18 +1186,22 @@ impl TcpLink {
         }
     }
 
-    /// Read one verified frame off the socket (no fault injection),
-    /// skipping corrupt regions, within `timeout`. `Ok(None)` = window
-    /// expired; partial frame progress is retained for the next call.
+    /// Read one verified frame (no fault injection), skipping corrupt
+    /// regions, within `timeout`. A frame already buffered is returned
+    /// without a syscall; the socket's read timeout is set only when it
+    /// has to be read. `Ok(None)` = window expired; partial frame
+    /// progress is retained for the next call.
     fn recv_raw(&mut self, timeout: Duration) -> std::result::Result<Option<Frame>, LinkError> {
         let deadline = std::time::Instant::now() + timeout;
         loop {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return Ok(None);
-            }
             let stream = self.stream.as_mut().ok_or(LinkError::Closed)?;
-            stream.set_read_timeout(Some(left.max(Duration::from_millis(1)))).ok();
+            if !self.reader.has_frame() {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                if left.is_zero() {
+                    return Ok(None);
+                }
+                stream.set_read_timeout(Some(left.max(Duration::from_millis(1)))).ok();
+            }
             match self.reader.read_from(stream) {
                 Ok(FrameRead::Frame(frame)) => return Ok(Some(frame)),
                 Ok(FrameRead::Corrupt) => continue,
@@ -1125,8 +1212,7 @@ impl TcpLink {
                     return Ok(None);
                 }
                 Err(_) => {
-                    self.stream = None;
-                    self.reader = FrameReader::new();
+                    self.disconnect();
                     return Err(LinkError::Closed);
                 }
             }
@@ -1267,6 +1353,14 @@ fn apply_op(state: &mut ServerState, op: &WireOp) -> Result<Response> {
 
 /// Serve one accepted connection against the shared state. Returns
 /// when the peer hangs up; `Shutdown` exits the whole process.
+///
+/// Replies are coalesced: each is appended to `pending`, which is
+/// written in one go when no whole request is left buffered — just
+/// before the next read could block — so a burst of requests is
+/// answered by one burst of replies. `pending` is also written before
+/// the process exits (a crash fault, `Shutdown`) and before a reply
+/// delay sleeps, so every request handled before a crash is answered,
+/// exactly as on the in-process bus.
 fn serve_conn(stream: TcpStream, state: &Arc<Mutex<ServerState>>) {
     stream.set_nodelay(true).ok();
     let mut reader = FrameReader::new();
@@ -1275,8 +1369,17 @@ fn serve_conn(stream: TcpStream, state: &Arc<Mutex<ServerState>>) {
         Err(_) => return,
     };
     let mut write_side = stream;
+    let mut pending: Vec<u8> = Vec::new();
+    let mut write_out = |pending: &mut Vec<u8>| {
+        let ok = pending.is_empty() || write_side.write_all(pending).is_ok();
+        pending.clear();
+        ok
+    };
     let mut client_id = 0u64;
     loop {
+        if !reader.has_frame() && !write_out(&mut pending) {
+            return;
+        }
         let frame = match reader.read_from(&mut read_side) {
             Ok(FrameRead::Frame(frame)) => frame,
             Ok(FrameRead::Corrupt) => continue,
@@ -1305,6 +1408,7 @@ fn serve_conn(stream: TcpStream, state: &Arc<Mutex<ServerState>>) {
                     // A stale controller may not stop a fenced backend.
                     None
                 } else {
+                    write_out(&mut pending);
                     std::process::exit(0);
                 }
             }
@@ -1337,8 +1441,14 @@ fn serve_conn(stream: TcpStream, state: &Arc<Mutex<ServerState>>) {
                     st.handled += 1;
                     let action = st.faults.action(st.index, st.handled);
                     match action {
-                        Some(FaultKind::Crash) => std::process::exit(1),
-                        Some(FaultKind::Panic) => std::process::abort(),
+                        Some(FaultKind::Crash) => {
+                            write_out(&mut pending);
+                            std::process::exit(1)
+                        }
+                        Some(FaultKind::Panic) => {
+                            write_out(&mut pending);
+                            std::process::abort()
+                        }
                         _ => {}
                     }
                     let result = apply_op(&mut st, &op);
@@ -1368,12 +1478,13 @@ fn serve_conn(stream: TcpStream, state: &Arc<Mutex<ServerState>>) {
         };
         drop(st);
         if delay_ms > 0 {
+            if !write_out(&mut pending) {
+                return;
+            }
             std::thread::sleep(Duration::from_millis(delay_ms));
         }
         if let Some(reply) = reply {
-            if write_side.write_all(&reply.to_bytes()).and_then(|_| write_side.flush()).is_err() {
-                return;
-            }
+            pending.extend_from_slice(&reply.to_bytes());
         }
     }
 }
@@ -1915,6 +2026,128 @@ mod tests {
         let err = reader
             .read_from(&mut io::Cursor::new(&bytes))
             .expect_err("oversized length must be fatal");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A `Read` that counts its calls and hands out at most `chunk`
+    /// bytes per call.
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+        calls: usize,
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = self.chunk.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn burst(frames: &[Frame]) -> Vec<u8> {
+        frames.iter().flat_map(Frame::to_bytes).collect()
+    }
+
+    /// Drain `reader` until EOF, collecting frames (`None` = corrupt).
+    fn drain(reader: &mut FrameReader, r: &mut impl Read) -> Vec<Option<Frame>> {
+        let mut out = Vec::new();
+        loop {
+            match reader.read_from(r) {
+                Ok(FrameRead::Frame(frame)) => out.push(Some(frame)),
+                Ok(FrameRead::Corrupt) => out.push(None),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+                    return out;
+                }
+            }
+        }
+    }
+
+    /// A burst of frames handed over in one chunk costs one `read`: the
+    /// frames behind the first come out of the buffer.
+    #[test]
+    fn a_burst_of_frames_is_one_read() {
+        let mut rng = Prng::seed_from_u64(19);
+        let frames: Vec<Frame> = (0..40).map(|_| seeded_frame(&mut rng)).collect();
+        let bytes = burst(&frames);
+        assert!(bytes.len() < READ_CHUNK);
+        let mut r = CountingReader { bytes: &bytes, chunk: usize::MAX, calls: 0 };
+        let mut reader = FrameReader::new();
+        for frame in &frames {
+            match reader.read_from(&mut r).expect("read") {
+                FrameRead::Frame(out) => assert_eq!(&out, frame),
+                FrameRead::Corrupt => panic!("clean frame read as corrupt"),
+            }
+        }
+        assert_eq!(r.calls, 1, "the whole burst must arrive in one read");
+        assert!(!reader.has_frame());
+    }
+
+    /// The same burst trickled in one byte per `read` decodes to the
+    /// same frames, and `has_frame` turns true exactly at each frame's
+    /// last byte.
+    #[test]
+    fn a_burst_fed_one_byte_per_read_decodes_identically() {
+        let mut rng = Prng::seed_from_u64(19);
+        let frames: Vec<Frame> = (0..40).map(|_| seeded_frame(&mut rng)).collect();
+        let bytes = burst(&frames);
+        let mut r = CountingReader { bytes: &bytes, chunk: 1, calls: 0 };
+        let mut reader = FrameReader::new();
+        let out = drain(&mut reader, &mut r);
+        assert_eq!(out, frames.into_iter().map(Some).collect::<Vec<_>>());
+        assert_eq!(r.calls, bytes.len() + 1, "one read per byte, then EOF");
+    }
+
+    /// A bit-flipped frame in the middle of a burst is skipped in place;
+    /// its neighbours on both sides survive.
+    #[test]
+    fn a_bit_flipped_frame_mid_burst_spares_its_neighbours() {
+        let mut rng = Prng::seed_from_u64(23);
+        for _ in 0..32 {
+            let frames: Vec<Frame> = (0..5).map(|_| seeded_frame(&mut rng)).collect();
+            let mut bytes = Vec::new();
+            for (n, frame) in frames.iter().enumerate() {
+                let mut b = frame.to_bytes();
+                if n == 2 {
+                    let at = 8 + rng.index(b.len() - 8);
+                    b[at] ^= 1 << rng.index(8);
+                }
+                bytes.extend_from_slice(&b);
+            }
+            for chunk in [usize::MAX, 1 + rng.index(40)] {
+                let mut r = CountingReader { bytes: &bytes, chunk, calls: 0 };
+                let out = drain(&mut FrameReader::new(), &mut r);
+                let want: Vec<Option<Frame>> = frames
+                    .iter()
+                    .enumerate()
+                    .map(|(n, f)| (n != 2).then(|| f.clone()))
+                    .collect();
+                assert_eq!(out, want, "chunk {chunk}");
+            }
+        }
+    }
+
+    /// An insane length behind good frames in one burst is still fatal:
+    /// the frames before it are delivered, then the stream errors.
+    #[test]
+    fn an_insane_length_mid_burst_is_still_fatal() {
+        let good = WireOp::Ping.into_frame(1, 0);
+        let mut bad = WireOp::Ping.into_frame(2, 0).to_bytes();
+        bad[0..4].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        let mut bytes = good.to_bytes();
+        bytes.extend_from_slice(&bad);
+        bytes.extend_from_slice(&good.to_bytes());
+        let mut reader = FrameReader::new();
+        let mut cursor = io::Cursor::new(&bytes);
+        match reader.read_from(&mut cursor).expect("first frame") {
+            FrameRead::Frame(out) => assert_eq!(out, good),
+            FrameRead::Corrupt => panic!("good frame read as corrupt"),
+        }
+        assert!(reader.has_frame(), "a buffered fatal header must not wait for a read");
+        let err = reader.read_from(&mut cursor).expect_err("oversized length must be fatal");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

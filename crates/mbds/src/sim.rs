@@ -325,7 +325,7 @@ impl SimCluster {
 
     /// The index tuple of `record` under a constraint group: one value
     /// per attribute, NULL standing in for absent ones.
-    fn group_tuple(record: &Record, group: &[String]) -> Vec<Value> {
+    fn group_tuple(record: &Record, group: &[String]) -> Box<[Value]> {
         group.iter().map(|a| record.get_or_null(a).clone()).collect()
     }
 
@@ -931,7 +931,7 @@ impl SimCluster {
             let keys = self
                 .unique_index
                 .get(&(file.to_owned(), gi))
-                .and_then(|m| m.get(&tuple))
+                .and_then(|m| m.get(tuple.as_slice()))
                 .map(|s| s.iter().copied().collect())
                 .unwrap_or_default();
             return Some(keys);

@@ -36,7 +36,8 @@ use mlds::abdl::parse::parse_request;
 use mlds::abdl::prng::Prng;
 use mlds::abdl::{Kernel, Record, Request, Value};
 use mlds::mbds::{
-    BackendState, Controller, LinkDir, MemLog, NetFaultKind, NetFaultPlan, RemoteLog, ShipServer,
+    BackendState, Controller, FaultKind, FaultPlan, LinkDir, MemLog, NetFaultKind, NetFaultPlan,
+    RemoteLog, ShipServer,
 };
 
 const BACKENDS: usize = 4;
@@ -534,6 +535,41 @@ fn long_faulty_flight_over_tcp_matches_serial_execution() {
     assert!(t.retries > 0, "the fault plan never cost a retry: {t:?}");
     assert_eq!(t.conflict_stalls, 0, "{t:?}");
     assert!(t.sched_flights >= 2, "the reply-cache cap never closed a flight: {t:?}");
+}
+
+/// A backend crash in the middle of a coalesced burst. Backend 0 of a
+/// 2-backend, k = 2 cluster crashes on the 6th insert of one 16-insert
+/// flight, whose requests reached it as one burst. A backend writes its
+/// pending replies before the process exits, so the five inserts it
+/// handled before the crash are answered and placed on both replicas —
+/// exactly what the in-process bus does, where every reply leaves the
+/// moment it is made.
+#[test]
+fn crash_mid_burst_answers_every_request_handled_before_it() {
+    let run = |mut c: Controller| {
+        c.set_reply_timeout(std::time::Duration::from_millis(150));
+        c.try_create_file("u").unwrap();
+        c.add_unique_constraint("u", vec!["k".into()]);
+        for k in 0..8 {
+            c.execute(&unique_insert(k)).unwrap();
+        }
+        // Backend 0 has handled 9 messages (the file, 8 inserts), so
+        // message 15 is the batch's 6th insert.
+        c.set_fault_plan(FaultPlan::new().with(0, 15, FaultKind::Crash));
+        let batch: Vec<Request> = (100..116).map(unique_insert).collect();
+        let got: Vec<String> = c.execute_batch(&batch).iter().map(outcome).collect();
+        let t = c.exec_totals();
+        assert!(t.sched_flights >= 1, "the batch never ran as a flight: {t:?}");
+        assert_eq!(c.backend_state(0), BackendState::Dead, "{t:?}");
+        (got, c.state_digest().unwrap(), c.unique_index_digest())
+    };
+    let want = run(Controller::with_replication(2, 2));
+    let got = run(Controller::over_tcp(2, 2).unwrap());
+    for (n, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
+        assert_eq!(g, w, "request {n} diverged from the in-process bus");
+    }
+    assert_eq!(got.1, want.1, "placement diverged from the in-process bus");
+    assert_eq!(got.2, want.2);
 }
 
 fn unique_insert(k: i64) -> Request {
