@@ -19,20 +19,19 @@
 //! * **deterministic fault injection** ([`FaultPlan`]) applied inside
 //!   the worker loop, for reproducible availability experiments.
 
-use crate::directory::Directory;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::health::{BackendState, HealthBoard};
+use crate::health::BackendState;
 use crate::net::{self, kind, Frame, NetFaultPlan, TcpLink, WireOp, WireReply};
-use crate::placement::Partitioner;
-use crate::rebalance::{self, MoveJob, Rebalancer};
+use crate::rebalance;
 use crate::sched::Footprint;
-use crate::wal::{FileLog, LogRecord, LogStore, SnapshotData, Wal, WalStats};
+use crate::state::{check_config, file_scan, ClusterState, DataPlane};
+use crate::wal::{FileLog, LogRecord, LogStore, SnapshotData, Wal};
 use abdl::engine::aggregate;
 use abdl::{
-    DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, RelOp, Request, Response, Result,
-    Store, Transaction, Value,
+    DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, Request, Response, Result, Store,
+    Transaction,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::Child;
@@ -209,67 +208,6 @@ impl RetransmitWindow {
     }
 }
 
-/// The unique index: per `(file, constraint group)`, every stored value
-/// tuple → the keys holding it. One entry per stored record, so both
-/// halves are kept to 16 bytes: the tuple is a boxed slice (no spare
-/// capacity word) and [`KeySet`] boxes its rare `Many` case.
-pub(crate) type UniqueIndex = HashMap<(String, usize), BTreeMap<Box<[Value]>, KeySet>>;
-
-/// The keys stored under one unique-index tuple. Almost always exactly
-/// one — the constraint forbids more — so that case lives inline
-/// instead of in a per-tuple tree node; `Many` only arises when a
-/// constraint is declared over existing duplicates or an UPDATE
-/// creates one. Iterates in ascending key order either way.
-#[derive(Debug, Clone, Default)]
-pub(crate) enum KeySet {
-    #[default]
-    Empty,
-    One(DbKey),
-    // Boxed on purpose: the extra allocation lands on the rare case and
-    // keeps every `KeySet` (one per stored record) at 16 bytes.
-    #[allow(clippy::box_collection)]
-    Many(Box<BTreeSet<DbKey>>),
-}
-
-impl KeySet {
-    pub(crate) fn insert(&mut self, key: DbKey) {
-        match self {
-            KeySet::Empty => *self = KeySet::One(key),
-            KeySet::One(k) if *k == key => {}
-            KeySet::One(k) => *self = KeySet::Many(Box::new(BTreeSet::from([*k, key]))),
-            KeySet::Many(keys) => {
-                keys.insert(key);
-            }
-        }
-    }
-
-    pub(crate) fn remove(&mut self, key: &DbKey) {
-        match self {
-            KeySet::One(k) if k == key => *self = KeySet::Empty,
-            KeySet::Many(keys) => {
-                keys.remove(key);
-                if keys.len() == 1 {
-                    *self = KeySet::One(*keys.first().expect("one key"));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        matches!(self, KeySet::Empty)
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &DbKey> {
-        let (one, many) = match self {
-            KeySet::Empty => (None, None),
-            KeySet::One(k) => (Some(k), None),
-            KeySet::Many(keys) => (None, Some(keys.iter())),
-        };
-        one.into_iter().chain(many.into_iter().flatten())
-    }
-}
-
 /// The shared state of a socket-transport cluster: where the backend
 /// processes listen (kept current across restarts), their OS child
 /// handles (holding them keeps the backends' stdin pipes open — each
@@ -296,32 +234,14 @@ pub(crate) struct ClusterLink {
     pub(crate) net: Option<Arc<SharedNet>>,
 }
 
-/// The warm state a standby's mirror hands to
-/// [`Controller::promoted`].
-pub(crate) struct PromotedParts {
-    pub(crate) partitioner: Partitioner,
-    pub(crate) replication: usize,
-    pub(crate) next_key: u64,
-    pub(crate) unique_groups: HashMap<String, Vec<Vec<String>>>,
-    pub(crate) files: Vec<String>,
-    pub(crate) directory: Directory,
-    pub(crate) unique_index: UniqueIndex,
-    pub(crate) resident: HashMap<String, Vec<u64>>,
-    pub(crate) dead: Vec<usize>,
-    pub(crate) draining: BTreeSet<usize>,
-    pub(crate) retired: BTreeSet<usize>,
-    pub(crate) unwrapping: bool,
-}
-
 /// The MBDS controller: owns the backends, assigns database keys,
 /// places inserted records on replica groups, broadcasts everything
 /// else and merges (and deduplicates) the partial responses.
 pub struct Controller {
+    /// Placement, index, membership and log — the bookkeeping shared
+    /// with [`crate::SimCluster`] and handed over by standby promotion.
+    state: ClusterState,
     backends: Vec<BackendHandle>,
-    health: HealthBoard,
-    partitioner: Partitioner,
-    replication: usize,
-    next_key: u64,
     next_seq: u64,
     /// This controller's epoch: 0 for a fresh controller, higher for
     /// one installed by standby promotion. Stamped into every WAL line
@@ -336,41 +256,11 @@ pub struct Controller {
     /// standby attached before the restart still promotes onto the
     /// *current* channels.
     bus: Arc<Mutex<Vec<Sender<Envelope>>>>,
-    /// `DUPLICATES ARE NOT ALLOWED` groups are enforced *globally* by
-    /// the controller (a per-backend check would only see its own
-    /// partition).
-    unique_groups: HashMap<String, Vec<Vec<String>>>,
-    /// Files created so far, in creation order; replayed into restarted
-    /// backends before re-replication.
-    files: Vec<String>,
-    /// Which backends hold each record — the recovery and degraded-mode
-    /// source of truth. Replica sets are interned ([`Directory`]), so a
-    /// million records cost a map slot each, not a `Vec` each.
-    directory: Directory,
     /// Shared with the worker threads; swap via `set_fault_plan`.
     faults: Arc<Mutex<FaultPlan>>,
     reply_timeout: Duration,
-    /// `create_file` cannot return an error through the `Kernel` trait;
-    /// a total failure is stashed here and surfaced by the next
-    /// `execute` (see `try_create_file` for the fallible API).
-    pending_error: Option<Error>,
     degraded_cache: bool,
     degraded_dirty: bool,
-    /// Write-ahead log for durable controllers (`None` on the plain
-    /// in-memory constructors, and during recovery replay — replayed
-    /// operations must not be re-logged).
-    wal: Option<Wal>,
-    /// Exact unique-value index: for each `DUPLICATES ARE NOT ALLOWED`
-    /// group of a file, the value tuple of every stored record → the
-    /// keys holding it. Every insert flows through the controller, so
-    /// this is authoritative and replaces the pre-insert broadcast
-    /// probe; it is rebuilt (incrementally) by snapshot + WAL replay.
-    unique_index: UniqueIndex,
-    /// Per-file, per-backend record counts derived from the directory —
-    /// which backends can hold records of each file. Drives file-scoped
-    /// routing; may over-count for records whose data was lost (safe:
-    /// routing to an extra backend only costs a message).
-    resident: HashMap<String, Vec<u64>>,
     /// Scoped routing on/off (`false` = broadcast every request, the
     /// pre-router behaviour and the E15 ablation baseline).
     scoped_routing: bool,
@@ -389,16 +279,6 @@ pub struct Controller {
     read_probes_by_backend: Vec<u64>,
     /// Lifetime execution counters (requests, messages, examined).
     totals: ExecTotals,
-    /// Backends being drained: excluded from new placement and from
-    /// drain-substitute choices, still serving reads until their last
-    /// group move commits and `drain-end` retires them.
-    draining: BTreeSet<usize>,
-    /// True between `add-backend` and `add-end`: the unwrap rebalance
-    /// for an online add has not finished yet (recovery re-plans the
-    /// remaining moves from this flag).
-    unwrapping: bool,
-    /// The throttled queue of pending group moves.
-    rebalancer: Rebalancer,
     /// Records relocated per WAL bracket: large groups move as a
     /// sequence of bounded chunks so a pump step never stalls a
     /// foreground request behind a whole-group copy.
@@ -414,6 +294,20 @@ pub struct Controller {
     retry_budget: u32,
     /// This controller's wire identity (0 on the channel transport).
     client_id: u64,
+}
+
+impl ClusterLink {
+    /// The handles of a freshly spawned cluster: a bus over `backends`'
+    /// command senders and the default reply window.
+    fn fresh(
+        backends: &[BackendHandle],
+        fence: Arc<AtomicU64>,
+        faults: Arc<Mutex<FaultPlan>>,
+        net: Option<Arc<SharedNet>>,
+    ) -> ClusterLink {
+        let bus = Arc::new(Mutex::new(backends.iter().map(|b| b.tx.clone()).collect()));
+        ClusterLink { bus, fence, faults, reply_timeout: Duration::from_millis(1000), net }
+    }
 }
 
 impl Controller {
@@ -459,11 +353,12 @@ impl Controller {
     /// (`mbds-backend`) reached over the fault-injectable socket
     /// transport, keeping `k` copies of every record.
     pub fn over_tcp(n: usize, k: usize) -> Result<Self> {
-        let mut c = Controller::with_replication_chan(n, k);
+        let state = ClusterState::new(n, k);
         let client_id = next_client_id();
         let plan: Arc<Mutex<NetFaultPlan>> = Arc::default();
         let mut addrs = Vec::with_capacity(n);
         let mut children = Vec::with_capacity(n);
+        let mut backends = Vec::with_capacity(n);
         for i in 0..n {
             let bp = net::spawn_backend_process(i)?;
             let mut link = TcpLink::new(i, bp.addr, client_id, Arc::clone(&plan));
@@ -472,71 +367,60 @@ impl Controller {
             })?;
             addrs.push(bp.addr);
             children.push(Some(bp.child));
-            // Swap the thread-backed handle for a TCP one and retire
-            // the placeholder thread: dropping its command sender
-            // disconnects the worker loop, which then exits.
-            let old = std::mem::replace(&mut c.backends[i], BackendHandle::remote(link));
-            c.bus.lock().expect("bus lock")[i] = c.backends[i].tx.clone();
-            let BackendHandle { tx: old_tx, join: old_join, .. } = old;
-            drop(old_tx);
-            if let Some(join) = old_join {
-                let _ = join.join();
-            }
+            backends.push(BackendHandle::remote(link));
         }
-        c.net = Some(Arc::new(SharedNet {
-            addrs: Mutex::new(addrs),
-            children: Mutex::new(children),
-            plan,
-        }));
-        c.client_id = client_id;
-        Ok(c)
+        let net = SharedNet { addrs: Mutex::new(addrs), children: Mutex::new(children), plan };
+        let net = Some(Arc::new(net));
+        let link = ClusterLink::fresh(&backends, Arc::default(), Arc::default(), net);
+        Ok(Controller::assemble(state, backends, link, 0, client_id))
     }
 
     /// The channel-transport constructor body: `n` worker threads on
     /// the in-process bus.
     fn with_replication_chan(n: usize, k: usize) -> Self {
-        assert!(n > 0, "MBDS needs at least one backend");
-        assert!((1..=n).contains(&k), "replication factor must be in 1..=n, got {k}");
+        let state = ClusterState::new(n, k);
         let faults: Arc<Mutex<FaultPlan>> = Arc::default();
         let fence: Arc<AtomicU64> = Arc::default();
         let backends: Vec<BackendHandle> =
             (0..n).map(|i| spawn_backend(i, Arc::clone(&fence), Arc::clone(&faults))).collect();
-        let bus = Arc::new(Mutex::new(backends.iter().map(|b| b.tx.clone()).collect()));
+        let link = ClusterLink::fresh(&backends, fence, faults, None);
+        Controller::assemble(state, backends, link, 0, 0)
+    }
+
+    /// The one constructor body: a controller at `epoch` over
+    /// `backends`, with `state` as its bookkeeping and `link`'s shared
+    /// bus, fence, fault plan and (socket transport) process table.
+    /// Every toggle starts at its default.
+    fn assemble(
+        state: ClusterState,
+        backends: Vec<BackendHandle>,
+        link: ClusterLink,
+        epoch: u64,
+        client_id: u64,
+    ) -> Controller {
+        let n = backends.len();
         Controller {
+            state,
             backends,
-            health: HealthBoard::new(n),
-            partitioner: Partitioner::new(n),
-            replication: k,
-            next_key: 1,
             next_seq: 1,
-            epoch: 0,
-            fence,
-            bus,
-            unique_groups: HashMap::new(),
-            files: Vec::new(),
-            directory: Directory::new(),
-            faults,
-            reply_timeout: Duration::from_millis(1000),
-            pending_error: None,
+            epoch,
+            fence: link.fence,
+            bus: link.bus,
+            faults: link.faults,
+            reply_timeout: link.reply_timeout,
             degraded_cache: false,
-            degraded_dirty: false,
-            wal: None,
-            unique_index: HashMap::new(),
-            resident: HashMap::new(),
+            degraded_dirty: true,
             scoped_routing: true,
             unique_via_index: true,
             parallel_writes: true,
             parallel_reads: true,
             read_probes_by_backend: vec![0; n],
             totals: ExecTotals::default(),
-            draining: BTreeSet::new(),
-            unwrapping: false,
-            rebalancer: Rebalancer::new(),
             move_chunk: rebalance::DEFAULT_MOVE_CHUNK,
             move_cursor: None,
-            net: None,
+            net: link.net,
             retry_budget: DEFAULT_RETRY_BUDGET,
-            client_id: 0,
+            client_id,
         }
     }
 
@@ -551,17 +435,7 @@ impl Controller {
     /// [`Controller::durable`] over any [`LogStore`] — the harness and
     /// the simulator use a shared in-memory [`crate::MemLog`].
     pub fn durable_with(n: usize, k: usize, store: impl LogStore + 'static) -> Result<Self> {
-        if store.has_state()? {
-            return Err(Error::Internal(
-                "log already holds controller state; use Controller::recover".into(),
-            ));
-        }
-        let mut c = Controller::with_replication(n, k);
-        c.wal = Some(Wal::create(Box::new(store)));
-        // Anchor the configuration: even an empty log recovers n and k
-        // from this initial snapshot.
-        c.snapshot_now()?;
-        Ok(c)
+        Controller::durable_on(store, || Ok(Controller::with_replication(n, k)))
     }
 
     /// [`Controller::durable_with`] over the socket transport: the
@@ -569,13 +443,23 @@ impl Controller {
     /// `MBDS_TRANSPORT` (tests use this to mix transports in one
     /// process without touching the environment).
     pub fn durable_over_tcp(n: usize, k: usize, store: impl LogStore + 'static) -> Result<Self> {
+        Controller::durable_on(store, || Controller::over_tcp(n, k))
+    }
+
+    /// Refuse a store that already holds state, then spawn the cluster
+    /// and anchor its configuration: even an empty log recovers n and
+    /// k from this initial snapshot.
+    fn durable_on(
+        store: impl LogStore + 'static,
+        spawn: impl FnOnce() -> Result<Controller>,
+    ) -> Result<Self> {
         if store.has_state()? {
             return Err(Error::Internal(
                 "log already holds controller state; use Controller::recover".into(),
             ));
         }
-        let mut c = Controller::over_tcp(n, k)?;
-        c.wal = Some(Wal::create(Box::new(store)));
+        let mut c = spawn()?;
+        c.state.wal = Some(Wal::create(Box::new(store)));
         c.snapshot_now()?;
         Ok(c)
     }
@@ -595,17 +479,12 @@ impl Controller {
         let snapshot = snapshot.ok_or_else(|| {
             Error::Internal("no snapshot found — nothing to recover".into())
         })?;
-        if snapshot.backends == 0 || !(1..=snapshot.backends).contains(&snapshot.replication) {
-            return Err(Error::Internal(format!(
-                "snapshot has invalid configuration: {} backends, replication {}",
-                snapshot.backends, snapshot.replication
-            )));
-        }
+        check_config(&snapshot)?;
         let mut c = Controller::with_replication(snapshot.backends, snapshot.replication);
-        // `c.wal` stays `None` through the replay so nothing re-logs.
-        c.apply_snapshot(&snapshot)?;
+        // `c.state.wal` stays `None` through the replay so nothing re-logs.
+        c.load_snapshot(&snapshot)?;
         for entry in &entries {
-            c.apply_entry(entry)?;
+            c.replay(entry)?;
         }
         // A crash mid-rebalance leaves the membership goal durable
         // (`add-backend` without `add-end`, `drain-begin` without
@@ -613,7 +492,7 @@ impl Controller {
         // remaining moves from the recovered directory. Planning is
         // state-based, so moves that committed before the crash drop
         // out and the re-plan converges to the same final placement.
-        c.replan_rebalance();
+        c.state.replan_rebalance();
         // Recovery starts a *new* lineage: bump past the highest epoch
         // the store has seen (line stamps or fence) and durably raise
         // the fence to match. Merely adopting the highest epoch would
@@ -627,7 +506,7 @@ impl Controller {
         wal.refence(wal.epoch() + 1)?;
         c.epoch = wal.epoch();
         c.fence.store(c.epoch, Ordering::SeqCst);
-        c.wal = Some(wal);
+        c.state.wal = Some(wal);
         Ok(c)
     }
 
@@ -639,7 +518,7 @@ impl Controller {
     /// [`promote`](crate::Standby::promote) itself over these same
     /// backend threads without a replay pause.
     pub fn standby(&self, store: Box<dyn LogStore>) -> Result<crate::Standby> {
-        if self.wal.is_none() {
+        if self.state.wal.is_none() {
             return Err(Error::Internal(
                 "only a durable controller can ship its log to a standby".into(),
             ));
@@ -660,23 +539,17 @@ impl Controller {
 
     /// Build the promoted controller a standby installs at failover:
     /// fresh reply channels over the cluster's existing command
-    /// senders (`join: None` — the primary spawned the threads), warm
-    /// state copied from the standby's mirror, and a [`Wal`] resuming
-    /// the shipped log at the fenced `epoch`.
+    /// senders (`join: None` — the primary spawned the threads), the
+    /// mirror's cluster state taken over by value, and a [`Wal`]
+    /// resuming the shipped log at the fenced `epoch`.
     pub(crate) fn promoted(
         link: ClusterLink,
         wal: Wal,
         epoch: u64,
-        parts: PromotedParts,
+        mut state: ClusterState,
     ) -> Controller {
-        let senders: Vec<Sender<Envelope>> = link.bus.lock().expect("bus lock").clone();
-        let n = senders.len();
-        let mut health = HealthBoard::new(n);
-        for &i in &parts.dead {
-            health.channel_closed(i);
-        }
+        state.wal = Some(wal);
         let client_id = if link.net.is_some() { next_client_id() } else { 0 };
-        let retired = parts.retired.clone();
         let backends = if let Some(shared) = link.net.as_ref() {
             // Socket transport: dial every backend process with a fresh
             // identity. The Hello carries the promoted epoch, raising
@@ -695,47 +568,10 @@ impl Controller {
                 })
                 .collect()
         } else {
-            senders
-                .into_iter()
-                .map(|tx| BackendHandle::local(tx, channel(), None))
-                .collect()
+            let senders = link.bus.lock().expect("bus lock").clone();
+            senders.into_iter().map(|tx| BackendHandle::local(tx, channel(), None)).collect()
         };
-        let mut c = Controller {
-            backends,
-            health,
-            partitioner: parts.partitioner,
-            replication: parts.replication,
-            next_key: parts.next_key,
-            next_seq: 1,
-            epoch,
-            fence: link.fence,
-            bus: link.bus,
-            unique_groups: parts.unique_groups,
-            files: parts.files,
-            directory: parts.directory,
-            faults: link.faults,
-            reply_timeout: link.reply_timeout,
-            pending_error: None,
-            degraded_cache: false,
-            degraded_dirty: true,
-            wal: Some(wal),
-            unique_index: parts.unique_index,
-            resident: parts.resident,
-            scoped_routing: true,
-            unique_via_index: true,
-            parallel_writes: true,
-            parallel_reads: true,
-            read_probes_by_backend: vec![0; n],
-            totals: ExecTotals::default(),
-            draining: parts.draining,
-            unwrapping: parts.unwrapping,
-            rebalancer: Rebalancer::new(),
-            move_chunk: rebalance::DEFAULT_MOVE_CHUNK,
-            move_cursor: None,
-            net: link.net,
-            retry_budget: DEFAULT_RETRY_BUDGET,
-            client_id,
-        };
+        let mut c = Controller::assemble(state, backends, link, epoch, client_id);
         // Socket transport: a backend the mirror saw dead may only have
         // been unreachable *from the partitioned primary* — if its
         // process just answered our Hello, it is alive with its store
@@ -746,8 +582,8 @@ impl Controller {
             for i in 0..c.backends.len() {
                 let connected =
                     c.backends[i].tcp.as_ref().is_some_and(|link| link.is_connected());
-                if connected && !c.health.is_serving(i) {
-                    if retired.contains(&i) {
+                if connected && !c.state.health.is_serving(i) {
+                    if c.state.retired.contains(&i) {
                         // Not a partition casualty: the primary logged
                         // `drain-end` but died before stopping the
                         // worker. Finish the retirement instead of
@@ -766,6 +602,39 @@ impl Controller {
         c
     }
 
+    /// Promotion's reconciliation of the real backends with the
+    /// mirror's state, before the promoted controller serves.
+    ///
+    /// Elastic membership: an `add-backend` record may have shipped
+    /// while the primary died before spawning the worker — the shared
+    /// bus is still the old width — so the missing backends are adopted
+    /// before any heal touches them. A restart the primary began but
+    /// never finished (`restarts`): the log (and the mirror) say the
+    /// backend is alive again, but its worker was never respawned, so
+    /// the restart is redone for real, exactly as cold replay would. A
+    /// move chunk the primary began but never committed (`moves`): the
+    /// mirror (and so the promoted directory) already routes the
+    /// chunk's keys to the new placement, but the physical copy was
+    /// interrupted — exactly those keys are healed for real. Finally
+    /// whatever rebalance work the crashed membership change still owes
+    /// is re-derived from the warm state (remaining chunks included:
+    /// the group still matches the state-based plan).
+    pub(crate) fn settle_promotion(
+        &mut self,
+        restarts: &[usize],
+        moves: Vec<(Vec<usize>, Vec<usize>, Vec<u64>)>,
+    ) -> Result<()> {
+        self.adopt_missing_backends(self.state.width())?;
+        for &i in restarts {
+            self.finish_interrupted_restart(i)?;
+        }
+        for (from, to, keys) in moves {
+            self.finish_interrupted_move(&from, &to, &keys)?;
+        }
+        self.state.replan_rebalance();
+        Ok(())
+    }
+
     /// Total number of backends (alive or dead).
     pub fn backend_count(&self) -> usize {
         self.backends.len()
@@ -773,12 +642,12 @@ impl Controller {
 
     /// Number of backends not marked dead.
     pub fn alive_count(&self) -> usize {
-        self.health.serving_count()
+        self.state.health.serving_count()
     }
 
     /// Copies kept per record.
     pub fn replication(&self) -> usize {
-        self.replication
+        self.state.replication
     }
 
     /// Install a fault plan; it applies to messages the backends have
@@ -790,7 +659,7 @@ impl Controller {
         if self.net.is_some() {
             // Remote backends keep their own plan copy: ship it.
             for i in 0..self.backends.len() {
-                if self.health.is_serving(i) {
+                if self.state.health.is_serving(i) {
                     self.push_faults_tcp(i, &plan);
                 }
             }
@@ -890,7 +759,7 @@ impl Controller {
 
     /// The health board's current verdict on backend `i`.
     pub fn backend_state(&self, i: usize) -> BackendState {
-        self.health.state(i)
+        self.state.health.state(i)
     }
 
     /// Re-probe a backend that went Suspect/Dead and came back: dial
@@ -904,7 +773,7 @@ impl Controller {
         if i >= self.backends.len() {
             return Err(Error::Internal(format!("no such backend {i}")));
         }
-        if self.health.is_serving(i) && self.health.state(i) == BackendState::Alive {
+        if self.state.health.is_serving(i) && self.state.health.state(i) == BackendState::Alive {
             return Ok(());
         }
         if self.backends[i].tcp.is_none() {
@@ -932,16 +801,14 @@ impl Controller {
     /// (idempotent) restart, so a recovered controller sees this
     /// backend alive with its data rebuilt.
     fn restore_reconnected(&mut self, i: usize) -> Result<()> {
-        self.wal_begin_batch();
-        let logged = self
-            .log_append(LogRecord::RestartBegin { backend: i })
-            .and_then(|()| self.log_append(LogRecord::RestartEnd { backend: i }));
-        let flush = self.wal_commit_batch();
+        let logged = self.batched(|c| {
+            c.state.log_append(LogRecord::RestartBegin { backend: i })?;
+            c.state.log_append(LogRecord::RestartEnd { backend: i })
+        });
         self.backends[i].window.clear();
-        self.health.restarted(i);
+        self.state.health.restarted(i);
         self.degraded_dirty = true;
         logged?;
-        flush?;
         self.maybe_snapshot();
         Ok(())
     }
@@ -950,7 +817,7 @@ impl Controller {
     /// disables; durable controllers default to snapshot-on-demand
     /// only). No-op on a non-durable controller.
     pub fn set_snapshot_every(&mut self, every: u64) {
-        if let Some(w) = self.wal.as_mut() {
+        if let Some(w) = self.state.wal.as_mut() {
             w.set_snapshot_every(every);
         }
     }
@@ -960,7 +827,7 @@ impl Controller {
     /// subsequent operation that must log also fails). No-op on a
     /// non-durable controller.
     pub fn set_wal_crash_after(&mut self, n: u64) {
-        if let Some(w) = self.wal.as_mut() {
+        if let Some(w) = self.state.wal.as_mut() {
             w.set_crash_after(n);
         }
     }
@@ -968,17 +835,17 @@ impl Controller {
     /// True once an armed crash point has fired — the harness's signal
     /// to drop this controller and recover from the log.
     pub fn wal_crashed(&self) -> bool {
-        self.wal.as_ref().is_some_and(Wal::crashed)
+        self.state.wal.as_ref().is_some_and(Wal::crashed)
     }
 
     /// WAL appends performed by this incarnation (0 when not durable).
     pub fn wal_appends(&self) -> u64 {
-        self.wal.as_ref().map_or(0, Wal::total_appends)
+        self.state.wal.as_ref().map_or(0, Wal::total_appends)
     }
 
     /// The key allocator's high-water mark (the next key to be issued).
     pub fn key_high_water(&self) -> u64 {
-        self.next_key
+        self.state.next_key
     }
 
     /// This controller's epoch (0 unless installed by promotion or
@@ -991,16 +858,16 @@ impl Controller {
     /// groups in use, and the estimated resident bytes.
     pub fn directory_stats(&self) -> (usize, usize, u64) {
         (
-            self.directory.len(),
-            self.directory.groups_in_use().count(),
-            self.directory.estimated_bytes(),
+            self.state.directory.len(),
+            self.state.directory.groups_in_use().count(),
+            self.state.directory.estimated_bytes(),
         )
     }
 
     /// The key-map compression picture (`.stats`): what a flat map
     /// would cost versus the interval-compressed resident bytes.
     pub fn directory_compression(&self) -> crate::directory::CompressionStats {
-        self.directory.compression_stats()
+        self.state.directory.compression_stats()
     }
 
     /// Toggle scoped routing (on by default). Off = every request is
@@ -1043,242 +910,7 @@ impl Controller {
     /// recovery harness: a rebuilt controller must produce exactly the
     /// live controller's digest.
     pub fn unique_index_digest(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        for ((file, gi), by_tuple) in &self.unique_index {
-            for (tuple, keys) in by_tuple {
-                let vals: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-                let ks: Vec<String> = keys.iter().map(|k| k.0.to_string()).collect();
-                lines.push(format!("{file}#{gi} [{}] {}", vals.join(","), ks.join(",")));
-            }
-        }
-        lines.sort();
-        lines.join("\n")
-    }
-
-    /// The index tuple of `record` under a constraint group: one value
-    /// per attribute, NULL standing in for absent ones — exactly the
-    /// values an equality probe would compare against.
-    fn group_tuple(record: &Record, group: &[String]) -> Box<[Value]> {
-        group.iter().map(|a| record.get_or_null(a).clone()).collect()
-    }
-
-    /// Index every constraint-group tuple of a newly stored record.
-    fn index_insert(&mut self, key: DbKey, record: &Record) {
-        let Some(file) = record.file().map(str::to_owned) else { return };
-        let Some(groups) = self.unique_groups.get(&file) else { return };
-        for (gi, group) in groups.iter().enumerate() {
-            let tuple = Controller::group_tuple(record, group);
-            self.unique_index
-                .entry((file.clone(), gi))
-                .or_default()
-                .entry(tuple)
-                .or_default()
-                .insert(key);
-        }
-    }
-
-    /// Drop a deleted record's tuples from the index (tolerates missing
-    /// entries, so replay and live deletion are both safe).
-    fn index_remove(&mut self, key: DbKey, record: &Record) {
-        let Some(file) = record.file().map(str::to_owned) else { return };
-        let Some(groups) = self.unique_groups.get(&file) else { return };
-        for (gi, group) in groups.iter().enumerate() {
-            let tuple = Controller::group_tuple(record, group);
-            if let Some(by_tuple) = self.unique_index.get_mut(&(file.clone(), gi)) {
-                if let Some(keys) = by_tuple.get_mut(&tuple) {
-                    keys.remove(&key);
-                    if keys.is_empty() {
-                        by_tuple.remove(&tuple);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Move a record's tuples when an UPDATE changes a constraint-group
-    /// attribute. `record` is the pre-image; duplicates created this
-    /// way (the kernel does not re-check uniqueness on UPDATE) simply
-    /// list several keys under one tuple.
-    fn index_update(&mut self, key: DbKey, record: &Record, attr: &str, value: &Value) {
-        let Some(file) = record.file().map(str::to_owned) else { return };
-        let Some(groups) = self.unique_groups.get(&file).cloned() else { return };
-        let mut updated = record.clone();
-        updated.set(attr.to_owned(), value.clone());
-        for (gi, group) in groups.iter().enumerate() {
-            if !group.iter().any(|a| a == attr) {
-                continue;
-            }
-            let old_t = Controller::group_tuple(record, group);
-            let new_t = Controller::group_tuple(&updated, group);
-            if old_t == new_t {
-                continue;
-            }
-            let by_tuple = self.unique_index.entry((file.clone(), gi)).or_default();
-            if let Some(keys) = by_tuple.get_mut(&old_t) {
-                keys.remove(&key);
-                if keys.is_empty() {
-                    by_tuple.remove(&old_t);
-                }
-            }
-            by_tuple.entry(new_t).or_default().insert(key);
-        }
-    }
-
-    /// Count a newly placed record against its group members' per-file
-    /// residency.
-    fn resident_add(&mut self, file: &str, members: &[usize]) {
-        let n = self.backends.len();
-        let counts = self.resident.entry(file.to_owned()).or_insert_with(|| vec![0; n]);
-        for &i in members {
-            counts[i] += 1;
-        }
-    }
-
-    /// Un-count a deleted record.
-    fn resident_remove(&mut self, file: &str, members: &[usize]) {
-        if let Some(counts) = self.resident.get_mut(file) {
-            for &i in members {
-                counts[i] = counts[i].saturating_sub(1);
-            }
-        }
-    }
-
-    /// Register a constraint group, backfilling the index from existing
-    /// records when the file already holds data (constraints are
-    /// usually declared before loading, so the backfill broadcast is
-    /// rare). Shared by the live path and WAL replay.
-    fn register_unique(&mut self, file: &str, attrs: Vec<String>) {
-        let groups = self.unique_groups.entry(file.to_owned()).or_default();
-        // Idempotent: re-registering an existing group (WAL replay of
-        // a doubly-logged constraint, a repeated `.spawn` seed) must
-        // not add a second copy for every insert to check.
-        if groups.contains(&attrs) {
-            return;
-        }
-        groups.push(attrs);
-        let gi = groups.len() - 1;
-        let populated =
-            self.resident.get(file).is_some_and(|counts| counts.iter().any(|&c| c > 0));
-        if !populated {
-            return;
-        }
-        let query = abdl::Query::conjunction(vec![abdl::Predicate::eq(
-            abdl::FILE_ATTR,
-            abdl::Value::str(file),
-        )]);
-        if let Ok(resp) = self.broadcast(&Request::retrieve_all(query)) {
-            let group = self.unique_groups[file][gi].clone();
-            for (key, rec) in resp.into_records() {
-                let tuple = Controller::group_tuple(&rec, &group);
-                self.unique_index
-                    .entry((file.to_owned(), gi))
-                    .or_default()
-                    .entry(tuple)
-                    .or_default()
-                    .insert(key);
-            }
-        }
-    }
-
-    /// Append `rec` if this controller is durable. During recovery
-    /// replay `wal` is `None`, so replayed operations never re-log.
-    fn log_append(&mut self, rec: LogRecord) -> Result<()> {
-        match self.wal.as_mut() {
-            Some(w) => w.append(&rec),
-            None => Ok(()),
-        }
-    }
-
-    /// Like [`Controller::log_append`] for infallible call sites: the
-    /// failure is stashed and surfaced by the next `execute`.
-    fn log_append_stashing(&mut self, rec: LogRecord) {
-        if let Err(e) = self.log_append(rec) {
-            self.pending_error.get_or_insert(e);
-        }
-    }
-
-    /// Open a WAL group-commit batch (no-op when not durable).
-    fn wal_begin_batch(&mut self) {
-        if let Some(w) = self.wal.as_mut() {
-            w.begin_batch();
-        }
-    }
-
-    /// Close a WAL batch, flushing its buffered appends with one sync.
-    fn wal_commit_batch(&mut self) -> Result<()> {
-        match self.wal.as_mut() {
-            Some(w) => w.commit_batch(),
-            None => Ok(()),
-        }
-    }
-
-    /// Compact if the snapshot cadence says so. Called only at
-    /// top-level operation boundaries — never between a
-    /// `restart-begin`/`restart-end` pair, which would truncate the
-    /// begin entry while freezing pre-restart state.
-    fn maybe_snapshot(&mut self) {
-        if self.wal.as_ref().is_some_and(Wal::needs_snapshot) {
-            if let Err(e) = self.snapshot_now() {
-                self.pending_error.get_or_insert(e);
-            }
-        }
-    }
-
-    /// Write a compacted snapshot now and truncate the log. No-op on a
-    /// non-durable controller.
-    pub fn snapshot_now(&mut self) -> Result<()> {
-        if self.wal.is_none() {
-            return Ok(());
-        }
-        let text = self.snapshot_data()?.to_text();
-        self.wal.as_mut().expect("wal present").install_snapshot(&text)
-    }
-
-    /// The full compacted state: directory, allocator, rotors,
-    /// constraints, dead set, and every record that still has a live
-    /// replica (gathered by broadcasting a retrieve per file).
-    pub fn snapshot_data(&mut self) -> Result<SnapshotData> {
-        // Gather surviving record data first: the broadcasts may detect
-        // deaths, and the metadata below must reflect them.
-        let mut data: BTreeMap<u64, Record> = BTreeMap::new();
-        if self.health.serving_count() > 0 {
-            for file in self.files.clone() {
-                let query = abdl::Query::conjunction(vec![abdl::Predicate::eq(
-                    abdl::FILE_ATTR,
-                    abdl::Value::str(file),
-                )]);
-                let resp = self.broadcast(&Request::retrieve_all(query))?;
-                for (key, rec) in resp.into_records() {
-                    if self.directory.contains_key(&key) {
-                        data.insert(key.0, rec);
-                    }
-                }
-            }
-        }
-        let mut places: Vec<(u64, Vec<usize>, Option<Record>)> = self
-            .directory
-            .iter()
-            .map(|(k, group)| (k.0, group.to_vec(), data.remove(&k.0)))
-            .collect();
-        places.sort_by_key(|(k, _, _)| *k);
-        let mut uniques: Vec<(String, Vec<String>)> = self
-            .unique_groups
-            .iter()
-            .flat_map(|(f, groups)| groups.iter().map(|g| (f.clone(), g.clone())))
-            .collect();
-        uniques.sort();
-        Ok(SnapshotData {
-            backends: self.backends.len(),
-            replication: self.replication,
-            next_key: self.next_key,
-            dead: self.health.unavailable(),
-            draining: self.draining.iter().copied().collect(),
-            unwrap: self.unwrapping,
-            rotors: self.partitioner.rotors(),
-            files: self.files.clone(),
-            uniques,
-            places,
-        })
+        self.state.unique_index_digest()
     }
 
     /// A deterministic, byte-comparable rendering of the controller's
@@ -1286,80 +918,46 @@ impl Controller {
     /// with equal digests hold the same directory, allocator high-water
     /// mark, rotors, constraints, dead set and surviving records.
     pub fn state_digest(&mut self) -> Result<String> {
-        Ok(self.snapshot_data()?.to_text())
+        Ok(self.snapshot()?.to_text())
     }
 
     /// Recovery step 1: rebuild state from the snapshot. All backends
     /// are freshly spawned and alive at this point; records are loaded
     /// into their group members, then the dead set is re-killed.
-    fn apply_snapshot(&mut self, snap: &SnapshotData) -> Result<()> {
-        self.next_key = snap.next_key;
+    fn load_snapshot(&mut self, snap: &SnapshotData) -> Result<()> {
+        self.state.apply_snapshot(snap);
         for file in &snap.files {
             self.try_create_file(file)?;
         }
-        for (file, v) in &snap.rotors {
-            self.partitioner.set_rotor(file, *v);
-        }
-        for (file, attrs) in &snap.uniques {
-            self.unique_groups.entry(file.clone()).or_default().push(attrs.clone());
-        }
-        let dead: HashSet<usize> = snap.dead.iter().copied().collect();
         for (key, group, record) in &snap.places {
-            self.directory.insert(DbKey(*key), group.clone());
-            // Records whose data did not survive (no live replica at
-            // snapshot time) keep their directory entry but cannot be
-            // indexed or counted — no backend holds them, so routing
-            // never needs to reach them either.
             let Some(record) = record else { continue };
-            if let Some(file) = record.file().map(str::to_owned) {
-                self.resident_add(&file, group);
-            }
-            self.index_insert(DbKey(*key), record);
             for &i in group {
-                if dead.contains(&i) {
-                    continue;
+                if !snap.dead.contains(&i) {
+                    self.load_replica(i, DbKey(*key), record)?;
                 }
-                self.load_replica(i, DbKey(*key), record)?;
             }
         }
         for &i in &snap.dead {
             self.kill_backend(i);
         }
-        self.draining = snap.draining.iter().copied().collect();
-        self.unwrapping = snap.unwrap;
         self.degraded_dirty = true;
         Ok(())
     }
 
-    /// Recovery step 2: replay one post-snapshot log entry.
-    fn apply_entry(&mut self, entry: &LogRecord) -> Result<()> {
+    /// Recovery step 2: replay one post-snapshot log entry — the
+    /// bookkeeping through `ClusterState::apply_entry`, then the
+    /// backends' half.
+    fn replay(&mut self, entry: &LogRecord) -> Result<()> {
+        self.state.apply_entry(entry);
         match entry {
             LogRecord::CreateFile { name } => self.try_create_file(name),
             LogRecord::Unique { file, attrs } => {
                 self.register_unique(file, attrs.clone());
                 Ok(())
             }
-            LogRecord::ReserveKey { key } => {
-                self.next_key = self.next_key.max(key + 1);
-                Ok(())
-            }
-            LogRecord::Alloc { key, file } => {
-                self.next_key = self.next_key.max(key + 1);
-                self.partitioner.advance(file);
-                Ok(())
-            }
             LogRecord::Insert { key, group, record } => {
-                self.next_key = self.next_key.max(key + 1);
-                // The live insert consumed exactly one rotation.
-                if let Some(file) = record.file() {
-                    let file = file.to_owned();
-                    self.partitioner.advance(&file);
-                    self.resident_add(&file, group);
-                }
-                self.directory.insert(DbKey(*key), group.clone());
-                self.index_insert(DbKey(*key), record);
                 for &i in group {
-                    if self.health.is_serving(i) {
+                    if self.state.health.is_serving(i) {
                         self.load_replica(i, DbKey(*key), record)?;
                     }
                 }
@@ -1374,48 +972,27 @@ impl Controller {
             // missing end marker means the crash hit mid-restart, and
             // re-running the restart is idempotent.
             LogRecord::RestartBegin { backend } => self.restart_backend(*backend),
-            LogRecord::RestartEnd { .. } => Ok(()),
             // Same bracket discipline for rebalance moves: the chunk is
             // (re)performed at the begin marker with exactly the keys
             // the live run bracketed — so replay commits placement in
             // the same per-key/retarget sequence the live run did, and
             // an unmatched begin from a crash mid-chunk is safely
-            // redone. (`self.wal` is `None` during replay, so the
-            // bracket re-logs nothing.)
+            // redone. (The WAL is `None` during replay, so the bracket
+            // re-logs nothing.)
             LogRecord::MoveBegin { from, to, keys } => {
-                let (from, to) = (from.clone(), to.clone());
                 let keys: Vec<DbKey> = keys.iter().map(|&k| DbKey(k)).collect();
-                self.wal_begin_batch();
-                let result = self.move_group_inner(&from, &to, &keys);
-                let flush = self.wal_commit_batch();
-                result?;
-                flush?;
+                self.move_group_inner(from, to, &keys)?;
                 self.degraded_dirty = true;
                 Ok(())
             }
-            LogRecord::MoveEnd { .. } => Ok(()),
-            LogRecord::AddBackend { backend } => {
-                // A snapshot taken after the add already spawned the
-                // wider cluster; only grow past the current width.
-                if *backend + 1 > self.backends.len() {
-                    self.grow_cluster(*backend + 1)?;
-                }
-                self.unwrapping = true;
-                Ok(())
-            }
-            LogRecord::AddEnd { .. } => {
-                self.unwrapping = false;
-                Ok(())
-            }
-            LogRecord::DrainBegin { backend } => {
-                self.draining.insert(*backend);
-                Ok(())
-            }
+            // A snapshot taken after the add already spawned the wider
+            // cluster; only missing workers are spawned.
+            LogRecord::AddBackend { backend } => self.adopt_missing_backends(*backend + 1),
             LogRecord::DrainEnd { backend } => {
-                self.draining.remove(backend);
-                self.shutdown_backend(*backend);
+                self.retire_backend(*backend);
                 Ok(())
             }
+            _ => Ok(()),
         }
     }
 
@@ -1435,11 +1012,11 @@ impl Controller {
     /// partition is unavailable until `restart_backend` (which can then
     /// only recover what other replicas still hold).
     pub fn kill_backend(&mut self, i: usize) {
-        if i >= self.backends.len() || !self.health.is_serving(i) {
+        if i >= self.backends.len() || !self.state.health.is_serving(i) {
             return;
         }
         self.shutdown_backend(i);
-        self.log_append_stashing(LogRecord::Dead { backend: i });
+        self.state.log_append_stashing(LogRecord::Dead { backend: i });
         self.maybe_snapshot();
     }
 
@@ -1448,7 +1025,7 @@ impl Controller {
     /// without logging — callers decide whether the death is recorded
     /// as a failure (`dead`) or a retirement (`drain-end`).
     fn shutdown_backend(&mut self, i: usize) {
-        if i >= self.backends.len() || !self.health.is_serving(i) {
+        if i >= self.backends.len() || !self.state.health.is_serving(i) {
             return;
         }
         let epoch = self.epoch;
@@ -1470,7 +1047,7 @@ impl Controller {
                 let _ = join.join();
             }
         }
-        self.health.channel_closed(i);
+        self.state.health.channel_closed(i);
         self.degraded_dirty = true;
     }
 
@@ -1483,18 +1060,12 @@ impl Controller {
         if i >= self.backends.len() {
             return Err(Error::Internal(format!("no such backend {i}")));
         }
-        if self.health.is_serving(i) && self.health.state(i) == BackendState::Alive {
+        if self.state.health.is_serving(i) && self.state.health.state(i) == BackendState::Alive {
             return Ok(());
         }
         // Group commit: the restart's begin/end markers (and any deaths
-        // detected along the way) are buffered and synced together. A
-        // crash point landing inside the batch still flushes durably
-        // through the crashing append, so the per-append sweep holds.
-        self.wal_begin_batch();
-        let result = self.restart_backend_inner(i);
-        let flush = self.wal_commit_batch();
-        result?;
-        flush?;
+        // detected along the way) are buffered and synced together.
+        self.batched(|c| c.restart_backend_inner(i))?;
         self.maybe_snapshot();
         Ok(())
     }
@@ -1505,8 +1076,8 @@ impl Controller {
     /// mark the channel closed so `restart_backend` actually runs, then
     /// redo the restart for real — exactly what cold replay does for an
     /// unmatched `restart-begin` marker.
-    pub(crate) fn finish_interrupted_restart(&mut self, i: usize) -> Result<()> {
-        self.health.channel_closed(i);
+    fn finish_interrupted_restart(&mut self, i: usize) -> Result<()> {
+        self.state.health.channel_closed(i);
         self.degraded_dirty = true;
         self.restart_backend(i)
     }
@@ -1517,7 +1088,7 @@ impl Controller {
         // restart at the begin marker; an unmatched begin (crash
         // mid-restart) is safely re-run by the caller — restarting an
         // already-alive backend is a no-op.
-        self.log_append(LogRecord::RestartBegin { backend: i })?;
+        self.state.log_append(LogRecord::RestartBegin { backend: i })?;
         if let Some(shared) = self.net.clone() {
             // Socket transport: retire the old process (best-effort
             // shutdown, then reap) and spawn a fresh one at a new
@@ -1568,11 +1139,11 @@ impl Controller {
                 let _ = join.join();
             }
         }
-        self.health.restarted(i);
+        self.state.health.restarted(i);
         self.degraded_dirty = true;
 
         // Replay the schema.
-        for file in self.files.clone() {
+        for file in self.state.files.clone() {
             let seq = self.next_seq();
             if !self.send_to(i, seq, BackendOp::CreateFile(file)) {
                 return Err(Error::Unavailable(format!("backend {i} died during restart")));
@@ -1583,14 +1154,10 @@ impl Controller {
         }
         // Anti-entropy: pull surviving copies and re-insert the records
         // this backend is supposed to hold.
-        for file in self.files.clone() {
-            let query = abdl::Query::conjunction(vec![abdl::Predicate::eq(
-                abdl::FILE_ATTR,
-                abdl::Value::str(file),
-            )]);
-            let survivors = self.broadcast(&Request::retrieve_all(query))?;
+        for file in self.state.files.clone() {
+            let survivors = self.broadcast(&file_scan(&file))?;
             for (key, rec) in survivors.into_records() {
-                if self.directory.get(&key).is_some_and(|g| g.contains(&i)) {
+                if self.state.directory.get(&key).is_some_and(|g| g.contains(&i)) {
                     let seq = self.next_seq();
                     if !self.send_to(i, seq, BackendOp::InsertWithKey(key, rec)) {
                         return Err(Error::Unavailable(format!("backend {i} died during recovery")));
@@ -1608,26 +1175,21 @@ impl Controller {
                 }
             }
         }
-        self.log_append(LogRecord::RestartEnd { backend: i })
+        self.state.log_append(LogRecord::RestartEnd { backend: i })
     }
 
     // --- Elastic membership: online backend add / drain -------------
 
-    /// True when no membership change is in flight.
-    fn rebalance_idle(&self) -> bool {
-        self.rebalancer.is_idle() && !self.unwrapping && self.draining.is_empty()
-    }
-
     /// Group moves still queued (0 = the cluster is in its goal
     /// placement).
     pub fn rebalance_pending(&self) -> usize {
-        self.rebalancer.pending()
+        self.state.rebalancer.pending()
     }
 
     /// Bound the group moves piggybacked on each foreground request
     /// (floored at 1) — the knob experiment E21 sweeps.
     pub fn set_rebalance_throttle(&mut self, throttle: usize) {
-        self.rebalancer.set_throttle(throttle);
+        self.state.rebalancer.set_throttle(throttle);
     }
 
     /// Bound the records relocated per move bracket (floored at 1).
@@ -1640,7 +1202,7 @@ impl Controller {
 
     /// Backends currently being drained, ascending.
     pub fn draining_backends(&self) -> Vec<usize> {
-        self.draining.iter().copied().collect()
+        self.state.draining.iter().copied().collect()
     }
 
     /// Add one backend to the live cluster and rebalance onto it
@@ -1653,20 +1215,8 @@ impl Controller {
     ///
     /// Refused while another membership change is still rebalancing.
     pub fn add_backend(&mut self) -> Result<usize> {
-        if !self.rebalance_idle() {
-            return Err(Error::Unavailable(
-                "a rebalance is already in progress; finish it before another membership change"
-                    .into(),
-            ));
-        }
-        let i = self.backends.len();
-        // Durable goal first (the `restart-begin` discipline): a crash
-        // anywhere past this append recovers into the widened cluster
-        // and re-plans the remaining moves.
-        self.log_append(LogRecord::AddBackend { backend: i })?;
-        self.grow_cluster(i + 1)?;
-        self.unwrapping = true;
-        self.replan_add(i);
+        let i = self.state.begin_add()?;
+        self.adopt_missing_backends(i + 1)?;
         self.maybe_snapshot();
         Ok(i)
     }
@@ -1684,63 +1234,10 @@ impl Controller {
     /// rebalancing. Re-draining an already-draining backend is a no-op
     /// (recovery re-plans the remaining moves itself).
     pub fn drain_backend(&mut self, i: usize) -> Result<()> {
-        if i >= self.backends.len() {
-            return Err(Error::Internal(format!("no such backend {i}")));
+        if self.state.begin_drain(i)? {
+            self.maybe_snapshot();
         }
-        if self.draining.contains(&i) {
-            return Ok(());
-        }
-        if !self.health.is_serving(i) {
-            return Err(Error::Unavailable(format!("backend {i} is not serving")));
-        }
-        if !self.rebalance_idle() {
-            return Err(Error::Unavailable(
-                "a rebalance is already in progress; finish it before another membership change"
-                    .into(),
-            ));
-        }
-        if self.health.serving_count() <= self.replication {
-            return Err(Error::Unavailable(format!(
-                "draining backend {i} would leave fewer serving backends than replication {}",
-                self.replication
-            )));
-        }
-        self.log_append(LogRecord::DrainBegin { backend: i })?;
-        self.draining.insert(i);
-        self.replan_drain(i);
-        self.maybe_snapshot();
         Ok(())
-    }
-
-    /// Perform one queued rebalance job (one move *chunk*, or a finish
-    /// marker). `Ok(true)` = a job ran; `Ok(false)` = the queue is
-    /// empty. A move with chunks still to go — and any failed job —
-    /// goes back to the *front* of the queue, so a `FinishAdd` /
-    /// `FinishDrain` marker can never overtake the moves it commits.
-    /// Planning is state-based, so retrying a failed job later is
-    /// always safe.
-    pub fn rebalance_step(&mut self) -> Result<bool> {
-        let Some(job) = self.rebalancer.pop() else { return Ok(false) };
-        let result = match &job {
-            MoveJob::Move { from, to } => {
-                let (from, to) = (from.clone(), to.clone());
-                self.move_group(&from, &to).map(|done| !done)
-            }
-            MoveJob::FinishAdd { backend } => self.finish_add(*backend).map(|()| false),
-            MoveJob::FinishDrain { backend } => self.finish_drain(*backend).map(|()| false),
-        };
-        match result {
-            Ok(more_chunks) => {
-                if more_chunks {
-                    self.rebalancer.requeue(job);
-                }
-                Ok(true)
-            }
-            Err(e) => {
-                self.rebalancer.requeue(job);
-                Err(e)
-            }
-        }
     }
 
     /// Drain the rebalance queue synchronously — the blocking endgame
@@ -1754,149 +1251,62 @@ impl Controller {
         Ok(())
     }
 
-    /// Work off up to `throttle` queued jobs behind a foreground
-    /// request; an error is stashed for the next `execute` (the job
-    /// stays queued).
-    fn pump_rebalance(&mut self) {
-        for _ in 0..self.rebalancer.throttle() {
-            match self.rebalance_step() {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    self.pending_error.get_or_insert(e);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Spawn backends until the cluster is `new_n` wide, growing every
-    /// per-backend structure alongside (health board, placement ring,
-    /// residency vectors, probe counters, shared bus/process tables).
-    /// The new store replays the schema so later record loads land in
-    /// existing files.
-    fn grow_cluster(&mut self, new_n: usize) -> Result<()> {
-        while self.backends.len() < new_n {
-            self.spawn_join_backend()?;
-            self.partitioner.grow(self.backends.len());
-            for counts in self.resident.values_mut() {
-                counts.push(0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Spawn backends until the cluster matches the width a standby's
-    /// mirror reached — promotion's membership reconciliation. An
-    /// `add-backend` record can ship while the primary dies before
+    /// Spawn workers until `target` backends are up: an online add
+    /// (the cluster state was widened first), the replay of an
+    /// `add-backend` record, and promotion's membership reconciliation
+    /// — an `add-backend` record can ship while the primary dies before
     /// spawning the worker, leaving the shared bus one slot short; the
-    /// mirror's placement ring and residency vectors already account
-    /// for the backend (and no move can have landed data on it — the
-    /// crash preceded the spawn), so only the worker itself is missing.
-    pub(crate) fn adopt_missing_backends(&mut self, target: usize) -> Result<()> {
+    /// mirror's state already accounts for the backend (and no move can
+    /// have landed data on it — the crash preceded the spawn), so only
+    /// the worker itself is missing.
+    fn adopt_missing_backends(&mut self, target: usize) -> Result<()> {
         while self.backends.len() < target {
             self.spawn_join_backend()?;
         }
         Ok(())
     }
 
-    /// The transport half of [`grow_cluster`](Self::grow_cluster):
-    /// spawn worker `backends.len()` (thread, or `mbds-backend`
-    /// process on the socket transport), wire it onto the shared bus
-    /// and process tables, grow the health board and probe counters,
-    /// and replay the schema into its empty store. Leaves the
-    /// placement ring and residency vectors alone — callers widening
-    /// the ring grow those; promotion inherits them from the mirror.
+    /// Spawn worker `backends.len()` (thread, or `mbds-backend` process
+    /// on the socket transport), wire it onto the shared bus and
+    /// process tables, grow the probe counters, and replay the schema
+    /// into its empty store. The cluster state (health board, placement
+    /// ring, residency vectors) already holds the backend.
     fn spawn_join_backend(&mut self) -> Result<()> {
-        {
-            let i = self.backends.len();
-            if let Some(shared) = self.net.clone() {
-                let bp = net::spawn_backend_process(i)?;
-                let mut link = TcpLink::new(i, bp.addr, self.client_id, Arc::clone(&shared.plan));
-                link.connect(self.epoch, self.reply_timeout).map_err(|e| {
-                    Error::Internal(format!(
-                        "added backend {i} at {} refused the handshake: {e:?}",
-                        bp.addr
-                    ))
-                })?;
-                shared.addrs.lock().expect("net addrs lock").push(bp.addr);
-                shared.children.lock().expect("net children lock").push(Some(bp.child));
-                self.backends.push(BackendHandle::remote(link));
-                self.bus.lock().expect("bus lock").push(self.backends[i].tx.clone());
-                let plan = self.faults.lock().expect("fault plan lock").clone();
-                if !plan.is_empty() {
-                    self.push_faults_tcp(i, &plan);
-                }
-            } else {
-                let handle = spawn_backend(i, Arc::clone(&self.fence), Arc::clone(&self.faults));
-                self.bus.lock().expect("bus lock").push(handle.tx.clone());
-                self.backends.push(handle);
+        let i = self.backends.len();
+        if let Some(shared) = self.net.clone() {
+            let bp = net::spawn_backend_process(i)?;
+            let mut link = TcpLink::new(i, bp.addr, self.client_id, Arc::clone(&shared.plan));
+            link.connect(self.epoch, self.reply_timeout).map_err(|e| {
+                Error::Internal(format!(
+                    "added backend {i} at {} refused the handshake: {e:?}",
+                    bp.addr
+                ))
+            })?;
+            shared.addrs.lock().expect("net addrs lock").push(bp.addr);
+            shared.children.lock().expect("net children lock").push(Some(bp.child));
+            self.backends.push(BackendHandle::remote(link));
+            self.bus.lock().expect("bus lock").push(self.backends[i].tx.clone());
+            let plan = self.faults.lock().expect("fault plan lock").clone();
+            if !plan.is_empty() {
+                self.push_faults_tcp(i, &plan);
             }
-            self.health.grow();
-            self.read_probes_by_backend.push(0);
-            for file in self.files.clone() {
-                let seq = self.next_seq();
-                if !self.send_to(i, seq, BackendOp::CreateFile(file)) {
-                    return Err(Error::Unavailable(format!("backend {i} died while joining")));
-                }
-                if self.recv_reply(i, seq).is_none() {
-                    return Err(Error::Unavailable(format!("backend {i} died while joining")));
-                }
-            }
-            self.degraded_dirty = true;
+        } else {
+            let handle = spawn_backend(i, Arc::clone(&self.fence), Arc::clone(&self.faults));
+            self.bus.lock().expect("bus lock").push(handle.tx.clone());
+            self.backends.push(handle);
         }
+        self.read_probes_by_backend.push(0);
+        for file in self.state.files.clone() {
+            let seq = self.next_seq();
+            if !self.send_to(i, seq, BackendOp::CreateFile(file)) {
+                return Err(Error::Unavailable(format!("backend {i} died while joining")));
+            }
+            if self.recv_reply(i, seq).is_none() {
+                return Err(Error::Unavailable(format!("backend {i} died while joining")));
+            }
+        }
+        self.degraded_dirty = true;
         Ok(())
-    }
-
-    /// Queue the unwrap moves for the add of backend `added` plus the
-    /// `add-end` marker. Pure in the directory state — see
-    /// [`rebalance::plan_unwrap`].
-    fn replan_add(&mut self, added: usize) {
-        let new_n = self.backends.len();
-        let moves = rebalance::plan_unwrap(
-            self.directory.groups_in_use().map(|g| g.to_vec()),
-            added,
-            new_n,
-        );
-        for (from, to) in moves {
-            self.rebalancer.push(MoveJob::Move { from, to });
-        }
-        self.rebalancer.push(MoveJob::FinishAdd { backend: new_n - 1 });
-    }
-
-    /// Queue the moves that vacate draining backend `i` plus the
-    /// `drain-end` marker. Pure in the directory state — see
-    /// [`rebalance::plan_drain`].
-    fn replan_drain(&mut self, i: usize) {
-        let n = self.backends.len();
-        let health = &self.health;
-        let draining = &self.draining;
-        let moves = rebalance::plan_drain(
-            self.directory.groups_in_use().map(|g| g.to_vec()),
-            i,
-            n,
-            |b| health.is_serving(b) && !draining.contains(&b),
-        );
-        for (from, to) in moves {
-            self.rebalancer.push(MoveJob::Move { from, to });
-        }
-        self.rebalancer.push(MoveJob::FinishDrain { backend: i });
-    }
-
-    /// Re-derive the whole rebalance queue from durable state — called
-    /// after recovery replay and after standby promotion. Moves that
-    /// committed before the crash no longer match the planners'
-    /// predicates and drop out; the rest are re-queued.
-    pub(crate) fn replan_rebalance(&mut self) {
-        self.rebalancer.clear();
-        let n = self.backends.len();
-        if self.unwrapping && n > 1 {
-            self.replan_add(n - 1);
-        }
-        let draining: Vec<usize> = self.draining.iter().copied().collect();
-        for i in draining {
-            self.replan_drain(i);
-        }
     }
 
     /// Finish a move chunk a crashed primary began but never committed
@@ -1912,7 +1322,7 @@ impl Controller {
     /// crashed primary never began are *not* healed here: the group
     /// still matches the state-based plan and `replan_rebalance`
     /// requeues the rest of the move.
-    pub(crate) fn finish_interrupted_move(
+    fn finish_interrupted_move(
         &mut self,
         from: &[usize],
         to: &[usize],
@@ -1922,11 +1332,7 @@ impl Controller {
             return Ok(());
         }
         let keys: Vec<DbKey> = keys.iter().map(|&k| DbKey(k)).collect();
-        self.wal_begin_batch();
-        let result = self.heal_move_inner(from, to, &keys);
-        let flush = self.wal_commit_batch();
-        result?;
-        flush?;
+        self.batched(|c| c.heal_move_inner(from, to, &keys))?;
         self.degraded_dirty = true;
         Ok(())
     }
@@ -1939,18 +1345,14 @@ impl Controller {
     /// from the mirror, so only the physical copy and delete are
     /// redone.
     fn heal_move_inner(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) -> Result<()> {
-        self.log_append(LogRecord::MoveBegin {
-            from: from.to_vec(),
-            to: to.to_vec(),
-            keys: keys.iter().map(|k| k.0).collect(),
-        })?;
+        self.state.log_move_begin(from, to, keys)?;
         let removed: Vec<usize> = from.iter().copied().filter(|m| !to.contains(m)).collect();
         // Any member of either group may hold the only surviving copy.
         let mut sources: Vec<usize> = from
             .iter()
             .chain(to.iter())
             .copied()
-            .filter(|&m| self.health.is_serving(m))
+            .filter(|&m| self.state.health.is_serving(m))
             .collect();
         sources.sort_unstable();
         sources.dedup();
@@ -1958,103 +1360,28 @@ impl Controller {
         for (key, rec) in &moved {
             let bytes = rec.to_string().len() as u64;
             for &m in to {
-                if !self.health.is_serving(m) {
+                if !self.state.health.is_serving(m) {
                     continue;
                 }
                 self.load_replica(m, *key, rec)?;
                 self.totals.move_bytes += bytes;
             }
         }
-        if !removed.is_empty() {
-            let seq = self.next_seq();
-            let mut sent = Vec::new();
-            for &m in &removed {
-                if self.health.is_serving(m)
-                    && self.send_to(m, seq, BackendOp::DeleteKeys(keys.to_vec()))
-                {
-                    sent.push(m);
-                }
-            }
-            for m in sent {
-                let _ = self.recv_reply(m, seq);
-            }
-        }
+        self.delete_keys(&removed, keys);
         // Usually a no-op (the mirror already committed the chunk);
         // kept so the bracket converges from either directory shape.
-        self.commit_chunk_placement(from, to, keys);
-        self.log_append(LogRecord::MoveEnd { from: from.to_vec(), to: to.to_vec() })
-    }
-
-    /// Relocate one *chunk* (up to `move_chunk` records) of replica
-    /// group `from` to `to`: the unit of online rebalance.
-    /// WAL-bracketed (`move-begin` … `move-end` in one group commit)
-    /// and idempotent — replaying the bracket against any intermediate
-    /// state converges to the same placement, and a `from` group
-    /// nothing points at is a silent no-op. Returns `Ok(true)` when the
-    /// group is fully vacated, `Ok(false)` when more chunks remain (the
-    /// caller requeues the move at the *front* of the queue).
-    ///
-    /// Reads are never served from a half-moved chunk: the directory
-    /// commit is the *last* effect before the end marker, so routing
-    /// answers from the old (complete) placement during the copy and
-    /// from the new (complete) placement after — per key for mid-group
-    /// chunks, per group for the final one.
-    fn move_group(&mut self, from: &[usize], to: &[usize]) -> Result<bool> {
-        // The group's key list is scanned once and cursored across
-        // chunks — rescanning the whole directory per chunk would put
-        // an O(keys) walk behind every foreground request. Keys the
-        // cursor hands back are re-validated against the live directory
-        // (a foreground delete may have unbound them since the scan).
-        let mut pending = match self.move_cursor.take() {
-            Some((group, pending)) if group == from => pending,
-            _ => self.directory.keys_of_group(from),
-        };
-        let mut keys = Vec::with_capacity(self.move_chunk.min(pending.len()));
-        let mut consumed = 0;
-        for key in &pending {
-            if keys.len() == self.move_chunk {
-                break;
-            }
-            consumed += 1;
-            if self.directory.get(key).is_some_and(|g| g == from) {
-                keys.push(*key);
-            }
-        }
-        pending.drain(..consumed);
-        if keys.is_empty() {
-            return Ok(true);
-        }
-        self.wal_begin_batch();
-        let result = self.move_group_inner(from, to, &keys);
-        let flush = self.wal_commit_batch();
-        // On failure the cursor stays cleared: the retry rescans, so
-        // the chunk drained above is not lost.
-        result?;
-        flush?;
-        self.degraded_dirty = true;
-        // Foreground inserts may have bound fresh keys to the group
-        // after the scan; the refcount check catches them (the next
-        // step rescans), where trusting the cursor would strand them.
-        let done = pending.is_empty() && self.directory.group_live_entries(from) == 0;
-        if !pending.is_empty() {
-            self.move_cursor = Some((from.to_vec(), pending));
-        }
-        Ok(done)
+        self.state.end_move(from, to, keys, &mut self.totals)
     }
 
     fn move_group_inner(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) -> Result<()> {
-        self.log_append(LogRecord::MoveBegin {
-            from: from.to_vec(),
-            to: to.to_vec(),
-            keys: keys.iter().map(|k| k.0).collect(),
-        })?;
+        self.state.log_move_begin(from, to, keys)?;
         let added: Vec<usize> = to.iter().copied().filter(|m| !from.contains(m)).collect();
         let removed: Vec<usize> = from.iter().copied().filter(|m| !to.contains(m)).collect();
         // Pull one surviving copy of each chunk record from the group's
         // serving members — key-scoped, so a chunk costs O(chunk) at
         // the backends, never a file scan.
         let sources: Vec<usize> =
-            from.iter().copied().filter(|&m| self.health.is_serving(m)).collect();
+            from.iter().copied().filter(|&m| self.state.health.is_serving(m)).collect();
         let moved = self.fetch_records(&sources, keys)?;
         // Copy to the members the move adds — pipelined: every insert
         // of the chunk is in flight before the first ack is awaited,
@@ -2063,7 +1390,7 @@ impl Controller {
         for (key, rec) in &moved {
             let bytes = rec.to_string().len() as u64;
             for &m in &added {
-                if !self.health.is_serving(m) {
+                if !self.state.health.is_serving(m) {
                     continue;
                 }
                 let seq = self.next_seq();
@@ -2072,10 +1399,7 @@ impl Controller {
                 }
                 self.totals.move_bytes += bytes;
             }
-            if let Some(file) = rec.file().map(str::to_owned) {
-                self.resident_add(&file, &added);
-                self.resident_remove(&file, &removed);
-            }
+            self.state.resident_move(rec, &added, &removed);
         }
         for (m, seq) in acks {
             if let Some(result) = self.recv_reply(m, seq) {
@@ -2084,45 +1408,30 @@ impl Controller {
         }
         // … physically remove from the members it abandons (a stale
         // copy would be resurrected by the next broadcast read) …
-        if !removed.is_empty() {
-            let seq = self.next_seq();
-            let mut sent = Vec::new();
-            for &m in &removed {
-                if self.health.is_serving(m)
-                    && self.send_to(m, seq, BackendOp::DeleteKeys(keys.to_vec()))
-                {
-                    sent.push(m);
-                }
-            }
-            for m in sent {
-                let _ = self.recv_reply(m, seq);
-            }
-        }
+        self.delete_keys(&removed, keys);
         // … and only then commit the new placement: reads routed before
         // this line saw the complete old group, reads after see the
         // complete new one.
-        self.commit_chunk_placement(from, to, keys);
-        self.log_append(LogRecord::MoveEnd { from: from.to_vec(), to: to.to_vec() })
+        self.state.end_move(from, to, keys, &mut self.totals)
     }
 
-    /// Commit a chunk's placement switch: per-key rebinds while the
-    /// group still holds keys outside the chunk, a whole-group retarget
-    /// when this chunk empties it. Every redo path — live move, cold
-    /// replay, the standby mirror, promotion heal — commits through
-    /// here, so they all converge on byte-identical directory state.
-    fn commit_chunk_placement(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) {
-        // "Does the group hold keys beyond this chunk?" via the interned
-        // refcounts — O(chunk), where comparing key lists would rescan
-        // the whole directory on every bracket.
-        let live_in_chunk =
-            keys.iter().filter(|k| self.directory.get(k).is_some_and(|g| g == from)).count();
-        let remaining = self.directory.group_live_entries(from) > live_in_chunk as u64;
-        if remaining {
-            for key in keys {
-                self.directory.insert(*key, to.to_vec());
+    /// Physically remove `keys` from the serving `members` a move
+    /// abandons, in one round.
+    fn delete_keys(&mut self, members: &[usize], keys: &[DbKey]) {
+        if members.is_empty() {
+            return;
+        }
+        let seq = self.next_seq();
+        let mut sent = Vec::new();
+        for &m in members {
+            if self.state.health.is_serving(m)
+                && self.send_to(m, seq, BackendOp::DeleteKeys(keys.to_vec()))
+            {
+                sent.push(m);
             }
-        } else if self.directory.retarget(from, to.to_vec()) > 0 {
-            self.totals.groups_moved += 1;
+        }
+        for m in sent {
+            let _ = self.recv_reply(m, seq);
         }
     }
 
@@ -2164,23 +1473,6 @@ impl Controller {
         }
     }
 
-    /// Commit an online add: every unwrap move is done.
-    fn finish_add(&mut self, backend: usize) -> Result<()> {
-        self.log_append(LogRecord::AddEnd { backend })?;
-        self.unwrapping = false;
-        Ok(())
-    }
-
-    /// Retire a drained backend: every group containing it has moved
-    /// off, so shut it down. `drain-end` (not `dead`) records the
-    /// retirement — the store it takes down holds no current replica.
-    fn finish_drain(&mut self, backend: usize) -> Result<()> {
-        self.log_append(LogRecord::DrainEnd { backend })?;
-        self.draining.remove(&backend);
-        self.shutdown_backend(backend);
-        Ok(())
-    }
-
     /// A deterministic rendering of the controller's *logical* contents
     /// — allocator high-water mark, schema, constraints and records —
     /// with all placement detail (groups, rotors, dead set, membership)
@@ -2188,8 +1480,7 @@ impl Controller {
     /// produce equal logical digests; this is what the elastic-vs-static
     /// acceptance check compares.
     pub fn logical_digest(&mut self) -> Result<String> {
-        let snap = self.snapshot_data()?;
-        Ok(logical_digest_of(&snap))
+        Ok(logical_digest_of(&self.snapshot()?))
     }
 
     /// Fallible file creation: sends the create through the health
@@ -2198,13 +1489,13 @@ impl Controller {
     /// `restart_backend` replays the schema into them, so live stores
     /// never diverge.
     pub fn try_create_file(&mut self, name: &str) -> Result<()> {
-        if !self.files.iter().any(|f| f == name) {
-            self.files.push(name.to_owned());
+        if !self.state.files.iter().any(|f| f == name) {
+            self.state.files.push(name.to_owned());
         }
         let seq = self.next_seq();
         let mut sent = Vec::new();
         for i in 0..self.backends.len() {
-            if self.health.is_serving(i)
+            if self.state.health.is_serving(i)
                 && self.send_to(i, seq, BackendOp::CreateFile(name.to_owned()))
             {
                 sent.push(i);
@@ -2221,7 +1512,7 @@ impl Controller {
                 "no live backend acknowledged CREATE FILE `{name}`"
             )));
         }
-        self.log_append(LogRecord::CreateFile { name: name.to_owned() })?;
+        self.state.log_append(LogRecord::CreateFile { name: name.to_owned() })?;
         self.maybe_snapshot();
         Ok(())
     }
@@ -2237,7 +1528,7 @@ impl Controller {
     /// alive set the live run saw.
     fn note_dead(&mut self, i: usize) {
         self.degraded_dirty = true;
-        self.log_append_stashing(LogRecord::Dead { backend: i });
+        self.state.log_append_stashing(LogRecord::Dead { backend: i });
     }
 
     /// Send an operation to backend `i`; a closed channel (or an
@@ -2255,7 +1546,7 @@ impl Controller {
             op,
         };
         if self.backends[i].tx.send(env).is_err() {
-            self.health.channel_closed(i);
+            self.state.health.channel_closed(i);
             self.note_dead(i);
             return false;
         }
@@ -2297,7 +1588,7 @@ impl Controller {
     /// abandon its window, so no seq sent on it is retransmitted later.
     fn give_up_tcp(&mut self, i: usize) {
         self.backends[i].window.clear();
-        self.health.channel_closed(i);
+        self.state.health.channel_closed(i);
         self.note_dead(i);
     }
 
@@ -2312,13 +1603,13 @@ impl Controller {
         loop {
             match self.backends[i].rx.recv_timeout(self.reply_timeout) {
                 Ok(reply) if reply.seq == seq => {
-                    self.health.reply_received(i);
+                    self.state.health.reply_received(i);
                     return Some(reply.result);
                 }
                 Ok(_) => continue, // stale reply from a timed-out round
                 Err(RecvTimeoutError::Timeout) => {
                     self.totals.reply_timeouts += 1;
-                    match self.health.missed_reply(i) {
+                    match self.state.health.missed_reply(i) {
                         BackendState::Suspect => continue,
                         _ => {
                             self.note_dead(i);
@@ -2327,7 +1618,7 @@ impl Controller {
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    self.health.channel_closed(i);
+                    self.state.health.channel_closed(i);
                     self.note_dead(i);
                     return None;
                 }
@@ -2352,19 +1643,19 @@ impl Controller {
         }
         if let Some(frame) = window.early.remove(&seq) {
             window.unacked.remove(&seq);
-            self.health.reply_received(i);
+            self.state.health.reply_received(i);
             return Some(decode_reply(&frame));
         }
         loop {
             match self.await_window_tcp(i, seq) {
                 Ok(Some(result)) => {
                     self.backends[i].window.unacked.remove(&seq);
-                    self.health.reply_received(i);
+                    self.state.health.reply_received(i);
                     return Some(result);
                 }
                 Ok(None) => {
                     self.totals.reply_timeouts += 1;
-                    match self.health.missed_reply(i) {
+                    match self.state.health.missed_reply(i) {
                         BackendState::Suspect => continue,
                         _ => {
                             self.backends[i].window.clear();
@@ -2474,195 +1765,23 @@ impl Controller {
         window.unacked.values().all(|frame| queue_redialing(link, frame, epoch, dial))
     }
 
-    /// Broadcast a request to every serving backend — the unscoped
-    /// [`Controller::send_round`].
-    fn broadcast(&mut self, request: &Request) -> Result<Response> {
-        self.send_round(request, None)
-    }
-
-    /// Send a request to one round of backends (`None` = every serving
-    /// backend, the broadcast path; `Some` = a routed subset), merge
-    /// and dedup the partial responses, and retry-tolerate failures: a
-    /// backend dying mid-round only removes its partial answer (the
-    /// merged result stays correct as long as each record has a live
-    /// replica, which `degraded` reports). All in-flight replies are
-    /// drained before any error is returned, so the per-backend reply
-    /// queues never desynchronize. An empty routed target set answers
-    /// immediately with an empty response — exactly what a broadcast
-    /// would have merged.
-    fn send_round(&mut self, request: &Request, targets: Option<&[usize]>) -> Result<Response> {
-        if targets.is_some() && self.health.serving_count() == 0 {
-            return Err(Error::Unavailable("no live backends".into()));
-        }
-        let seq = self.next_seq();
-        let mut sent = Vec::new();
-        match targets {
-            None => {
-                for i in 0..self.backends.len() {
-                    if self.health.is_serving(i)
-                        && self.send_to(i, seq, BackendOp::Exec(request.clone()))
-                    {
-                        sent.push(i);
-                    }
-                }
-                if sent.is_empty() {
-                    return Err(Error::Unavailable("no live backends".into()));
-                }
-            }
-            Some(targets) => {
-                for &i in targets {
-                    if self.health.is_serving(i)
-                        && self.send_to(i, seq, BackendOp::Exec(request.clone()))
-                    {
-                        sent.push(i);
-                    }
-                }
-            }
-        }
-        let mut merged = Response::default();
-        let mut first_err = None;
-        for i in sent {
-            match self.recv_reply(i, seq) {
-                Some(Ok(resp)) => merged.merge(resp),
-                // Keep draining the other backends' replies even after
-                // an error — bailing early would leave stale replies
-                // desynchronizing the next round.
-                Some(Err(e)) if first_err.is_none() => first_err = Some(e),
-                Some(Err(_)) => {}
-                None => {} // dead mid-round; survivors carry the answer
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        merged.dedup_by_key();
-        Ok(merged)
-    }
-
-    /// The backends worth contacting for `query`: the union, over its
-    /// disjuncts, of either (a) the replica groups of the keys a fully
-    /// pinned unique group names (key-scoped), or (b) the backends the
-    /// directory says hold records of the disjunct's file. `None` means
-    /// the query cannot be scoped (routing disabled, or some disjunct
-    /// names no file) and the caller must broadcast.
-    fn route_targets(&self, query: &abdl::Query) -> Option<Vec<usize>> {
-        if !self.scoped_routing {
-            return None;
-        }
-        let mut targets = BTreeSet::new();
-        for conj in &query.disjuncts {
-            let file = conj.file()?;
-            if let Some(keys) = self.unique_candidates(file, conj) {
-                for k in keys {
-                    if let Some(group) = self.directory.get(&k) {
-                        targets.extend(group.iter().copied());
-                    }
-                }
-            } else if let Some(counts) = self.resident.get(file) {
-                targets.extend(
-                    counts.iter().enumerate().filter(|&(_, &c)| c > 0).map(|(i, _)| i),
-                );
-            }
-            // A file nobody holds contributes no targets.
-        }
-        Some(targets.into_iter().collect())
-    }
-
-    /// Key-scoped fast path: when a conjunction pins every attribute of
-    /// some `DUPLICATES ARE NOT ALLOWED` group with an equality
-    /// predicate, the unique index names the only keys that can match
-    /// (further predicates can only narrow the answer, never widen it).
-    fn unique_candidates(&self, file: &str, conj: &abdl::Conjunction) -> Option<Vec<DbKey>> {
-        let groups = self.unique_groups.get(file)?;
-        for (gi, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let tuple: Option<Vec<Value>> = group
-                .iter()
-                .map(|a| {
-                    conj.predicates
-                        .iter()
-                        .find(|p| p.attr == *a && p.op == RelOp::Eq)
-                        .map(|p| p.value.clone())
-                })
-                .collect();
-            let Some(tuple) = tuple else { continue };
-            let keys = self
-                .unique_index
-                .get(&(file.to_owned(), gi))
-                .and_then(|m| m.get(tuple.as_slice()))
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            return Some(keys);
-        }
-        None
-    }
-
-    /// Attach health metadata to an outgoing response.
-    fn finalize(&mut self, mut resp: Response) -> Response {
-        resp.degraded = self.is_degraded();
-        resp.unavailable_backends = self.health.unavailable();
-        resp
-    }
-
     /// True when some record's whole replica group is dead.
     fn is_degraded(&mut self) -> bool {
         if self.degraded_dirty {
-            self.degraded_cache = self.compute_degraded();
+            self.degraded_cache = self.state.degraded();
             self.degraded_dirty = false;
         }
         self.degraded_cache
     }
 
-    fn compute_degraded(&self) -> bool {
-        let dead: Vec<bool> =
-            (0..self.backends.len()).map(|i| !self.health.is_serving(i)).collect();
-        // Interned groups make this O(distinct replica sets), not
-        // O(records): a group is degraded iff its every member is dead.
-        self.directory.groups_in_use().any(|group| group.iter().all(|&r| dead[r]))
-    }
-
-    /// The records currently matching `query`, deduplicated across
-    /// replicas — the *logical* affected set of a mutation, with the
-    /// pre-images the index maintenance needs.
-    fn matching_records(
-        &mut self,
-        query: &abdl::Query,
-        targets: Option<&[usize]>,
-    ) -> Result<Vec<(DbKey, Record)>> {
-        let resp = self.send_round(&Request::retrieve_all(query.clone()), targets)?;
-        Ok(resp.into_records())
-    }
-
-    fn check_unique(&mut self, record: &Record) -> Result<()> {
+    /// The legacy uniqueness check behind `set_unique_via_index(false)`
+    /// (the E15 ablation baseline): a broadcast retrieve probe per fully
+    /// present constraint group before every INSERT.
+    fn probe_unique(&mut self, record: &Record) -> Result<()> {
         let Some(file) = record.file() else {
             return Err(Error::MissingFileKeyword);
         };
-        let Some(groups) = self.unique_groups.get(file).cloned() else { return Ok(()) };
-        if self.unique_via_index {
-            // Every insert flows through this controller, so the index
-            // is exact: one map lookup replaces a full-cluster retrieve
-            // probe (and, unlike the probe, still sees records whose
-            // replicas are all currently down).
-            let file = file.to_owned();
-            for (gi, group) in groups.iter().enumerate() {
-                if !group.iter().all(|a| record.get(a).is_some()) {
-                    continue;
-                }
-                let tuple = Controller::group_tuple(record, group);
-                let hit = self
-                    .unique_index
-                    .get(&(file.clone(), gi))
-                    .and_then(|m| m.get(&tuple))
-                    .is_some_and(|keys| !keys.is_empty());
-                if hit {
-                    return Err(Error::DuplicateKey { file, attrs: group.clone() });
-                }
-            }
-            return Ok(());
-        }
-        // Legacy pre-insert broadcast probe (the E15 ablation baseline).
+        let Some(groups) = self.state.unique_groups.get(file).cloned() else { return Ok(()) };
         for group in groups {
             if !group.iter().all(|a| record.get(a).is_some()) {
                 continue;
@@ -2676,86 +1795,10 @@ impl Controller {
             );
             let hits = self.broadcast(&Request::retrieve_all(query))?;
             if !hits.records().is_empty() {
-                return Err(Error::DuplicateKey { file: file.to_owned(), attrs: group.clone() });
+                return Err(Error::DuplicateKey { file: file.to_owned(), attrs: group });
             }
         }
         Ok(())
-    }
-
-    /// Allocate a key for an internal insert. Unlike the public
-    /// `reserve_key`, this is *not* logged on its own — the insert's
-    /// `Insert` (or `Alloc`) WAL entry carries the key.
-    fn alloc_key(&mut self) -> DbKey {
-        let key = DbKey(self.next_key);
-        self.next_key += 1;
-        key
-    }
-
-    fn insert(&mut self, record: &Record) -> Result<Response> {
-        self.check_unique(record)?;
-        let file = record.file().ok_or(Error::MissingFileKeyword)?.to_owned();
-        let key = self.alloc_key();
-        // Preferred replica group, then every other backend as fallback
-        // so a dead group member is substituted by the next live one.
-        // Replicas are written in waves: all outstanding copies are
-        // sent before any reply is awaited (send-all-then-collect, like
-        // a broadcast round), so a k-way write costs one round trip
-        // instead of k. A wave member that dies is substituted by the
-        // next serving backend along the scan in the following wave.
-        let group = self.partitioner.place_group(&file, self.replication);
-        let primary = group[0];
-        let n = self.backends.len();
-        let mut assigned = Vec::new();
-        let mut scanned = 0usize;
-        while assigned.len() < self.replication && scanned < n {
-            let want = if self.parallel_writes { self.replication - assigned.len() } else { 1 };
-            let mut wave = Vec::new();
-            while wave.len() < want && scanned < n {
-                let i = (primary + scanned) % n;
-                scanned += 1;
-                // Draining backends take no new placements: their
-                // groups are being vacated.
-                if self.health.is_serving(i) && !self.draining.contains(&i) {
-                    wave.push(i);
-                }
-            }
-            if wave.is_empty() {
-                break;
-            }
-            let seq = self.next_seq();
-            let mut sent = Vec::new();
-            for &i in &wave {
-                if self.send_to(i, seq, BackendOp::InsertWithKey(key, record.clone())) {
-                    sent.push(i);
-                }
-            }
-            let mut first_err = None;
-            for i in sent {
-                match self.recv_reply(i, seq) {
-                    Some(Ok(_)) => assigned.push(i),
-                    // Drain the whole wave before erroring so reply
-                    // queues stay synchronized.
-                    Some(Err(e)) if first_err.is_none() => first_err = Some(e),
-                    Some(Err(_)) => {}
-                    None => {} // died mid-insert; the next wave substitutes
-                }
-            }
-            if let Some(e) = first_err {
-                // Key and rotor step are consumed even though the
-                // insert failed; log that so recovery agrees.
-                self.log_append(LogRecord::Alloc { key: key.0, file })?;
-                return Err(e);
-            }
-        }
-        if assigned.is_empty() {
-            self.log_append(LogRecord::Alloc { key: key.0, file })?;
-            return Err(Error::Unavailable("no live backend accepted the insert".into()));
-        }
-        self.directory.insert(key, assigned.clone());
-        self.resident_add(&file, &assigned);
-        self.index_insert(key, record);
-        self.log_append(LogRecord::Insert { key: key.0, group: assigned, record: record.clone() })?;
-        Ok(Response::with_affected(1, Default::default()))
     }
 
     /// Execute a flight of pairwise non-conflicting inserts and
@@ -2854,24 +1897,16 @@ impl Controller {
     }
 
     /// Phase-1 bookkeeping and first replica wave for one insert
-    /// flight member — the staging half of [`Controller::insert`].
+    /// flight member — the staging half of `insert`.
     fn stage_insert(&mut self, record: &Record) -> Result<StagedInsert> {
-        self.check_unique(record)?;
+        // Flights stage only with the index-based unique check on.
+        self.state.check_unique(record)?;
         let file = record.file().map(str::to_owned).ok_or(Error::MissingFileKeyword)?;
-        let n = self.backends.len();
-        let key = self.alloc_key();
-        let group = self.partitioner.place_group(&file, self.replication);
-        let primary = group[0];
-        let want = if self.parallel_writes { self.replication } else { 1 };
+        let key = self.state.alloc_key();
+        let primary = self.state.partitioner.place_group(&file, self.state.replication)[0];
+        let want = if self.parallel_writes { self.state.replication } else { 1 };
         let mut scanned = 0usize;
-        let mut wave = Vec::new();
-        while wave.len() < want && scanned < n {
-            let i = (primary + scanned) % n;
-            scanned += 1;
-            if self.health.is_serving(i) && !self.draining.contains(&i) {
-                wave.push(i);
-            }
-        }
+        let wave = self.state.next_wave(primary, &mut scanned, want);
         let seq = self.next_seq();
         let mut sent = Vec::new();
         let mut msgs = 0u64;
@@ -2912,9 +1947,9 @@ impl Controller {
         };
         let (targets, fallback, probe) = match self.probe_plan(query) {
             Some((first, rest)) => (Some(vec![first]), rest, true),
-            None => (self.route_targets(query), Vec::new(), false),
+            None => (self.route(query), Vec::new(), false),
         };
-        let unavailable = self.health.serving_count() == 0;
+        let unavailable = self.state.health.serving_count() == 0;
         let seq = self.next_seq();
         let mut sent = Vec::new();
         let mut msgs = 0u64;
@@ -2923,7 +1958,7 @@ impl Controller {
             Some(ts) => ts.clone(),
         };
         for i in round {
-            if self.health.is_serving(i) {
+            if self.state.health.is_serving(i) {
                 msgs += 1;
                 if self.send_to(i, seq, BackendOp::Exec(wire.clone())) {
                     sent.push(i);
@@ -2974,8 +2009,8 @@ impl Controller {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for conj in &query.disjuncts {
             let file = conj.file()?;
-            for key in self.unique_candidates(file, conj)? {
-                groups.push(self.directory.get(&key)?.to_vec());
+            for key in self.state.unique_candidates(file, conj)? {
+                groups.push(self.state.directory.get(&key)?.to_vec());
             }
         }
         // No candidate record at all: the routed round answers empty
@@ -2984,7 +2019,7 @@ impl Controller {
         let mut covering: Vec<usize> = head
             .iter()
             .copied()
-            .filter(|&i| self.health.is_serving(i) && rest.iter().all(|g| g.contains(&i)))
+            .filter(|&i| self.state.health.is_serving(i) && rest.iter().all(|g| g.contains(&i)))
             .collect();
         if covering.is_empty() {
             return None;
@@ -3001,7 +2036,7 @@ impl Controller {
     fn finish_staged_read(&mut self, request: &Request, mut s: StagedRead) -> Result<Response> {
         while s.probe && s.lost && !s.fallback.is_empty() {
             let i = s.fallback.remove(0);
-            if !self.health.is_serving(i) {
+            if !self.state.health.is_serving(i) {
                 continue;
             }
             let seq = self.next_seq();
@@ -3047,65 +2082,76 @@ impl Controller {
         Ok(out)
     }
 
-    /// Complete one flight member: substitute replicas lost to
-    /// backends dying mid-flight (the same scan `insert` continues
-    /// with), then commit the controller-side bookkeeping.
-    fn finish_staged_insert(&mut self, record: &Record, mut s: StagedInsert) -> Result<Response> {
-        if let Some(e) = s.err {
-            // Key and rotor step are consumed even though the insert
-            // failed; log that so recovery agrees.
-            self.log_append(LogRecord::Alloc { key: s.key.0, file: s.file })?;
-            return Err(e);
-        }
-        let n = self.backends.len();
-        while s.assigned.len() < self.replication && s.scanned < n {
-            let want =
-                if self.parallel_writes { self.replication - s.assigned.len() } else { 1 };
-            let mut wave = Vec::new();
-            while wave.len() < want && s.scanned < n {
-                let i = (s.primary + s.scanned) % n;
-                s.scanned += 1;
-                if self.health.is_serving(i) && !self.draining.contains(&i) {
-                    wave.push(i);
-                }
-            }
+    /// Write `record` under `key` in replica waves along the placement
+    /// scan from `primary` (resuming at `scanned`, with `assigned`
+    /// already acknowledged) until k copies are acknowledged or the
+    /// ring is exhausted, then commit the insert. Each wave's copies
+    /// are all sent before any reply is awaited (send-all-then-collect,
+    /// like a broadcast round), so a k-way write costs one round trip
+    /// instead of k; a wave member that dies is substituted by the
+    /// next serving backend in the following wave. A failed insert
+    /// still consumed its key and rotor step: that is logged
+    /// (`alloc`) so recovery agrees. Returns the messages sent.
+    fn place_replicas(
+        &mut self,
+        key: DbKey,
+        file: String,
+        record: &Record,
+        primary: usize,
+        mut scanned: usize,
+        mut assigned: Vec<usize>,
+    ) -> Result<u64> {
+        let k = self.state.replication;
+        let mut msgs = 0u64;
+        while assigned.len() < k {
+            let want = if self.parallel_writes { k - assigned.len() } else { 1 };
+            let wave = self.state.next_wave(primary, &mut scanned, want);
             if wave.is_empty() {
                 break;
             }
             let seq = self.next_seq();
             let mut sent = Vec::new();
             for &i in &wave {
-                s.msgs += 1;
-                if self.send_to(i, seq, BackendOp::InsertWithKey(s.key, record.clone())) {
+                msgs += 1;
+                if self.send_to(i, seq, BackendOp::InsertWithKey(key, record.clone())) {
                     sent.push(i);
                 }
             }
             let mut first_err = None;
             for i in sent {
                 match self.recv_reply(i, seq) {
-                    Some(Ok(_)) => s.assigned.push(i),
+                    Some(Ok(_)) => assigned.push(i),
+                    // Drain the whole wave before erroring so reply
+                    // queues stay synchronized.
                     Some(Err(e)) if first_err.is_none() => first_err = Some(e),
                     Some(Err(_)) => {}
-                    None => {}
+                    None => {} // died mid-insert; the next wave substitutes
                 }
             }
             if let Some(e) = first_err {
-                self.log_append(LogRecord::Alloc { key: s.key.0, file: s.file })?;
+                self.state.log_append(LogRecord::Alloc { key: key.0, file })?;
                 return Err(e);
             }
         }
-        if s.assigned.is_empty() {
-            self.log_append(LogRecord::Alloc { key: s.key.0, file: s.file })?;
+        if assigned.is_empty() {
+            self.state.log_append(LogRecord::Alloc { key: key.0, file })?;
             return Err(Error::Unavailable("no live backend accepted the insert".into()));
         }
-        self.directory.insert(s.key, s.assigned.clone());
-        self.resident_add(&s.file, &s.assigned);
-        self.index_insert(s.key, record);
-        self.log_append(LogRecord::Insert {
-            key: s.key.0,
-            group: s.assigned,
-            record: record.clone(),
-        })?;
+        self.state.commit_insert(key, &file, assigned, record)?;
+        Ok(msgs)
+    }
+
+    /// Complete one flight member: substitute replicas lost to
+    /// backends dying mid-flight (the same scan `insert` runs), then
+    /// commit the cluster-state bookkeeping.
+    fn finish_staged_insert(&mut self, record: &Record, mut s: StagedInsert) -> Result<Response> {
+        if let Some(e) = s.err {
+            // Key and rotor step are consumed even though the insert
+            // failed; log that so recovery agrees.
+            self.state.log_append(LogRecord::Alloc { key: s.key.0, file: s.file })?;
+            return Err(e);
+        }
+        s.msgs += self.place_replicas(s.key, s.file, record, s.primary, s.scanned, s.assigned)?;
         let mut resp = self.finalize(Response::with_affected(1, Default::default()));
         resp.messages_sent = s.msgs;
         Ok(resp)
@@ -3117,26 +2163,26 @@ impl Kernel for Controller {
         if let Err(e) = self.try_create_file(name) {
             // The trait's signature is infallible; surface the failure
             // at the caller's next fallible step instead of losing it.
-            self.pending_error.get_or_insert(e);
+            self.state.pending_error.get_or_insert(e);
         }
     }
 
     fn add_unique_constraint(&mut self, file: &str, attrs: Vec<String>) {
         self.register_unique(file, attrs.clone());
-        self.log_append_stashing(LogRecord::Unique { file: file.to_owned(), attrs });
+        self.state.log_append_stashing(LogRecord::Unique { file: file.to_owned(), attrs });
     }
 
     fn reserve_key(&mut self) -> DbKey {
-        let key = self.alloc_key();
+        let key = self.state.alloc_key();
         // Language interfaces mint entity ids through this path and
         // store them as data values; an unlogged reservation would
         // re-issue those ids after recovery.
-        self.log_append_stashing(LogRecord::ReserveKey { key: key.0 });
+        self.state.log_append_stashing(LogRecord::ReserveKey { key: key.0 });
         key
     }
 
     fn execute(&mut self, request: &Request) -> Result<Response> {
-        if let Some(e) = self.pending_error.take() {
+        if let Some(e) = self.state.pending_error.take() {
             return Err(e);
         }
         self.totals.requests += 1;
@@ -3160,12 +2206,7 @@ impl Kernel for Controller {
         // requests before a mid-transaction error are still applied and
         // still logged — the batch is a durability optimisation, not
         // atomicity.)
-        self.wal_begin_batch();
-        let result: Result<Vec<Response>> = txn.requests.iter().map(|r| self.execute(r)).collect();
-        let flush = self.wal_commit_batch();
-        let out = result?;
-        flush?;
-        Ok(out)
+        self.batched(|c| txn.requests.iter().map(|r| c.execute(r)).collect())
     }
 
     /// The conflict-scheduled, pipelined batch path: one request from
@@ -3199,7 +2240,7 @@ impl Kernel for Controller {
             return requests.iter().map(|r| self.execute(r)).collect();
         }
         self.totals.batched_requests += requests.len() as u64;
-        self.wal_begin_batch();
+        self.state.wal_begin_batch();
         let mut results = Vec::with_capacity(requests.len());
         // Staging keeps several requests in flight per backend, on the
         // channel bus and over TCP alike (each link's retransmission
@@ -3212,7 +2253,7 @@ impl Kernel for Controller {
         // (each batch member runs solo, after any move its own
         // `execute` pumps), so no staged read can overlap a directory
         // retarget.
-        let rebalancing = !self.rebalancer.is_idle();
+        let rebalancing = !self.state.rebalancer.is_idle();
         if rebalancing && self.unique_via_index {
             self.totals.rebalance_stalls += requests.len() as u64;
         }
@@ -3237,7 +2278,7 @@ impl Kernel for Controller {
                 if !flyable {
                     break;
                 }
-                let fp = Footprint::of(&requests[j], &self.unique_groups);
+                let fp = Footprint::of(&requests[j], &self.state.unique_groups);
                 // A broadcast *write* cannot be staged at all; a
                 // broadcast read can ride a read-only flight (read
                 // pairs always commute; any write next to it is a
@@ -3278,50 +2319,21 @@ impl Kernel for Controller {
                 i += 1;
             }
         }
-        if let Err(e) = self.wal_commit_batch() {
-            // The batch's log records never reached the store (a
-            // promotion fenced this controller mid-batch, or the sync
-            // failed). Acknowledging the writes anyway would hand the
-            // sessions a success the promoted lineage has never heard
-            // of — the model checker's `ack-despite-failed-flush`
-            // counterexample is exactly that: write → backend-write →
-            // wal-append → promote-fence → flush, and the acked write
-            // is not durable. Retract every mutating result in the
-            // batch; reads saw committed state and stand.
-            for (req, result) in requests.iter().zip(results.iter_mut()) {
-                let mutating = matches!(
-                    req,
-                    Request::Insert { .. } | Request::Delete { .. } | Request::Update { .. }
-                );
-                if mutating && result.is_ok() {
-                    *result = Err(e.clone());
-                }
-            }
-            self.pending_error.get_or_insert(e);
-        }
+        self.state.commit_batch_results(requests, &mut results);
         self.maybe_snapshot();
         results
     }
 
     fn exec_totals(&self) -> ExecTotals {
-        let mut totals = self.totals;
-        if let Some(wal) = self.wal.as_ref() {
-            let WalStats { appends, batches, syncs, snapshot_installs, max_batch } = wal.stats();
-            totals.wal_appends = appends;
-            totals.wal_batches = batches;
-            totals.wal_syncs = syncs;
-            totals.wal_snapshots = snapshot_installs;
-            totals.wal_max_batch = max_batch;
-        }
-        totals
+        self.state.with_wal_stats(self.totals)
     }
 
     fn health(&self) -> KernelHealth {
         KernelHealth {
             backends: self.backends.len(),
-            unavailable: self.health.unavailable(),
+            unavailable: self.state.health.unavailable(),
             degraded: if self.degraded_dirty {
-                self.compute_degraded()
+                self.state.degraded()
             } else {
                 self.degraded_cache
             },
@@ -3329,111 +2341,182 @@ impl Kernel for Controller {
     }
 }
 
-impl Controller {
-    /// The request dispatcher behind [`Kernel::execute`], shared with
-    /// WAL replay (which must not re-trigger pending-error surfacing or
-    /// snapshot compaction).
-    fn execute_inner(&mut self, request: &Request) -> Result<Response> {
-        match request {
-            Request::Insert { record } => {
-                let resp = self.insert(record)?;
-                Ok(self.finalize(resp))
-            }
-            Request::Delete { query } => {
-                // Logical affected set: matching records, deduplicated
-                // across replicas, *before* the round mutates them (the
-                // pre-images also feed the index/residency bookkeeping).
-                let targets = self.route_targets(query);
-                let matched = self.matching_records(query, targets.as_deref())?;
-                let resp = self.send_round(request, targets.as_deref())?;
-                for (k, rec) in &matched {
-                    if let Some(group) = self.directory.remove(k) {
-                        if let Some(file) = rec.file().map(str::to_owned) {
-                            self.resident_remove(&file, &group);
-                        }
+impl DataPlane for Controller {
+    fn state(&mut self) -> &mut ClusterState {
+        &mut self.state
+    }
+
+    /// Send a request to one round of backends (`None` = every serving
+    /// backend, the broadcast path; `Some` = a routed subset), merge
+    /// and dedup the partial responses, and retry-tolerate failures: a
+    /// backend dying mid-round only removes its partial answer (the
+    /// merged result stays correct as long as each record has a live
+    /// replica, which `degraded` reports). All in-flight replies are
+    /// drained before any error is returned, so the per-backend reply
+    /// queues never desynchronize. An empty routed target set answers
+    /// immediately with an empty response — exactly what a broadcast
+    /// would have merged.
+    fn send_round(&mut self, request: &Request, targets: Option<&[usize]>) -> Result<Response> {
+        if targets.is_some() && self.state.health.serving_count() == 0 {
+            return Err(Error::Unavailable("no live backends".into()));
+        }
+        let seq = self.next_seq();
+        let mut sent = Vec::new();
+        match targets {
+            None => {
+                for i in 0..self.backends.len() {
+                    if self.state.health.is_serving(i)
+                        && self.send_to(i, seq, BackendOp::Exec(request.clone()))
+                    {
+                        sent.push(i);
                     }
-                    self.index_remove(*k, rec);
                 }
-                self.degraded_dirty = true;
-                self.log_append(LogRecord::Exec { request: request.clone() })?;
-                let out = Response::with_affected(matched.len(), resp.stats);
-                Ok(self.finalize(out))
-            }
-            Request::Update { query, modifier } => {
-                let targets = self.route_targets(query);
-                let matched = self.matching_records(query, targets.as_deref())?;
-                let resp = self.send_round(request, targets.as_deref())?;
-                for (k, rec) in &matched {
-                    self.index_update(*k, rec, &modifier.attr, &modifier.value);
+                if sent.is_empty() {
+                    return Err(Error::Unavailable("no live backends".into()));
                 }
-                self.log_append(LogRecord::Exec { request: request.clone() })?;
-                let out = Response::with_affected(matched.len(), resp.stats);
-                Ok(self.finalize(out))
             }
-            Request::Retrieve { query, target, by } if target.has_aggregates() => {
-                // Partial aggregates do not merge (AVG); fetch the
-                // matching records (deduplicated) and aggregate
-                // globally.
-                let targets = self.route_targets(query);
-                let rows =
-                    self.send_round(&Request::retrieve_all(query.clone()), targets.as_deref())?;
-                let mut stats = rows.stats;
-                let groups = aggregate(rows.records(), target, by.as_deref())?;
-                stats.records_returned = groups.len() as u64;
-                let mut resp = Response::with_records(Vec::new(), stats);
-                resp.groups = Some(groups);
-                Ok(self.finalize(resp))
-            }
-            Request::RetrieveCommon { left, left_attr, right, right_attr, target } => {
-                // Matching halves may live on different backends; join
-                // at the controller over the merged partials. Each half
-                // routes independently.
-                let lt = self.route_targets(left);
-                let l = self.send_round(&Request::retrieve_all(left.clone()), lt.as_deref())?;
-                let rt = self.route_targets(right);
-                let r = self.send_round(&Request::retrieve_all(right.clone()), rt.as_deref())?;
-                // Tag halves into scratch files (a record matching both
-                // qualifications must appear on both sides, so the keys
-                // are remapped disjointly).
-                let mut joiner = Store::new();
-                for (key, rec) in l.records() {
-                    let mut rec = rec.clone();
-                    rec.set(abdl::FILE_ATTR, abdl::Value::str("__mbds_left"));
-                    joiner.insert_with_key(DbKey(key.0 * 2), rec)?;
+            Some(targets) => {
+                for &i in targets {
+                    if self.state.health.is_serving(i)
+                        && self.send_to(i, seq, BackendOp::Exec(request.clone()))
+                    {
+                        sent.push(i);
+                    }
                 }
-                for (key, rec) in r.records() {
-                    let mut rec = rec.clone();
-                    rec.set(abdl::FILE_ATTR, abdl::Value::str("__mbds_right"));
-                    joiner.insert_with_key(DbKey(key.0 * 2 + 1), rec)?;
-                }
-                let mut stats = l.stats;
-                stats += r.stats;
-                let joined = joiner.execute(&Request::RetrieveCommon {
-                    left: abdl::Query::conjunction(vec![abdl::Predicate::eq(
-                        abdl::FILE_ATTR,
-                        "__mbds_left",
-                    )]),
-                    left_attr: left_attr.clone(),
-                    right: abdl::Query::conjunction(vec![abdl::Predicate::eq(
-                        abdl::FILE_ATTR,
-                        "__mbds_right",
-                    )]),
-                    right_attr: right_attr.clone(),
-                    target: target.clone(),
-                })?;
-                let mut out = joined;
-                out.stats += stats;
-                Ok(self.finalize(out))
-            }
-            other => {
-                let targets = match other {
-                    Request::Retrieve { query, .. } => self.route_targets(query),
-                    _ => None,
-                };
-                let resp = self.send_round(other, targets.as_deref())?;
-                Ok(self.finalize(resp))
             }
         }
+        let mut merged = Response::default();
+        let mut first_err = None;
+        for i in sent {
+            match self.recv_reply(i, seq) {
+                Some(Ok(resp)) => merged.merge(resp),
+                // Keep draining the other backends' replies even after
+                // an error — bailing early would leave stale replies
+                // desynchronizing the next round.
+                Some(Err(e)) if first_err.is_none() => first_err = Some(e),
+                Some(Err(_)) => {}
+                None => {} // dead mid-round; survivors carry the answer
+            }
+        }
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        merged.dedup_by_key();
+        Ok(merged)
+    }
+
+    /// Scoped routing through the cluster state, unless switched off.
+    fn route(&self, query: &abdl::Query) -> Option<Vec<usize>> {
+        if !self.scoped_routing {
+            return None;
+        }
+        self.state.route_targets(query)
+    }
+
+    /// Preferred replica group, then every other backend as fallback
+    /// so a dead group member is substituted by the next live one.
+    fn insert(&mut self, record: &Record) -> Result<Response> {
+        if self.unique_via_index {
+            self.state.check_unique(record)?;
+        } else {
+            self.probe_unique(record)?;
+        }
+        let file = record.file().ok_or(Error::MissingFileKeyword)?.to_owned();
+        let key = self.state.alloc_key();
+        let primary = self.state.partitioner.place_group(&file, self.state.replication)[0];
+        self.place_replicas(key, file, record, primary, 0, Vec::new())?;
+        Ok(Response::with_affected(1, Default::default()))
+    }
+
+    /// Attach health metadata to an outgoing response.
+    fn finalize(&mut self, mut resp: Response) -> Response {
+        resp.degraded = self.is_degraded();
+        resp.unavailable_backends = self.state.health.unavailable();
+        resp
+    }
+
+    fn placement_changed(&mut self) {
+        self.degraded_dirty = true;
+    }
+
+    /// Relocate one *chunk* (up to `move_chunk` records) of replica
+    /// group `from` to `to`: the unit of online rebalance.
+    /// WAL-bracketed (`move-begin` … `move-end` in one group commit)
+    /// and idempotent — replaying the bracket against any intermediate
+    /// state converges to the same placement, and a `from` group
+    /// nothing points at is a silent no-op. Returns `Ok(true)` when the
+    /// group is fully vacated, `Ok(false)` when more chunks remain (the
+    /// caller requeues the move at the *front* of the queue).
+    ///
+    /// Reads are never served from a half-moved chunk: the directory
+    /// commit is the *last* effect before the end marker, so routing
+    /// answers from the old (complete) placement during the copy and
+    /// from the new (complete) placement after — per key for mid-group
+    /// chunks, per group for the final one.
+    fn move_group(&mut self, from: &[usize], to: &[usize]) -> Result<bool> {
+        // The group's key list is scanned once and cursored across
+        // chunks — rescanning the whole directory per chunk would put
+        // an O(keys) walk behind every foreground request. Keys the
+        // cursor hands back are re-validated against the live directory
+        // (a foreground delete may have unbound them since the scan).
+        let mut pending = match self.move_cursor.take() {
+            Some((group, pending)) if group == from => pending,
+            _ => self.state.directory.keys_of_group(from),
+        };
+        let mut keys = Vec::with_capacity(self.move_chunk.min(pending.len()));
+        let mut consumed = 0;
+        for key in &pending {
+            if keys.len() == self.move_chunk {
+                break;
+            }
+            consumed += 1;
+            if self.state.directory.get(key).is_some_and(|g| g == from) {
+                keys.push(*key);
+            }
+        }
+        pending.drain(..consumed);
+        if keys.is_empty() {
+            return Ok(true);
+        }
+        // On failure the cursor stays cleared: the retry rescans, so
+        // the chunk drained above is not lost.
+        self.batched(|c| c.move_group_inner(from, to, &keys))?;
+        self.degraded_dirty = true;
+        // Foreground inserts may have bound fresh keys to the group
+        // after the scan; the refcount check catches them (the next
+        // step rescans), where trusting the cursor would strand them.
+        let done = pending.is_empty() && self.state.directory.group_live_entries(from) == 0;
+        if !pending.is_empty() {
+            self.move_cursor = Some((from.to_vec(), pending));
+        }
+        Ok(done)
+    }
+
+    /// Retire a drained backend: every group containing it has moved
+    /// off, so shut it down.
+    fn retire_backend(&mut self, i: usize) {
+        self.shutdown_backend(i);
+        self.state.retired.insert(i);
+    }
+
+    /// The full compacted state: directory, allocator, rotors,
+    /// constraints, dead set, and every record that still has a live
+    /// replica (gathered by broadcasting a retrieve per file).
+    fn snapshot(&mut self) -> Result<SnapshotData> {
+        // Gather surviving record data first: the broadcasts may detect
+        // deaths, and the metadata below must reflect them.
+        let mut data: BTreeMap<u64, Record> = BTreeMap::new();
+        if self.state.health.serving_count() > 0 {
+            for file in self.state.files.clone() {
+                let resp = self.broadcast(&file_scan(&file))?;
+                for (key, rec) in resp.into_records() {
+                    if self.state.directory.contains_key(&key) {
+                        data.insert(key.0, rec);
+                    }
+                }
+            }
+        }
+        Ok(self.state.snapshot_data(|k, _| data.remove(&k.0)))
     }
 }
 
@@ -3609,6 +2692,7 @@ fn backend_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::KeySet;
     use abdl::parse::parse_request;
     use abdl::Value;
 

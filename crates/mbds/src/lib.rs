@@ -92,6 +92,7 @@ mod placement;
 pub mod rebalance;
 pub mod sched;
 mod sim;
+mod state;
 pub mod standby;
 pub mod wal;
 

@@ -847,99 +847,121 @@ fn land_batch(n: &mut State, c: CtrlId, epoch: u8, batch: &[WriteId]) -> Result<
     Ok(())
 }
 
+/// What one [`explore`] run found.
+pub(crate) struct Exploration<A, V> {
+    /// Distinct states visited.
+    pub(crate) states: usize,
+    /// Transitions taken (successor computations).
+    pub(crate) transitions: u64,
+    /// Deepest level reached.
+    pub(crate) max_depth: u32,
+    /// Peak frontier length.
+    pub(crate) frontier_peak: usize,
+    /// True when the depth bound pruned unexplored successors.
+    pub(crate) depth_pruned: bool,
+    /// The first violation, with the shortest action trace reaching it
+    /// from the initial state (BFS order).
+    pub(crate) violation: Option<(V, Vec<A>)>,
+}
+
+/// The breadth-first search behind every checker in this module: from
+/// `initial`, take each action `enabled` lists, `apply` it (an `Err` is
+/// a violation and ends the search), hand every successor to `visit`
+/// (coverage flags), and queue the successors not seen before. States
+/// at `depth` are not expanded; the search also stops once `max_states`
+/// distinct states are known (0 = no limit). Each visited state keeps
+/// only its parent id and the action that produced it, so the shortest
+/// trace is rebuilt without keeping parent states alive.
+pub(crate) fn explore<S, A, V>(
+    initial: S,
+    depth: u32,
+    max_states: usize,
+    enabled: impl Fn(&S) -> Vec<A>,
+    apply: impl Fn(&S, A) -> Result<S, V>,
+    mut visit: impl FnMut(&S),
+) -> Exploration<A, V>
+where
+    S: Clone + Eq + std::hash::Hash,
+    A: Copy,
+{
+    // id → (parent id, action that produced it).
+    let mut meta: Vec<(u32, Option<A>)> = vec![(0, None)];
+    let mut visited: HashMap<S, u32> = HashMap::new();
+    visited.insert(initial.clone(), 0);
+    let mut frontier: VecDeque<(S, u32, u32)> = VecDeque::from([(initial, 0, 0)]);
+    let mut out = Exploration {
+        states: 1,
+        transitions: 0,
+        max_depth: 0,
+        frontier_peak: 1,
+        depth_pruned: false,
+        violation: None,
+    };
+    while let Some((state, id, level)) = frontier.pop_front() {
+        if level >= depth {
+            out.depth_pruned = true;
+            continue;
+        }
+        for action in enabled(&state) {
+            out.transitions += 1;
+            let next = match apply(&state, action) {
+                Ok(next) => next,
+                Err(violation) => {
+                    let mut trace = Vec::new();
+                    let mut at = id;
+                    while let (parent, Some(step)) = meta[at as usize] {
+                        trace.push(step);
+                        at = parent;
+                    }
+                    trace.reverse();
+                    trace.push(action);
+                    out.states = visited.len();
+                    out.max_depth = out.max_depth.max(level + 1);
+                    out.violation = Some((violation, trace));
+                    return out;
+                }
+            };
+            visit(&next);
+            if let MapEntry::Vacant(slot) = visited.entry(next) {
+                let next_id = meta.len() as u32;
+                meta.push((id, Some(action)));
+                let state = slot.key().clone();
+                slot.insert(next_id);
+                out.max_depth = out.max_depth.max(level + 1);
+                frontier.push_back((state, next_id, level + 1));
+                out.frontier_peak = out.frontier_peak.max(frontier.len());
+            }
+        }
+        if max_states > 0 && visited.len() >= max_states {
+            break;
+        }
+    }
+    out.states = visited.len();
+    out
+}
+
 /// Exhaustive breadth-first check of `cfg`. Returns the exploration
 /// statistics and, when an invariant fails, the shortest violating
 /// action trace.
 pub fn check(cfg: &ModelConfig) -> CheckReport {
     let start = Instant::now();
-    let initial = State::initial(cfg);
-    // id → (parent id, action that produced it); trace reconstruction
-    // walks this without keeping parent states alive.
-    let mut meta: Vec<(u32, Option<Action>)> = vec![(0, None)];
-    let mut visited: HashMap<State, u32> = HashMap::new();
-    visited.insert(initial.clone(), 0);
-    let mut frontier: VecDeque<(State, u32, u32)> = VecDeque::new();
-    frontier.push_back((initial, 0, 0));
-    let mut transitions = 0u64;
-    let mut max_depth = 0u32;
-    let mut frontier_peak = 1usize;
-    let mut depth_pruned = false;
-
-    let trace_of = |meta: &Vec<(u32, Option<Action>)>, mut id: u32| -> Vec<Action> {
-        let mut trace = Vec::new();
-        while let (parent, Some(action)) = meta[id as usize] {
-            trace.push(action);
-            id = parent;
-        }
-        trace.reverse();
-        trace
-    };
-
-    while let Some((state, id, depth)) = frontier.pop_front() {
-        if depth >= cfg.depth {
-            depth_pruned = true;
-            continue;
-        }
-        for action in enabled(&state, cfg) {
-            transitions += 1;
-            let next = match apply(&state, action, cfg) {
-                Ok(next) => next,
-                Err(violation) => {
-                    let mut trace = trace_of(&meta, id);
-                    trace.push(action);
-                    return CheckReport {
-                        config: *cfg,
-                        states: visited.len(),
-                        transitions,
-                        max_depth: max_depth.max(depth + 1),
-                        frontier_peak,
-                        elapsed: start.elapsed(),
-                        depth_pruned,
-                        counterexample: Some(Counterexample { violation, trace }),
-                    };
-                }
-            };
-            if let Err(violation) = next.check() {
-                let mut trace = trace_of(&meta, id);
-                trace.push(action);
-                return CheckReport {
-                    config: *cfg,
-                    states: visited.len(),
-                    transitions,
-                    max_depth: max_depth.max(depth + 1),
-                    frontier_peak,
-                    elapsed: start.elapsed(),
-                    depth_pruned,
-                    counterexample: Some(Counterexample { violation, trace }),
-                };
-            }
-            match visited.entry(next) {
-                MapEntry::Occupied(_) => {}
-                MapEntry::Vacant(slot) => {
-                    let next_id = meta.len() as u32;
-                    meta.push((id, Some(action)));
-                    let state = slot.key().clone();
-                    slot.insert(next_id);
-                    max_depth = max_depth.max(depth + 1);
-                    frontier.push_back((state, next_id, depth + 1));
-                    frontier_peak = frontier_peak.max(frontier.len());
-                }
-            }
-        }
-        if cfg.max_states > 0 && visited.len() >= cfg.max_states {
-            break;
-        }
-    }
-
+    let run = explore(
+        State::initial(cfg),
+        cfg.depth,
+        cfg.max_states,
+        |s| enabled(s, cfg),
+        |s, a| apply(s, a, cfg).and_then(|next| next.check().map(|()| next)),
+        |_| {},
+    );
     CheckReport {
         config: *cfg,
-        states: visited.len(),
-        transitions,
-        max_depth,
-        frontier_peak,
+        states: run.states,
+        transitions: run.transitions,
+        max_depth: run.max_depth,
+        frontier_peak: run.frontier_peak,
         elapsed: start.elapsed(),
-        depth_pruned,
-        counterexample: None,
+        depth_pruned: run.depth_pruned,
+        counterexample: run.violation.map(|(violation, trace)| Counterexample { violation, trace }),
     }
 }
 
@@ -1008,6 +1030,59 @@ mod tests {
         );
     }
 
+    /// A toy model for [`explore`] itself: a counter mod 10 that steps
+    /// by 1 or 3, where reaching `bad` is a violation.
+    fn toy(depth: u32, max_states: usize, bad: u8) -> Exploration<u8, u8> {
+        explore(
+            0u8,
+            depth,
+            max_states,
+            |_| vec![1u8, 3],
+            |s, step| {
+                let next = (s + step) % 10;
+                if next == bad {
+                    Err(next)
+                } else {
+                    Ok(next)
+                }
+            },
+            |_| {},
+        )
+    }
+
+    #[test]
+    fn explore_finds_the_shortest_trace_and_honours_both_prunings() {
+        // 7 = 1 + 3 + 3: three steps, none shorter; BFS returns the
+        // first three-step path in action order.
+        let run = toy(10, 0, 7);
+        let (bad, trace) = run.violation.expect("7 is reachable");
+        assert_eq!(bad, 7);
+        assert_eq!(trace, vec![1, 3, 3]);
+        assert_eq!(run.max_depth, 3);
+
+        // Depth-bounded below the violation: nothing found, and the
+        // search says it pruned.
+        let run = toy(2, 0, 7);
+        assert!(run.violation.is_none());
+        assert!(run.depth_pruned);
+        assert_eq!(run.states, 6, "levels 0..=2 are {{0}}, {{1, 3}}, {{2, 4, 6}}");
+        assert_eq!(run.max_depth, 2);
+
+        // Unbounded and violation-free: every residue is visited and
+        // nothing is pruned.
+        let run = toy(u32::MAX, 0, 10);
+        assert!(run.violation.is_none() && !run.depth_pruned);
+        assert_eq!(run.states, 10);
+        assert_eq!(run.transitions, 20);
+
+        // The state cap is checked after each expansion: 0 yields
+        // {1, 3} (3 states), 1 yields {2, 4} (5 ≥ 4), and the search
+        // stops there.
+        let run = toy(u32::MAX, 4, 10);
+        assert!(run.violation.is_none());
+        assert_eq!(run.states, 5);
+    }
+
     #[test]
     fn mutation_names_round_trip() {
         for mutation in Mutation::ALL.iter().chain([Mutation::None].iter()) {
@@ -1057,8 +1132,6 @@ mod tests {
 /// `{r_0 .. r_{read_after-1}}` — never a half-applied write (torn
 /// batch), never a write admitted after the read.
 pub mod flight {
-    use std::collections::hash_map::Entry as MapEntry;
-    use std::collections::{HashMap, VecDeque};
     use std::fmt;
     use std::time::{Duration, Instant};
 
@@ -1392,64 +1465,24 @@ pub mod flight {
     /// — the frontier simply drains.
     pub fn check_flights(cfg: &FlightConfig) -> FlightReport {
         let start = Instant::now();
-        let initial = State::initial(cfg);
-        let mut meta: Vec<(u32, Option<FlightAction>)> = vec![(0, None)];
-        let mut visited: HashMap<State, u32> = HashMap::new();
-        visited.insert(initial.clone(), 0);
-        let mut frontier: VecDeque<(State, u32)> = VecDeque::new();
-        frontier.push_back((initial, 0));
-        let mut transitions = 0u64;
         let mut overlap_reached = false;
-
-        let trace_of = |meta: &Vec<(u32, Option<FlightAction>)>, mut id: u32| {
-            let mut trace = Vec::new();
-            while let (parent, Some(action)) = meta[id as usize] {
-                trace.push(action);
-                id = parent;
-            }
-            trace.reverse();
-            trace
-        };
-
-        while let Some((state, id)) = frontier.pop_front() {
-            for action in enabled(&state, cfg) {
-                transitions += 1;
-                let next = match apply(&state, action, cfg) {
-                    Ok(next) => next,
-                    Err(violation) => {
-                        let mut trace = trace_of(&meta, id);
-                        trace.push(action);
-                        return FlightReport {
-                            config: *cfg,
-                            states: visited.len(),
-                            transitions,
-                            overlap_reached,
-                            elapsed: start.elapsed(),
-                            counterexample: Some(FlightCounterexample { violation, trace }),
-                        };
-                    }
-                };
-                overlap_reached |= readers_overlap(&next, cfg);
-                match visited.entry(next) {
-                    MapEntry::Occupied(_) => {}
-                    MapEntry::Vacant(slot) => {
-                        let next_id = meta.len() as u32;
-                        meta.push((id, Some(action)));
-                        let state = slot.key().clone();
-                        slot.insert(next_id);
-                        frontier.push_back((state, next_id));
-                    }
-                }
-            }
-        }
-
+        let run = super::explore(
+            State::initial(cfg),
+            u32::MAX,
+            0,
+            |s| enabled(s, cfg),
+            |s, a| apply(s, a, cfg),
+            |next| overlap_reached |= readers_overlap(next, cfg),
+        );
         FlightReport {
             config: *cfg,
-            states: visited.len(),
-            transitions,
+            states: run.states,
+            transitions: run.transitions,
             overlap_reached,
             elapsed: start.elapsed(),
-            counterexample: None,
+            counterexample: run
+                .violation
+                .map(|(violation, trace)| FlightCounterexample { violation, trace }),
         }
     }
 
@@ -1525,7 +1558,7 @@ pub mod flight {
 /// | [`RebalanceAction::MoveCommit`] | the old copies are deleted, the directory commits the chunk's placement (per-key rebinds, or the whole-group retarget when the chunk empties it), and `MoveEnd` is logged — the single atomic step at which reads switch placement |
 /// | [`RebalanceAction::Read`] | a foreground scoped read routes through the directory and observes the group's record set |
 /// | [`RebalanceAction::Crash`] | the primary dies mid-chunk; the begin marker and the copies already landed are durable, the directory and move queue are not |
-/// | [`RebalanceAction::Recover`] | `Controller::recover` replays the log; an unmatched `MoveBegin` re-runs exactly the bracketed keys idempotently at the marker (`apply_entry`), and `replan_rebalance` re-derives the group's remaining chunks |
+/// | [`RebalanceAction::Recover`] | `Controller::recover` replays the log; an unmatched `MoveBegin` re-runs exactly the bracketed keys idempotently at the marker (`replay`), and `replan_rebalance` re-derives the group's remaining chunks |
 /// | [`RebalanceAction::Promote`] | `Standby::promote` — the mirror applied the chunk at `MoveBegin`, so promotion heals the bracketed keys with a fresh bracket before serving (`finish_interrupted_move` / `heal_move_inner`) |
 ///
 /// Two invariants are machine-checked at every state:
@@ -1541,8 +1574,6 @@ pub mod flight {
 /// protocol closes, and each must be killed with a shortest
 /// counterexample trace (BFS order).
 pub mod rebalance {
-    use std::collections::hash_map::Entry as MapEntry;
-    use std::collections::{HashMap, VecDeque};
     use std::fmt;
     use std::time::{Duration, Instant};
 
@@ -1938,70 +1969,31 @@ pub mod rebalance {
     /// — the frontier simply drains.
     pub fn check_rebalance(cfg: &RebalanceConfig) -> RebalanceReport {
         let start = Instant::now();
-        let initial = State::initial();
-        let mut meta: Vec<(u32, Option<RebalanceAction>)> = vec![(0, None)];
-        let mut visited: HashMap<State, u32> = HashMap::new();
-        visited.insert(initial.clone(), 0);
-        let mut frontier: VecDeque<(State, u32)> = VecDeque::new();
-        frontier.push_back((initial, 0));
-        let mut transitions = 0u64;
         let mut mid_move_crash_reached = false;
         let mut committed_crash_reached = false;
-
-        let trace_of = |meta: &Vec<(u32, Option<RebalanceAction>)>, mut id: u32| {
-            let mut trace = Vec::new();
-            while let (parent, Some(action)) = meta[id as usize] {
-                trace.push(action);
-                id = parent;
-            }
-            trace.reverse();
-            trace
-        };
-
-        while let Some((state, id)) = frontier.pop_front() {
-            for action in enabled(&state, cfg) {
-                transitions += 1;
-                let next = match apply(&state, action, cfg) {
-                    Ok(next) => next,
-                    Err(violation) => {
-                        let mut trace = trace_of(&meta, id);
-                        trace.push(action);
-                        return RebalanceReport {
-                            config: *cfg,
-                            states: visited.len(),
-                            transitions,
-                            mid_move_crash_reached,
-                            committed_crash_reached,
-                            elapsed: start.elapsed(),
-                            counterexample: Some(RebalanceCounterexample { violation, trace }),
-                        };
-                    }
-                };
+        let run = super::explore(
+            State::initial(),
+            u32::MAX,
+            0,
+            |s| enabled(s, cfg),
+            |s, a| apply(s, a, cfg),
+            |next| {
                 if next.crashed {
                     mid_move_crash_reached |= next.begun && !next.committed;
                     committed_crash_reached |= next.committed;
                 }
-                match visited.entry(next) {
-                    MapEntry::Occupied(_) => {}
-                    MapEntry::Vacant(slot) => {
-                        let next_id = meta.len() as u32;
-                        meta.push((id, Some(action)));
-                        let state = slot.key().clone();
-                        slot.insert(next_id);
-                        frontier.push_back((state, next_id));
-                    }
-                }
-            }
-        }
-
+            },
+        );
         RebalanceReport {
             config: *cfg,
-            states: visited.len(),
-            transitions,
+            states: run.states,
+            transitions: run.transitions,
             mid_move_crash_reached,
             committed_crash_reached,
             elapsed: start.elapsed(),
-            counterexample: None,
+            counterexample: run
+                .violation
+                .map(|(violation, trace)| RebalanceCounterexample { violation, trace }),
         }
     }
 

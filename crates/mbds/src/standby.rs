@@ -8,9 +8,9 @@
 //! replays continuously, [`Standby::promote`] needs no cold replay: it
 //! fences the old primary by raising the cluster epoch, resumes the WAL
 //! at the shipped high-water mark, and installs a [`Controller`] over
-//! the *existing* backend threads with all warm state — key allocator,
-//! directory, unique-value index, placement rotors and health board —
-//! copied straight out of the mirror.
+//! the *existing* backend threads that takes the mirror's whole cluster
+//! state — key allocator, directory, unique-value index, placement
+//! rotors, residency counts and health board — by value.
 //!
 //! The protocol, end to end:
 //!
@@ -30,6 +30,7 @@
 
 use crate::controller::{ClusterLink, Controller};
 use crate::sim::{CostModel, SimCluster};
+use crate::state::check_config;
 use crate::wal::{CursorUpdate, LogCursor, LogRecord, LogStore, SnapshotData, Wal};
 use abdl::{Error, Result};
 use std::collections::BTreeSet;
@@ -103,14 +104,9 @@ impl Standby {
     /// A fresh mirror rebuilt from snapshot text.
     fn mirror_of(text: &str) -> Result<SimCluster> {
         let snap = SnapshotData::parse(text)?;
-        if snap.backends == 0 || !(1..=snap.backends).contains(&snap.replication) {
-            return Err(Error::Internal(format!(
-                "standby: snapshot has invalid configuration: {} backends, replication {}",
-                snap.backends, snap.replication
-            )));
-        }
+        check_config(&snap)?;
         let mut mirror = SimCluster::with_config(snap.backends, snap.replication, CostModel::default());
-        mirror.apply_snapshot(&snap)?;
+        mirror.load_snapshot(&snap)?;
         Ok(mirror)
     }
 
@@ -150,7 +146,7 @@ impl Standby {
                             }
                             _ => {}
                         }
-                        self.mirror.apply_entry(entry)?;
+                        self.mirror.replay(entry)?;
                     }
                     shipped += entries.len();
                     break;
@@ -210,31 +206,8 @@ impl Standby {
         store.set_fence_epoch(new_epoch)?;
         self.link.fence.store(new_epoch, Ordering::SeqCst);
         let wal = Wal::resume(store, next_seq, consumed as u64, new_epoch);
-        let mirror_n = self.mirror.backend_count();
-        let mut c = Controller::promoted(self.link, wal, new_epoch, self.mirror.promoted_parts());
-        // Elastic membership: an `add-backend` record may have shipped
-        // while the primary died before spawning the worker — the shared
-        // bus is still the old width. Adopt the missing backends before
-        // any heal touches them.
-        c.adopt_missing_backends(mirror_n)?;
-        // A restart the primary began but never finished: the log (and
-        // the mirror) say the backend is alive again, but its thread
-        // was never respawned. Redo the restart for real, exactly as
-        // cold replay would.
-        for i in unfinished {
-            c.finish_interrupted_restart(i)?;
-        }
-        // A move chunk the primary began but never committed: the
-        // mirror (and so the promoted directory) already routes the
-        // chunk's keys to the new placement, but the physical copy was
-        // interrupted — heal exactly those keys for real, then
-        // re-derive whatever rebalance work the crashed membership
-        // change still owes from the warm state (remaining chunks
-        // included: the group still matches the state-based plan).
-        for (from, to, keys) in unfinished_moves {
-            c.finish_interrupted_move(&from, &to, &keys)?;
-        }
-        c.replan_rebalance();
+        let mut c = Controller::promoted(self.link, wal, new_epoch, self.mirror.into_state());
+        c.settle_promotion(&unfinished, unfinished_moves)?;
         Ok(c)
     }
 }

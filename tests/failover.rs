@@ -446,3 +446,66 @@ fn demoted_primary_writes_are_fenced_after_failover() {
     let all = parse_request("RETRIEVE ((FILE = f) and (v > 7000)) (*)").unwrap();
     assert_eq!(p.execute(&all).unwrap().records().len(), 2);
 }
+
+/// Promotion hands the mirror's routing state — the per-file residency
+/// counts and the health board — to the new controller, and no digest
+/// covers either. Pin them by their effect: after the same seeded
+/// workload (with kills and restarts), a promoted standby and a
+/// never-crashed primary must spend exactly the same backend messages
+/// on the same key-scoped point reads and file-scoped scans.
+#[test]
+fn promoted_standby_routes_reads_at_the_primarys_message_cost() {
+    let ops = gen_ops_unique(0x5EED, 120);
+    // Finish the workload with exactly backend 3 dead — the board must
+    // come through promotion — and a second, one-record file, whose
+    // scan is scoped to the record's replica group by the residency
+    // counts alone.
+    let seed_g = |c: &mut Controller| {
+        for i in 0..BACKENDS {
+            c.restart_backend(i).unwrap();
+        }
+        c.kill_backend(3);
+        c.try_create_file("g").unwrap();
+        let rec = Record::from_pairs([("FILE", Value::str("g"))]).with("v", Value::Int(1));
+        c.execute(&Request::Insert { record: rec }).unwrap();
+    };
+    let mut reference = Controller::durable_with(BACKENDS, REPLICATION, MemLog::new()).unwrap();
+    for op in &ops {
+        apply(&mut reference, op);
+    }
+    seed_g(&mut reference);
+
+    let log = MemLog::new();
+    let mut primary = Controller::durable_with(BACKENDS, REPLICATION, log.clone()).unwrap();
+    let mut sb = primary.standby(Box::new(log)).unwrap();
+    for op in &ops {
+        apply(&mut primary, op);
+        sb.poll().unwrap();
+    }
+    seed_g(&mut primary);
+    let mut promoted = sb.promote().unwrap();
+    drop(primary);
+
+    let reads: Vec<String> = (0..40)
+        .map(|u| format!("RETRIEVE ((FILE = f) and (u = {u})) (*)"))
+        .chain(["RETRIEVE (FILE = f) (*)", "RETRIEVE (FILE = g) (*)"].map(String::from))
+        .collect();
+    let cost = |c: &mut Controller| -> Vec<(u64, usize)> {
+        reads
+            .iter()
+            .map(|q| {
+                let before = c.exec_totals().messages_sent;
+                let rows = c.execute(&parse_request(q).unwrap()).unwrap().records().len();
+                (c.exec_totals().messages_sent - before, rows)
+            })
+            .collect()
+    };
+    let want = cost(&mut reference);
+    assert_eq!(cost(&mut promoted), want, "per-read (messages, rows) diverged after promotion");
+    let g_scan = want.last().unwrap().0;
+    assert_eq!(g_scan, REPLICATION as u64, "the one-record file's scan must stay scoped");
+    assert!(
+        want.iter().any(|&(msgs, rows)| rows == 1 && msgs < BACKENDS as u64),
+        "some point read must be key-scoped: {want:?}"
+    );
+}
