@@ -7,10 +7,7 @@
 //! cargo run --release -p mlds-bench --bin experiments -- e7 e8 # subset
 //! ```
 
-use mlds_bench::{
-    e15_report, e16_report, e17_report, e18_report, e19_report, e20_report, e21_report,
-    run_experiment, EXPERIMENTS,
-};
+use mlds_bench::{run_experiment, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,83 +18,13 @@ fn main() {
     };
     for id in selected {
         let Some((_, desc)) = EXPERIMENTS.iter().find(|(eid, _)| *eid == id) else {
-            let last = EXPERIMENTS.last().map(|(eid, _)| *eid).unwrap_or("e1");
-            eprintln!("unknown experiment `{id}`; known: e1..{last}");
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|(eid, _)| *eid).collect();
+            eprintln!("unknown experiment `{id}`; known: {}", known.join(", "));
             std::process::exit(1);
         };
         println!("============================================================");
         println!("{} — {desc}", id.to_uppercase());
         println!("============================================================");
-        if id == "e15" {
-            // e15 also emits its raw numbers for CI to archive.
-            let report = e15_report();
-            println!("{}", report.table);
-            match std::fs::write("BENCH_PR4.json", &report.json) {
-                Ok(()) => eprintln!("wrote BENCH_PR4.json"),
-                Err(e) => eprintln!("could not write BENCH_PR4.json: {e}"),
-            }
-            continue;
-        }
-        if id == "e16" {
-            // e16 also emits its raw numbers for CI to archive.
-            let report = e16_report();
-            println!("{}", report.table);
-            match std::fs::write("BENCH_PR5.json", &report.json) {
-                Ok(()) => eprintln!("wrote BENCH_PR5.json"),
-                Err(e) => eprintln!("could not write BENCH_PR5.json: {e}"),
-            }
-            continue;
-        }
-        if id == "e17" {
-            // e17 also emits its raw numbers for CI to archive.
-            let report = e17_report();
-            println!("{}", report.table);
-            match std::fs::write("BENCH_PR6.json", &report.json) {
-                Ok(()) => eprintln!("wrote BENCH_PR6.json"),
-                Err(e) => eprintln!("could not write BENCH_PR6.json: {e}"),
-            }
-            continue;
-        }
-        if id == "e18" {
-            // e18 also emits its raw numbers for CI to archive.
-            let report = e18_report();
-            println!("{}", report.table);
-            match std::fs::write("BENCH_PR7.json", &report.json) {
-                Ok(()) => eprintln!("wrote BENCH_PR7.json"),
-                Err(e) => eprintln!("could not write BENCH_PR7.json: {e}"),
-            }
-            continue;
-        }
-        if id == "e20" {
-            // e20 also emits its raw numbers for CI to archive.
-            let report = e20_report();
-            println!("{}", report.table);
-            match std::fs::write("BENCH_PR9.json", &report.json) {
-                Ok(()) => eprintln!("wrote BENCH_PR9.json"),
-                Err(e) => eprintln!("could not write BENCH_PR9.json: {e}"),
-            }
-            continue;
-        }
-        if id == "e21" {
-            // e21 also emits its raw numbers for CI to archive.
-            let report = e21_report();
-            println!("{}", report.table);
-            match std::fs::write("BENCH_PR10.json", &report.json) {
-                Ok(()) => eprintln!("wrote BENCH_PR10.json"),
-                Err(e) => eprintln!("could not write BENCH_PR10.json: {e}"),
-            }
-            continue;
-        }
-        if id == "e19" {
-            // e19 also emits its raw numbers for CI to archive.
-            let report = e19_report();
-            println!("{}", report.table);
-            match std::fs::write("BENCH_PR8.json", &report.json) {
-                Ok(()) => eprintln!("wrote BENCH_PR8.json"),
-                Err(e) => eprintln!("could not write BENCH_PR8.json: {e}"),
-            }
-            continue;
-        }
         match run_experiment(id) {
             Some(out) => println!("{out}"),
             None => eprintln!("experiment `{id}` failed to run"),

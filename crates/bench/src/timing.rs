@@ -62,8 +62,7 @@ const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
 /// 496-slot array: no allocation per sample, mergeable across threads,
 /// and quantiles in one pass. Exact `min`/`max` are tracked on the
 /// side; `p50`/`p90`/`p99` are bucket upper bounds, accurate to the
-/// sub-bucket width. This is all the concurrent workload driver (E18)
-/// needs, without a statistics dependency.
+/// sub-bucket width — without a statistics dependency.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,

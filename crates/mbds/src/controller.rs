@@ -23,7 +23,6 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::health::BackendState;
 use crate::net::{self, kind, Frame, NetFaultPlan, TcpLink, WireOp, WireReply};
 use crate::rebalance;
-use crate::sched::Footprint;
 use crate::state::{check_config, file_scan, ClusterState, DataPlane};
 use crate::wal::{FileLog, LogRecord, LogStore, SnapshotData, Wal};
 use abdl::engine::aggregate;
@@ -142,12 +141,6 @@ struct StagedRead {
     msgs: u64,
 }
 
-/// One member of a batch flight, in admission order.
-enum FlightItem<'a> {
-    Insert(&'a Record),
-    Read(&'a Request),
-}
-
 /// A flight member's in-flight state, same position as its item.
 enum Staged {
     Insert(Result<StagedInsert>),
@@ -261,19 +254,6 @@ pub struct Controller {
     reply_timeout: Duration,
     degraded_cache: bool,
     degraded_dirty: bool,
-    /// Scoped routing on/off (`false` = broadcast every request, the
-    /// pre-router behaviour and the E15 ablation baseline).
-    scoped_routing: bool,
-    /// Unique checks through the in-memory index (`false` = legacy
-    /// broadcast retrieve probe, the E15 ablation baseline).
-    unique_via_index: bool,
-    /// Replica writes sent to the whole wave concurrently (`false` =
-    /// one sequential round trip per replica, the E15 baseline).
-    parallel_writes: bool,
-    /// Reads admitted into batch flights (`false` = every read
-    /// round-trips solo inside the batch, the pre-PR9 behaviour and
-    /// the E20 serial-read baseline).
-    parallel_reads: bool,
     /// Key-scoped single-backend probes sent, per backend — how evenly
     /// the point-read load spreads across replica groups.
     read_probes_by_backend: Vec<u64>,
@@ -283,10 +263,6 @@ pub struct Controller {
     /// sequence of bounded chunks so a pump step never stalls a
     /// foreground request behind a whole-group copy.
     move_chunk: usize,
-    /// Remaining key list of the group currently being moved, scanned
-    /// once and drained chunk by chunk. Purely an in-memory cache: it
-    /// is never persisted, and recovery / retry paths rescan instead.
-    move_cursor: Option<(Vec<usize>, Vec<DbKey>)>,
     /// `Some` when the backends are separate OS processes over TCP.
     net: Option<Arc<SharedNet>>,
     /// Retransmissions attempted per reply window on the socket
@@ -390,7 +366,6 @@ impl Controller {
     /// The one constructor body: a controller at `epoch` over
     /// `backends`, with `state` as its bookkeeping and `link`'s shared
     /// bus, fence, fault plan and (socket transport) process table.
-    /// Every toggle starts at its default.
     fn assemble(
         state: ClusterState,
         backends: Vec<BackendHandle>,
@@ -410,14 +385,9 @@ impl Controller {
             reply_timeout: link.reply_timeout,
             degraded_cache: false,
             degraded_dirty: true,
-            scoped_routing: true,
-            unique_via_index: true,
-            parallel_writes: true,
-            parallel_reads: true,
             read_probes_by_backend: vec![0; n],
             totals: ExecTotals::default(),
             move_chunk: rebalance::DEFAULT_MOVE_CHUNK,
-            move_cursor: None,
             net: link.net,
             retry_budget: DEFAULT_RETRY_BUDGET,
             client_id,
@@ -868,35 +838,6 @@ impl Controller {
     /// would cost versus the interval-compressed resident bytes.
     pub fn directory_compression(&self) -> crate::directory::CompressionStats {
         self.state.directory.compression_stats()
-    }
-
-    /// Toggle scoped routing (on by default). Off = every request is
-    /// broadcast to all serving backends, the pre-router behaviour.
-    pub fn set_scoped_routing(&mut self, on: bool) {
-        self.scoped_routing = on;
-    }
-
-    /// Toggle index-based unique checks (on by default). Off = the
-    /// legacy full-cluster retrieve probe before every INSERT. The
-    /// index is maintained either way, so the modes can be flipped
-    /// mid-run for ablation.
-    pub fn set_unique_via_index(&mut self, on: bool) {
-        self.unique_via_index = on;
-    }
-
-    /// Toggle concurrent replica writes (on by default). Off = one
-    /// sequential round trip per replica. Either mode contacts the same
-    /// backends in the same scan order.
-    pub fn set_parallel_writes(&mut self, on: bool) {
-        self.parallel_writes = on;
-    }
-
-    /// Toggle read flights in the batch scheduler (on by default).
-    /// Off = every read in an admitted batch round-trips solo in
-    /// admission order — the pre-flight behaviour and the E20
-    /// serial-read baseline. Insert flights are unaffected.
-    pub fn set_parallel_reads(&mut self, on: bool) {
-        self.parallel_reads = on;
     }
 
     /// Key-scoped single-backend probes sent, per backend — the
@@ -1373,48 +1314,6 @@ impl Controller {
         self.state.end_move(from, to, keys, &mut self.totals)
     }
 
-    fn move_group_inner(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) -> Result<()> {
-        self.state.log_move_begin(from, to, keys)?;
-        let added: Vec<usize> = to.iter().copied().filter(|m| !from.contains(m)).collect();
-        let removed: Vec<usize> = from.iter().copied().filter(|m| !to.contains(m)).collect();
-        // Pull one surviving copy of each chunk record from the group's
-        // serving members — key-scoped, so a chunk costs O(chunk) at
-        // the backends, never a file scan.
-        let sources: Vec<usize> =
-            from.iter().copied().filter(|&m| self.state.health.is_serving(m)).collect();
-        let moved = self.fetch_records(&sources, keys)?;
-        // Copy to the members the move adds — pipelined: every insert
-        // of the chunk is in flight before the first ack is awaited,
-        // so a chunk costs one reply round instead of one per record …
-        let mut acks: Vec<(usize, u64)> = Vec::new();
-        for (key, rec) in &moved {
-            let bytes = rec.to_string().len() as u64;
-            for &m in &added {
-                if !self.state.health.is_serving(m) {
-                    continue;
-                }
-                let seq = self.next_seq();
-                if self.send_to(m, seq, BackendOp::InsertWithKey(*key, rec.clone())) {
-                    acks.push((m, seq));
-                }
-                self.totals.move_bytes += bytes;
-            }
-            self.state.resident_move(rec, &added, &removed);
-        }
-        for (m, seq) in acks {
-            if let Some(result) = self.recv_reply(m, seq) {
-                result?;
-            }
-        }
-        // … physically remove from the members it abandons (a stale
-        // copy would be resurrected by the next broadcast read) …
-        self.delete_keys(&removed, keys);
-        // … and only then commit the new placement: reads routed before
-        // this line saw the complete old group, reads after see the
-        // complete new one.
-        self.state.end_move(from, to, keys, &mut self.totals)
-    }
-
     /// Physically remove `keys` from the serving `members` a move
     /// abandons, in one round.
     fn delete_keys(&mut self, members: &[usize], keys: &[DbKey]) {
@@ -1774,139 +1673,15 @@ impl Controller {
         self.degraded_cache
     }
 
-    /// The legacy uniqueness check behind `set_unique_via_index(false)`
-    /// (the E15 ablation baseline): a broadcast retrieve probe per fully
-    /// present constraint group before every INSERT.
-    fn probe_unique(&mut self, record: &Record) -> Result<()> {
-        let Some(file) = record.file() else {
-            return Err(Error::MissingFileKeyword);
-        };
-        let Some(groups) = self.state.unique_groups.get(file).cloned() else { return Ok(()) };
-        for group in groups {
-            if !group.iter().all(|a| record.get(a).is_some()) {
-                continue;
-            }
-            let query = abdl::Query::conjunction(
-                std::iter::once(abdl::Predicate::eq(abdl::FILE_ATTR, abdl::Value::str(file)))
-                    .chain(group.iter().map(|a| {
-                        abdl::Predicate::eq(a.clone(), record.get(a).expect("present").clone())
-                    }))
-                    .collect(),
-            );
-            let hits = self.broadcast(&Request::retrieve_all(query))?;
-            if !hits.records().is_empty() {
-                return Err(Error::DuplicateKey { file: file.to_owned(), attrs: group });
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute a flight of pairwise non-conflicting inserts and
-    /// retrieves with their backend rounds pipelined: every member's
-    /// sends go out before any reply is awaited, so the flight costs
-    /// one round-trip latency instead of one per member.
-    ///
-    /// Order discipline: all three phases walk the flight in admission
-    /// order. The controller-side reads (unique check, key allocation,
-    /// rotor step, routing) happen serially during staging. On the
-    /// channel bus the per-backend channels are FIFO, so each backend
-    /// observes the members' operations in admission order. Over TCP a
-    /// dropped frame is retransmitted after later members of its
-    /// flight were applied, and replies are taken out of the link's
-    /// retransmission window in whatever order they arrive; that is
-    /// still equivalent to serial execution because the scheduler
-    /// only puts pairwise-commuting members in one flight
-    /// ([`Footprint::conflicts`]).
-    ///
-    /// Reads ride the same discipline. A read staged after an insert
-    /// of the same flight routes against the directory as it stood
-    /// *before* the flight's inserts commit in phase 3 — harmless,
-    /// because the scheduler only admits a read next to inserts whose
-    /// footprints don't conflict with it: none of the flight's new
-    /// records can match the read's qualification, so missing their
-    /// placements cannot change the answer.
-    fn execute_flight(&mut self, items: &[FlightItem]) -> Vec<Result<Response>> {
-        // Phase 1 — stage: per-member bookkeeping, then the member's
-        // sends (first replica wave / routed read round), no replies
-        // awaited.
-        let mut staged: Vec<Staged> = Vec::with_capacity(items.len());
-        for item in items {
-            self.totals.requests += 1;
-            match item {
-                FlightItem::Insert(record) => {
-                    staged.push(Staged::Insert(self.stage_insert(record)));
-                }
-                FlightItem::Read(request) => {
-                    staged.push(Staged::Read(Box::new(self.stage_read(request))));
-                }
-            }
-        }
-        // Phase 2 — collect: await every staged reply in admission
-        // order (FIFO channels deliver them in exactly this order; a
-        // TCP link keeps replies that overtake the awaited seq).
-        // Nothing new is sent here, so no member's pending reply can
-        // be mistaken for a stale one and discarded.
-        for s in &mut staged {
-            match s {
-                Staged::Insert(Ok(si)) => {
-                    let mut first_err = None;
-                    for idx in 0..si.sent.len() {
-                        let i = si.sent[idx];
-                        match self.recv_reply(i, si.seq) {
-                            Some(Ok(_)) => si.assigned.push(i),
-                            Some(Err(e)) if first_err.is_none() => first_err = Some(e),
-                            Some(Err(_)) => {}
-                            None => {} // died mid-flight; substituted in phase 3
-                        }
-                    }
-                    si.err = first_err;
-                }
-                Staged::Insert(Err(_)) => {}
-                Staged::Read(sr) => {
-                    for idx in 0..sr.sent.len() {
-                        let i = sr.sent[idx];
-                        match self.recv_reply(i, sr.seq) {
-                            Some(Ok(resp)) => sr.merged.merge(resp),
-                            Some(Err(e)) if sr.err.is_none() => sr.err = Some(e),
-                            Some(Err(_)) => {}
-                            // Died mid-flight. A probe's whole answer is
-                            // gone (phase 3 fails over); a routed round's
-                            // survivors carry it, like `send_round`.
-                            None => sr.lost = true,
-                        }
-                    }
-                }
-            }
-        }
-        // Phase 3 — finish: with the bus idle again, run substitute
-        // waves / probe failovers for members the mid-flight deaths
-        // left short, then the per-member bookkeeping, all in
-        // admission order.
-        items
-            .iter()
-            .zip(staged)
-            .map(|(item, s)| match (item, s) {
-                (_, Staged::Insert(Err(e))) => Err(e),
-                (FlightItem::Insert(record), Staged::Insert(Ok(s))) => {
-                    self.finish_staged_insert(record, s)
-                }
-                (FlightItem::Read(request), Staged::Read(s)) => self.finish_staged_read(request, *s),
-                _ => unreachable!("flight item and staged state disagree"),
-            })
-            .collect()
-    }
-
     /// Phase-1 bookkeeping and first replica wave for one insert
     /// flight member — the staging half of `insert`.
     fn stage_insert(&mut self, record: &Record) -> Result<StagedInsert> {
-        // Flights stage only with the index-based unique check on.
         self.state.check_unique(record)?;
         let file = record.file().map(str::to_owned).ok_or(Error::MissingFileKeyword)?;
         let key = self.state.alloc_key();
         let primary = self.state.partitioner.place_group(&file, self.state.replication)[0];
-        let want = if self.parallel_writes { self.state.replication } else { 1 };
         let mut scanned = 0usize;
-        let wave = self.state.next_wave(primary, &mut scanned, want);
+        let wave = self.state.next_wave(primary, &mut scanned, self.state.replication);
         let seq = self.next_seq();
         let mut sent = Vec::new();
         let mut msgs = 0u64;
@@ -1999,13 +1774,9 @@ impl Controller {
     /// backend alone can answer the read. `fallbacks` are the other
     /// covering backends in failover order, tried one at a time if the
     /// probed backend dies mid-flight. `None` when some disjunct is
-    /// only file-scoped, no single serving backend covers all keys, or
-    /// routing is disabled — the caller falls back to the
-    /// `route_targets` round.
+    /// only file-scoped or no single serving backend covers all keys —
+    /// the caller falls back to the `route_targets` round.
     fn probe_plan(&self, query: &abdl::Query) -> Option<(usize, Vec<usize>)> {
-        if !self.scoped_routing {
-            return None;
-        }
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for conj in &query.disjuncts {
             let file = conj.file()?;
@@ -2104,8 +1875,7 @@ impl Controller {
         let k = self.state.replication;
         let mut msgs = 0u64;
         while assigned.len() < k {
-            let want = if self.parallel_writes { k - assigned.len() } else { 1 };
-            let wave = self.state.next_wave(primary, &mut scanned, want);
+            let wave = self.state.next_wave(primary, &mut scanned, k - assigned.len());
             if wave.is_empty() {
                 break;
             }
@@ -2209,119 +1979,8 @@ impl Kernel for Controller {
         self.batched(|c| txn.requests.iter().map(|r| c.execute(r)).collect())
     }
 
-    /// The conflict-scheduled, pipelined batch path: one request from
-    /// each of several concurrent sessions, admitted together.
-    ///
-    /// The scheduler walks the batch in admission order, classifying
-    /// each request's [`Footprint`] and greedily forming *flights* of
-    /// consecutive non-conflicting inserts and retrieves. A flight's
-    /// rounds are all staged onto the backend bus before any reply is
-    /// awaited, so non-conflicting sessions' requests are in flight
-    /// concurrently on the per-backend sender threads — read-only
-    /// flights (reads always commute, broadcast scans included) and
-    /// mixed read/insert flights (key-/file-disjoint footprints)
-    /// alike, with key-pinned point reads going out as single-backend
-    /// probes; a conflicting request closes the flight (a
-    /// `conflict_stalls` tick) and waits for it to drain, and a flight
-    /// also closes at [`net::REPLY_CACHE`] members. Because flight
-    /// members pairwise commute and both the staging and the
-    /// collection walk in admission order, the result is always
-    /// equivalent to executing the batch serially in admission order
-    /// (`tests/concurrent_equivalence.rs`), on either transport.
-    ///
-    /// The whole batch runs inside one WAL group-commit batch: every
-    /// session's appends are buffered and flushed with a single sync —
-    /// cross-session group commit. As with `execute_transaction`, the
-    /// batch is a durability optimisation, not atomicity: each request
-    /// keeps its own result, and a flush failure is stashed for the
-    /// next `execute` to surface.
     fn execute_batch(&mut self, requests: &[Request]) -> Vec<Result<Response>> {
-        if requests.len() < 2 {
-            return requests.iter().map(|r| self.execute(r)).collect();
-        }
-        self.totals.batched_requests += requests.len() as u64;
-        self.state.wal_begin_batch();
-        let mut results = Vec::with_capacity(requests.len());
-        // Staging keeps several requests in flight per backend, on the
-        // channel bus and over TCP alike (each link's retransmission
-        // window covers every staged seq). The legacy broadcast unique
-        // probe would interleave reads into the staged stream, so it
-        // falls back to the solo path (still batched for group
-        // commit). An in-flight group move is a standing
-        // broadcast-write conflict: while the rebalance queue is
-        // non-empty the scheduler refuses to stage flights at all
-        // (each batch member runs solo, after any move its own
-        // `execute` pumps), so no staged read can overlap a directory
-        // retarget.
-        let rebalancing = !self.state.rebalancer.is_idle();
-        if rebalancing && self.unique_via_index {
-            self.totals.rebalance_stalls += requests.len() as u64;
-        }
-        let stageable = self.unique_via_index && !rebalancing;
-        let mut i = 0;
-        while i < requests.len() {
-            let mut flight_fps: Vec<Footprint> = Vec::new();
-            let mut j = i;
-            // A flight closes at `REPLY_CACHE` members: a backend
-            // answers a retransmitted seq from its reply cache only
-            // while the seq is within that distance of the newest one
-            // it has seen, and a flight's seqs span at most its length.
-            while stageable && j < requests.len() && j - i < net::REPLY_CACHE as usize {
-                // Inserts and retrieves stage; deletes, updates and
-                // joins run dependent controller-side rounds and
-                // execute solo.
-                let flyable = match &requests[j] {
-                    Request::Insert { .. } => true,
-                    Request::Retrieve { .. } => self.parallel_reads,
-                    _ => false,
-                };
-                if !flyable {
-                    break;
-                }
-                let fp = Footprint::of(&requests[j], &self.state.unique_groups);
-                // A broadcast *write* cannot be staged at all; a
-                // broadcast read can ride a read-only flight (read
-                // pairs always commute; any write next to it is a
-                // footprint conflict and closes the flight).
-                if fp.broadcast && fp.write {
-                    break;
-                }
-                if flight_fps.iter().any(|f| f.conflicts(&fp)) {
-                    self.totals.conflict_stalls += 1;
-                    break;
-                }
-                flight_fps.push(fp);
-                j += 1;
-            }
-            if j - i >= 2 {
-                let items: Vec<FlightItem> = requests[i..j]
-                    .iter()
-                    .map(|r| match r {
-                        Request::Insert { record } => FlightItem::Insert(record),
-                        Request::Retrieve { .. } => FlightItem::Read(r),
-                        _ => unreachable!("flights hold only inserts and retrieves"),
-                    })
-                    .collect();
-                let reads =
-                    items.iter().filter(|m| matches!(m, FlightItem::Read(_))).count();
-                self.totals.sched_flights += 1;
-                if reads == items.len() {
-                    self.totals.sched_read_flights += 1;
-                } else if reads > 0 {
-                    self.totals.sched_mixed_flights += 1;
-                }
-                self.totals.sched_max_flight =
-                    self.totals.sched_max_flight.max((j - i) as u64);
-                results.extend(self.execute_flight(&items));
-                i = j;
-            } else {
-                results.push(self.execute(&requests[i]));
-                i += 1;
-            }
-        }
-        self.state.commit_batch_results(requests, &mut results);
-        self.maybe_snapshot();
-        results
+        DataPlane::execute_batch(self, requests)
     }
 
     fn exec_totals(&self) -> ExecTotals {
@@ -2344,6 +2003,101 @@ impl Kernel for Controller {
 impl DataPlane for Controller {
     fn state(&mut self) -> &mut ClusterState {
         &mut self.state
+    }
+
+    fn totals(&mut self) -> &mut ExecTotals {
+        &mut self.totals
+    }
+
+    /// Execute a flight of pairwise non-conflicting inserts and
+    /// retrieves with their backend rounds pipelined: every member's
+    /// sends go out before any reply is awaited, so the flight costs
+    /// one round-trip latency instead of one per member.
+    ///
+    /// Order discipline: all three phases walk the flight in admission
+    /// order. The controller-side reads (unique check, key allocation,
+    /// rotor step, routing) happen serially during staging. On the
+    /// channel bus the per-backend channels are FIFO, so each backend
+    /// observes the members' operations in admission order. Over TCP a
+    /// dropped frame is retransmitted after later members of its
+    /// flight were applied, and replies are taken out of the link's
+    /// retransmission window in whatever order they arrive; that is
+    /// still equivalent to serial execution because the scheduler
+    /// only puts pairwise-commuting members in one flight
+    /// ([`Footprint::conflicts`](crate::sched::Footprint::conflicts)).
+    ///
+    /// Reads ride the same discipline. A read staged after an insert
+    /// of the same flight routes against the directory as it stood
+    /// *before* the flight's inserts commit in phase 3 — harmless,
+    /// because the scheduler only admits a read next to inserts whose
+    /// footprints don't conflict with it: none of the flight's new
+    /// records can match the read's qualification, so missing their
+    /// placements cannot change the answer.
+    fn execute_flight(&mut self, flight: &[Request]) -> Vec<Result<Response>> {
+        // Phase 1 — stage: per-member bookkeeping, then the member's
+        // sends (first replica wave / routed read round), no replies
+        // awaited.
+        let mut staged: Vec<Staged> = Vec::with_capacity(flight.len());
+        for request in flight {
+            self.totals.requests += 1;
+            staged.push(match request {
+                Request::Insert { record } => Staged::Insert(self.stage_insert(record)),
+                _ => Staged::Read(Box::new(self.stage_read(request))),
+            });
+        }
+        // Phase 2 — collect: await every staged reply in admission
+        // order (FIFO channels deliver them in exactly this order; a
+        // TCP link keeps replies that overtake the awaited seq).
+        // Nothing new is sent here, so no member's pending reply can
+        // be mistaken for a stale one and discarded.
+        for s in &mut staged {
+            match s {
+                Staged::Insert(Ok(si)) => {
+                    let mut first_err = None;
+                    for idx in 0..si.sent.len() {
+                        let i = si.sent[idx];
+                        match self.recv_reply(i, si.seq) {
+                            Some(Ok(_)) => si.assigned.push(i),
+                            Some(Err(e)) if first_err.is_none() => first_err = Some(e),
+                            Some(Err(_)) => {}
+                            None => {} // died mid-flight; substituted in phase 3
+                        }
+                    }
+                    si.err = first_err;
+                }
+                Staged::Insert(Err(_)) => {}
+                Staged::Read(sr) => {
+                    for idx in 0..sr.sent.len() {
+                        let i = sr.sent[idx];
+                        match self.recv_reply(i, sr.seq) {
+                            Some(Ok(resp)) => sr.merged.merge(resp),
+                            Some(Err(e)) if sr.err.is_none() => sr.err = Some(e),
+                            Some(Err(_)) => {}
+                            // Died mid-flight. A probe's whole answer is
+                            // gone (phase 3 fails over); a routed round's
+                            // survivors carry it, like `send_round`.
+                            None => sr.lost = true,
+                        }
+                    }
+                }
+            }
+        }
+        // Phase 3 — finish: with the bus idle again, run substitute
+        // waves / probe failovers for members the mid-flight deaths
+        // left short, then the per-member bookkeeping, all in
+        // admission order.
+        flight
+            .iter()
+            .zip(staged)
+            .map(|(request, s)| match (request, s) {
+                (_, Staged::Insert(Err(e))) => Err(e),
+                (Request::Insert { record }, Staged::Insert(Ok(s))) => {
+                    self.finish_staged_insert(record, s)
+                }
+                (_, Staged::Read(s)) => self.finish_staged_read(request, *s),
+                _ => unreachable!("flight member and staged state disagree"),
+            })
+            .collect()
     }
 
     /// Send a request to one round of backends (`None` = every serving
@@ -2405,22 +2159,14 @@ impl DataPlane for Controller {
         Ok(merged)
     }
 
-    /// Scoped routing through the cluster state, unless switched off.
     fn route(&self, query: &abdl::Query) -> Option<Vec<usize>> {
-        if !self.scoped_routing {
-            return None;
-        }
         self.state.route_targets(query)
     }
 
     /// Preferred replica group, then every other backend as fallback
     /// so a dead group member is substituted by the next live one.
     fn insert(&mut self, record: &Record) -> Result<Response> {
-        if self.unique_via_index {
-            self.state.check_unique(record)?;
-        } else {
-            self.probe_unique(record)?;
-        }
+        self.state.check_unique(record)?;
         let file = record.file().ok_or(Error::MissingFileKeyword)?.to_owned();
         let key = self.state.alloc_key();
         let primary = self.state.partitioner.place_group(&file, self.state.replication)[0];
@@ -2439,57 +2185,50 @@ impl DataPlane for Controller {
         self.degraded_dirty = true;
     }
 
-    /// Relocate one *chunk* (up to `move_chunk` records) of replica
-    /// group `from` to `to`: the unit of online rebalance.
-    /// WAL-bracketed (`move-begin` … `move-end` in one group commit)
-    /// and idempotent — replaying the bracket against any intermediate
-    /// state converges to the same placement, and a `from` group
-    /// nothing points at is a silent no-op. Returns `Ok(true)` when the
-    /// group is fully vacated, `Ok(false)` when more chunks remain (the
-    /// caller requeues the move at the *front* of the queue).
-    ///
-    /// Reads are never served from a half-moved chunk: the directory
-    /// commit is the *last* effect before the end marker, so routing
-    /// answers from the old (complete) placement during the copy and
-    /// from the new (complete) placement after — per key for mid-group
-    /// chunks, per group for the final one.
-    fn move_group(&mut self, from: &[usize], to: &[usize]) -> Result<bool> {
-        // The group's key list is scanned once and cursored across
-        // chunks — rescanning the whole directory per chunk would put
-        // an O(keys) walk behind every foreground request. Keys the
-        // cursor hands back are re-validated against the live directory
-        // (a foreground delete may have unbound them since the scan).
-        let mut pending = match self.move_cursor.take() {
-            Some((group, pending)) if group == from => pending,
-            _ => self.state.directory.keys_of_group(from),
-        };
-        let mut keys = Vec::with_capacity(self.move_chunk.min(pending.len()));
-        let mut consumed = 0;
-        for key in &pending {
-            if keys.len() == self.move_chunk {
-                break;
+    fn move_chunk(&self) -> usize {
+        self.move_chunk
+    }
+
+    fn move_group_inner(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) -> Result<()> {
+        self.state.log_move_begin(from, to, keys)?;
+        let added: Vec<usize> = to.iter().copied().filter(|m| !from.contains(m)).collect();
+        let removed: Vec<usize> = from.iter().copied().filter(|m| !to.contains(m)).collect();
+        // Pull one surviving copy of each chunk record from the group's
+        // serving members — key-scoped, so a chunk costs O(chunk) at
+        // the backends, never a file scan.
+        let sources: Vec<usize> =
+            from.iter().copied().filter(|&m| self.state.health.is_serving(m)).collect();
+        let moved = self.fetch_records(&sources, keys)?;
+        // Copy to the members the move adds — pipelined: every insert
+        // of the chunk is in flight before the first ack is awaited,
+        // so a chunk costs one reply round instead of one per record …
+        let mut acks: Vec<(usize, u64)> = Vec::new();
+        for (key, rec) in &moved {
+            let bytes = rec.to_string().len() as u64;
+            for &m in &added {
+                if !self.state.health.is_serving(m) {
+                    continue;
+                }
+                let seq = self.next_seq();
+                if self.send_to(m, seq, BackendOp::InsertWithKey(*key, rec.clone())) {
+                    acks.push((m, seq));
+                }
+                self.totals.move_bytes += bytes;
             }
-            consumed += 1;
-            if self.state.directory.get(key).is_some_and(|g| g == from) {
-                keys.push(*key);
+            self.state.resident_move(rec, &added, &removed);
+        }
+        for (m, seq) in acks {
+            if let Some(result) = self.recv_reply(m, seq) {
+                result?;
             }
         }
-        pending.drain(..consumed);
-        if keys.is_empty() {
-            return Ok(true);
-        }
-        // On failure the cursor stays cleared: the retry rescans, so
-        // the chunk drained above is not lost.
-        self.batched(|c| c.move_group_inner(from, to, &keys))?;
-        self.degraded_dirty = true;
-        // Foreground inserts may have bound fresh keys to the group
-        // after the scan; the refcount check catches them (the next
-        // step rescans), where trusting the cursor would strand them.
-        let done = pending.is_empty() && self.state.directory.group_live_entries(from) == 0;
-        if !pending.is_empty() {
-            self.move_cursor = Some((from.to_vec(), pending));
-        }
-        Ok(done)
+        // … physically remove from the members it abandons (a stale
+        // copy would be resurrected by the next broadcast read) …
+        self.delete_keys(&removed, keys);
+        // … and only then commit the new placement: reads routed before
+        // this line saw the complete old group, reads after see the
+        // complete new one.
+        self.state.end_move(from, to, keys, &mut self.totals)
     }
 
     /// Retire a drained backend: every group containing it has moved
@@ -3047,7 +2786,7 @@ mod tests {
         for r in &requests {
             serial.execute(r).unwrap();
         }
-        for res in batched.execute_batch(&requests) {
+        for res in Kernel::execute_batch(&mut batched, &requests) {
             res.unwrap();
         }
         assert_eq!(batched.unique_index_digest(), serial.unique_index_digest());
@@ -3068,7 +2807,7 @@ mod tests {
         let mut reqs: Vec<Request> = (0..4).map(|i| insert_req("f", i, &[])).collect();
         reqs.push(insert_req("f", 2, &[]));
         reqs.push(insert_req("f", 9, &[]));
-        let results = c.execute_batch(&reqs);
+        let results = Kernel::execute_batch(&mut c, &reqs);
         assert_eq!(results.len(), 6);
         for (i, r) in results.iter().enumerate() {
             if i == 4 {
@@ -3097,7 +2836,7 @@ mod tests {
             parse_request("RETRIEVE (FILE = f) (*)").unwrap(),
             insert_req("f", 3, &[]),
         ];
-        let results = c.execute_batch(&reqs);
+        let results = Kernel::execute_batch(&mut c, &reqs);
         let seen = results[2].as_ref().unwrap().records().len();
         assert_eq!(seen, 2, "the read sees the two inserts admitted ahead of it, not the third");
         assert!(results[3].as_ref().is_ok());
@@ -3108,13 +2847,20 @@ mod tests {
         let log = crate::MemLog::new();
         let mut c = Controller::durable_with(3, 2, log).unwrap();
         c.try_create_file("f").unwrap();
+        c.add_unique_constraint("f", vec!["f".into()]);
         let before = c.exec_totals().wal_syncs;
-        let reqs: Vec<Request> = (0..8).map(|i| insert_req("f", i, &[])).collect();
-        for r in c.execute_batch(&reqs) {
+        let reqs: Vec<Request> = (0..64).map(|i| insert_req("f", i, &[])).collect();
+        for r in Kernel::execute_batch(&mut c, &reqs) {
             r.unwrap();
         }
         let t = c.exec_totals();
         assert_eq!(t.wal_syncs - before, 1, "the whole batch pays a single sync");
-        assert_eq!(t.wal_max_batch, 8, "all eight appends flushed together");
+        assert_eq!(t.wal_max_batch, 64, "all 64 appends flushed together");
+        // The same inserts one by one pay one sync each.
+        let before = t.wal_syncs;
+        for i in 64..128 {
+            c.execute(&insert_req("f", i, &[])).unwrap();
+        }
+        assert_eq!(c.exec_totals().wal_syncs - before, 64);
     }
 }

@@ -38,7 +38,6 @@
 
 use crate::controller::DEFAULT_REPLICATION;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::rebalance;
 use crate::state::{check_config, ClusterState, DataPlane};
 use crate::wal::{LogRecord, LogStore, SnapshotData, Wal};
 use abdl::{
@@ -554,73 +553,6 @@ impl SimCluster {
         }
     }
 
-    fn move_group_inner(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) -> Result<()> {
-        self.state.log_move_begin(from, to, keys)?;
-        let added: Vec<usize> = to.iter().copied().filter(|m| !from.contains(m)).collect();
-        let removed: Vec<usize> = from.iter().copied().filter(|m| !to.contains(m)).collect();
-        // Pull one surviving copy of each chunk record from the group's
-        // alive members — key-scoped, never a file scan.
-        let sources: Vec<usize> =
-            from.iter().copied().filter(|&m| self.state.health.is_serving(m)).collect();
-        let mut moved: Vec<(DbKey, Record)> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        for &m in &sources {
-            let wanted = keys.to_vec();
-            let mut extra = 0.0;
-            if let Some(result) = self.deliver(m, &mut extra, move |b| {
-                let records: Vec<(DbKey, Record)> = wanted
-                    .iter()
-                    .filter_map(|&k| b.record_by_key(k).map(|r| (k, r.clone())))
-                    .collect();
-                Ok(Response::with_records(records, Default::default()))
-            }) {
-                for (key, rec) in result?.into_records() {
-                    if seen.insert(key.0) {
-                        moved.push((key, rec));
-                    }
-                }
-            }
-        }
-        moved.sort_by_key(|(k, _)| k.0);
-        // Copy to the members the move adds …
-        let mut busy = vec![0.0; self.backends.len()];
-        for (key, rec) in &moved {
-            let bytes = rec.to_string().len() as u64;
-            for &m in &added {
-                if !self.state.health.is_serving(m) {
-                    continue;
-                }
-                let mut extra = 0.0;
-                let (key, rec) = (*key, rec.clone());
-                if let Some(result) = self.deliver(m, &mut extra, move |b| {
-                    b.insert_with_key(key, rec)
-                        .map(|()| Response::with_affected(1, Default::default()))
-                }) {
-                    result?;
-                }
-                busy[m] += self.cost.block_time_us + extra;
-                self.totals.move_bytes += bytes;
-            }
-            self.state.resident_move(rec, &added, &removed);
-        }
-        // … physically remove from the members it abandons (a stale
-        // copy would be resurrected by the next broadcast read) …
-        for &m in &removed {
-            if !self.state.health.is_serving(m) {
-                continue;
-            }
-            let mut extra = 0.0;
-            let keys = keys.to_vec();
-            let _ = self.deliver(m, &mut extra, move |b| {
-                let gone = keys.iter().filter(|&&k| b.remove_by_key(k).is_some()).count();
-                Ok(Response::with_affected(gone, Default::default()))
-            });
-        }
-        self.charge(&busy);
-        // … and only then commit the new placement.
-        self.state.end_move(from, to, keys, &mut self.totals)
-    }
-
     /// The placement-independent projection of the cluster's contents
     /// (see [`crate::Controller::logical_digest`]): two clusters of
     /// different shapes holding the same data produce equal logical
@@ -633,6 +565,18 @@ impl SimCluster {
 impl DataPlane for SimCluster {
     fn state(&mut self) -> &mut ClusterState {
         &mut self.state
+    }
+
+    fn totals(&mut self) -> &mut ExecTotals {
+        &mut self.totals
+    }
+
+    /// Members run serially: the cost model already charges backend
+    /// work as if concurrent members overlapped (per-backend busy times
+    /// are maxed, not summed), so only the scheduler's accounting needs
+    /// mirroring.
+    fn execute_flight(&mut self, flight: &[Request]) -> Vec<Result<Response>> {
+        flight.iter().map(|r| self.execute(r)).collect()
     }
 
     /// Send a request to one round of backends, mirroring the threaded
@@ -749,20 +693,72 @@ impl DataPlane for SimCluster {
         resp
     }
 
-    /// One *chunk* (up to [`rebalance::DEFAULT_MOVE_CHUNK`]) of the
-    /// group, rescanned from the directory each step. Idempotent: a
-    /// `from` group nothing points at is a silent no-op.
-    fn move_group(&mut self, from: &[usize], to: &[usize]) -> Result<bool> {
-        let mut keys = self.state.directory.keys_of_group(from);
-        if keys.is_empty() {
-            return Ok(true);
+    fn move_group_inner(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) -> Result<()> {
+        self.state.log_move_begin(from, to, keys)?;
+        let added: Vec<usize> = to.iter().copied().filter(|m| !from.contains(m)).collect();
+        let removed: Vec<usize> = from.iter().copied().filter(|m| !to.contains(m)).collect();
+        // Pull one surviving copy of each chunk record from the group's
+        // alive members — key-scoped, never a file scan.
+        let sources: Vec<usize> =
+            from.iter().copied().filter(|&m| self.state.health.is_serving(m)).collect();
+        let mut moved: Vec<(DbKey, Record)> = Vec::new();
+        let mut seen: HashSet<u64> = HashSet::new();
+        for &m in &sources {
+            let wanted = keys.to_vec();
+            let mut extra = 0.0;
+            if let Some(result) = self.deliver(m, &mut extra, move |b| {
+                let records: Vec<(DbKey, Record)> = wanted
+                    .iter()
+                    .filter_map(|&k| b.record_by_key(k).map(|r| (k, r.clone())))
+                    .collect();
+                Ok(Response::with_records(records, Default::default()))
+            }) {
+                for (key, rec) in result?.into_records() {
+                    if seen.insert(key.0) {
+                        moved.push((key, rec));
+                    }
+                }
+            }
         }
-        let done = keys.len() <= rebalance::DEFAULT_MOVE_CHUNK;
-        keys.truncate(rebalance::DEFAULT_MOVE_CHUNK);
-        self.batched(|s| s.move_group_inner(from, to, &keys))?;
-        Ok(done)
+        moved.sort_by_key(|(k, _)| k.0);
+        // Copy to the members the move adds …
+        let mut busy = vec![0.0; self.backends.len()];
+        for (key, rec) in &moved {
+            let bytes = rec.to_string().len() as u64;
+            for &m in &added {
+                if !self.state.health.is_serving(m) {
+                    continue;
+                }
+                let mut extra = 0.0;
+                let (key, rec) = (*key, rec.clone());
+                if let Some(result) = self.deliver(m, &mut extra, move |b| {
+                    b.insert_with_key(key, rec)
+                        .map(|()| Response::with_affected(1, Default::default()))
+                }) {
+                    result?;
+                }
+                busy[m] += self.cost.block_time_us + extra;
+                self.totals.move_bytes += bytes;
+            }
+            self.state.resident_move(rec, &added, &removed);
+        }
+        // … physically remove from the members it abandons (a stale
+        // copy would be resurrected by the next broadcast read) …
+        for &m in &removed {
+            if !self.state.health.is_serving(m) {
+                continue;
+            }
+            let mut extra = 0.0;
+            let keys = keys.to_vec();
+            let _ = self.deliver(m, &mut extra, move |b| {
+                let gone = keys.iter().filter(|&&k| b.remove_by_key(k).is_some()).count();
+                Ok(Response::with_affected(gone, Default::default()))
+            });
+        }
+        self.charge(&busy);
+        // … and only then commit the new placement.
+        self.state.end_move(from, to, keys, &mut self.totals)
     }
-
 
     /// The store goes away without a `dead` log record — the
     /// simulated analogue of the threaded controller's shutdown.
@@ -834,71 +830,7 @@ impl Kernel for SimCluster {
     }
 
     fn execute_batch(&mut self, requests: &[Request]) -> Vec<Result<Response>> {
-        // Mirror of the threaded controller's conflict scheduler: the
-        // simulator walks the same footprint algebra and counts the
-        // same flights/stalls, but executes members serially — the
-        // cost model already charges backend work as if concurrent
-        // members overlapped (per-backend busy times are maxed, not
-        // summed), so only the accounting needs mirroring here.
-        if requests.len() < 2 {
-            return requests.iter().map(|r| self.execute(r)).collect();
-        }
-        self.totals.batched_requests += requests.len() as u64;
-        self.state.wal_begin_batch();
-        let mut results = Vec::with_capacity(requests.len());
-        // An in-flight group move is a standing broadcast-write
-        // conflict: while the rebalance queue is non-empty the
-        // scheduler refuses to stage flights at all, mirroring the
-        // threaded controller's stall accounting.
-        let rebalancing = !self.state.rebalancer.is_idle();
-        if rebalancing {
-            self.totals.rebalance_stalls += requests.len() as u64;
-        }
-        let mut i = 0;
-        while i < requests.len() {
-            let mut flight_fps: Vec<crate::sched::Footprint> = Vec::new();
-            let mut j = i;
-            while !rebalancing && j < requests.len() {
-                let flyable = matches!(
-                    requests[j],
-                    Request::Insert { .. } | Request::Retrieve { .. }
-                );
-                if !flyable {
-                    break;
-                }
-                let fp = crate::sched::Footprint::of(&requests[j], &self.state.unique_groups);
-                if fp.broadcast && fp.write {
-                    break;
-                }
-                if flight_fps.iter().any(|f| f.conflicts(&fp)) {
-                    self.totals.conflict_stalls += 1;
-                    break;
-                }
-                flight_fps.push(fp);
-                j += 1;
-            }
-            if j - i >= 2 {
-                let reads = requests[i..j]
-                    .iter()
-                    .filter(|r| matches!(r, Request::Retrieve { .. }))
-                    .count();
-                self.totals.sched_flights += 1;
-                if reads == j - i {
-                    self.totals.sched_read_flights += 1;
-                } else if reads > 0 {
-                    self.totals.sched_mixed_flights += 1;
-                }
-                self.totals.sched_max_flight =
-                    self.totals.sched_max_flight.max((j - i) as u64);
-            }
-            for r in &requests[i..j.max(i + 1)] {
-                results.push(self.execute(r));
-            }
-            i = j.max(i + 1);
-        }
-        self.state.commit_batch_results(requests, &mut results);
-        self.maybe_snapshot();
-        results
+        DataPlane::execute_batch(self, requests)
     }
 
     fn exec_totals(&self) -> ExecTotals {
@@ -964,7 +896,7 @@ mod tests {
         rec.set("f", Value::Int(100));
         batch.push(Request::Insert { record: rec });
         batch.push(parse_request("RETRIEVE ((FILE = f) and (f = 3)) (*)").unwrap());
-        let results = cluster.execute_batch(&batch);
+        let results = Kernel::execute_batch(&mut cluster, &batch);
         assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
         assert_eq!(results[2].as_ref().unwrap().records().len(), 8);
         let t = cluster.exec_totals();

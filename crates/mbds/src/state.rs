@@ -16,18 +16,23 @@
 //! value.
 //!
 //! The few protocol steps that need the data plane as well (a
-//! backfilling unique constraint, a rebalance step, the logical
-//! affected set of a mutation, the request dispatcher) are provided
+//! backfilling unique constraint, a rebalance step and its chunked
+//! group move, the logical affected set of a mutation, the request
+//! dispatcher and the batch scheduler that forms flights) are provided
 //! methods of [`DataPlane`], which both kernels implement; dispatch is
 //! static.
 
 use crate::directory::Directory;
 use crate::health::HealthBoard;
+use crate::net::REPLY_CACHE;
 use crate::placement::Partitioner;
 use crate::rebalance::{self, MoveJob, Rebalancer};
+use crate::sched::Footprint;
 use crate::wal::{LogRecord, SnapshotData, Wal, WalStats};
 use abdl::engine::aggregate;
-use abdl::{DbKey, Error, ExecTotals, Record, RelOp, Request, Response, Result, Store, Value};
+use abdl::{
+    DbKey, Error, ExecTotals, Kernel, Record, RelOp, Request, Response, Result, Store, Value,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The unique index: per `(file, constraint group)`, every stored value
@@ -152,6 +157,11 @@ pub(crate) struct ClusterState {
     pub(crate) unwrapping: bool,
     /// The throttled queue of pending group moves.
     pub(crate) rebalancer: Rebalancer,
+    /// Remaining key list of the group currently being moved, scanned
+    /// once and drained chunk by chunk ([`ClusterState::next_move_chunk`]).
+    /// Purely an in-memory cache: it is never persisted, and recovery
+    /// and retry paths rescan instead.
+    pub(crate) move_cursor: Option<(Vec<usize>, Vec<DbKey>)>,
     /// Write-ahead log of a durable kernel (`None` on the in-memory
     /// constructors, during recovery replay and in a standby mirror —
     /// replayed operations must not be re-logged).
@@ -181,6 +191,7 @@ impl ClusterState {
             retired: BTreeSet::new(),
             unwrapping: false,
             rebalancer: Rebalancer::new(),
+            move_cursor: None,
             wal: None,
             pending_error: None,
         }
@@ -768,6 +779,36 @@ impl ClusterState {
         }
     }
 
+    /// The keys of the next chunk (up to `chunk` records) of group
+    /// `from` to move; empty once the group is vacated. The group's key
+    /// list is scanned once and cursored across chunks — rescanning the
+    /// whole directory per chunk would put an O(keys) walk behind every
+    /// foreground request. Keys the cursor hands back are re-validated
+    /// against the live directory (a foreground delete may have unbound
+    /// them since the scan).
+    pub(crate) fn next_move_chunk(&mut self, from: &[usize], chunk: usize) -> Vec<DbKey> {
+        let mut pending = match self.move_cursor.take() {
+            Some((group, pending)) if group == from => pending,
+            _ => self.directory.keys_of_group(from),
+        };
+        let mut keys = Vec::with_capacity(chunk.min(pending.len()));
+        let mut consumed = 0;
+        for key in &pending {
+            if keys.len() == chunk {
+                break;
+            }
+            consumed += 1;
+            if self.directory.get(key).is_some_and(|g| g == from) {
+                keys.push(*key);
+            }
+        }
+        pending.drain(..consumed);
+        if !pending.is_empty() {
+            self.move_cursor = Some((from.to_vec(), pending));
+        }
+        keys
+    }
+
     /// Log the `move-begin` marker of a chunk: the durable promise that
     /// exactly `keys` move from `from` to `to`.
     pub(crate) fn log_move_begin(
@@ -840,9 +881,12 @@ impl ClusterState {
 
 /// The data plane of an MBDS kernel — how requests reach its backends —
 /// plus the protocol steps written once on top of it.
-pub(crate) trait DataPlane {
+pub(crate) trait DataPlane: Kernel + Sized {
     /// The kernel's cluster state.
     fn state(&mut self) -> &mut ClusterState;
+
+    /// The kernel's lifetime execution counters.
+    fn totals(&mut self) -> &mut ExecTotals;
 
     /// Send a request to one round of backends (`None` = every serving
     /// backend, the broadcast path; `Some` = a routed subset), merge
@@ -861,13 +905,27 @@ pub(crate) trait DataPlane {
     /// Attach health metadata to an outgoing response.
     fn finalize(&mut self, resp: Response) -> Response;
 
-    /// A DELETE changed the directory (the controller caches its
-    /// degraded verdict).
+    /// A DELETE or a group move changed the directory (the controller
+    /// caches its degraded verdict).
     fn placement_changed(&mut self) {}
 
-    /// Relocate one chunk of replica group `from` to `to` under a
-    /// WAL bracket. `Ok(true)` once the group is fully vacated.
-    fn move_group(&mut self, from: &[usize], to: &[usize]) -> Result<bool>;
+    /// Copy `keys` of group `from` to the members `to` adds, remove
+    /// them from the members it abandons, and commit the new placement,
+    /// all between one chunk's `move-begin` and `move-end` markers.
+    fn move_group_inner(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) -> Result<()>;
+
+    /// Records relocated per WAL bracket: large groups move as a
+    /// sequence of bounded chunks so a pump step never stalls a
+    /// foreground request behind a whole-group copy.
+    fn move_chunk(&self) -> usize {
+        rebalance::DEFAULT_MOVE_CHUNK
+    }
+
+    /// Execute one flight of [`execute_batch`](DataPlane::execute_batch):
+    /// two or more pairwise-commuting inserts and retrieves, answered in
+    /// admission order with exactly the results serial execution would
+    /// give.
+    fn execute_flight(&mut self, flight: &[Request]) -> Vec<Result<Response>>;
 
     /// Take a drained backend out of service (its `drain-end` is
     /// already logged).
@@ -881,16 +939,102 @@ pub(crate) trait DataPlane {
     /// markers (and any deaths detected along the way) sync together.
     /// A crash point landing inside the batch still flushes durably
     /// through the crashing append, so the per-append sweep holds.
-    fn batched<T>(&mut self, op: impl FnOnce(&mut Self) -> Result<T>) -> Result<T>
-    where
-        Self: Sized,
-    {
+    fn batched<T>(&mut self, op: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         self.state().wal_begin_batch();
         let result = op(self);
         let flush = self.state().wal_commit_batch();
         let out = result?;
         flush?;
         Ok(out)
+    }
+
+    /// The conflict-scheduled batch path behind `Kernel::execute_batch`:
+    /// one request from each of several concurrent sessions, admitted
+    /// together.
+    ///
+    /// The scheduler walks the batch in admission order, classifying
+    /// each request's [`Footprint`] and greedily forming *flights* of
+    /// consecutive non-conflicting inserts and retrieves, which
+    /// [`execute_flight`](DataPlane::execute_flight) runs together —
+    /// read-only flights (reads always commute, broadcast scans
+    /// included) and mixed read/insert flights (key-/file-disjoint
+    /// footprints) alike. A conflicting request closes the flight (a
+    /// `conflict_stalls` tick) and waits for it to drain; a flight also
+    /// closes at [`REPLY_CACHE`] members, because a backend answers a
+    /// retransmitted seq from its reply cache only within that distance
+    /// of the newest one, and a flight's seqs span its length. Deletes,
+    /// updates and joins run dependent controller-side rounds and
+    /// execute solo. Because flight members pairwise commute, the
+    /// result is always equivalent to executing the batch serially in
+    /// admission order (`tests/concurrent_equivalence.rs`).
+    ///
+    /// An in-flight group move is a standing broadcast-write conflict:
+    /// while the rebalance queue is non-empty no flight forms (each
+    /// member runs solo, after any move its own `execute` pumps), so no
+    /// staged read can overlap a directory retarget.
+    ///
+    /// The whole batch runs inside one WAL group-commit batch: every
+    /// session's appends are buffered and flushed with a single sync —
+    /// cross-session group commit. As with `execute_transaction`, the
+    /// batch is a durability optimisation, not atomicity: each request
+    /// keeps its own result, and a flush failure is stashed for the
+    /// next `execute` to surface.
+    fn execute_batch(&mut self, requests: &[Request]) -> Vec<Result<Response>> {
+        if requests.len() < 2 {
+            return requests.iter().map(|r| self.execute(r)).collect();
+        }
+        self.totals().batched_requests += requests.len() as u64;
+        self.state().wal_begin_batch();
+        let mut results = Vec::with_capacity(requests.len());
+        let rebalancing = !self.state().rebalancer.is_idle();
+        if rebalancing {
+            self.totals().rebalance_stalls += requests.len() as u64;
+        }
+        let mut i = 0;
+        while i < requests.len() {
+            let mut flight_fps: Vec<Footprint> = Vec::new();
+            let mut j = i;
+            while !rebalancing && j < requests.len() && j - i < REPLY_CACHE as usize {
+                if !matches!(requests[j], Request::Insert { .. } | Request::Retrieve { .. }) {
+                    break;
+                }
+                let fp = Footprint::of(&requests[j], &self.state().unique_groups);
+                // A broadcast *write* cannot be staged at all; a
+                // broadcast read can ride a read-only flight (read
+                // pairs always commute; any write next to it is a
+                // footprint conflict and closes the flight).
+                if fp.broadcast && fp.write {
+                    break;
+                }
+                if flight_fps.iter().any(|f| f.conflicts(&fp)) {
+                    self.totals().conflict_stalls += 1;
+                    break;
+                }
+                flight_fps.push(fp);
+                j += 1;
+            }
+            if j - i >= 2 {
+                let flight = &requests[i..j];
+                let reads =
+                    flight.iter().filter(|r| matches!(r, Request::Retrieve { .. })).count();
+                let t = self.totals();
+                t.sched_flights += 1;
+                if reads == flight.len() {
+                    t.sched_read_flights += 1;
+                } else if reads > 0 {
+                    t.sched_mixed_flights += 1;
+                }
+                t.sched_max_flight = t.sched_max_flight.max(flight.len() as u64);
+                results.extend(self.execute_flight(flight));
+                i = j;
+            } else {
+                results.push(self.execute(&requests[i]));
+                i += 1;
+            }
+        }
+        self.state().commit_batch_results(requests, &mut results);
+        self.maybe_snapshot();
+        results
     }
 
     /// Broadcast a request to every serving backend.
@@ -942,6 +1086,40 @@ pub(crate) trait DataPlane {
                 self.state().pending_error.get_or_insert(e);
             }
         }
+    }
+
+    /// Relocate one *chunk* ([`move_chunk`](DataPlane::move_chunk)
+    /// records) of replica group `from` to `to`: the unit of online
+    /// rebalance. WAL-bracketed (`move-begin` … `move-end` in one group
+    /// commit) and idempotent — replaying the bracket against any
+    /// intermediate state converges to the same placement, and a `from`
+    /// group nothing points at is a silent no-op. Returns `Ok(true)`
+    /// when the group is fully vacated, `Ok(false)` when more chunks
+    /// remain (the caller requeues the move at the *front* of the
+    /// queue).
+    ///
+    /// Reads are never served from a half-moved chunk: the directory
+    /// commit is the *last* effect before the end marker, so routing
+    /// answers from the old (complete) placement during the copy and
+    /// from the new (complete) placement after — per key for mid-group
+    /// chunks, per group for the final one.
+    fn move_group(&mut self, from: &[usize], to: &[usize]) -> Result<bool> {
+        let chunk = self.move_chunk();
+        let keys = self.state().next_move_chunk(from, chunk);
+        if keys.is_empty() {
+            return Ok(true);
+        }
+        if let Err(e) = self.batched(|k| k.move_group_inner(from, to, &keys)) {
+            // The retry rescans, so the chunk that failed is not lost.
+            self.state().move_cursor = None;
+            return Err(e);
+        }
+        self.placement_changed();
+        // Foreground inserts may have bound fresh keys to the group
+        // after the scan; the refcount check catches them (the next
+        // step rescans), where trusting the cursor would strand them.
+        let state = self.state();
+        Ok(state.move_cursor.is_none() && state.directory.group_live_entries(from) == 0)
     }
 
     /// Perform one queued rebalance job (one move *chunk*, or a finish

@@ -24,6 +24,7 @@
 use mlds::abdl::parse::parse_request;
 use mlds::abdl::prng::Prng;
 use mlds::abdl::{Kernel, Record, Request, Value};
+use mlds::mbds::rebalance::DEFAULT_MOVE_CHUNK;
 use mlds::mbds::{Controller, CostModel, MemLog, SimCluster};
 
 const BACKENDS: usize = 3;
@@ -333,9 +334,14 @@ fn elastic_add_then_drain_matches_a_static_cluster() {
 /// The same elastic-vs-static equivalence on the simulated twin, plus
 /// cross-kernel: the threaded controller and the simulated cluster
 /// agree byte-for-byte on durable state through the add and the drain.
+/// A bulk load ahead of the workload puts ~1,700 records in each of the
+/// 3 replica groups, so every group move streams as at least four
+/// default-size chunks through both kernels' move cursor.
 #[test]
 fn sim_cluster_agrees_with_controller_through_add_and_drain() {
-    let ops = gen_ops(0x51A5, 30);
+    let mut ops = vec![Op::CreateFile];
+    ops.extend((0..5_100).map(|v| Op::Insert { v: v % 1000 }));
+    ops.extend(gen_ops(0x51A5, 30).into_iter().skip(1));
     let mut c = Controller::durable_with(BACKENDS, REPLICATION, MemLog::new()).unwrap();
     let mut s =
         SimCluster::durable_with(BACKENDS, REPLICATION, CostModel::default(), MemLog::new())
@@ -344,6 +350,13 @@ fn sim_cluster_agrees_with_controller_through_add_and_drain() {
         SimCluster::durable_with(BACKENDS, REPLICATION, CostModel::default(), MemLog::new())
             .unwrap();
     for op in &ops {
+        if matches!(op, Op::AddBackend) {
+            let (entries, groups, _) = c.directory_stats();
+            assert!(
+                entries / groups > 3 * DEFAULT_MOVE_CHUNK,
+                "groups too small to move in several chunks: {entries} records in {groups} groups"
+            );
+        }
         apply(&mut c, op);
         apply_sim(&mut s, op);
         if !matches!(op, Op::AddBackend | Op::Drain { .. } | Op::FinishRebalance) {

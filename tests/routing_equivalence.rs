@@ -1,37 +1,38 @@
 //! Scoped routing is an optimisation, not a semantics change.
 //!
-//! The property: a seeded workload pushed through two threaded
-//! controllers — one with scoped routing, the controller-side unique
-//! index and parallel replica writes (the defaults), the other forced
-//! back to broadcast-everything, probe-before-insert and sequential
-//! writes — produces identical answers for every single request:
-//! records, aggregate groups, affected counts, degraded flags and
-//! errors (duplicate-key rejections included). The same holds while
+//! The property: a seeded workload pushed through a threaded
+//! controller — scoped routing, the controller-side unique index,
+//! parallel replica writes, all of them always on — produces the same
+//! answer for every single request as a single `abdl::Store` holding
+//! the same files and unique constraint: records, aggregate groups,
+//! affected counts and errors (duplicate-key rejections included). The
+//! store checks uniqueness by its own probe of its records, so the
+//! oracle does not share the controller's index. The same holds while
 //! backends are down, and after they are restarted.
 //!
-//! The payoff is then checked on the counters the optimisation is
-//! about: the routed controller must have sent strictly fewer
-//! backend messages and examined no more records than the broadcast
-//! one for the same workload.
+//! The payoff is then checked as exact message counts on the requests
+//! the optimisations are about (unique inserts, duplicate rejections,
+//! point reads on the unique attribute, batched point reads).
 
 use mlds::abdl::parse::parse_request;
 use mlds::abdl::prng::Prng;
-use mlds::abdl::{Kernel, Record, Request, Value};
-use mlds::mbds::Controller;
+use mlds::abdl::{Error, Kernel, Record, Request, Response, Store, Value};
+use mlds::mbds::{Controller, SimCluster};
+use std::collections::HashMap;
 
 const BACKENDS: usize = 6;
 const REPLICATION: usize = 2;
 
-/// A normalized, comparable rendering of one request's outcome.
-fn outcome(result: mlds::abdl::Result<mlds::abdl::Response>) -> String {
+/// A normalized, comparable rendering of one request's outcome: record
+/// contents without database keys (the two kernels allocate keys
+/// differently — the controller consumes one on a rejected insert too),
+/// aggregate groups, affected counts and errors.
+fn outcome(result: &mlds::abdl::Result<Response>) -> String {
     match result {
         Ok(resp) => {
-            let mut records = resp.records().to_vec();
-            records.sort_by_key(|(k, _)| *k);
-            format!(
-                "records={records:?} groups={:?} affected={} degraded={}",
-                resp.groups, resp.affected, resp.degraded
-            )
+            let mut rows: Vec<String> = resp.records().iter().map(|(_, r)| r.to_string()).collect();
+            rows.sort();
+            format!("rows={rows:?} groups={:?} affected={}", resp.groups, resp.affected)
         }
         Err(e) => format!("error={e:?}"),
     }
@@ -56,8 +57,8 @@ fn insert_h(v: i64) -> Request {
 
 /// One phase of seeded mixed traffic. `allow_dup_u` gates inserts that
 /// can collide on the unique attribute: while whole replica groups are
-/// dead, the index (which still knows about unreachable records) and
-/// the legacy probe (which only sees live backends) legitimately
+/// dead, the controller's index (which still knows about unreachable
+/// records) and the oracle (which no longer holds them) legitimately
 /// disagree about duplicates of *lost* records, so the degraded phase
 /// sticks to fresh unique values.
 fn phase_requests(rng: &mut Prng, n: usize, allow_dup_u: bool, fresh_u_from: i64) -> Vec<Request> {
@@ -113,105 +114,203 @@ fn phase_requests(rng: &mut Prng, n: usize, allow_dup_u: bool, fresh_u_from: i64
         .collect()
 }
 
-fn run_both(scoped: &mut Controller, broad: &mut Controller, reqs: &[Request], ctx: &str) {
+/// Files `g` and `h`, with `u` unique in `g`, on any kernel.
+fn create_files(k: &mut impl Kernel) {
+    k.create_file("g");
+    k.create_file("h");
+    k.add_unique_constraint("g", vec!["u".to_owned()]);
+}
+
+/// Run `reqs` on the controller and the oracle, comparing every answer,
+/// and require every successful controller answer to carry `degraded`.
+fn run_both(c: &mut Controller, oracle: &mut Store, reqs: &[Request], degraded: bool, ctx: &str) {
     for (i, req) in reqs.iter().enumerate() {
-        let a = outcome(scoped.execute(req));
-        let b = outcome(broad.execute(req));
-        assert_eq!(a, b, "{ctx}: request {i} diverged ({req:?})");
+        let got = c.execute(req);
+        assert_eq!(
+            outcome(&got),
+            outcome(&oracle.execute(req)),
+            "{ctx}: request {i} diverged ({req:?})"
+        );
+        if let Ok(resp) = &got {
+            assert_eq!(resp.degraded, degraded, "{ctx}: request {i} degraded flag ({req:?})");
+        }
     }
+}
+
+/// Drop from the oracle every record a full scan of the controller no
+/// longer returns (matched by contents: the kernels' keys differ).
+/// Returns how many records were dropped.
+fn forget_lost_records(c: &mut Controller, oracle: &mut Store) -> usize {
+    let mut lost = 0;
+    for file in ["g", "h"] {
+        let scan = parse_request(&format!("RETRIEVE (FILE = {file}) (*)")).unwrap();
+        let mut live: HashMap<String, usize> = HashMap::new();
+        for (_, rec) in c.execute(&scan).unwrap().records() {
+            *live.entry(rec.to_string()).or_default() += 1;
+        }
+        for (key, rec) in oracle.execute(&scan).unwrap().records() {
+            match live.get_mut(&rec.to_string()) {
+                Some(n) if *n > 0 => *n -= 1,
+                _ => {
+                    oracle.remove_by_key(*key).expect("oracle holds the key it returned");
+                    lost += 1;
+                }
+            }
+        }
+    }
+    lost
 }
 
 /// The property test proper: three phases (all-alive, one backend
 /// down, a whole replica group down = degraded reads), every request
-/// compared, then the message/records-examined payoff asserted.
+/// compared against the single-store oracle.
 #[test]
 fn scoped_routing_equals_broadcast_on_a_seeded_workload() {
-    let mut scoped = Controller::with_replication(BACKENDS, REPLICATION);
-    let mut broad = Controller::with_replication(BACKENDS, REPLICATION);
-    broad.set_scoped_routing(false);
-    broad.set_unique_via_index(false);
-    broad.set_parallel_writes(false);
-
-    for c in [&mut scoped, &mut broad] {
-        c.try_create_file("g").unwrap();
-        c.try_create_file("h").unwrap();
-        c.add_unique_constraint("g", vec!["u".to_owned()]);
-    }
+    let mut c = Controller::with_replication(BACKENDS, REPLICATION);
+    let mut oracle = Store::new();
+    create_files(&mut c);
+    create_files(&mut oracle);
 
     let mut rng = Prng::seed_from_u64(0x2073);
     // Phase 1: full availability, duplicate collisions allowed.
     let reqs = phase_requests(&mut rng, 120, true, 1000);
-    run_both(&mut scoped, &mut broad, &reqs, "phase 1 (all alive)");
+    run_both(&mut c, &mut oracle, &reqs, false, "phase 1 (all alive)");
 
     // Phase 2: one backend down — replicated reads, substituted writes.
-    scoped.kill_backend(2);
-    broad.kill_backend(2);
+    c.kill_backend(2);
     let reqs = phase_requests(&mut rng, 60, true, 2000);
-    run_both(&mut scoped, &mut broad, &reqs, "phase 2 (one down)");
+    run_both(&mut c, &mut oracle, &reqs, false, "phase 2 (one down)");
 
     // Phase 3: restart, then kill an adjacent pair — some replica
-    // groups are wholly dead, so reads are degraded (and flagged);
-    // unique inserts use fresh values (see `phase_requests`).
-    scoped.restart_backend(2).unwrap();
-    broad.restart_backend(2).unwrap();
-    scoped.kill_backend(3);
-    broad.kill_backend(3);
-    scoped.kill_backend(4);
-    broad.kill_backend(4);
+    // groups are wholly dead, so their records are gone and every
+    // answer is flagged degraded; unique inserts use fresh values (see
+    // `phase_requests`).
+    c.restart_backend(2).unwrap();
+    c.kill_backend(3);
+    c.kill_backend(4);
+    let lost = forget_lost_records(&mut c, &mut oracle);
+    assert_eq!(lost, 8, "the dead pair held the only replicas of 8 records");
     let reqs = phase_requests(&mut rng, 60, false, 3000);
-    run_both(&mut scoped, &mut broad, &reqs, "phase 3 (degraded)");
-
-    // Same logical state either way...
-    assert_eq!(scoped.state_digest().unwrap(), broad.state_digest().unwrap());
-    assert_eq!(scoped.unique_index_digest(), broad.unique_index_digest());
-
-    // ...for strictly less work: fewer messages on the bus, no more
-    // records scanned.
-    let s = scoped.exec_totals();
-    let b = broad.exec_totals();
-    assert!(
-        s.messages_sent < b.messages_sent,
-        "routing saved nothing: scoped {} vs broadcast {} messages",
-        s.messages_sent,
-        b.messages_sent
-    );
-    assert!(
-        s.records_examined <= b.records_examined,
-        "routing examined more records: {} vs {}",
-        s.records_examined,
-        b.records_examined
-    );
+    run_both(&mut c, &mut oracle, &reqs, true, "phase 3 (degraded)");
 }
 
 /// The routed fast path must also agree under failure *during* the
 /// workload (not just at phase boundaries): a mid-stream death is
-/// detected by whichever round touches the dead backend first, and
-/// both controllers converge to the same answers afterwards.
+/// detected by whichever round touches the dead backend first, and the
+/// answers afterwards still match the oracle.
 #[test]
 fn mid_workload_death_converges_identically() {
-    let mut scoped = Controller::with_replication(4, 2);
-    let mut broad = Controller::with_replication(4, 2);
-    broad.set_scoped_routing(false);
-    broad.set_unique_via_index(false);
-    broad.set_parallel_writes(false);
-    for c in [&mut scoped, &mut broad] {
-        c.try_create_file("g").unwrap();
-        c.add_unique_constraint("g", vec!["u".to_owned()]);
-        for v in 0..24 {
-            c.execute(&insert_g(v, v)).unwrap();
-        }
+    let mut c = Controller::with_replication(4, 2);
+    let mut oracle = Store::new();
+    create_files(&mut c);
+    create_files(&mut oracle);
+    for v in 0..24 {
+        let req = insert_g(v, v);
+        assert_eq!(outcome(&c.execute(&req)), outcome(&oracle.execute(&req)));
     }
-    scoped.kill_backend(1);
-    broad.kill_backend(1);
-    for u in [3i64, 11, 19] {
-        let q = parse_request(&format!("RETRIEVE ((FILE = g) and (u = {u})) (*)")).unwrap();
-        let a = outcome(scoped.execute(&q));
-        let b = outcome(broad.execute(&q));
-        assert_eq!(a, b, "post-death point lookup u={u}");
-    }
+    c.kill_backend(1);
+    let mut reqs: Vec<Request> = [3i64, 11, 19]
+        .iter()
+        .map(|u| parse_request(&format!("RETRIEVE ((FILE = g) and (u = {u})) (*)")).unwrap())
+        .collect();
     // A colliding insert is rejected identically (every record still
-    // has a live replica, so index and probe agree).
-    let dup = insert_g(99, 5);
-    assert_eq!(outcome(scoped.execute(&dup)), outcome(broad.execute(&dup)));
-    assert_eq!(scoped.state_digest().unwrap(), broad.state_digest().unwrap());
+    // has a live replica), and the full file reads back the same.
+    reqs.push(insert_g(99, 5));
+    reqs.push(parse_request("RETRIEVE (FILE = g) (*)").unwrap());
+    run_both(&mut c, &mut oracle, &reqs, false, "after one death");
+}
+
+fn insert_f(u: i64) -> Request {
+    Request::Insert {
+        record: Record::from_pairs([("FILE", Value::str("f"))])
+            .with("u", Value::Int(u))
+            .with("v", Value::Int(u % 10)),
+    }
+}
+
+fn point_read(u: i64) -> Request {
+    parse_request(&format!("RETRIEVE ((FILE = f) and (u = {u})) (*)")).unwrap()
+}
+
+/// Files `f` (with `u` unique and `rows` records) and `empty`.
+fn load_f(k: &mut impl Kernel, rows: i64) {
+    k.create_file("f");
+    k.create_file("empty");
+    k.add_unique_constraint("f", vec!["u".to_owned()]);
+    for u in 0..rows {
+        k.execute(&insert_f(u)).unwrap();
+    }
+}
+
+/// The broadcast tax, counted: on 8 backends with k = 2, a unique
+/// insert costs exactly its k replica writes (the index replaces a
+/// cluster-wide probe), a duplicate is rejected before any message, a
+/// point read on the unique attribute reaches only its replica group,
+/// a read the index cannot pin reaches every backend holding the file,
+/// and a read of an empty file reaches nobody.
+#[test]
+fn unique_attribute_requests_cost_exact_message_counts() {
+    let mut c = Controller::with_replication(8, 2);
+    load_f(&mut c, 200);
+    for u in 200..203 {
+        let resp = c.execute(&insert_f(u)).unwrap();
+        assert_eq!(resp.messages_sent, 2, "unique insert u={u}");
+    }
+
+    let before = c.exec_totals().messages_sent;
+    let dup = c.execute(&insert_f(7));
+    assert!(matches!(dup, Err(Error::DuplicateKey { .. })), "{dup:?}");
+    assert_eq!(c.exec_totals().messages_sent, before, "a duplicate costs no message");
+
+    for u in [0, 57, 202] {
+        let resp = c.execute(&point_read(u)).unwrap();
+        assert_eq!(resp.records().len(), 1);
+        assert_eq!(resp.messages_sent, 2, "point read u={u} reaches its replica pair");
+    }
+    let scan = parse_request("RETRIEVE ((FILE = f) and (v = 3)) (*)").unwrap();
+    let resp = c.execute(&scan).unwrap();
+    assert_eq!(resp.records().len(), 20);
+    assert_eq!(resp.messages_sent, c.backend_count() as u64, "an unpinned read is a broadcast");
+
+    let resp = c.execute(&parse_request("RETRIEVE (FILE = empty) (*)").unwrap()).unwrap();
+    assert!(resp.records().is_empty());
+    assert_eq!(resp.messages_sent, 0, "an empty file costs nothing");
+}
+
+/// Batched point reads fly as single-backend probes, in flights capped
+/// at the backends' reply-cache span (256): 300 reads are 2 flights,
+/// 300 probes and 300 messages, where the same reads one by one cost
+/// two replica messages each. The simulator's scheduler forms exactly
+/// the same flights.
+#[test]
+fn batched_point_reads_fly_as_probes_in_capped_flights() {
+    const ROWS: i64 = 300;
+    let reads: Vec<Request> = (0..ROWS).map(point_read).collect();
+
+    let mut c = Controller::with_replication(4, 2);
+    load_f(&mut c, ROWS);
+    let before = c.exec_totals();
+    for res in c.execute_batch(&reads) {
+        assert_eq!(res.unwrap().records().len(), 1);
+    }
+    let after = c.exec_totals();
+    assert_eq!(after.sched_flights - before.sched_flights, 2);
+    assert_eq!(after.sched_max_flight, 256);
+    assert_eq!(after.read_probes - before.read_probes, ROWS as u64);
+    assert_eq!(after.messages_sent - before.messages_sent, ROWS as u64);
+
+    let before = c.exec_totals().messages_sent;
+    for r in &reads {
+        c.execute(r).unwrap();
+    }
+    assert_eq!(c.exec_totals().messages_sent - before, 2 * ROWS as u64);
+
+    let mut sim = SimCluster::new(4);
+    load_f(&mut sim, ROWS);
+    for res in sim.execute_batch(&reads) {
+        assert_eq!(res.unwrap().records().len(), 1);
+    }
+    let t = sim.exec_totals();
+    assert_eq!(t.sched_flights, 2);
+    assert_eq!(t.sched_max_flight, 256);
 }
