@@ -1,5 +1,5 @@
-//! The backend controller (the "master") and its backend worker
-//! threads (the "slaves").
+//! The backend controller (the "master") and the links to its
+//! backends (the "slaves").
 //!
 //! Beyond the 1987 design — a controller broadcasting to N backends
 //! with private, unreplicated partitions — this controller adds the
@@ -9,36 +9,41 @@
 //!   to a replica group chosen by the [`Partitioner`]; reads are
 //!   broadcast, merged, and deduplicated by database key, so replicated
 //!   answers are byte-identical to a single store's.
-//! * **failure detection** via reply sequence numbers, `recv_timeout`
+//! * **failure detection** via reply sequence numbers, reply windows
 //!   and the per-backend [`HealthBoard`] (Alive → Suspect → Dead);
 //!   requests are retried on survivors instead of erroring.
-//! * **recovery**: [`Controller::restart_backend`] respawns a worker
+//! * **recovery**: [`Controller::restart_backend`] respawns a backend
 //!   and re-replicates its lost records from surviving replicas.
 //! * **degraded-mode reporting**: every response carries `degraded` and
 //!   `unavailable_backends`, and [`Kernel::health`] exposes the board.
 //! * **deterministic fault injection** ([`FaultPlan`]) applied inside
-//!   the worker loop, for reproducible availability experiments.
+//!   each backend's message step, for reproducible availability
+//!   experiments.
+//!
+//! The controller never names its transport. Each backend is reached
+//! through one [`Link`] (worker threads on the channel bus, or
+//! `mbds-backend` processes over TCP, chosen by `MBDS_TRANSPORT`), and
+//! the links are spawned and attached through the shared [`Cluster`]
+//! handle — see [`crate::link`].
+//!
+//! [`Partitioner`]: crate::Partitioner
+//! [`HealthBoard`]: crate::HealthBoard
 
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::health::BackendState;
-use crate::net::{self, kind, Frame, NetFaultPlan, TcpLink, WireOp, WireReply};
+use crate::link::{Cluster, Link, Stamp, Window};
+use crate::net::{NetFaultPlan, WireOp};
 use crate::rebalance;
 use crate::state::{check_config, file_scan, ClusterState, DataPlane};
 use crate::wal::{FileLog, LogRecord, LogStore, SnapshotData, Wal};
 use abdl::engine::aggregate;
 use abdl::{
-    DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, Request, Response, Result, Store,
-    Transaction,
+    DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, Request, Response, Result, Transaction,
 };
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
 use std::path::Path;
-use std::process::Child;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Default replica count per record (clamped to the backend count).
 pub const DEFAULT_REPLICATION: usize = 2;
@@ -55,39 +60,6 @@ pub const DEFAULT_RETRY_BUDGET: u32 = 3;
 fn next_client_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     ((std::process::id() as u64) << 32) | NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-pub(crate) enum BackendOp {
-    CreateFile(String),
-    InsertWithKey(DbKey, Record),
-    Exec(Request),
-    /// Physically remove records by key — the cleanup half of a
-    /// rebalance group move. A copy left behind on an abandoned member
-    /// would be resurrected by the next broadcast read.
-    DeleteKeys(Vec<DbKey>),
-    /// Fetch records by key — the copy half of a rebalance chunk. The
-    /// move path asks for exactly the chunk's keys instead of scanning
-    /// whole files, so a chunk costs O(chunk), not O(database).
-    FetchKeys(Vec<DbKey>),
-    Shutdown,
-}
-
-/// One message on the controller→backend bus. The reply sender rides
-/// in the envelope (rather than being fixed at spawn) so a promoted
-/// standby can address the same backend threads over fresh reply
-/// channels — stale replies queued for the demoted controller can
-/// never reach the new one. `epoch` is the sender's controller epoch;
-/// backends reject envelopes below the cluster fence.
-pub(crate) struct Envelope {
-    seq: u64,
-    epoch: u64,
-    reply: Sender<Reply>,
-    op: BackendOp,
-}
-
-struct Reply {
-    seq: u64,
-    result: Result<Response>,
 }
 
 /// One flight member's state between the batch scheduler's staging
@@ -147,86 +119,6 @@ enum Staged {
     Read(Box<StagedRead>),
 }
 
-struct BackendHandle {
-    tx: Sender<Envelope>,
-    rx: Receiver<Reply>,
-    reply_tx: Sender<Reply>,
-    join: Option<JoinHandle<()>>,
-    /// `Some` when this backend is a separate OS process reached over
-    /// TCP; the channel fields above are inert placeholders then.
-    tcp: Option<TcpLink>,
-    /// The TCP link's retransmission window (unused on the channel
-    /// bus). A staged flight keeps several requests in flight per
-    /// backend, so a retry must be able to resend any of them.
-    window: RetransmitWindow,
-}
-
-impl BackendHandle {
-    /// A handle on the channel bus: `tx` reaches the worker, replies
-    /// come back on `reply`.
-    fn local(
-        tx: Sender<Envelope>,
-        (reply_tx, rx): (Sender<Reply>, Receiver<Reply>),
-        join: Option<JoinHandle<()>>,
-    ) -> Self {
-        BackendHandle { tx, rx, reply_tx, join, tcp: None, window: RetransmitWindow::default() }
-    }
-
-    /// A handle for a backend process reached over `link`.
-    fn remote(link: TcpLink) -> Self {
-        let (tx, _) = channel();
-        BackendHandle { tcp: Some(link), ..BackendHandle::local(tx, channel(), None) }
-    }
-}
-
-/// Every frame sent on one TCP link whose reply has not been taken
-/// yet, plus replies that overtook the seq being awaited.
-#[derive(Default)]
-struct RetransmitWindow {
-    /// Sent frames keyed by seq; an entry leaves when its reply is
-    /// taken. A retry resends all of them in seq order.
-    unacked: BTreeMap<u64, Frame>,
-    /// Replies to seqs still in `unacked` that arrived while an
-    /// earlier seq was being awaited (a flight's collect phase awaits
-    /// in admission order; a retransmission can answer out of it).
-    early: BTreeMap<u64, Frame>,
-}
-
-impl RetransmitWindow {
-    /// Forget every outstanding seq: the link was given up or
-    /// replaced, so nothing sent on it may ever be retransmitted.
-    fn clear(&mut self) {
-        self.unacked.clear();
-        self.early.clear();
-    }
-}
-
-/// The shared state of a socket-transport cluster: where the backend
-/// processes listen (kept current across restarts), their OS child
-/// handles (holding them keeps the backends' stdin pipes open — each
-/// backend's watchdog exits when every holder is gone), and the
-/// network fault plan every link consults. Shared between a primary
-/// and its standby, so a demoted primary being dropped cannot take the
-/// processes down while the promoted controller is serving over them.
-pub(crate) struct SharedNet {
-    addrs: Mutex<Vec<SocketAddr>>,
-    children: Mutex<Vec<Option<Child>>>,
-    plan: Arc<Mutex<NetFaultPlan>>,
-}
-
-/// Everything a [`crate::Standby`] needs to take over the primary's
-/// backend threads at promotion time: the shared sender bus (kept
-/// current across backend restarts), the shared fence, the shared
-/// fault plan, the reply timeout, and (on the socket transport) the
-/// shared process/address table.
-pub(crate) struct ClusterLink {
-    pub(crate) bus: Arc<Mutex<Vec<Sender<Envelope>>>>,
-    pub(crate) fence: Arc<AtomicU64>,
-    pub(crate) faults: Arc<Mutex<FaultPlan>>,
-    pub(crate) reply_timeout: Duration,
-    pub(crate) net: Option<Arc<SharedNet>>,
-}
-
 /// The MBDS controller: owns the backends, assigns database keys,
 /// places inserted records on replica groups, broadcasts everything
 /// else and merges (and deduplicates) the partial responses.
@@ -234,24 +126,20 @@ pub struct Controller {
     /// Placement, index, membership and log — the bookkeeping shared
     /// with [`crate::SimCluster`] and handed over by standby promotion.
     state: ClusterState,
-    backends: Vec<BackendHandle>,
+    /// One link per backend, by index.
+    backends: Vec<Box<dyn Link>>,
     next_seq: u64,
+    /// Some link holds queued messages not yet flushed.
+    unflushed: bool,
     /// This controller's epoch: 0 for a fresh controller, higher for
     /// one installed by standby promotion. Stamped into every WAL line
-    /// and backend envelope.
+    /// and backend message.
     epoch: u64,
-    /// The cluster fence, shared with every backend thread (and any
-    /// standby): envelopes below it are rejected, so a demoted
-    /// controller's stray writes go nowhere.
-    fence: Arc<AtomicU64>,
-    /// The live command senders, one per backend, shared with any
-    /// standby. `restart_backend` replaces a slot in place, so a
-    /// standby attached before the restart still promotes onto the
-    /// *current* channels.
-    bus: Arc<Mutex<Vec<Sender<Envelope>>>>,
-    /// Shared with the worker threads; swap via `set_fault_plan`.
-    faults: Arc<Mutex<FaultPlan>>,
-    reply_timeout: Duration,
+    /// The fence, fault plan, reply window and backend table, shared
+    /// with any standby. `restart_backend` replaces a slot in place, so
+    /// a standby attached before the restart still promotes onto the
+    /// *current* backend.
+    cluster: Cluster,
     degraded_cache: bool,
     degraded_dirty: bool,
     /// Key-scoped single-backend probes sent, per backend — how evenly
@@ -263,27 +151,11 @@ pub struct Controller {
     /// sequence of bounded chunks so a pump step never stalls a
     /// foreground request behind a whole-group copy.
     move_chunk: usize,
-    /// `Some` when the backends are separate OS processes over TCP.
-    net: Option<Arc<SharedNet>>,
-    /// Retransmissions attempted per reply window on the socket
-    /// transport (the channel bus never retries).
+    /// Retransmissions attempted per reply window on a lossy link (the
+    /// channel bus never retries).
     retry_budget: u32,
-    /// This controller's wire identity (0 on the channel transport).
+    /// This controller's wire identity, constant across re-dials.
     client_id: u64,
-}
-
-impl ClusterLink {
-    /// The handles of a freshly spawned cluster: a bus over `backends`'
-    /// command senders and the default reply window.
-    fn fresh(
-        backends: &[BackendHandle],
-        fence: Arc<AtomicU64>,
-        faults: Arc<Mutex<FaultPlan>>,
-        net: Option<Arc<SharedNet>>,
-    ) -> ClusterLink {
-        let bus = Arc::new(Mutex::new(backends.iter().map(|b| b.tx.clone()).collect()));
-        ClusterLink { bus, fence, faults, reply_timeout: Duration::from_millis(1000), net }
-    }
 }
 
 impl Controller {
@@ -307,11 +179,8 @@ impl Controller {
     /// — which is how the existing crash/failover sweeps run unchanged
     /// over TCP.
     pub fn with_replication(n: usize, k: usize) -> Self {
-        if std::env::var("MBDS_TRANSPORT").as_deref() == Ok("tcp") {
-            return Controller::over_tcp(n, k)
-                .expect("MBDS_TRANSPORT=tcp: spawning backend processes failed");
-        }
-        Controller::with_replication_chan(n, k)
+        Controller::spawned(n, k, Cluster::from_env())
+            .expect("MBDS_TRANSPORT=tcp: spawning backend processes failed")
     }
 
     /// Spawn a controller with `n` backends, `k` copies per record and
@@ -329,47 +198,24 @@ impl Controller {
     /// (`mbds-backend`) reached over the fault-injectable socket
     /// transport, keeping `k` copies of every record.
     pub fn over_tcp(n: usize, k: usize) -> Result<Self> {
-        let state = ClusterState::new(n, k);
-        let client_id = next_client_id();
-        let plan: Arc<Mutex<NetFaultPlan>> = Arc::default();
-        let mut addrs = Vec::with_capacity(n);
-        let mut children = Vec::with_capacity(n);
-        let mut backends = Vec::with_capacity(n);
-        for i in 0..n {
-            let bp = net::spawn_backend_process(i)?;
-            let mut link = TcpLink::new(i, bp.addr, client_id, Arc::clone(&plan));
-            link.connect(0, Duration::from_millis(3000)).map_err(|e| {
-                Error::Internal(format!("backend {i} at {} refused the handshake: {e:?}", bp.addr))
-            })?;
-            addrs.push(bp.addr);
-            children.push(Some(bp.child));
-            backends.push(BackendHandle::remote(link));
-        }
-        let net = SharedNet { addrs: Mutex::new(addrs), children: Mutex::new(children), plan };
-        let net = Some(Arc::new(net));
-        let link = ClusterLink::fresh(&backends, Arc::default(), Arc::default(), net);
-        Ok(Controller::assemble(state, backends, link, 0, client_id))
+        Controller::spawned(n, k, Cluster::processes())
     }
 
-    /// The channel-transport constructor body: `n` worker threads on
-    /// the in-process bus.
-    fn with_replication_chan(n: usize, k: usize) -> Self {
-        let state = ClusterState::new(n, k);
-        let faults: Arc<Mutex<FaultPlan>> = Arc::default();
-        let fence: Arc<AtomicU64> = Arc::default();
-        let backends: Vec<BackendHandle> =
-            (0..n).map(|i| spawn_backend(i, Arc::clone(&fence), Arc::clone(&faults))).collect();
-        let link = ClusterLink::fresh(&backends, fence, faults, None);
-        Controller::assemble(state, backends, link, 0, 0)
+    /// A fresh controller at epoch 0 over `n` backends spawned into
+    /// `cluster`.
+    fn spawned(n: usize, k: usize, cluster: Cluster) -> Result<Self> {
+        let client_id = next_client_id();
+        let backends = (0..n).map(|i| cluster.spawn(i, client_id, 0)).collect::<Result<_>>()?;
+        Ok(Controller::assemble(ClusterState::new(n, k), backends, cluster, 0, client_id))
     }
 
     /// The one constructor body: a controller at `epoch` over
-    /// `backends`, with `state` as its bookkeeping and `link`'s shared
-    /// bus, fence, fault plan and (socket transport) process table.
+    /// `backends`, with `state` as its bookkeeping and `cluster`'s
+    /// shared handles.
     fn assemble(
         state: ClusterState,
-        backends: Vec<BackendHandle>,
-        link: ClusterLink,
+        backends: Vec<Box<dyn Link>>,
+        cluster: Cluster,
         epoch: u64,
         client_id: u64,
     ) -> Controller {
@@ -378,17 +224,14 @@ impl Controller {
             state,
             backends,
             next_seq: 1,
+            unflushed: false,
             epoch,
-            fence: link.fence,
-            bus: link.bus,
-            faults: link.faults,
-            reply_timeout: link.reply_timeout,
+            cluster,
             degraded_cache: false,
             degraded_dirty: true,
             read_probes_by_backend: vec![0; n],
             totals: ExecTotals::default(),
             move_chunk: rebalance::DEFAULT_MOVE_CHUNK,
-            net: link.net,
             retry_budget: DEFAULT_RETRY_BUDGET,
             client_id,
         }
@@ -475,7 +318,7 @@ impl Controller {
         // the higher epoch wins, the other is refused at the store.
         wal.refence(wal.epoch() + 1)?;
         c.epoch = wal.epoch();
-        c.fence.store(c.epoch, Ordering::SeqCst);
+        c.cluster.fence.store(c.epoch, Ordering::SeqCst);
         c.state.wal = Some(wal);
         Ok(c)
     }
@@ -493,79 +336,43 @@ impl Controller {
                 "only a durable controller can ship its log to a standby".into(),
             ));
         }
-        crate::Standby::attach(self.cluster_link(), store)
-    }
-
-    /// The handles a standby needs to take over this cluster.
-    pub(crate) fn cluster_link(&self) -> ClusterLink {
-        ClusterLink {
-            bus: Arc::clone(&self.bus),
-            fence: Arc::clone(&self.fence),
-            faults: Arc::clone(&self.faults),
-            reply_timeout: self.reply_timeout,
-            net: self.net.clone(),
-        }
+        crate::Standby::attach(self.cluster.clone(), store)
     }
 
     /// Build the promoted controller a standby installs at failover:
-    /// fresh reply channels over the cluster's existing command
-    /// senders (`join: None` — the primary spawned the threads), the
-    /// mirror's cluster state taken over by value, and a [`Wal`]
-    /// resuming the shipped log at the fenced `epoch`.
+    /// fresh links to the cluster's running backends (the primary
+    /// spawned them), the mirror's cluster state taken over by value,
+    /// and a [`Wal`] resuming the shipped log at the fenced `epoch`.
+    /// Each link carries a fresh identity; a socket link's handshake
+    /// carries the promoted epoch, fencing the isolated old primary
+    /// out of every reachable backend before this controller serves
+    /// its first request.
     pub(crate) fn promoted(
-        link: ClusterLink,
+        cluster: Cluster,
         wal: Wal,
         epoch: u64,
         mut state: ClusterState,
     ) -> Controller {
         state.wal = Some(wal);
-        let client_id = if link.net.is_some() { next_client_id() } else { 0 };
-        let backends = if let Some(shared) = link.net.as_ref() {
-            // Socket transport: dial every backend process with a fresh
-            // identity. The Hello carries the promoted epoch, raising
-            // each reachable backend's fence *now* — the isolated old
-            // primary is fenced out of the remote backends before this
-            // controller serves its first request. Unreachable backends
-            // stay unconnected; the first send retries the dial.
-            let addrs = shared.addrs.lock().expect("net addrs lock").clone();
-            addrs
-                .into_iter()
-                .enumerate()
-                .map(|(i, addr)| {
-                    let mut tcp = TcpLink::new(i, addr, client_id, Arc::clone(&shared.plan));
-                    let _ = tcp.connect(epoch, link.reply_timeout);
-                    BackendHandle::remote(tcp)
-                })
-                .collect()
-        } else {
-            let senders = link.bus.lock().expect("bus lock").clone();
-            senders.into_iter().map(|tx| BackendHandle::local(tx, channel(), None)).collect()
-        };
-        let mut c = Controller::assemble(state, backends, link, epoch, client_id);
-        // Socket transport: a backend the mirror saw dead may only have
-        // been unreachable *from the partitioned primary* — if its
-        // process just answered our Hello, it is alive with its store
-        // intact. Restore those; the genuinely unreachable stay dead
-        // (and `finish_interrupted_restart` / `restart_backend` handle
-        // them the heavy way).
-        if c.net.is_some() {
-            for i in 0..c.backends.len() {
-                let connected =
-                    c.backends[i].tcp.as_ref().is_some_and(|link| link.is_connected());
-                if connected && !c.state.health.is_serving(i) {
-                    if c.state.retired.contains(&i) {
-                        // Not a partition casualty: the primary logged
-                        // `drain-end` but died before stopping the
-                        // worker. Finish the retirement instead of
-                        // restoring an emptied backend into service.
-                        let frame = WireOp::Shutdown.into_frame(0, c.epoch);
-                        if let Some(link) = c.backends[i].tcp.as_mut() {
-                            let _ = link.send(&frame);
-                        }
-                        c.reap_child(i);
-                    } else {
-                        let _ = c.restore_reconnected(i);
-                    }
+        let client_id = next_client_id();
+        let backends = (0..cluster.width()).map(|i| cluster.attach(i, client_id, epoch)).collect();
+        let mut c = Controller::assemble(state, backends, cluster, epoch, client_id);
+        // A backend the mirror saw dead may only have been unreachable
+        // *from the partitioned primary* — if it just answered our
+        // handshake, it is alive with its store intact. Restore those;
+        // the genuinely unreachable stay dead (and
+        // `finish_interrupted_restart` / `restart_backend` handle them
+        // the heavy way).
+        for i in 0..c.backends.len() {
+            if c.backends[i].is_connected() && !c.state.health.is_serving(i) {
+                if c.state.retired.contains(&i) {
+                    // Not a partition casualty: the primary logged
+                    // `drain-end` but died before stopping the backend.
+                    // Finish the retirement instead of restoring an
+                    // emptied backend into service.
+                    c.stop_backend(i);
+                } else {
+                    let _ = c.restore_reconnected(i);
                 }
             }
         }
@@ -625,69 +432,32 @@ impl Controller {
     /// from the backend's first message ever, so install the plan
     /// before the traffic it should disturb.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        *self.faults.lock().expect("fault plan lock") = plan.clone();
-        if self.net.is_some() {
-            // Remote backends keep their own plan copy: ship it.
-            for i in 0..self.backends.len() {
-                if self.state.health.is_serving(i) {
-                    self.push_faults_tcp(i, &plan);
-                }
+        *self.cluster.faults.lock().expect("fault plan lock") = plan.clone();
+        for i in 0..self.backends.len() {
+            if self.state.health.is_serving(i) {
+                self.push_faults(i, &plan);
             }
         }
     }
 
-    /// Ship the classic fault plan to backend process `i` and await
-    /// its ack (best effort — an unreachable backend will get the plan
-    /// again if it is restarted).
-    fn push_faults_tcp(&mut self, i: usize, plan: &FaultPlan) -> bool {
+    /// Ship `plan` to backend `i` if it keeps its own copy (a backend
+    /// process does; best effort — an unreachable backend will get the
+    /// plan again if it is restarted).
+    fn push_faults(&mut self, i: usize, plan: &FaultPlan) {
         let seq = self.next_seq();
-        let frame = WireOp::SetFaults(plan.clone()).into_frame(seq, self.epoch);
-        let epoch = self.epoch;
-        let dial = self.reply_timeout;
-        let Some(link) = self.backends[i].tcp.as_mut() else { return false };
-        if !queue_redialing(link, &frame, epoch, dial) || link.flush().is_err() {
-            return false;
-        }
-        let deadline = Instant::now() + dial;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            match link.recv(left) {
-                Ok(Some(f)) if f.seq == seq && f.kind == kind::REPLY_OK => return true,
-                Ok(Some(_)) => continue,
-                Ok(None) | Err(_) => return false,
-            }
-        }
-    }
-
-    /// Wait (briefly) for backend process `i` to exit, then make sure
-    /// of it. No-op on the channel transport.
-    fn reap_child(&mut self, i: usize) {
-        let Some(shared) = self.net.as_ref() else { return };
-        let child = shared.children.lock().expect("net children lock")[i].take();
-        if let Some(mut child) = child {
-            for _ in 0..50 {
-                if matches!(child.try_wait(), Ok(Some(_))) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        let at = self.stamp();
+        self.backends[i].push_faults(at, seq, plan);
     }
 
     /// How long the controller waits for one reply window before
     /// demoting a backend (two windows: Alive → Suspect → Dead).
     pub fn set_reply_timeout(&mut self, timeout: Duration) {
-        self.reply_timeout = timeout;
+        self.cluster.reply_timeout = timeout;
     }
 
     /// The configured reply-window length.
     pub fn reply_timeout(&self) -> Duration {
-        self.reply_timeout
+        self.cluster.reply_timeout
     }
 
     /// Retransmissions attempted inside one reply window on the socket
@@ -698,7 +468,7 @@ impl Controller {
 
     /// True when the backends are separate OS processes over TCP.
     pub fn is_tcp(&self) -> bool {
-        self.net.is_some()
+        self.cluster.is_remote()
     }
 
     /// Install a network fault plan (socket transport only; a no-op on
@@ -706,23 +476,21 @@ impl Controller {
     /// frames not yet moved; per-link frame counters start at the
     /// link's first frame ever.
     pub fn set_net_fault_plan(&mut self, plan: NetFaultPlan) {
-        if let Some(shared) = self.net.as_ref() {
-            *shared.plan.lock().expect("net plan lock") = plan;
-        }
+        self.cluster.set_net_fault_plan(plan);
     }
 
     /// Sever the link to backend `i` — a real partition: frames in
     /// both directions fail until [`heal_link`](Self::heal_link).
     /// Socket transport only.
     pub fn sever_link(&mut self, i: usize) {
-        if let Some(link) = self.backends.get_mut(i).and_then(|b| b.tcp.as_mut()) {
+        if let Some(link) = self.backends.get_mut(i) {
             link.sever();
         }
     }
 
     /// Heal a severed link; the next send re-dials.
     pub fn heal_link(&mut self, i: usize) {
-        if let Some(link) = self.backends.get_mut(i).and_then(|b| b.tcp.as_mut()) {
+        if let Some(link) = self.backends.get_mut(i) {
             link.heal();
         }
     }
@@ -746,16 +514,11 @@ impl Controller {
         if self.state.health.is_serving(i) && self.state.health.state(i) == BackendState::Alive {
             return Ok(());
         }
-        if self.backends[i].tcp.is_none() {
+        let at = self.stamp();
+        let Some(fence) = self.backends[i].reconnect(at) else {
             return self.restart_backend(i);
-        }
-        let epoch = self.epoch;
-        let dial = self.reply_timeout;
-        let link = self.backends[i].tcp.as_mut().expect("tcp link");
-        let fence = match link.connect(epoch, dial) {
-            Ok(fence) => fence,
-            Err(_) => return self.restart_backend(i),
         };
+        let epoch = at.epoch;
         if fence > epoch {
             return Err(Error::Unavailable(format!(
                 "backend {i}: reconnect refused (fence epoch {fence} > controller epoch {epoch})"
@@ -775,7 +538,7 @@ impl Controller {
             c.state.log_append(LogRecord::RestartBegin { backend: i })?;
             c.state.log_append(LogRecord::RestartEnd { backend: i })
         });
-        self.backends[i].window.clear();
+        self.backends[i].forget();
         self.state.health.restarted(i);
         self.degraded_dirty = true;
         logged?;
@@ -939,11 +702,8 @@ impl Controller {
 
     /// Push one record copy to backend `i` (recovery load path).
     fn load_replica(&mut self, i: usize, key: DbKey, record: &Record) -> Result<()> {
-        let seq = self.next_seq();
-        if self.send_to(i, seq, BackendOp::InsertWithKey(key, record.clone())) {
-            if let Some(result) = self.recv_reply(i, seq) {
-                result?;
-            }
+        if let Some(result) = self.call(i, WireOp::InsertWithKey(key, record.clone())) {
+            result?;
         }
         Ok(())
     }
@@ -969,27 +729,35 @@ impl Controller {
         if i >= self.backends.len() || !self.state.health.is_serving(i) {
             return;
         }
-        let epoch = self.epoch;
-        if self.backends[i].tcp.is_some() {
-            let frame = WireOp::Shutdown.into_frame(0, epoch);
-            if let Some(link) = self.backends[i].tcp.as_mut() {
-                let _ = link.send(&frame);
-            }
-            self.reap_child(i);
-        } else {
-            let b = &mut self.backends[i];
-            let _ = b.tx.send(Envelope {
-                seq: 0,
-                epoch,
-                reply: b.reply_tx.clone(),
-                op: BackendOp::Shutdown,
-            });
-            if let Some(join) = b.join.take() {
-                let _ = join.join();
-            }
-        }
+        self.stop_backend(i);
         self.state.health.channel_closed(i);
         self.degraded_dirty = true;
+    }
+
+    /// Stop backend `i` (best effort) and wait for it to go.
+    fn stop_backend(&mut self, i: usize) {
+        let at = self.stamp();
+        self.backends[i].stop(at);
+    }
+
+    /// Start a fresh backend in slot `i` — a new slot when `i` is the
+    /// backend count — and link to it; the shared table stays current,
+    /// so a standby promotes onto the replacement. The new backend
+    /// counts messages from 0 and reads the cluster's fault plan, which
+    /// a backend keeping its own copy is shipped.
+    fn spawn_backend(&mut self, i: usize) -> Result<()> {
+        let link = self.cluster.spawn(i, self.client_id, self.epoch)?;
+        if i == self.backends.len() {
+            self.backends.push(link);
+            self.read_probes_by_backend.push(0);
+        } else {
+            self.backends[i] = link;
+        }
+        let plan = self.cluster.faults.lock().expect("fault plan lock").clone();
+        if !plan.is_empty() {
+            self.push_faults(i, &plan);
+        }
+        Ok(())
     }
 
     /// Recovery: respawn backend `i` with an empty store, replay the
@@ -1030,89 +798,26 @@ impl Controller {
         // mid-restart) is safely re-run by the caller — restarting an
         // already-alive backend is a no-op.
         self.state.log_append(LogRecord::RestartBegin { backend: i })?;
-        if let Some(shared) = self.net.clone() {
-            // Socket transport: retire the old process (best-effort
-            // shutdown, then reap) and spawn a fresh one at a new
-            // address — the shared table stays current so a standby
-            // promotes onto the replacement process.
-            if let Some(link) = self.backends[i].tcp.as_mut() {
-                let frame = WireOp::Shutdown.into_frame(0, self.epoch);
-                let _ = link.send(&frame);
-            }
-            self.reap_child(i);
-            let bp = net::spawn_backend_process(i)?;
-            shared.addrs.lock().expect("net addrs lock")[i] = bp.addr;
-            if let Some(mut old) =
-                shared.children.lock().expect("net children lock")[i].replace(bp.child)
-            {
-                let _ = old.kill();
-                let _ = old.wait();
-            }
-            let mut link = TcpLink::new(i, bp.addr, self.client_id, Arc::clone(&shared.plan));
-            let _ = link.connect(self.epoch, self.reply_timeout);
-            self.backends[i].tcp = Some(link);
-            self.backends[i].window.clear();
-            // A respawned process starts with an empty fault plan and a
-            // fresh message counter — exactly like a respawned worker
-            // thread, except the plan must be re-shipped.
-            let plan = self.faults.lock().expect("fault plan lock").clone();
-            if !plan.is_empty() {
-                self.push_faults_tcp(i, &plan);
-            }
-        } else {
-            // Drop the old handle (closing its channels) and join the
-            // dead worker if it has not exited yet.
-            let old = std::mem::replace(
-                &mut self.backends[i],
-                spawn_backend(i, Arc::clone(&self.fence), Arc::clone(&self.faults)),
-            );
-            // Keep the shared bus current: a standby attached before
-            // this restart must promote onto the replacement channel.
-            self.bus.lock().expect("bus lock")[i] = self.backends[i].tx.clone();
-            let _ = old.tx.send(Envelope {
-                seq: 0,
-                epoch: self.epoch,
-                reply: old.reply_tx.clone(),
-                op: BackendOp::Shutdown,
-            });
-            drop(old.tx);
-            if let Some(join) = old.join {
-                let _ = join.join();
-            }
-        }
+        // Retire the old backend (it is usually gone already) and
+        // spawn an empty one in its slot.
+        self.stop_backend(i);
+        self.spawn_backend(i)?;
         self.state.health.restarted(i);
         self.degraded_dirty = true;
 
-        // Replay the schema.
-        for file in self.state.files.clone() {
-            let seq = self.next_seq();
-            if !self.send_to(i, seq, BackendOp::CreateFile(file)) {
-                return Err(Error::Unavailable(format!("backend {i} died during restart")));
-            }
-            if self.recv_reply(i, seq).is_none() {
-                return Err(Error::Unavailable(format!("backend {i} died during restart")));
-            }
-        }
+        self.replay_schema(i, "during restart")?;
         // Anti-entropy: pull surviving copies and re-insert the records
         // this backend is supposed to hold.
         for file in self.state.files.clone() {
             let survivors = self.broadcast(&file_scan(&file))?;
             for (key, rec) in survivors.into_records() {
                 if self.state.directory.get(&key).is_some_and(|g| g.contains(&i)) {
-                    let seq = self.next_seq();
-                    if !self.send_to(i, seq, BackendOp::InsertWithKey(key, rec)) {
-                        return Err(Error::Unavailable(format!("backend {i} died during recovery")));
-                    }
-                    match self.recv_reply(i, seq) {
-                        Some(result) => {
-                            result?;
-                        }
-                        None => {
-                            return Err(Error::Unavailable(format!(
-                                "backend {i} died during recovery"
-                            )))
-                        }
-                    }
+                    let Some(result) = self.call(i, WireOp::InsertWithKey(key, rec)) else {
+                        return Err(Error::Unavailable(format!(
+                            "backend {i} died during recovery"
+                        )));
+                    };
+                    result?;
                 }
             }
         }
@@ -1128,7 +833,9 @@ impl Controller {
     }
 
     /// Bound the group moves piggybacked on each foreground request
-    /// (floored at 1) — the knob experiment E21 sweeps.
+    /// (floored at 1; default 1). `tests/rebalance.rs` pins it for its
+    /// step-by-step move checks; the shell's `.addbackend`/`.drain`
+    /// and experiment E21 leave the default.
     pub fn set_rebalance_throttle(&mut self, throttle: usize) {
         self.state.rebalancer.set_throttle(throttle);
     }
@@ -1192,61 +899,32 @@ impl Controller {
         Ok(())
     }
 
-    /// Spawn workers until `target` backends are up: an online add
-    /// (the cluster state was widened first), the replay of an
-    /// `add-backend` record, and promotion's membership reconciliation
-    /// — an `add-backend` record can ship while the primary dies before
-    /// spawning the worker, leaving the shared bus one slot short; the
-    /// mirror's state already accounts for the backend (and no move can
-    /// have landed data on it — the crash preceded the spawn), so only
-    /// the worker itself is missing.
+    /// Spawn backends until `target` are up, each with the schema
+    /// replayed into its empty store: an online add (the cluster state
+    /// was widened first), the replay of an `add-backend` record, and
+    /// promotion's membership reconciliation — an `add-backend` record
+    /// can ship while the primary dies before spawning the backend,
+    /// leaving the shared table one slot short; the mirror's state
+    /// already accounts for the backend (health board, placement ring,
+    /// residency vectors — and no move can have landed data on it, the
+    /// crash preceded the spawn), so only the backend itself is missing.
     fn adopt_missing_backends(&mut self, target: usize) -> Result<()> {
         while self.backends.len() < target {
-            self.spawn_join_backend()?;
+            let i = self.backends.len();
+            self.spawn_backend(i)?;
+            self.replay_schema(i, "while joining")?;
+            self.degraded_dirty = true;
         }
         Ok(())
     }
 
-    /// Spawn worker `backends.len()` (thread, or `mbds-backend` process
-    /// on the socket transport), wire it onto the shared bus and
-    /// process tables, grow the probe counters, and replay the schema
-    /// into its empty store. The cluster state (health board, placement
-    /// ring, residency vectors) already holds the backend.
-    fn spawn_join_backend(&mut self) -> Result<()> {
-        let i = self.backends.len();
-        if let Some(shared) = self.net.clone() {
-            let bp = net::spawn_backend_process(i)?;
-            let mut link = TcpLink::new(i, bp.addr, self.client_id, Arc::clone(&shared.plan));
-            link.connect(self.epoch, self.reply_timeout).map_err(|e| {
-                Error::Internal(format!(
-                    "added backend {i} at {} refused the handshake: {e:?}",
-                    bp.addr
-                ))
-            })?;
-            shared.addrs.lock().expect("net addrs lock").push(bp.addr);
-            shared.children.lock().expect("net children lock").push(Some(bp.child));
-            self.backends.push(BackendHandle::remote(link));
-            self.bus.lock().expect("bus lock").push(self.backends[i].tx.clone());
-            let plan = self.faults.lock().expect("fault plan lock").clone();
-            if !plan.is_empty() {
-                self.push_faults_tcp(i, &plan);
-            }
-        } else {
-            let handle = spawn_backend(i, Arc::clone(&self.fence), Arc::clone(&self.faults));
-            self.bus.lock().expect("bus lock").push(handle.tx.clone());
-            self.backends.push(handle);
-        }
-        self.read_probes_by_backend.push(0);
+    /// Replay the schema into backend `i`'s empty store.
+    fn replay_schema(&mut self, i: usize, during: &str) -> Result<()> {
         for file in self.state.files.clone() {
-            let seq = self.next_seq();
-            if !self.send_to(i, seq, BackendOp::CreateFile(file)) {
-                return Err(Error::Unavailable(format!("backend {i} died while joining")));
-            }
-            if self.recv_reply(i, seq).is_none() {
-                return Err(Error::Unavailable(format!("backend {i} died while joining")));
+            if self.call(i, WireOp::CreateFile(file)).is_none() {
+                return Err(Error::Unavailable(format!("backend {i} died {during}")));
             }
         }
-        self.degraded_dirty = true;
         Ok(())
     }
 
@@ -1320,15 +998,7 @@ impl Controller {
         if members.is_empty() {
             return;
         }
-        let seq = self.next_seq();
-        let mut sent = Vec::new();
-        for &m in members {
-            if self.state.health.is_serving(m)
-                && self.send_to(m, seq, BackendOp::DeleteKeys(keys.to_vec()))
-            {
-                sent.push(m);
-            }
-        }
+        let (seq, sent) = self.send_each(members, || WireOp::DeleteKeys(keys.to_vec()));
         for m in sent {
             let _ = self.recv_reply(m, seq);
         }
@@ -1344,13 +1014,7 @@ impl Controller {
         sources: &[usize],
         keys: &[DbKey],
     ) -> Result<Vec<(DbKey, Record)>> {
-        let seq = self.next_seq();
-        let mut sent = Vec::new();
-        for &m in sources {
-            if self.send_to(m, seq, BackendOp::FetchKeys(keys.to_vec())) {
-                sent.push(m);
-            }
-        }
+        let (seq, sent) = self.send_each(sources, || WireOp::FetchKeys(keys.to_vec()));
         let mut by_key: BTreeMap<DbKey, Record> = BTreeMap::new();
         let mut first_err = None;
         for m in sent {
@@ -1391,15 +1055,8 @@ impl Controller {
         if !self.state.files.iter().any(|f| f == name) {
             self.state.files.push(name.to_owned());
         }
-        let seq = self.next_seq();
-        let mut sent = Vec::new();
-        for i in 0..self.backends.len() {
-            if self.state.health.is_serving(i)
-                && self.send_to(i, seq, BackendOp::CreateFile(name.to_owned()))
-            {
-                sent.push(i);
-            }
-        }
+        let all: Vec<usize> = (0..self.backends.len()).collect();
+        let (seq, sent) = self.send_each(&all, || WireOp::CreateFile(name.to_owned()));
         let mut acked = 0usize;
         for i in sent {
             if self.recv_reply(i, seq).is_some() {
@@ -1430,238 +1087,99 @@ impl Controller {
         self.state.log_append_stashing(LogRecord::Dead { backend: i });
     }
 
-    /// Send an operation to backend `i`; a closed channel (or an
-    /// unreachable process) marks it dead. The envelope carries this
-    /// controller's epoch and a clone of its reply sender.
-    fn send_to(&mut self, i: usize, seq: u64, op: BackendOp) -> bool {
-        self.totals.messages_sent += 1;
-        if self.backends[i].tcp.is_some() {
-            return self.send_to_tcp(i, seq, op);
-        }
-        let env = Envelope {
-            seq,
+    /// What this controller stamps on every message, and how long it
+    /// waits for a reply.
+    fn stamp(&self) -> Stamp {
+        Stamp {
             epoch: self.epoch,
-            reply: self.backends[i].reply_tx.clone(),
-            op,
-        };
-        if self.backends[i].tx.send(env).is_err() {
-            self.state.health.channel_closed(i);
-            self.note_dead(i);
-            return false;
+            window: self.cluster.reply_timeout,
+            retry_budget: self.retry_budget,
         }
-        true
     }
 
-    /// The wire frame for one backend operation.
-    fn op_frame(op: BackendOp, seq: u64, epoch: u64) -> Frame {
-        match op {
-            BackendOp::CreateFile(name) => WireOp::CreateFile(name),
-            BackendOp::InsertWithKey(key, record) => WireOp::InsertWithKey(key, record),
-            BackendOp::Exec(request) => WireOp::Exec(request),
-            BackendOp::DeleteKeys(keys) => WireOp::DeleteKeys(keys),
-            BackendOp::FetchKeys(keys) => WireOp::FetchKeys(keys),
-            BackendOp::Shutdown => WireOp::Shutdown,
-        }
-        .into_frame(seq, epoch)
-    }
-
-    /// Socket-transport send: queue the frame on the link, re-dialing
-    /// once if the connection is gone (connection re-establishment is
-    /// part of the transport's manners — only a failed re-dial demotes
-    /// the backend). The frame joins the link's retransmission window;
-    /// it is written with the rest of the link's queue when the
-    /// controller next waits for a reply ([`Controller::flush_links`]).
-    fn send_to_tcp(&mut self, i: usize, seq: u64, op: BackendOp) -> bool {
-        let frame = Controller::op_frame(op, seq, self.epoch);
-        let (epoch, dial) = (self.epoch, self.reply_timeout);
-        let b = &mut self.backends[i];
-        if queue_redialing(b.tcp.as_mut().expect("tcp link"), &frame, epoch, dial) {
-            b.window.unacked.insert(seq, frame);
+    /// Queue an operation to backend `i` under `seq`; an unreachable
+    /// backend is given up. The message leaves when the controller next
+    /// waits for a reply.
+    fn send_to(&mut self, i: usize, seq: u64, op: WireOp) -> bool {
+        self.totals.messages_sent += 1;
+        let at = self.stamp();
+        if self.backends[i].queue(at, seq, op) {
+            self.unflushed = true;
             return true;
         }
-        self.give_up_tcp(i);
+        self.give_up(i);
         false
     }
 
-    /// The socket to backend `i` is gone for good: mark it dead and
-    /// abandon its window, so no seq sent on it is retransmitted later.
-    fn give_up_tcp(&mut self, i: usize) {
-        self.backends[i].window.clear();
+    /// Backend `i` cannot be reached: mark it dead and abandon its
+    /// link's window, so no seq sent on it is resent later.
+    fn give_up(&mut self, i: usize) {
+        self.backends[i].forget();
         self.state.health.channel_closed(i);
         self.note_dead(i);
     }
 
-    /// Await backend `i`'s reply to `seq`. Stale replies (from earlier
-    /// rounds that timed out) are discarded; a missed window demotes
-    /// the backend one step and `Suspect` earns one more window.
-    /// Returns `None` when the backend is (now) dead.
-    fn recv_reply(&mut self, i: usize, seq: u64) -> Option<Result<Response>> {
-        if self.backends[i].tcp.is_some() {
-            return self.recv_reply_tcp(i, seq);
-        }
-        loop {
-            match self.backends[i].rx.recv_timeout(self.reply_timeout) {
-                Ok(reply) if reply.seq == seq => {
-                    self.state.health.reply_received(i);
-                    return Some(reply.result);
-                }
-                Ok(_) => continue, // stale reply from a timed-out round
-                Err(RecvTimeoutError::Timeout) => {
-                    self.totals.reply_timeouts += 1;
-                    match self.state.health.missed_reply(i) {
-                        BackendState::Suspect => continue,
-                        _ => {
-                            self.note_dead(i);
-                            return None;
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.state.health.channel_closed(i);
-                    self.note_dead(i);
-                    return None;
-                }
+    /// Send a fresh `op()` under one new seq to each serving backend of
+    /// `members`; returns the seq and the backends it reached.
+    fn send_each(&mut self, members: &[usize], op: impl Fn() -> WireOp) -> (u64, Vec<usize>) {
+        let seq = self.next_seq();
+        let mut sent = Vec::new();
+        for &m in members {
+            if self.state.health.is_serving(m) && self.send_to(m, seq, op()) {
+                sent.push(m);
             }
         }
+        (seq, sent)
     }
 
-    /// Socket-transport reply wait: the same health-window discipline
-    /// as the channel bus, but each window is subdivided into
-    /// bounded-exponential retransmission sub-waits — a dropped frame
-    /// is usually recovered by a retry *inside* the window, so the
-    /// health board only sees losses the retry budget could not hide.
-    /// A reply that arrived early (while an earlier seq of the same
-    /// flight was awaited) is taken without touching the socket; a seq
-    /// whose window was abandoned (the link was given up earlier in
-    /// the flight) answers `None` at once.
-    fn recv_reply_tcp(&mut self, i: usize, seq: u64) -> Option<Result<Response>> {
-        self.flush_links();
-        let window = &mut self.backends[i].window;
-        if !window.unacked.contains_key(&seq) {
+    /// Send `op` to backend `i` alone and await the answer; `None` when
+    /// the backend is (or goes) dead.
+    fn call(&mut self, i: usize, op: WireOp) -> Option<Result<Response>> {
+        let seq = self.next_seq();
+        if !self.send_to(i, seq, op) {
             return None;
         }
-        if let Some(frame) = window.early.remove(&seq) {
-            window.unacked.remove(&seq);
-            self.state.health.reply_received(i);
-            return Some(decode_reply(&frame));
+        self.recv_reply(i, seq)
+    }
+
+    /// Await backend `i`'s reply to `seq`, one reply window at a time:
+    /// a missed window demotes the backend one step and `Suspect` earns
+    /// one more window. Returns `None` when the backend is (now) dead.
+    fn recv_reply(&mut self, i: usize, seq: u64) -> Option<Result<Response>> {
+        if std::mem::take(&mut self.unflushed) {
+            // Put every link's queue on its way, so a round's (or a
+            // flight's) requests reach all their backends before the
+            // controller blocks on the first reply.
+            for link in &mut self.backends {
+                link.flush();
+            }
         }
+        let at = self.stamp();
         loop {
-            match self.await_window_tcp(i, seq) {
-                Ok(Some(result)) => {
-                    self.backends[i].window.unacked.remove(&seq);
+            match self.backends[i].await_reply(at, seq, &mut self.totals) {
+                Window::Reply(result) => {
                     self.state.health.reply_received(i);
                     return Some(result);
                 }
-                Ok(None) => {
+                Window::Missed => {
                     self.totals.reply_timeouts += 1;
-                    match self.state.health.missed_reply(i) {
-                        BackendState::Suspect => continue,
-                        _ => {
-                            self.backends[i].window.clear();
-                            self.note_dead(i);
-                            return None;
-                        }
+                    if self.state.health.missed_reply(i) == BackendState::Suspect {
+                        continue;
                     }
+                    self.backends[i].forget();
+                    self.note_dead(i);
+                    return None;
                 }
-                Err(()) => {
-                    self.give_up_tcp(i);
+                Window::Lost => {
+                    // A backend given up earlier in this flight has
+                    // already been marked dead.
+                    if self.state.health.is_serving(i) {
+                        self.give_up(i);
+                    }
                     return None;
                 }
             }
         }
-    }
-
-    /// Write out every link's queued frames, so a flight's (or a
-    /// broadcast round's) requests reach all of their backends before
-    /// the controller blocks on the first reply. A failed write drops
-    /// that link's connection; its frames are all in its
-    /// retransmission window, and the wait for its reply re-dials and
-    /// resends them.
-    fn flush_links(&mut self) {
-        for link in self.backends.iter_mut().filter_map(|b| b.tcp.as_mut()) {
-            let _ = link.flush();
-        }
-    }
-
-    /// One reply window over the socket. The window is split into
-    /// `retry_budget + 1` sub-waits with doubling lengths (1, 2, 4, …
-    /// shares of the window); each expiry retransmits the link's whole
-    /// window of unanswered frames — idempotent request ids make that
-    /// safe — and counts into `retries`/`backoff_ms`. A reply to
-    /// another seq still in the window is kept for its own collector;
-    /// anything else is stale. `Ok(None)` = window exhausted (a health
-    /// strike); `Err(())` = connection lost and not re-establishable.
-    fn await_window_tcp(
-        &mut self,
-        i: usize,
-        seq: u64,
-    ) -> std::result::Result<Option<Result<Response>>, ()> {
-        let window = self.reply_timeout;
-        let budget = self.retry_budget;
-        let shares = (1u32 << (budget + 1)).saturating_sub(1).max(1);
-        let mut sub = (window / shares).max(Duration::from_millis(1));
-        let deadline = Instant::now() + window;
-        let mut attempt = 0u32;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Ok(None);
-            }
-            let wait = sub.min(left);
-            let b = &mut self.backends[i];
-            match b.tcp.as_mut().expect("tcp link").recv(wait) {
-                Ok(Some(frame)) => {
-                    if frame.kind != kind::REPLY_OK && frame.kind != kind::REPLY_ERR {
-                        continue; // probe ack
-                    }
-                    if frame.seq == seq {
-                        return Ok(Some(decode_reply(&frame)));
-                    }
-                    if b.window.unacked.contains_key(&frame.seq) {
-                        b.window.early.insert(frame.seq, frame);
-                    }
-                    // Otherwise a stale round or a duplicate: dropped.
-                }
-                Ok(None) => {
-                    if attempt >= budget {
-                        return Ok(None);
-                    }
-                    attempt += 1;
-                    self.totals.retries += 1;
-                    self.totals.backoff_ms += wait.as_millis() as u64;
-                    if !self.retransmit(i) {
-                        return Err(());
-                    }
-                    sub = sub.saturating_mul(2);
-                }
-                Err(_) => {
-                    // Connection lost mid-wait: re-dial once and resend.
-                    let epoch = self.epoch;
-                    let link = self.backends[i].tcp.as_mut().expect("tcp link");
-                    if link.connect(epoch, wait.max(Duration::from_millis(20))).is_err() {
-                        return Err(());
-                    }
-                    self.totals.retries += 1;
-                    if !self.retransmit(i) {
-                        return Err(());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Queue backend `i`'s whole window of unanswered frames, in seq
-    /// order, re-dialing once if the connection is gone; the wait that
-    /// follows writes them as one burst. Frames whose replies
-    /// were lost are answered from the backend's reply cache; frames
-    /// that never arrived are applied now — possibly after later
-    /// members of their flight, which is safe because a flight's
-    /// members pairwise commute.
-    fn retransmit(&mut self, i: usize) -> bool {
-        let (epoch, dial) = (self.epoch, self.reply_timeout);
-        let BackendHandle { tcp, window, .. } = &mut self.backends[i];
-        let link = tcp.as_mut().expect("tcp link");
-        window.unacked.values().all(|frame| queue_redialing(link, frame, epoch, dial))
     }
 
     /// True when some record's whole replica group is dead.
@@ -1682,15 +1200,8 @@ impl Controller {
         let primary = self.state.partitioner.place_group(&file, self.state.replication)[0];
         let mut scanned = 0usize;
         let wave = self.state.next_wave(primary, &mut scanned, self.state.replication);
-        let seq = self.next_seq();
-        let mut sent = Vec::new();
-        let mut msgs = 0u64;
-        for &i in &wave {
-            msgs += 1;
-            if self.send_to(i, seq, BackendOp::InsertWithKey(key, record.clone())) {
-                sent.push(i);
-            }
-        }
+        let (seq, sent) = self.send_each(&wave, || WireOp::InsertWithKey(key, record.clone()));
+        let msgs = wave.len() as u64;
         Ok(StagedInsert {
             key,
             file,
@@ -1725,21 +1236,12 @@ impl Controller {
             None => (self.route(query), Vec::new(), false),
         };
         let unavailable = self.state.health.serving_count() == 0;
-        let seq = self.next_seq();
-        let mut sent = Vec::new();
-        let mut msgs = 0u64;
         let round: Vec<usize> = match &targets {
             None => (0..self.backends.len()).collect(),
             Some(ts) => ts.clone(),
         };
-        for i in round {
-            if self.state.health.is_serving(i) {
-                msgs += 1;
-                if self.send_to(i, seq, BackendOp::Exec(wire.clone())) {
-                    sent.push(i);
-                }
-            }
-        }
+        let msgs = round.iter().filter(|&&i| self.state.health.is_serving(i)).count() as u64;
+        let (seq, sent) = self.send_each(&round, || WireOp::Exec(wire.clone()));
         if probe {
             self.totals.read_probes += sent.len() as u64;
             for &i in &sent {
@@ -1810,15 +1312,11 @@ impl Controller {
             if !self.state.health.is_serving(i) {
                 continue;
             }
-            let seq = self.next_seq();
             s.msgs += 1;
             self.totals.read_probes += 1;
             self.totals.read_probe_failovers += 1;
             self.read_probes_by_backend[i] += 1;
-            if !self.send_to(i, seq, BackendOp::Exec(s.wire.clone())) {
-                continue;
-            }
-            match self.recv_reply(i, seq) {
+            match self.call(i, WireOp::Exec(s.wire.clone())) {
                 Some(Ok(resp)) => {
                     s.merged.merge(resp);
                     s.lost = false;
@@ -1879,14 +1377,8 @@ impl Controller {
             if wave.is_empty() {
                 break;
             }
-            let seq = self.next_seq();
-            let mut sent = Vec::new();
-            for &i in &wave {
-                msgs += 1;
-                if self.send_to(i, seq, BackendOp::InsertWithKey(key, record.clone())) {
-                    sent.push(i);
-                }
-            }
+            msgs += wave.len() as u64;
+            let (seq, sent) = self.send_each(&wave, || WireOp::InsertWithKey(key, record.clone()));
             let mut first_err = None;
             for i in sent {
                 match self.recv_reply(i, seq) {
@@ -2114,30 +1606,17 @@ impl DataPlane for Controller {
         if targets.is_some() && self.state.health.serving_count() == 0 {
             return Err(Error::Unavailable("no live backends".into()));
         }
-        let seq = self.next_seq();
-        let mut sent = Vec::new();
-        match targets {
+        let all: Vec<usize>;
+        let round = match targets {
+            Some(targets) => targets,
             None => {
-                for i in 0..self.backends.len() {
-                    if self.state.health.is_serving(i)
-                        && self.send_to(i, seq, BackendOp::Exec(request.clone()))
-                    {
-                        sent.push(i);
-                    }
-                }
-                if sent.is_empty() {
-                    return Err(Error::Unavailable("no live backends".into()));
-                }
+                all = (0..self.backends.len()).collect();
+                &all
             }
-            Some(targets) => {
-                for &i in targets {
-                    if self.state.health.is_serving(i)
-                        && self.send_to(i, seq, BackendOp::Exec(request.clone()))
-                    {
-                        sent.push(i);
-                    }
-                }
-            }
+        };
+        let (seq, sent) = self.send_each(round, || WireOp::Exec(request.clone()));
+        if targets.is_none() && sent.is_empty() {
+            return Err(Error::Unavailable("no live backends".into()));
         }
         let mut merged = Response::default();
         let mut first_err = None;
@@ -2210,7 +1689,7 @@ impl DataPlane for Controller {
                     continue;
                 }
                 let seq = self.next_seq();
-                if self.send_to(m, seq, BackendOp::InsertWithKey(*key, rec.clone())) {
+                if self.send_to(m, seq, WireOp::InsertWithKey(*key, rec.clone())) {
                     acks.push((m, seq));
                 }
                 self.totals.move_bytes += bytes;
@@ -2262,38 +1741,13 @@ impl DataPlane for Controller {
 impl Drop for Controller {
     fn drop(&mut self) {
         // A demoted primary (a standby promoted past our epoch) no
-        // longer owns the backend threads: detach without shutting them
-        // down — the promoted controller is serving over them.
-        let demoted = self.fence.load(Ordering::SeqCst) > self.epoch;
-        if self.net.is_some() {
-            if demoted {
-                // The promoted controller holds the SharedNet Arc and
-                // keeps serving over the same backend processes.
-                return;
-            }
-            let epoch = self.epoch;
-            for i in 0..self.backends.len() {
-                if let Some(link) = self.backends[i].tcp.as_mut() {
-                    let _ = link.send(&WireOp::Shutdown.into_frame(0, epoch));
-                }
-                self.reap_child(i);
-            }
+        // longer owns the backends: detach without stopping them — the
+        // promoted controller is serving over them.
+        if self.cluster.fence.load(Ordering::SeqCst) > self.epoch {
             return;
         }
-        for b in &mut self.backends {
-            if demoted {
-                let _ = b.join.take();
-                continue;
-            }
-            let _ = b.tx.send(Envelope {
-                seq: 0,
-                epoch: self.epoch,
-                reply: b.reply_tx.clone(),
-                op: BackendOp::Shutdown,
-            });
-            if let Some(join) = b.join.take() {
-                let _ = join.join();
-            }
+        for i in 0..self.backends.len() {
+            self.stop_backend(i);
         }
     }
 }
@@ -2324,115 +1778,13 @@ pub(crate) fn logical_digest_of(snap: &SnapshotData) -> String {
     out
 }
 
-/// Queue `frame` on `link`, re-dialing once if the connection is gone.
-fn queue_redialing(link: &mut TcpLink, frame: &Frame, epoch: u64, dial: Duration) -> bool {
-    match link.queue(frame) {
-        Ok(()) => true,
-        Err(_) => link.connect(epoch, dial).is_ok() && link.queue(frame).is_ok(),
-    }
-}
-
-/// The operation result a backend's reply frame carries.
-fn decode_reply(frame: &Frame) -> Result<Response> {
-    match WireReply::from_frame(frame) {
-        Ok(WireReply::Ok(resp)) => Ok(resp),
-        Ok(WireReply::Err(e)) => Err(e),
-        _ => Err(Error::Internal("wire: undecodable reply frame".into())),
-    }
-}
-
-fn spawn_backend(
-    index: usize,
-    fence: Arc<AtomicU64>,
-    faults: Arc<Mutex<FaultPlan>>,
-) -> BackendHandle {
-    let (tx, backend_rx) = channel::<Envelope>();
-    let (reply_tx, rx) = channel::<Reply>();
-    let join = std::thread::Builder::new()
-        .name(format!("mbds-backend-{index}"))
-        .spawn(move || backend_loop(index, backend_rx, fence, faults))
-        .expect("spawn backend thread");
-    BackendHandle::local(tx, (reply_tx, rx), Some(join))
-}
-
-/// One backend: a private store served over the bus, with fault
-/// injection on the per-backend message counter and epoch fencing on
-/// every envelope — messages from a controller below the cluster fence
-/// are refused (and a stale `Shutdown` is ignored outright, so a
-/// demoted primary being dropped cannot take the cluster down).
-fn backend_loop(
-    index: usize,
-    rx: Receiver<Envelope>,
-    fence: Arc<AtomicU64>,
-    faults: Arc<Mutex<FaultPlan>>,
-) {
-    let mut store = Store::new();
-    let mut handled: u64 = 0;
-    while let Ok(env) = rx.recv() {
-        if env.epoch < fence.load(Ordering::SeqCst) {
-            if !matches!(env.op, BackendOp::Shutdown) {
-                let _ = env.reply.send(Reply {
-                    seq: env.seq,
-                    result: Err(Error::Unavailable(format!(
-                        "backend {index}: request fenced (epoch {} < fence {})",
-                        env.epoch,
-                        fence.load(Ordering::SeqCst)
-                    ))),
-                });
-            }
-            continue;
-        }
-        if matches!(env.op, BackendOp::Shutdown) {
-            return;
-        }
-        handled += 1;
-        let fault = faults.lock().ok().and_then(|p| p.action(index, handled));
-        match fault {
-            Some(FaultKind::Crash) => return,
-            Some(FaultKind::Panic) => {
-                panic!("injected fault: backend {index} panics at message {handled}")
-            }
-            _ => {}
-        }
-        let result = match env.op {
-            BackendOp::CreateFile(name) => {
-                store.create_file(name);
-                Ok(Response::default())
-            }
-            BackendOp::InsertWithKey(key, record) => store
-                .insert_with_key(key, record)
-                .map(|()| Response::with_affected(1, Default::default())),
-            BackendOp::Exec(req) => store.execute(&req),
-            BackendOp::DeleteKeys(keys) => {
-                let removed =
-                    keys.iter().filter(|&&k| store.remove_by_key(k).is_some()).count();
-                Ok(Response::with_affected(removed, Default::default()))
-            }
-            BackendOp::FetchKeys(keys) => {
-                let records: Vec<(DbKey, Record)> = keys
-                    .iter()
-                    .filter_map(|&k| store.record_by_key(k).map(|r| (k, r.clone())))
-                    .collect();
-                Ok(Response::with_records(records, Default::default()))
-            }
-            BackendOp::Shutdown => unreachable!("handled above"),
-        };
-        match fault {
-            Some(FaultKind::DropReply) => continue,
-            Some(FaultKind::DelayReplyMs(ms)) => {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            _ => {}
-        }
-        let _ = env.reply.send(Reply { seq: env.seq, result });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
     use crate::state::KeySet;
     use abdl::parse::parse_request;
+    use abdl::Store;
     use abdl::Value;
 
     #[test]

@@ -21,9 +21,10 @@
 //!
 //! Provided here:
 //!
-//! * [`Controller`] — a real threaded controller: N backend worker
-//!   threads, each owning a private [`abdl::Store`] partition, connected
-//!   by channels (the "communication bus"). Implements [`abdl::Kernel`],
+//! * [`Controller`] — a real controller: N backends, each owning a
+//!   private [`abdl::Store`] partition, reached over one link apiece
+//!   (the "communication bus": worker threads on channels, or backend
+//!   processes over TCP). Implements [`abdl::Kernel`],
 //!   so every MLDS language interface runs on it unchanged. Records are
 //!   placed round-robin per file; non-INSERT requests are broadcast and
 //!   the partial responses merged (aggregates are re-aggregated
@@ -86,6 +87,7 @@ mod controller;
 mod directory;
 pub mod fault;
 pub mod health;
+mod link;
 pub mod model;
 pub mod net;
 mod placement;

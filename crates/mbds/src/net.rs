@@ -1,6 +1,8 @@
 //! Socket transport for the multi-backend kernel: a binary wire codec,
-//! a fault-injectable TCP link, the out-of-process backend server, and
-//! the primary→standby WAL-shipping stream.
+//! a fault-injectable TCP connection, the out-of-process backend
+//! server, and the primary→standby WAL-shipping stream. The controller
+//! side of the transport — retransmission window, re-dial, backoff —
+//! is the socket link in `crate::link`.
 //!
 //! The 1987 MBDS is a controller driving *separate* backend machines
 //! over a communication bus; until this module the backends lived as
@@ -28,13 +30,15 @@
 //!   is paid once).
 //! * **Fencing**: every frame carries the sender's controller epoch.
 //!   The backend raises its local fence to the highest epoch it has
-//!   ever seen and rejects lower-epoch requests with the same error the
-//!   in-process bus produces — so a promoted standby's first `Hello`
-//!   fences an isolated old primary out of remote backends.
+//!   ever seen and refuses lower-epoch requests through the same
+//!   backend step the in-process bus runs (`crate::link`) — so a
+//!   promoted standby's first `Hello` fences an isolated old primary
+//!   out of remote backends.
 
 use crate::fault::{FaultKind, FaultPlan};
+use crate::link::{Backend, Delivery, Verdict};
 use crate::wal::{crc32, LogStore};
-use abdl::engine::{ExecStats, GroupRow, Response, Store};
+use abdl::engine::{ExecStats, GroupRow, Response};
 use abdl::parse::parse_request;
 use abdl::{DbKey, Error, Record, Request, Result, Value};
 use abdl::prng::Prng;
@@ -245,6 +249,23 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_u64(out, b.len() as u64);
     out.extend_from_slice(b);
+}
+
+fn put_keys(out: &mut Vec<u8>, keys: &[DbKey]) {
+    put_u64(out, keys.len() as u64);
+    for k in keys {
+        put_u64(out, k.0);
+    }
+}
+
+/// A key list as [`put_keys`] wrote it; a count no frame could hold is
+/// a decode error.
+fn take_keys(t: &mut Take<'_>, what: &str) -> Result<Vec<DbKey>> {
+    let count = t.u64()?;
+    if count > MAX_FRAME as u64 / 8 {
+        return Err(Take::bad(&format!("{what} count")));
+    }
+    (0..count).map(|_| t.u64().map(DbKey)).collect()
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -601,56 +622,44 @@ pub enum WireOp {
 impl WireOp {
     /// Encode into a [`Frame`] stamped with `seq` and `epoch`.
     pub fn into_frame(self, seq: u64, epoch: u64) -> Frame {
-        let (kind, body) = match self {
+        let mut body = Vec::new();
+        let b = &mut body;
+        let kind = match self {
             WireOp::Hello { client_id } => {
-                let mut b = Vec::new();
-                put_u64(&mut b, client_id);
-                (kind::HELLO, b)
+                put_u64(b, client_id);
+                kind::HELLO
             }
             WireOp::CreateFile(name) => {
-                let mut b = Vec::new();
-                put_str(&mut b, &name);
-                (kind::CREATE_FILE, b)
+                put_str(b, &name);
+                kind::CREATE_FILE
             }
             WireOp::InsertWithKey(key, record) => {
-                let mut b = Vec::new();
-                put_u64(&mut b, key.0);
-                put_record(&mut b, &record);
-                (kind::INSERT_WITH_KEY, b)
+                put_u64(b, key.0);
+                put_record(b, &record);
+                kind::INSERT_WITH_KEY
             }
             WireOp::Exec(request) => {
-                let mut b = Vec::new();
-                put_str(&mut b, &request.to_string());
-                (kind::EXEC, b)
+                put_str(b, &request.to_string());
+                kind::EXEC
             }
             WireOp::DeleteKeys(keys) => {
-                let mut b = Vec::new();
-                put_u64(&mut b, keys.len() as u64);
-                for k in &keys {
-                    put_u64(&mut b, k.0);
-                }
-                (kind::DELETE_KEYS, b)
+                put_keys(b, &keys);
+                kind::DELETE_KEYS
             }
             WireOp::FetchKeys(keys) => {
-                let mut b = Vec::new();
-                put_u64(&mut b, keys.len() as u64);
-                for k in &keys {
-                    put_u64(&mut b, k.0);
-                }
-                (kind::FETCH_KEYS, b)
+                put_keys(b, &keys);
+                kind::FETCH_KEYS
             }
-            WireOp::Ping => (kind::PING, Vec::new()),
-            WireOp::Shutdown => (kind::SHUTDOWN, Vec::new()),
+            WireOp::Ping => kind::PING,
+            WireOp::Shutdown => kind::SHUTDOWN,
             WireOp::SetFaults(plan) => {
-                let mut b = Vec::new();
-                put_str(&mut b, &fault_plan_to_text(&plan));
-                (kind::SET_FAULTS, b)
+                put_str(b, &fault_plan_to_text(&plan));
+                kind::SET_FAULTS
             }
             WireOp::PullLog { generation, have } => {
-                let mut b = Vec::new();
-                put_u64(&mut b, generation);
-                put_u64(&mut b, have);
-                (kind::PULL_LOG, b)
+                put_u64(b, generation);
+                put_u64(b, have);
+                kind::PULL_LOG
             }
         };
         Frame { kind, seq, epoch, body }
@@ -668,28 +677,8 @@ impl WireOp {
                 WireOp::InsertWithKey(key, record)
             }
             kind::EXEC => WireOp::Exec(parse_request(&t.str()?)?),
-            kind::DELETE_KEYS => {
-                let count = t.u64()?;
-                if count > MAX_FRAME as u64 / 8 {
-                    return Err(Take::bad("delete-keys count"));
-                }
-                let mut keys = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    keys.push(DbKey(t.u64()?));
-                }
-                WireOp::DeleteKeys(keys)
-            }
-            kind::FETCH_KEYS => {
-                let count = t.u64()?;
-                if count > MAX_FRAME as u64 {
-                    return Err(Take::bad("fetch-keys count"));
-                }
-                let mut keys = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    keys.push(DbKey(t.u64()?));
-                }
-                WireOp::FetchKeys(keys)
-            }
+            kind::DELETE_KEYS => WireOp::DeleteKeys(take_keys(&mut t, "delete-keys")?),
+            kind::FETCH_KEYS => WireOp::FetchKeys(take_keys(&mut t, "fetch-keys")?),
             kind::PING => WireOp::Ping,
             kind::SHUTDOWN => WireOp::Shutdown,
             kind::SET_FAULTS => WireOp::SetFaults(fault_plan_from_text(&t.str()?)?),
@@ -738,36 +727,41 @@ pub enum WireReply {
 impl WireReply {
     /// Encode into a [`Frame`] stamped with `seq` and `epoch`.
     pub fn into_frame(self, seq: u64, epoch: u64) -> Frame {
-        let (kind, body) = match self {
+        let mut body = Vec::new();
+        let b = &mut body;
+        let kind = match self {
             WireReply::HelloAck { fence } => {
-                let mut b = Vec::new();
-                put_u64(&mut b, fence);
-                (kind::HELLO_ACK, b)
+                put_u64(b, fence);
+                kind::HELLO_ACK
             }
-            WireReply::Ok(resp) => (kind::REPLY_OK, encode_response(&resp)),
-            WireReply::Err(err) => (kind::REPLY_ERR, encode_error(&err)),
+            WireReply::Ok(resp) => {
+                *b = encode_response(&resp);
+                kind::REPLY_OK
+            }
+            WireReply::Err(err) => {
+                *b = encode_error(&err);
+                kind::REPLY_ERR
+            }
             WireReply::Pong { fence } => {
-                let mut b = Vec::new();
-                put_u64(&mut b, fence);
-                (kind::PONG, b)
+                put_u64(b, fence);
+                kind::PONG
             }
             WireReply::LogDelta { generation, fence, snapshot, lines, full } => {
-                let mut b = Vec::new();
-                put_u64(&mut b, generation);
-                put_u64(&mut b, fence);
+                put_u64(b, generation);
+                put_u64(b, fence);
                 b.push(full as u8);
                 match &snapshot {
                     None => b.push(0),
                     Some(text) => {
                         b.push(1);
-                        put_str(&mut b, text);
+                        put_str(b, text);
                     }
                 }
-                put_u64(&mut b, lines.len() as u64);
+                put_u64(b, lines.len() as u64);
                 for line in &lines {
-                    put_str(&mut b, line);
+                    put_str(b, line);
                 }
-                (kind::LOG_DELTA, b)
+                kind::LOG_DELTA
             }
         };
         Frame { kind, seq, epoch, body }
@@ -1300,21 +1294,25 @@ pub fn spawn_backend_process(index: usize) -> Result<BackendProc> {
 }
 
 /// Per-process state of one backend server.
-struct ServerState {
-    index: usize,
-    store: Store,
+pub(crate) struct ServerState {
+    backend: Backend,
     /// Highest controller epoch ever seen on any frame; lower-epoch
-    /// requests are fenced with the same error the in-process bus uses.
+    /// requests are refused by [`Backend::step`], exactly as on the
+    /// in-process bus.
     fence: u64,
-    /// Messages handled (creates, inserts, execs — not probes or
-    /// retransmitted duplicates), driving the classic fault plan on the
-    /// same counter the in-process backend loop uses.
-    handled: u64,
     faults: FaultPlan,
     /// Per-client reply cache: `client_id → seq → encoded reply frame`.
     /// A retransmitted seq is answered from here without re-applying
     /// the operation.
     replies: BTreeMap<u64, BTreeMap<u64, Frame>>,
+}
+
+impl ServerState {
+    /// Backend `index`, empty, unfenced, with no fault plan.
+    pub(crate) fn new(index: usize) -> Self {
+        let faults = FaultPlan::new();
+        ServerState { backend: Backend::new(index), fence: 0, faults, replies: BTreeMap::new() }
+    }
 }
 
 /// How far below a newly applied seq a client's past replies are still
@@ -1323,33 +1321,6 @@ struct ServerState {
 /// retransmission window can resend is still answered from the cache
 /// instead of being re-applied.
 pub(crate) const REPLY_CACHE: u64 = 256;
-
-fn apply_op(state: &mut ServerState, op: &WireOp) -> Result<Response> {
-    match op {
-        WireOp::CreateFile(name) => {
-            state.store.create_file(name);
-            Ok(Response::default())
-        }
-        WireOp::InsertWithKey(key, record) => state
-            .store
-            .insert_with_key(*key, record.clone())
-            .map(|()| Response::with_affected(1, Default::default())),
-        WireOp::Exec(request) => state.store.execute(request),
-        WireOp::DeleteKeys(keys) => {
-            let removed =
-                keys.iter().filter(|&&k| state.store.remove_by_key(k).is_some()).count();
-            Ok(Response::with_affected(removed, Default::default()))
-        }
-        WireOp::FetchKeys(keys) => {
-            let records: Vec<(DbKey, Record)> = keys
-                .iter()
-                .filter_map(|&k| state.store.record_by_key(k).map(|r| (k, r.clone())))
-                .collect();
-            Ok(Response::with_records(records, Default::default()))
-        }
-        _ => Err(Error::Internal("wire: apply_op on a non-apply op".to_string())),
-    }
-}
 
 /// Serve one accepted connection against the shared state. Returns
 /// when the peer hangs up; `Shutdown` exits the whole process.
@@ -1361,7 +1332,7 @@ fn apply_op(state: &mut ServerState, op: &WireOp) -> Result<Response> {
 /// the process exits (a crash fault, `Shutdown`) and before a reply
 /// delay sleeps, so every request handled before a crash is answered,
 /// exactly as on the in-process bus.
-fn serve_conn(stream: TcpStream, state: &Arc<Mutex<ServerState>>) {
+pub(crate) fn serve_conn(stream: TcpStream, state: &Mutex<ServerState>) {
     stream.set_nodelay(true).ok();
     let mut reader = FrameReader::new();
     let mut read_side = match stream.try_clone() {
@@ -1389,94 +1360,79 @@ fn serve_conn(stream: TcpStream, state: &Arc<Mutex<ServerState>>) {
             Ok(op) => op,
             Err(_) => continue,
         };
-        let mut st = state.lock().expect("server state lock");
+        let mut guard = state.lock().expect("server state lock");
+        let st = &mut *guard;
         if frame.epoch > st.fence {
             st.fence = frame.epoch;
         }
         let fenced = frame.epoch < st.fence;
+        let cached = if fenced {
+            None
+        } else {
+            st.replies.get(&client_id).and_then(|m| m.get(&frame.seq)).cloned()
+        };
         let mut delay_ms = 0u64;
-        let reply: Option<Frame> = match &op {
+        let reply: Option<Frame> = match op {
             WireOp::Hello { client_id: id } => {
-                client_id = *id;
+                client_id = id;
                 Some(WireReply::HelloAck { fence: st.fence }.into_frame(frame.seq, st.fence))
             }
             WireOp::Ping => {
                 Some(WireReply::Pong { fence: st.fence }.into_frame(frame.seq, st.fence))
             }
-            WireOp::Shutdown => {
-                if fenced {
-                    // A stale controller may not stop a fenced backend.
-                    None
-                } else {
-                    write_out(&mut pending);
-                    std::process::exit(0);
-                }
-            }
             WireOp::SetFaults(plan) => {
-                st.faults = plan.clone();
+                st.faults = plan;
                 Some(WireReply::Ok(Response::default()).into_frame(frame.seq, st.fence))
             }
             WireOp::PullLog { .. } => {
                 let err = Error::Internal("wire: backend does not ship logs".to_string());
                 Some(WireReply::Err(err).into_frame(frame.seq, st.fence))
             }
-            WireOp::CreateFile(_)
-            | WireOp::InsertWithKey(..)
-            | WireOp::Exec(_)
-            | WireOp::DeleteKeys(_)
-            | WireOp::FetchKeys(_) => {
-                if fenced {
-                    let index = st.index;
-                    let err = Error::Unavailable(format!(
-                        "backend {index}: request fenced (epoch {} < fence {})",
-                        frame.epoch, st.fence
-                    ));
-                    Some(WireReply::Err(err).into_frame(frame.seq, st.fence))
-                } else if let Some(cached) =
-                    st.replies.get(&client_id).and_then(|m| m.get(&frame.seq)).cloned()
-                {
-                    // Retransmission: answer from the cache, apply nothing.
-                    Some(cached)
-                } else {
-                    st.handled += 1;
-                    let action = st.faults.action(st.index, st.handled);
-                    match action {
-                        Some(FaultKind::Crash) => {
-                            write_out(&mut pending);
-                            std::process::exit(1)
-                        }
-                        Some(FaultKind::Panic) => {
-                            write_out(&mut pending);
-                            std::process::abort()
-                        }
-                        _ => {}
+            // Retransmission: answer from the cache, apply nothing.
+            _ if cached.is_some() => cached,
+            op => {
+                let faults = &st.faults;
+                match st.backend.step(frame.epoch, st.fence, op, |i, n| faults.action(i, n)) {
+                    Verdict::Ignore => None,
+                    Verdict::Shutdown => {
+                        write_out(&mut pending);
+                        std::process::exit(0)
                     }
-                    let result = apply_op(&mut st, &op);
-                    let reply = match result {
-                        Ok(resp) => WireReply::Ok(resp).into_frame(frame.seq, st.fence),
-                        Err(err) => WireReply::Err(err).into_frame(frame.seq, st.fence),
-                    };
-                    let cache = st.replies.entry(client_id).or_default();
-                    cache.insert(frame.seq, reply.clone());
-                    while let Some((&low, _)) = cache.first_key_value() {
-                        if low + REPLY_CACHE < frame.seq {
-                            cache.remove(&low);
-                        } else {
-                            break;
-                        }
+                    Verdict::Crash => {
+                        write_out(&mut pending);
+                        std::process::exit(1)
                     }
-                    match action {
-                        Some(FaultKind::DropReply) => None,
-                        Some(FaultKind::DelayReplyMs(ms)) => {
-                            delay_ms = ms;
-                            Some(reply)
+                    Verdict::Panic => {
+                        write_out(&mut pending);
+                        std::process::abort()
+                    }
+                    Verdict::Reply(result, delivery) => {
+                        let reply = result.map_or_else(WireReply::Err, WireReply::Ok);
+                        let reply = reply.into_frame(frame.seq, st.fence);
+                        if !fenced {
+                            let cache = st.replies.entry(client_id).or_default();
+                            cache.insert(frame.seq, reply.clone());
+                            while let Some((&low, _)) = cache.first_key_value() {
+                                if low + REPLY_CACHE < frame.seq {
+                                    cache.remove(&low);
+                                } else {
+                                    break;
+                                }
+                            }
                         }
-                        _ => Some(reply),
+                        match delivery {
+                            Delivery::Now => Some(reply),
+                            Delivery::AfterMs(ms) => {
+                                delay_ms = ms;
+                                Some(reply)
+                            }
+                            Delivery::Never => None,
+                        }
                     }
                 }
             }
         };
-        drop(st);
+        drop(guard);
         if delay_ms > 0 {
             if !write_out(&mut pending) {
                 return;
@@ -1512,14 +1468,7 @@ pub fn backend_process_main(index: usize) -> ! {
         let _ = io::stdin().lock().read_to_end(&mut sink);
         std::process::exit(0);
     });
-    let state = Arc::new(Mutex::new(ServerState {
-        index,
-        store: Store::new(),
-        fence: 0,
-        handled: 0,
-        faults: FaultPlan::new(),
-        replies: BTreeMap::new(),
-    }));
+    let state = Arc::new(Mutex::new(ServerState::new(index)));
     for conn in listener.incoming() {
         match conn {
             Ok(stream) => {

@@ -25,9 +25,10 @@
 //! bookkeeping — placement, directory, unique index, residency,
 //! membership, rebalance planning and the WAL — through one embedded
 //! [`ClusterState`]; it keeps only its data plane: one in-memory
-//! [`Store`] per backend, the cost clock, and `deliver`, which applies
-//! the same [`FaultPlan`] on the same per-backend message counters as
-//! the threaded workers, so a seeded fault schedule produces
+//! backend [`Store`] per index, the cost clock, and `deliver`, which
+//! hands each message to the same backend step the worker threads and
+//! backend processes run (`crate::link`: fence, [`FaultPlan`] count,
+//! apply) and charges the clock, so a seeded fault schedule produces
 //! bit-identical results in both kernels. It also serves as a hot
 //! standby's mirror: [`crate::Standby`] replays the primary's log into
 //! one and hands its state to the promoted controller.
@@ -37,7 +38,9 @@
 //! *shape* of the curves matters for the reproduction.
 
 use crate::controller::DEFAULT_REPLICATION;
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::FaultPlan;
+use crate::link::{Backend, Delivery, Verdict};
+use crate::net::WireOp;
 use crate::state::{check_config, ClusterState, DataPlane};
 use crate::wal::{LogRecord, LogStore, SnapshotData, Wal};
 use abdl::{
@@ -72,13 +75,12 @@ pub struct SimCluster {
     /// Placement, index, membership and log — shared with the
     /// threaded controller's code.
     state: ClusterState,
-    backends: Vec<Store>,
+    /// One in-memory backend per index. Its message counter drives
+    /// [`FaultPlan`] lookups exactly as a worker thread's does, except
+    /// that a restart keeps counting.
+    backends: Vec<Backend>,
     cost: CostModel,
     faults: FaultPlan,
-    /// Messages each backend has processed, mirroring the threaded
-    /// workers' 1-based counters (creates, inserts and execs all
-    /// count); drives [`FaultPlan`] lookups.
-    msg_counts: Vec<u64>,
     /// Simulated time of the last executed request (µs).
     last_response_us: f64,
     /// Accumulated simulated time (µs).
@@ -113,10 +115,9 @@ impl SimCluster {
     pub fn with_config(n: usize, k: usize, cost: CostModel) -> Self {
         SimCluster {
             state: ClusterState::new(n, k),
-            backends: (0..n).map(|_| Store::new()).collect(),
+            backends: (0..n).map(Backend::new).collect(),
             cost,
             faults: FaultPlan::new(),
-            msg_counts: vec![0; n],
             last_response_us: 0.0,
             total_us: 0.0,
             requests_executed: 0,
@@ -237,7 +238,7 @@ impl SimCluster {
                 .iter()
                 .copied()
                 .filter(|&j| self.state.health.is_serving(j))
-                .find_map(|j| self.backends[j].get(k).cloned())
+                .find_map(|j| self.backends[j].store.get(k).cloned())
         })
     }
 
@@ -259,7 +260,7 @@ impl SimCluster {
         self.state.apply_snapshot(snap);
         for file in &snap.files {
             for b in &mut self.backends {
-                b.create_file(file.clone());
+                b.store.create_file(file.clone());
             }
         }
         let dead: HashSet<usize> = snap.dead.iter().copied().collect();
@@ -267,7 +268,7 @@ impl SimCluster {
             let Some(record) = record else { continue };
             for &i in group {
                 if !dead.contains(&i) {
-                    self.backends[i].insert_with_key(DbKey(*key), record.clone())?;
+                    self.backends[i].store.insert_with_key(DbKey(*key), record.clone())?;
                 }
             }
         }
@@ -294,7 +295,7 @@ impl SimCluster {
             LogRecord::Insert { key, group, record } => {
                 for &i in group {
                     if self.state.health.is_serving(i) {
-                        self.backends[i].insert_with_key(DbKey(*key), record.clone())?;
+                        self.backends[i].store.insert_with_key(DbKey(*key), record.clone())?;
                     }
                 }
                 Ok(())
@@ -359,12 +360,13 @@ impl SimCluster {
         // any effect, end after re-replication; replay re-runs the
         // restart at the begin marker.
         self.state.log_append(LogRecord::RestartBegin { backend: i })?;
-        self.backends[i] = Store::new();
+        let restarted = &mut self.backends[i];
+        restarted.store = Store::new();
         self.state.health.restarted(i);
         for file in &self.state.files {
-            self.msg_counts[i] += 1;
+            restarted.handled += 1;
             self.totals.messages_sent += 1;
-            self.backends[i].create_file(file);
+            restarted.store.create_file(file);
         }
         // Anti-entropy from the directory: copy each record this
         // backend should hold from any surviving replica.
@@ -382,10 +384,10 @@ impl SimCluster {
             else {
                 continue; // both replicas were lost; nothing to copy
             };
-            let Some(rec) = self.backends[donor].get(key).cloned() else { continue };
-            self.msg_counts[i] += 1;
+            let Some(rec) = self.backends[donor].store.get(key).cloned() else { continue };
+            self.backends[i].handled += 1;
             self.totals.messages_sent += 1;
-            self.backends[i].insert_with_key(key, rec)?;
+            self.backends[i].store.insert_with_key(key, rec)?;
             copied += 1;
         }
         // Schema replay + per-record copy messages, then the restarted
@@ -446,36 +448,30 @@ impl SimCluster {
         self.requests_executed += 1;
     }
 
-    /// Deliver one message to backend `i`, mirroring the threaded
-    /// fault semantics: `Crash`/`Panic` kill the backend before it
-    /// executes; `DropReply` executes but the controller never hears
-    /// back (and gives the backend up for dead); `DelayReplyMs` arrives
-    /// late, charged on the clock. Returns the reply, or `None` when
-    /// the controller gets nothing.
-    fn deliver<F: FnOnce(&mut Store) -> Result<Response>>(
+    /// Deliver one message to backend `i` through the backends' shared
+    /// step: `Crash`/`Panic` kill the backend before it executes;
+    /// `DropReply` executes but the controller never hears back (and
+    /// gives the backend up for dead); `DelayReplyMs` arrives late,
+    /// charged on the clock. Returns the reply, or `None` when the
+    /// controller gets nothing.
+    fn deliver(
         &mut self,
         i: usize,
         extra_busy_us: &mut f64,
-        op: F,
+        op: WireOp,
     ) -> Option<Result<Response>> {
-        self.msg_counts[i] += 1;
         self.totals.messages_sent += 1;
-        let fault = self.faults.action(i, self.msg_counts[i]);
-        if matches!(fault, Some(FaultKind::Crash) | Some(FaultKind::Panic)) {
-            self.note_dead(i);
-            return None;
-        }
-        let result = op(&mut self.backends[i]);
-        match fault {
-            Some(FaultKind::DropReply) => {
-                self.note_dead(i);
-                None
-            }
-            Some(FaultKind::DelayReplyMs(ms)) => {
+        let faults = &self.faults;
+        match self.backends[i].step(0, 0, op, |i, n| faults.action(i, n)) {
+            Verdict::Reply(result, Delivery::Now) => Some(result),
+            Verdict::Reply(result, Delivery::AfterMs(ms)) => {
                 *extra_busy_us += ms as f64 * 1000.0;
                 Some(result)
             }
-            _ => Some(result),
+            _ => {
+                self.note_dead(i);
+                None
+            }
         }
     }
 
@@ -543,13 +539,13 @@ impl SimCluster {
     fn grow_stores(&mut self) {
         while self.backends.len() < self.state.width() {
             let i = self.backends.len();
-            self.backends.push(Store::new());
-            self.msg_counts.push(0);
+            let mut joined = Backend::new(i);
             for file in &self.state.files {
-                self.msg_counts[i] += 1;
+                joined.handled += 1;
                 self.totals.messages_sent += 1;
-                self.backends[i].create_file(file);
+                joined.store.create_file(file);
             }
+            self.backends.push(joined);
         }
     }
 
@@ -601,7 +597,7 @@ impl DataPlane for SimCluster {
             }
             contacted += 1;
             let mut extra = 0.0;
-            match self.deliver(i, &mut extra, |b| b.execute(request)) {
+            match self.deliver(i, &mut extra, WireOp::Exec(request.clone())) {
                 Some(Ok(resp)) => {
                     busy.push(
                         resp.stats.blocks_touched as f64 * self.cost.block_time_us
@@ -654,11 +650,7 @@ impl DataPlane for SimCluster {
             let mut first_err = None;
             for &i in &wave {
                 let mut extra = 0.0;
-                let rec = record.clone();
-                match self.deliver(i, &mut extra, move |b| {
-                    b.insert_with_key(key, rec)
-                        .map(|()| Response::with_affected(1, Default::default()))
-                }) {
+                match self.deliver(i, &mut extra, WireOp::InsertWithKey(key, record.clone())) {
                     Some(Ok(_)) => {
                         busy[i] = self.cost.block_time_us + extra;
                         assigned.push(i);
@@ -704,15 +696,7 @@ impl DataPlane for SimCluster {
         let mut moved: Vec<(DbKey, Record)> = Vec::new();
         let mut seen: HashSet<u64> = HashSet::new();
         for &m in &sources {
-            let wanted = keys.to_vec();
-            let mut extra = 0.0;
-            if let Some(result) = self.deliver(m, &mut extra, move |b| {
-                let records: Vec<(DbKey, Record)> = wanted
-                    .iter()
-                    .filter_map(|&k| b.record_by_key(k).map(|r| (k, r.clone())))
-                    .collect();
-                Ok(Response::with_records(records, Default::default()))
-            }) {
+            if let Some(result) = self.deliver(m, &mut 0.0, WireOp::FetchKeys(keys.to_vec())) {
                 for (key, rec) in result?.into_records() {
                     if seen.insert(key.0) {
                         moved.push((key, rec));
@@ -730,11 +714,8 @@ impl DataPlane for SimCluster {
                     continue;
                 }
                 let mut extra = 0.0;
-                let (key, rec) = (*key, rec.clone());
-                if let Some(result) = self.deliver(m, &mut extra, move |b| {
-                    b.insert_with_key(key, rec)
-                        .map(|()| Response::with_affected(1, Default::default()))
-                }) {
+                let copy = WireOp::InsertWithKey(*key, rec.clone());
+                if let Some(result) = self.deliver(m, &mut extra, copy) {
                     result?;
                 }
                 busy[m] += self.cost.block_time_us + extra;
@@ -748,12 +729,7 @@ impl DataPlane for SimCluster {
             if !self.state.health.is_serving(m) {
                 continue;
             }
-            let mut extra = 0.0;
-            let keys = keys.to_vec();
-            let _ = self.deliver(m, &mut extra, move |b| {
-                let gone = keys.iter().filter(|&&k| b.remove_by_key(k).is_some()).count();
-                Ok(Response::with_affected(gone, Default::default()))
-            });
+            let _ = self.deliver(m, &mut 0.0, WireOp::DeleteKeys(keys.to_vec()));
         }
         self.charge(&busy);
         // … and only then commit the new placement.
@@ -783,12 +759,7 @@ impl Kernel for SimCluster {
             if !self.state.health.is_serving(i) {
                 continue;
             }
-            let name = name.to_owned();
-            let mut extra = 0.0;
-            let _ = self.deliver(i, &mut extra, move |b| {
-                b.create_file(name);
-                Ok(Response::default())
-            });
+            let _ = self.deliver(i, &mut 0.0, WireOp::CreateFile(name.to_owned()));
         }
         self.state.log_append_stashing(LogRecord::CreateFile { name: name.to_owned() });
         self.maybe_snapshot();

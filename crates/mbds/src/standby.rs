@@ -8,7 +8,7 @@
 //! replays continuously, [`Standby::promote`] needs no cold replay: it
 //! fences the old primary by raising the cluster epoch, resumes the WAL
 //! at the shipped high-water mark, and installs a [`Controller`] over
-//! the *existing* backend threads that takes the mirror's whole cluster
+//! the *existing* backends that takes the mirror's whole cluster
 //! state — key allocator, directory, unique-value index, placement
 //! rotors, residency counts and health board — by value.
 //!
@@ -23,12 +23,13 @@
 //! 3. **Promote** — [`Standby::promote`] drops any torn tail, bumps the
 //!    store's fence epoch past everything the log has seen, and builds
 //!    the new controller without touching the demoted primary.
-//! 4. **Fence** — backend threads reject every envelope stamped with an
-//!    epoch below the shared fence, and the WAL refuses appends once
+//! 4. **Fence** — backends refuse every message stamped with an
+//!    epoch below the cluster fence, and the WAL refuses appends once
 //!    the store's fence passes its epoch, so a demoted primary's stray
 //!    writes reach neither the data nor the log: no split brain.
 
-use crate::controller::{ClusterLink, Controller};
+use crate::controller::Controller;
+use crate::link::Cluster;
 use crate::sim::{CostModel, SimCluster};
 use crate::state::check_config;
 use crate::wal::{CursorUpdate, LogCursor, LogRecord, LogStore, SnapshotData, Wal};
@@ -54,17 +55,17 @@ pub struct LagStats {
 /// Create one with [`Controller::standby`], keep it fresh with
 /// [`Standby::poll`], and on primary failure consume it with
 /// [`Standby::promote`]. Promotion must happen *before* the failed
-/// primary object is dropped: the backend threads are shared, and only
+/// primary object is dropped: the backends are shared, and only
 /// a fenced (already demoted) primary detaches from them instead of
 /// shutting them down.
 pub struct Standby {
     cursor: LogCursor,
     mirror: SimCluster,
-    link: ClusterLink,
+    cluster: Cluster,
     /// Backends whose `RestartBegin` shipped without a matching
     /// `RestartEnd`: the primary crashed mid-restart. The mirror has
     /// already applied the full restart (exactly as cold replay would),
-    /// but the real backend thread was never respawned — promotion
+    /// but the real backend was never respawned — promotion
     /// finishes these restarts for real.
     mid_restart: BTreeSet<usize>,
     /// Move chunks whose `MoveBegin` shipped without a matching
@@ -80,7 +81,7 @@ pub struct Standby {
 impl Standby {
     /// Attach to a primary's log store and bootstrap the mirror from
     /// its snapshot (a durable controller writes one at creation).
-    pub(crate) fn attach(link: ClusterLink, store: Box<dyn LogStore>) -> Result<Standby> {
+    pub(crate) fn attach(cluster: Cluster, store: Box<dyn LogStore>) -> Result<Standby> {
         let mut cursor = LogCursor::new(store);
         let update = cursor.poll()?;
         let CursorUpdate::Snapshot(text) = update else {
@@ -91,7 +92,7 @@ impl Standby {
         let mut standby = Standby {
             cursor,
             mirror: Standby::mirror_of(&text)?,
-            link,
+            cluster,
             mid_restart: BTreeSet::new(),
             mid_move: Vec::new(),
             records_shipped: 0,
@@ -185,7 +186,7 @@ impl Standby {
     /// is rejected.
     ///
     /// Call this *before* dropping the failed primary object: a
-    /// not-yet-fenced primary's drop shuts the shared backend threads
+    /// not-yet-fenced primary's drop shuts the shared backends
     /// down.
     pub fn promote(mut self) -> Result<Controller> {
         self.poll()?;
@@ -204,9 +205,9 @@ impl Standby {
         }
         let new_epoch = max_epoch.max(store.fence_epoch()?) + 1;
         store.set_fence_epoch(new_epoch)?;
-        self.link.fence.store(new_epoch, Ordering::SeqCst);
+        self.cluster.fence.store(new_epoch, Ordering::SeqCst);
         let wal = Wal::resume(store, next_seq, consumed as u64, new_epoch);
-        let mut c = Controller::promoted(self.link, wal, new_epoch, self.mirror.into_state());
+        let mut c = Controller::promoted(self.cluster, wal, new_epoch, self.mirror.into_state());
         c.settle_promotion(&unfinished, unfinished_moves)?;
         Ok(c)
     }
