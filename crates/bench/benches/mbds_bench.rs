@@ -1,10 +1,10 @@
 //! MBDS benchmarks: real wall-clock throughput of the threaded
 //! controller vs backend count (concurrency of the actual
-//! implementation), and the execution cost of the simulated cluster
+//! implementation), and the execution cost of a simulated controller
 //! whose response-time *model* regenerates E7/E8.
 
 use abdl::Kernel;
-use mbds::{Controller, SimCluster};
+use mbds::{Controller, CostModel};
 use mlds_bench::timing::{bench, group};
 use mlds_bench::workload;
 
@@ -26,7 +26,7 @@ fn main() {
     group("mbds/sim_mixed64");
     let requests = workload::mixed_requests(64, DB, 5);
     for n in [1usize, 8] {
-        let mut sim = SimCluster::new(n);
+        let mut sim = Controller::simulated(n, 2.min(n), CostModel::default());
         workload::load_flat(&mut sim, DB);
         bench(&format!("{n}_backends"), || {
             for req in &requests {

@@ -268,6 +268,12 @@ const E7_DB: usize = 40_000;
 const E7_SELECT: usize = 4_000;
 const BACKENDS: [usize; 7] = [1, 2, 4, 6, 8, 12, 16];
 
+/// A controller over `n` simulated backends keeping `k` copies of each
+/// record, on the default cost model.
+fn simulated(n: usize, k: usize) -> mbds::Controller {
+    mbds::Controller::simulated(n, k, mbds::CostModel::default())
+}
+
 /// MBDS claim 1: response time vs backends, fixed database.
 pub fn e7() -> String {
     let mut out = String::new();
@@ -275,11 +281,12 @@ pub fn e7() -> String {
     let _ = writeln!(out, "{:>9} {:>16} {:>9} {:>7}", "backends", "response (ms)", "speedup", "ideal");
     let mut base = None;
     for n in BACKENDS {
-        let mut cluster = mbds::SimCluster::unreplicated(n);
+        let mut cluster = simulated(n, 1);
         workload::load_flat(&mut cluster, E7_DB);
-        cluster.reset_clock();
+        let clock = cluster.clock().expect("a simulated cluster has a clock");
+        clock.reset();
         cluster.execute(&workload::range_retrieval(E7_SELECT)).expect("retrieval");
-        let ms = cluster.last_response_us() / 1000.0;
+        let ms = clock.last_response_us() / 1000.0;
         let base_ms = *base.get_or_insert(ms);
         let _ = writeln!(out, "{n:>9} {ms:>16.1} {:>8.2}x {n:>6}x", base_ms / ms);
     }
@@ -294,11 +301,12 @@ pub fn e8() -> String {
     let _ = writeln!(out, "{:>9} {:>10} {:>16} {:>8}", "backends", "records", "response (ms)", "ratio");
     let mut base = None;
     for n in BACKENDS {
-        let mut cluster = mbds::SimCluster::unreplicated(n);
+        let mut cluster = simulated(n, 1);
         workload::load_flat(&mut cluster, per_backend * n);
-        cluster.reset_clock();
+        let clock = cluster.clock().expect("a simulated cluster has a clock");
+        clock.reset();
         cluster.execute(&workload::range_retrieval((E7_SELECT / 8) * n)).expect("retrieval");
-        let ms = cluster.last_response_us() / 1000.0;
+        let ms = clock.last_response_us() / 1000.0;
         let base_ms = *base.get_or_insert(ms);
         let _ = writeln!(out, "{n:>9} {:>10} {ms:>16.1} {:>8.3}", per_backend * n, ms / base_ms);
     }
@@ -532,7 +540,7 @@ pub fn e12() -> String {
 /// costs in simulated time. Failures kill adjacent backends, the worst
 /// case for adjacent replica groups.
 pub fn e13() -> String {
-    const N: usize = 8;
+    const N: usize = E13_BACKENDS;
     const DB: usize = 8_000;
     let mut out = String::new();
     let _ = writeln!(out, "{N} backends, {DB} records; killed backends are adjacent");
@@ -543,8 +551,7 @@ pub fn e13() -> String {
     );
     for k in [1usize, 2, 3] {
         for failures in [0usize, 1, 2, 3] {
-            let mut cluster =
-                mbds::SimCluster::with_config(N, k, mbds::CostModel::default());
+            let mut cluster = simulated(N, k);
             workload::load_flat(&mut cluster, DB);
             for b in 0..failures {
                 cluster.kill_backend(b);
@@ -563,15 +570,27 @@ pub fn e13() -> String {
     }
     let _ = writeln!(out, "\nrecovery (k = 2): restart one backend, re-replicate from survivors");
     let _ = writeln!(out, "{:>9} {:>22}", "records", "recovery time (sim ms)");
-    for db in [1_000usize, 4_000, 16_000] {
-        let mut cluster = mbds::SimCluster::with_config(N, 2, mbds::CostModel::default());
-        workload::load_flat(&mut cluster, db);
-        cluster.kill_backend(0);
-        cluster.reset_clock();
-        cluster.restart_backend(0).expect("restart");
-        let _ = writeln!(out, "{db:>9} {:>22.1}", cluster.last_response_us() / 1000.0);
+    for db in E13_RECOVERY_DB {
+        let _ = writeln!(out, "{db:>9} {:>22.1}", e13_recovery_ms(E13_BACKENDS, db));
     }
     out
+}
+
+/// Database sizes of E13's recovery table.
+const E13_RECOVERY_DB: [usize; 3] = [1_000, 4_000, 16_000];
+const E13_BACKENDS: usize = 8;
+
+/// Simulated time (ms) to restart one killed backend of an `n`-backend,
+/// k = 2 cluster holding `db` records: every round of the restart —
+/// schema replay, the survivors' file scans, one copy per record.
+fn e13_recovery_ms(n: usize, db: usize) -> f64 {
+    let mut cluster = simulated(n, 2);
+    workload::load_flat(&mut cluster, db);
+    cluster.kill_backend(0);
+    let clock = cluster.clock().expect("a simulated cluster has a clock");
+    clock.reset();
+    cluster.restart_backend(0).expect("restart");
+    clock.total_us() / 1000.0
 }
 
 // ----- E14 ------------------------------------------------------------
@@ -1049,6 +1068,14 @@ mod tests {
         let last = e8.lines().last().unwrap();
         let ratio: f64 = last.split_whitespace().nth(3).unwrap().parse().unwrap();
         assert!((0.9..1.2).contains(&ratio), "E8 drifted: {ratio} in\n{e8}");
+    }
+
+    /// EXPERIMENTS.md's E13 claim: recovering a backend costs simulated
+    /// time that grows with the volume it re-replicates.
+    #[test]
+    fn e13_recovery_grows_with_the_re_replicated_volume() {
+        let ms = E13_RECOVERY_DB.map(|db| e13_recovery_ms(E13_BACKENDS, db));
+        assert!(ms[0] > 0.0 && ms[0] < ms[1] && ms[1] < ms[2], "recovery times {ms:?}");
     }
 
     #[test]

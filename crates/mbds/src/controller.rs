@@ -21,10 +21,11 @@
 //!   experiments.
 //!
 //! The controller never names its transport. Each backend is reached
-//! through one [`Link`] (worker threads on the channel bus, or
-//! `mbds-backend` processes over TCP, chosen by `MBDS_TRANSPORT`), and
-//! the links are spawned and attached through the shared [`Cluster`]
-//! handle — see [`crate::link`].
+//! through one [`Link`] — worker threads on the channel bus or
+//! `mbds-backend` processes over TCP (chosen by `MBDS_TRANSPORT`), or
+//! in-memory backends on a cost-model clock (the `simulated`
+//! constructors, [`crate::sim`]) — and the links are spawned and
+//! attached through the shared [`Cluster`] handle; see [`crate::link`].
 //!
 //! [`Partitioner`]: crate::Partitioner
 //! [`HealthBoard`]: crate::HealthBoard
@@ -34,7 +35,8 @@ use crate::health::BackendState;
 use crate::link::{Cluster, Link, Stamp, Window};
 use crate::net::{NetFaultPlan, WireOp};
 use crate::rebalance;
-use crate::state::{check_config, file_scan, ClusterState, DataPlane};
+use crate::sim::{CostModel, SimClock};
+use crate::state::{check_config, file_scan, ClusterState};
 use crate::wal::{FileLog, LogRecord, LogStore, SnapshotData, Wal};
 use abdl::engine::aggregate;
 use abdl::{
@@ -123,9 +125,9 @@ enum Staged {
 /// places inserted records on replica groups, broadcasts everything
 /// else and merges (and deduplicates) the partial responses.
 pub struct Controller {
-    /// Placement, index, membership and log — the bookkeeping shared
-    /// with [`crate::SimCluster`] and handed over by standby promotion.
-    state: ClusterState,
+    /// Placement, index, membership and log — the bookkeeping a
+    /// standby's mirror hands over by value at promotion.
+    pub(crate) state: ClusterState,
     /// One link per backend, by index.
     backends: Vec<Box<dyn Link>>,
     next_seq: u64,
@@ -141,16 +143,16 @@ pub struct Controller {
     /// *current* backend.
     cluster: Cluster,
     degraded_cache: bool,
-    degraded_dirty: bool,
+    pub(crate) degraded_dirty: bool,
     /// Key-scoped single-backend probes sent, per backend — how evenly
     /// the point-read load spreads across replica groups.
     read_probes_by_backend: Vec<u64>,
     /// Lifetime execution counters (requests, messages, examined).
-    totals: ExecTotals,
+    pub(crate) totals: ExecTotals,
     /// Records relocated per WAL bracket: large groups move as a
     /// sequence of bounded chunks so a pump step never stalls a
     /// foreground request behind a whole-group copy.
-    move_chunk: usize,
+    pub(crate) move_chunk: usize,
     /// Retransmissions attempted per reply window on a lossy link (the
     /// channel bus never retries).
     retry_budget: u32,
@@ -201,6 +203,15 @@ impl Controller {
         Controller::spawned(n, k, Cluster::processes())
     }
 
+    /// A controller over `n` simulated backends keeping `k` copies of
+    /// every record: in-memory stores stepped synchronously, each round
+    /// of messages charged by `cost` on a virtual [`clock`](Self::clock).
+    /// Deterministic, and never a thread or a process, whatever
+    /// `MBDS_TRANSPORT` says.
+    pub fn simulated(n: usize, k: usize, cost: CostModel) -> Self {
+        Controller::spawned(n, k, Cluster::simulated(cost)).expect("in-memory backends spawn")
+    }
+
     /// A fresh controller at epoch 0 over `n` backends spawned into
     /// `cluster`.
     fn spawned(n: usize, k: usize, cluster: Cluster) -> Result<Self> {
@@ -245,10 +256,10 @@ impl Controller {
         Controller::durable_with(n, k, FileLog::open(dir)?)
     }
 
-    /// [`Controller::durable`] over any [`LogStore`] — the harness and
-    /// the simulator use a shared in-memory [`crate::MemLog`].
+    /// [`Controller::durable`] over any [`LogStore`] — the harnesses
+    /// use a shared in-memory [`crate::MemLog`].
     pub fn durable_with(n: usize, k: usize, store: impl LogStore + 'static) -> Result<Self> {
-        Controller::durable_on(store, || Ok(Controller::with_replication(n, k)))
+        Controller::durable_on(store, n, k, Cluster::from_env())
     }
 
     /// [`Controller::durable_with`] over the socket transport: the
@@ -256,7 +267,18 @@ impl Controller {
     /// `MBDS_TRANSPORT` (tests use this to mix transports in one
     /// process without touching the environment).
     pub fn durable_over_tcp(n: usize, k: usize, store: impl LogStore + 'static) -> Result<Self> {
-        Controller::durable_on(store, || Controller::over_tcp(n, k))
+        Controller::durable_on(store, n, k, Cluster::processes())
+    }
+
+    /// [`Controller::durable_with`] over simulated backends (see
+    /// [`Controller::simulated`]).
+    pub fn simulated_durable(
+        n: usize,
+        k: usize,
+        cost: CostModel,
+        store: impl LogStore + 'static,
+    ) -> Result<Self> {
+        Controller::durable_on(store, n, k, Cluster::simulated(cost))
     }
 
     /// Refuse a store that already holds state, then spawn the cluster
@@ -264,14 +286,16 @@ impl Controller {
     /// k from this initial snapshot.
     fn durable_on(
         store: impl LogStore + 'static,
-        spawn: impl FnOnce() -> Result<Controller>,
+        n: usize,
+        k: usize,
+        cluster: Cluster,
     ) -> Result<Self> {
         if store.has_state()? {
             return Err(Error::Internal(
                 "log already holds controller state; use Controller::recover".into(),
             ));
         }
-        let mut c = spawn()?;
+        let mut c = Controller::spawned(n, k, cluster)?;
         c.state.wal = Some(Wal::create(Box::new(store)));
         c.snapshot_now()?;
         Ok(c)
@@ -288,12 +312,25 @@ impl Controller {
 
     /// [`Controller::recover`] over any [`LogStore`].
     pub fn recover_with(store: impl LogStore + 'static) -> Result<Self> {
+        Controller::recover_on(store, Cluster::from_env())
+    }
+
+    /// [`Controller::recover_with`] onto simulated backends (see
+    /// [`Controller::simulated`]); the backend count and replication
+    /// come from the log. The replayed traffic is charged on the clock.
+    pub fn simulated_recover(cost: CostModel, store: impl LogStore + 'static) -> Result<Self> {
+        Controller::recover_on(store, Cluster::simulated(cost))
+    }
+
+    /// Rebuild the controller `store` describes over backends spawned
+    /// into `cluster`.
+    fn recover_on(store: impl LogStore + 'static, cluster: Cluster) -> Result<Self> {
         let (snapshot, entries, mut wal) = Wal::load(Box::new(store))?;
         let snapshot = snapshot.ok_or_else(|| {
             Error::Internal("no snapshot found — nothing to recover".into())
         })?;
         check_config(&snapshot)?;
-        let mut c = Controller::with_replication(snapshot.backends, snapshot.replication);
+        let mut c = Controller::spawned(snapshot.backends, snapshot.replication, cluster)?;
         // `c.state.wal` stays `None` through the replay so nothing re-logs.
         c.load_snapshot(&snapshot)?;
         for entry in &entries {
@@ -410,6 +447,18 @@ impl Controller {
         }
         self.state.replan_rebalance();
         Ok(())
+    }
+
+    /// Hand this controller's cluster state to a promoting standby
+    /// (the mirror is dropped, and its simulated backends with it).
+    pub(crate) fn into_state(mut self) -> ClusterState {
+        std::mem::replace(&mut self.state, ClusterState::new(1, 1))
+    }
+
+    /// The cost-model clock of a [`simulated`](Self::simulated)
+    /// controller; `None` over worker threads or backend processes.
+    pub fn clock(&self) -> Option<SimClock> {
+        self.cluster.clock()
     }
 
     /// Total number of backends (alive or dead).
@@ -628,7 +677,7 @@ impl Controller {
     /// Recovery step 1: rebuild state from the snapshot. All backends
     /// are freshly spawned and alive at this point; records are loaded
     /// into their group members, then the dead set is re-killed.
-    fn load_snapshot(&mut self, snap: &SnapshotData) -> Result<()> {
+    pub(crate) fn load_snapshot(&mut self, snap: &SnapshotData) -> Result<()> {
         self.state.apply_snapshot(snap);
         for file in &snap.files {
             self.try_create_file(file)?;
@@ -650,8 +699,8 @@ impl Controller {
 
     /// Recovery step 2: replay one post-snapshot log entry — the
     /// bookkeeping through `ClusterState::apply_entry`, then the
-    /// backends' half.
-    fn replay(&mut self, entry: &LogRecord) -> Result<()> {
+    /// backends' half. A standby's mirror is fed the same way.
+    pub(crate) fn replay(&mut self, entry: &LogRecord) -> Result<()> {
         self.state.apply_entry(entry);
         match entry {
             LogRecord::CreateFile { name } => self.try_create_file(name),
@@ -1043,7 +1092,23 @@ impl Controller {
     /// produce equal logical digests; this is what the elastic-vs-static
     /// acceptance check compares.
     pub fn logical_digest(&mut self) -> Result<String> {
-        Ok(logical_digest_of(&self.snapshot()?))
+        use std::fmt::Write as _;
+        let snap = self.snapshot()?;
+        let mut out = String::new();
+        let _ = writeln!(out, "next-key {}", snap.next_key);
+        for file in &snap.files {
+            let _ = writeln!(out, "file {file}");
+        }
+        for (file, attrs) in &snap.uniques {
+            let _ = writeln!(out, "unique {file} {}", attrs.join(" "));
+        }
+        for (key, _, record) in &snap.places {
+            let _ = match record {
+                Some(record) => writeln!(out, "{key} {record}"),
+                None => writeln!(out, "{key} ?"),
+            };
+        }
+        Ok(out)
     }
 
     /// Fallible file creation: sends the create through the health
@@ -1233,7 +1298,7 @@ impl Controller {
         };
         let (targets, fallback, probe) = match self.probe_plan(query) {
             Some((first, rest)) => (Some(vec![first]), rest, true),
-            None => (self.route(query), Vec::new(), false),
+            None => (self.state.route_targets(query), Vec::new(), false),
         };
         let unavailable = self.state.health.serving_count() == 0;
         let round: Vec<usize> = match &targets {
@@ -1472,7 +1537,7 @@ impl Kernel for Controller {
     }
 
     fn execute_batch(&mut self, requests: &[Request]) -> Vec<Result<Response>> {
-        DataPlane::execute_batch(self, requests)
+        self.schedule_batch(requests)
     }
 
     fn exec_totals(&self) -> ExecTotals {
@@ -1492,15 +1557,8 @@ impl Kernel for Controller {
     }
 }
 
-impl DataPlane for Controller {
-    fn state(&mut self) -> &mut ClusterState {
-        &mut self.state
-    }
-
-    fn totals(&mut self) -> &mut ExecTotals {
-        &mut self.totals
-    }
-
+/// The controller's data plane: how requests reach its backends.
+impl Controller {
     /// Execute a flight of pairwise non-conflicting inserts and
     /// retrieves with their backend rounds pipelined: every member's
     /// sends go out before any reply is awaited, so the flight costs
@@ -1525,7 +1583,7 @@ impl DataPlane for Controller {
     /// footprints don't conflict with it: none of the flight's new
     /// records can match the read's qualification, so missing their
     /// placements cannot change the answer.
-    fn execute_flight(&mut self, flight: &[Request]) -> Vec<Result<Response>> {
+    pub(crate) fn execute_flight(&mut self, flight: &[Request]) -> Vec<Result<Response>> {
         // Phase 1 — stage: per-member bookkeeping, then the member's
         // sends (first replica wave / routed read round), no replies
         // awaited.
@@ -1602,7 +1660,11 @@ impl DataPlane for Controller {
     /// queues never desynchronize. An empty routed target set answers
     /// immediately with an empty response — exactly what a broadcast
     /// would have merged.
-    fn send_round(&mut self, request: &Request, targets: Option<&[usize]>) -> Result<Response> {
+    pub(crate) fn send_round(
+        &mut self,
+        request: &Request,
+        targets: Option<&[usize]>,
+    ) -> Result<Response> {
         if targets.is_some() && self.state.health.serving_count() == 0 {
             return Err(Error::Unavailable("no live backends".into()));
         }
@@ -1638,13 +1700,9 @@ impl DataPlane for Controller {
         Ok(merged)
     }
 
-    fn route(&self, query: &abdl::Query) -> Option<Vec<usize>> {
-        self.state.route_targets(query)
-    }
-
     /// Preferred replica group, then every other backend as fallback
     /// so a dead group member is substituted by the next live one.
-    fn insert(&mut self, record: &Record) -> Result<Response> {
+    pub(crate) fn insert(&mut self, record: &Record) -> Result<Response> {
         self.state.check_unique(record)?;
         let file = record.file().ok_or(Error::MissingFileKeyword)?.to_owned();
         let key = self.state.alloc_key();
@@ -1654,21 +1712,16 @@ impl DataPlane for Controller {
     }
 
     /// Attach health metadata to an outgoing response.
-    fn finalize(&mut self, mut resp: Response) -> Response {
+    pub(crate) fn finalize(&mut self, mut resp: Response) -> Response {
         resp.degraded = self.is_degraded();
         resp.unavailable_backends = self.state.health.unavailable();
         resp
     }
 
-    fn placement_changed(&mut self) {
-        self.degraded_dirty = true;
-    }
-
-    fn move_chunk(&self) -> usize {
-        self.move_chunk
-    }
-
-    fn move_group_inner(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) -> Result<()> {
+    /// Copy `keys` of group `from` to the members `to` adds, remove
+    /// them from the members it abandons, and commit the new placement,
+    /// all between one chunk's `move-begin` and `move-end` markers.
+    pub(crate) fn move_group_inner(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) -> Result<()> {
         self.state.log_move_begin(from, to, keys)?;
         let added: Vec<usize> = to.iter().copied().filter(|m| !from.contains(m)).collect();
         let removed: Vec<usize> = from.iter().copied().filter(|m| !to.contains(m)).collect();
@@ -1712,7 +1765,7 @@ impl DataPlane for Controller {
 
     /// Retire a drained backend: every group containing it has moved
     /// off, so shut it down.
-    fn retire_backend(&mut self, i: usize) {
+    pub(crate) fn retire_backend(&mut self, i: usize) {
         self.shutdown_backend(i);
         self.state.retired.insert(i);
     }
@@ -1720,7 +1773,7 @@ impl DataPlane for Controller {
     /// The full compacted state: directory, allocator, rotors,
     /// constraints, dead set, and every record that still has a live
     /// replica (gathered by broadcasting a retrieve per file).
-    fn snapshot(&mut self) -> Result<SnapshotData> {
+    pub(crate) fn snapshot(&mut self) -> Result<SnapshotData> {
         // Gather surviving record data first: the broadcasts may detect
         // deaths, and the metadata below must reflect them.
         let mut data: BTreeMap<u64, Record> = BTreeMap::new();
@@ -1752,32 +1805,6 @@ impl Drop for Controller {
     }
 }
 
-/// Render the placement-independent projection of a snapshot: what the
-/// cluster *stores*, not where. Shared by [`Controller::logical_digest`]
-/// and [`crate::SimCluster::logical_digest`].
-pub(crate) fn logical_digest_of(snap: &SnapshotData) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "next-key {}", snap.next_key);
-    for file in &snap.files {
-        let _ = writeln!(out, "file {file}");
-    }
-    for (file, attrs) in &snap.uniques {
-        let _ = writeln!(out, "unique {file} {}", attrs.join(" "));
-    }
-    for (key, _, record) in &snap.places {
-        match record {
-            Some(record) => {
-                let _ = writeln!(out, "{key} {record}");
-            }
-            None => {
-                let _ = writeln!(out, "{key} ?");
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1786,6 +1813,28 @@ mod tests {
     use abdl::parse::parse_request;
     use abdl::Store;
     use abdl::Value;
+
+    /// After a backend crashes mid-flight, the flight's later seqs on
+    /// it are lost at once: the crash costs the two reply windows that
+    /// detect it, not one more window per seq still awaited on it.
+    #[test]
+    fn a_crash_mid_flight_costs_only_the_windows_that_detect_it() {
+        let mut c = Controller::with_replication(4, 2);
+        c.set_reply_timeout(Duration::from_millis(100));
+        c.set_fault_plan(FaultPlan::new().with(1, 20, FaultKind::Crash));
+        c.create_file("f");
+        let batch: Vec<Request> = (0..256)
+            .map(|i| Request::Insert {
+                record: Record::from_pairs([("FILE", Value::str("f"))]).with("v", Value::Int(i)),
+            })
+            .collect();
+        let results = c.execute_batch(&batch);
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        assert_eq!(c.exec_totals().sched_flights, 1);
+        assert_eq!(c.alive_count(), 3);
+        let timeouts = c.exec_totals().reply_timeouts;
+        assert!(timeouts <= 2, "{timeouts} reply windows missed");
+    }
 
     #[test]
     fn key_set_iterates_ascending_in_every_shape() {

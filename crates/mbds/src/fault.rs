@@ -3,8 +3,9 @@
 //! A [`FaultPlan`] is a fixed list of events, each firing when a given
 //! backend processes its N-th message: drop the reply, delay it, crash
 //! the backend silently, or panic inside it. Every backend — worker
-//! thread, backend process, simulator store — consults the plan in the
-//! one backend step (`crate::link`), on its own counter. Because each
+//! thread, backend process, simulated backend — consults the plan in
+//! the one backend step (`crate::link`), on its own counter, which a
+//! restart resets to 0. Because each
 //! backend's message stream is a FIFO fed by a deterministic
 //! controller, the same plan produces bit-identical failure sequences
 //! on every run — which is what makes availability experiments (E13)

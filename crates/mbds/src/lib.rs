@@ -10,7 +10,7 @@
 //! connected to the individual backends by a communication bus."
 //!
 //! Two performance claims are made for MBDS (§I.B.2 of the thesis) and
-//! reproduced by this crate's simulator:
+//! reproduced by a simulated controller's cost-model clock:
 //!
 //! 1. *Response-time reduction*: "by increasing the number of backends,
 //!    while maintaining the size of the database … at a constant level,
@@ -19,24 +19,27 @@
 //!    proportionally with an increase in the size of the database …
 //!    MBDS produces invariant response-times."
 //!
-//! Provided here:
+//! The one kernel here is the [`Controller`]: N backends, each owning
+//! a private [`abdl::Store`] partition, reached over one link apiece
+//! (the "communication bus"). It implements [`abdl::Kernel`], so every
+//! MLDS language interface runs on it unchanged. Records are placed
+//! round-robin per file; non-INSERT requests are broadcast and the
+//! partial responses merged (aggregates are re-aggregated globally).
+//! Backends can be killed for failure-injection tests. Three links
+//! reach the backends, and the controller's code is the same over
+//! each:
 //!
-//! * [`Controller`] — a real controller: N backends, each owning a
-//!   private [`abdl::Store`] partition, reached over one link apiece
-//!   (the "communication bus": worker threads on channels, or backend
-//!   processes over TCP). Implements [`abdl::Kernel`],
-//!   so every MLDS language interface runs on it unchanged. Records are
-//!   placed round-robin per file; non-INSERT requests are broadcast and
-//!   the partial responses merged (aggregates are re-aggregated
-//!   globally). Backends can be killed for failure-injection tests.
-//! * [`SimCluster`] — the deterministic simulated-time twin used for
-//!   the experiment tables: the same placement and merge logic executed
-//!   serially, with response time computed from a [`CostModel`] over the
-//!   per-backend disk-block counters (`max` over backends + bus and
-//!   merge costs), exactly the quantity whose *shape* the two claims
-//!   describe.
+//! * worker threads on the channel bus ([`Controller::new`]);
+//! * `mbds-backend` processes over TCP ([`Controller::over_tcp`], or
+//!   any constructor under `MBDS_TRANSPORT=tcp`);
+//! * simulated in-memory backends ([`Controller::simulated`]), stepped
+//!   serially and deterministically, each round of messages charged on
+//!   a [`SimClock`] by a [`CostModel`] over the per-backend disk-block
+//!   counters (`max` over backends + bus and merge costs) — exactly the
+//!   quantity whose *shape* the two claims describe. The experiment
+//!   tables and the standby's warm mirror run on these.
 //!
-//! Beyond the 1987 design, both kernels are *fault tolerant*:
+//! Beyond the 1987 design, the controller is *fault tolerant*:
 //!
 //! * records are placed on **k-way replica groups** (default k = 2) and
 //!   reads deduplicate by database key, so replicated answers equal a
@@ -48,8 +51,8 @@
 //!   surviving replicas;
 //! * a seeded, deterministic [`FaultPlan`] injects reply drops, delays,
 //!   crashes and panics at exact per-backend message counts —
-//!   bit-identical across runs in both the threaded and the simulated
-//!   kernel (experiment E13);
+//!   bit-identical across runs over threads and over simulated
+//!   backends (experiment E13);
 //! * controller state itself is **durable and recoverable** (the [`wal`]
 //!   module): every directory mutation is written to a checksummed
 //!   write-ahead log with periodic compacted snapshots, and
@@ -110,6 +113,6 @@ pub use net::{
 pub use placement::Partitioner;
 pub use rebalance::{MoveJob, Rebalancer};
 pub use sched::Footprint;
-pub use sim::{CostModel, SimCluster};
+pub use sim::{CostModel, SimClock};
 pub use standby::{LagStats, Standby};
 pub use wal::{FileLog, LogCursor, LogRecord, LogStore, MemLog, SnapshotData, Wal};

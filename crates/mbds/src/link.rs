@@ -6,19 +6,22 @@
 //! its whole per-message discipline — refuse below the fence, count,
 //! consult the fault plan, apply — and every backend runs it: the
 //! worker thread behind the channel bus, the `mbds-backend` process
-//! behind a socket ([`crate::net`]), and the simulator's in-memory
-//! stores ([`crate::SimCluster`]).
+//! behind a socket ([`crate::net`]), and the in-memory backend behind
+//! a simulated link ([`crate::sim`]).
 //!
 //! The controller reaches each backend through one [`Link`]: queue an
 //! operation under a seq, flush, await one reply window, forget the
 //! window, stop the backend, push a fault plan, sever, heal, reconnect.
-//! Two links implement it. The channel link feeds a worker thread and
+//! Three links implement it. The channel link feeds a worker thread and
 //! adds nothing to a message but its envelope. The socket link keeps a
 //! retransmission window of the frames it sent, re-dials a dropped
-//! connection, and splits each reply window into backoff sub-waits, all
-//! behind the same three outcomes ([`Window`]): a reply, a missed
-//! window, or a lost link. The controller's health discipline
-//! (Alive → Suspect → Dead) is written once, over those outcomes.
+//! connection, and splits each reply window into backoff sub-waits. The
+//! simulated link steps its backend as each message is queued and
+//! charges a virtual clock. All three answer a wait with the same
+//! three outcomes ([`Window`]): a reply, a missed window, or a lost
+//! link; a wait on a seq the link was told to forget never blocks. The
+//! controller's health discipline (Alive → Suspect → Dead) is written
+//! once, over those outcomes.
 //!
 //! A [`Cluster`] is the handle a primary, its standby and the
 //! controller the standby promotes all share: the fence, the fault
@@ -28,6 +31,7 @@
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::net::{self, kind, Frame, NetFaultPlan, TcpLink, WireOp, WireReply};
+use crate::sim::{self, CostModel, SimClock, SimLink};
 use abdl::{DbKey, Error, ExecTotals, Record, Response, Result, Store};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -244,24 +248,37 @@ struct ChannelLink {
     reply_tx: Sender<Reply>,
     /// The worker, when this controller spawned it.
     join: Option<JoinHandle<()>>,
+    /// The highest seq queued so far.
+    queued: u64,
+    /// The highest seq queued when the link was last told to forget: a
+    /// seq up to it is lost unless its reply had arrived by then. (The
+    /// link keeps a reply sender of its own, so its receiver never
+    /// disconnects, even after the worker is gone.)
+    forgotten: u64,
+    /// Replies that had arrived when the link was told to forget.
+    arrived: BTreeMap<u64, Result<Response>>,
 }
 
 impl ChannelLink {
     fn new(tx: Sender<Envelope>, join: Option<JoinHandle<()>>) -> Self {
         let (reply_tx, rx) = channel();
-        ChannelLink { tx, rx, reply_tx, join }
+        ChannelLink { tx, rx, reply_tx, join, queued: 0, forgotten: 0, arrived: BTreeMap::new() }
     }
 }
 
 impl Link for ChannelLink {
     fn queue(&mut self, at: Stamp, seq: u64, op: WireOp) -> bool {
+        self.queued = self.queued.max(seq);
         let reply = self.reply_tx.clone();
         self.tx.send(Envelope { seq, epoch: at.epoch, reply, op }).is_ok()
     }
 
     /// Stale replies (from earlier rounds that timed out) are
-    /// discarded.
+    /// discarded; a forgotten seq is answered at once.
     fn await_reply(&mut self, at: Stamp, seq: u64, _: &mut ExecTotals) -> Window {
+        if seq <= self.forgotten {
+            return self.arrived.remove(&seq).map_or(Window::Lost, Window::Reply);
+        }
         loop {
             match self.rx.recv_timeout(at.window) {
                 Ok(reply) if reply.seq == seq => return Window::Reply(reply.result),
@@ -269,6 +286,16 @@ impl Link for ChannelLink {
                 Err(RecvTimeoutError::Timeout) => return Window::Missed,
                 Err(RecvTimeoutError::Disconnected) => return Window::Lost,
             }
+        }
+    }
+
+    /// A reply already delivered is kept — a backend given up on a
+    /// failed send answered everything it handled before it died —
+    /// but none arriving later is accepted, as over TCP.
+    fn forget(&mut self) {
+        self.forgotten = self.queued;
+        while let Ok(reply) = self.rx.try_recv() {
+            self.arrived.insert(reply.seq, reply.result);
         }
     }
 
@@ -531,8 +558,8 @@ fn decode_reply(frame: &Frame) -> Result<Response> {
 pub(crate) struct Cluster {
     /// The cluster fence: messages stamped below it are refused.
     pub(crate) fence: Arc<AtomicU64>,
-    /// The backend fault plan; worker threads read it on every
-    /// message, backend processes are shipped a copy.
+    /// The backend fault plan; worker threads and simulated backends
+    /// read it on every message, backend processes are shipped a copy.
     pub(crate) faults: Arc<Mutex<FaultPlan>>,
     /// How long a controller waits for one reply window.
     pub(crate) reply_timeout: Duration,
@@ -547,6 +574,9 @@ enum Fabric {
     Threads(Mutex<Vec<Sender<Envelope>>>),
     /// `mbds-backend` processes reached over TCP.
     Processes(Arc<Processes>),
+    /// In-memory backends, each stepped as a message is queued, and
+    /// the virtual clock their links charge.
+    Sim(Mutex<Vec<sim::Slot>>, SimClock),
 }
 
 /// The table of a socket-transport cluster: where the backend
@@ -602,6 +632,12 @@ impl Cluster {
         })))
     }
 
+    /// An empty cluster of in-memory backends charging `cost` on a
+    /// virtual clock.
+    pub(crate) fn simulated(cost: CostModel) -> Cluster {
+        Cluster::new(Fabric::Sim(Mutex::default(), SimClock::new(cost)))
+    }
+
     /// Processes when the `MBDS_TRANSPORT=tcp` environment variable is
     /// set, threads otherwise.
     pub(crate) fn from_env() -> Cluster {
@@ -617,11 +653,20 @@ impl Cluster {
         matches!(*self.fabric, Fabric::Processes(_))
     }
 
+    /// The virtual clock of a simulated cluster.
+    pub(crate) fn clock(&self) -> Option<SimClock> {
+        match &*self.fabric {
+            Fabric::Sim(_, clock) => Some(clock.clone()),
+            _ => None,
+        }
+    }
+
     /// Backend slots spawned so far.
     pub(crate) fn width(&self) -> usize {
         match &*self.fabric {
             Fabric::Threads(bus) => bus.lock().expect("bus lock").len(),
             Fabric::Processes(procs) => procs.addrs.lock().expect("net addrs lock").len(),
+            Fabric::Sim(slots, _) => slots.lock().expect("sim slots lock").len(),
         }
     }
 
@@ -660,6 +705,11 @@ impl Cluster {
                 }
                 Ok(Box::new(link))
             }
+            Fabric::Sim(slots, clock) => {
+                let slot = Arc::new(Mutex::new(Some(Backend::new(i))));
+                put(&mut slots.lock().expect("sim slots lock"), i, Arc::clone(&slot));
+                Ok(Box::new(SimLink::new(slot, self, clock.clone())))
+            }
         }
     }
 
@@ -678,6 +728,10 @@ impl Cluster {
                 let mut link = SocketLink::new(procs, i, addr, client_id);
                 let _ = link.tcp.connect(epoch, self.reply_timeout);
                 Box::new(link)
+            }
+            Fabric::Sim(slots, clock) => {
+                let slot = Arc::clone(&slots.lock().expect("sim slots lock")[i]);
+                Box::new(SimLink::new(slot, self, clock.clone()))
             }
         }
     }

@@ -1862,7 +1862,7 @@ pub mod rebalance {
     /// The post-crash redo both recovery paths share: given the
     /// durable markers, land on a consistent serving state (or refuse
     /// to, under a mutation).
-    fn replay(next: &mut State, promoted: bool, cfg: &RebalanceConfig) {
+    fn redo(next: &mut State, promoted: bool, cfg: &RebalanceConfig) {
         next.crashed = false;
         if next.committed {
             // Replaying a committed move converges on the new
@@ -1944,10 +1944,10 @@ pub mod rebalance {
                 next.crashes += 1;
             }
             RebalanceAction::Recover => {
-                replay(&mut next, false, cfg);
+                redo(&mut next, false, cfg);
             }
             RebalanceAction::Promote => {
-                replay(&mut next, true, cfg);
+                redo(&mut next, true, cfg);
             }
         }
         // Invariant 2, checked whenever a controller starts serving:

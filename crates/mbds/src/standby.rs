@@ -3,8 +3,9 @@
 //!
 //! A [`Standby`] tails the primary controller's write-ahead log through
 //! a [`crate::wal::LogCursor`] and applies every shipped record to a
-//! warm in-process mirror (a [`SimCluster`] with no log of its own — the
-//! same serial twin the digest tests already trust). Because the mirror
+//! warm in-process mirror: a [`Controller`] over simulated backends
+//! with no log of its own, fed exactly as cold recovery feeds a
+//! rebuilt controller. Because the mirror
 //! replays continuously, [`Standby::promote`] needs no cold replay: it
 //! fences the old primary by raising the cluster epoch, resumes the WAL
 //! at the shipped high-water mark, and installs a [`Controller`] over
@@ -17,9 +18,10 @@
 //! 1. **Ship** — the primary appends to its [`crate::wal::LogStore`];
 //!    the standby's cursor polls the store, skipping in-flight
 //!    group-commit batches and torn tails until they become whole.
-//! 2. **Apply** — each decoded [`crate::LogRecord`] is replayed into
-//!    the mirror; a snapshot install on the primary resets the cursor
-//!    and the mirror rebuilds from the snapshot text.
+//! 2. **Apply** — the mirror bootstraps from the snapshot text
+//!    (`load_snapshot`) and each decoded [`crate::LogRecord`] is
+//!    replayed into it (`replay`); a snapshot install on the primary
+//!    resets the cursor and the mirror rebuilds from the new text.
 //! 3. **Promote** — [`Standby::promote`] drops any torn tail, bumps the
 //!    store's fence epoch past everything the log has seen, and builds
 //!    the new controller without touching the demoted primary.
@@ -30,7 +32,7 @@
 
 use crate::controller::Controller;
 use crate::link::Cluster;
-use crate::sim::{CostModel, SimCluster};
+use crate::sim::CostModel;
 use crate::state::check_config;
 use crate::wal::{CursorUpdate, LogCursor, LogRecord, LogStore, SnapshotData, Wal};
 use abdl::{Error, Result};
@@ -60,7 +62,7 @@ pub struct LagStats {
 /// shutting them down.
 pub struct Standby {
     cursor: LogCursor,
-    mirror: SimCluster,
+    mirror: Controller,
     cluster: Cluster,
     /// Backends whose `RestartBegin` shipped without a matching
     /// `RestartEnd`: the primary crashed mid-restart. The mirror has
@@ -103,10 +105,11 @@ impl Standby {
     }
 
     /// A fresh mirror rebuilt from snapshot text.
-    fn mirror_of(text: &str) -> Result<SimCluster> {
+    fn mirror_of(text: &str) -> Result<Controller> {
         let snap = SnapshotData::parse(text)?;
         check_config(&snap)?;
-        let mut mirror = SimCluster::with_config(snap.backends, snap.replication, CostModel::default());
+        let mut mirror =
+            Controller::simulated(snap.backends, snap.replication, CostModel::default());
         mirror.load_snapshot(&snap)?;
         Ok(mirror)
     }
@@ -170,8 +173,8 @@ impl Standby {
     }
 
     /// The mirror's deterministic state digest — byte-comparable with
-    /// [`Controller::state_digest`] and [`SimCluster::state_digest`].
-    pub fn state_digest(&self) -> String {
+    /// [`Controller::state_digest`].
+    pub fn state_digest(&mut self) -> Result<String> {
         self.mirror.state_digest()
     }
 
@@ -244,7 +247,7 @@ mod tests {
             insert(&mut c, "f", i);
         }
         sb.poll().unwrap();
-        assert_eq!(sb.state_digest(), c.state_digest().unwrap());
+        assert_eq!(sb.state_digest().unwrap(), c.state_digest().unwrap());
         let lag = sb.lag();
         assert!(lag.records_shipped >= 21, "shipped {}", lag.records_shipped);
         assert_eq!(lag.bytes_behind, 0, "caught-up standby reports no lag");
@@ -264,7 +267,7 @@ mod tests {
             }
         }
         sb.poll().unwrap();
-        assert_eq!(sb.state_digest(), c.state_digest().unwrap());
+        assert_eq!(sb.state_digest().unwrap(), c.state_digest().unwrap());
     }
 
     #[test]

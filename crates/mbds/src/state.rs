@@ -1,27 +1,25 @@
-//! The cluster state both MBDS kernels keep, written once.
+//! The controller's cluster state, and the protocol steps written on
+//! top of it.
 //!
-//! [`Controller`](crate::Controller) (backend threads or processes) and
-//! [`SimCluster`](crate::SimCluster) (in-memory stores under a cost
-//! clock, also the standby's mirror) track the same protocol
-//! bookkeeping: the placement ring and key allocator, the directory of
-//! replica groups, the unique-value index, per-file residency counts,
-//! membership (the [`HealthBoard`], drains, retirements, an online
-//! add's unwrap flag and the queued group moves) and the write-ahead
-//! log. [`ClusterState`] owns all of it and holds every rule that only
-//! reads or writes it: how a record is indexed, which backends a query
-//! routes to, how a move chunk commits its placement, what a log entry
-//! does to the directory. Each kernel embeds one `ClusterState` and
-//! keeps only its data plane, so the two cannot drift apart, and a
-//! promoting standby hands its mirror's state to the new controller by
-//! value.
+//! Every [`Controller`] — over worker threads, backend processes or
+//! simulated backends, and the standby's warm mirror — tracks the same
+//! protocol bookkeeping: the placement ring and key allocator, the
+//! directory of replica groups, the unique-value index, per-file
+//! residency counts, membership (the [`HealthBoard`], drains,
+//! retirements, an online add's unwrap flag and the queued group moves)
+//! and the write-ahead log. [`ClusterState`] owns all of it and holds
+//! every rule that only reads or writes it: how a record is indexed,
+//! which backends a query routes to, how a move chunk commits its
+//! placement, what a log entry does to the directory. A promoting
+//! standby hands its mirror's state to the new controller by value.
 //!
-//! The few protocol steps that need the data plane as well (a
+//! The few protocol steps that need the backends as well (a
 //! backfilling unique constraint, a rebalance step and its chunked
 //! group move, the logical affected set of a mutation, the request
-//! dispatcher and the batch scheduler that forms flights) are provided
-//! methods of [`DataPlane`], which both kernels implement; dispatch is
-//! static.
+//! dispatcher and the batch scheduler that forms flights) are a second
+//! `impl Controller` block at the end of this module.
 
+use crate::controller::Controller;
 use crate::directory::Directory;
 use crate::health::HealthBoard;
 use crate::net::REPLY_CACHE;
@@ -879,70 +877,19 @@ impl ClusterState {
     }
 }
 
-/// The data plane of an MBDS kernel — how requests reach its backends —
-/// plus the protocol steps written once on top of it.
-pub(crate) trait DataPlane: Kernel + Sized {
-    /// The kernel's cluster state.
-    fn state(&mut self) -> &mut ClusterState;
-
-    /// The kernel's lifetime execution counters.
-    fn totals(&mut self) -> &mut ExecTotals;
-
-    /// Send a request to one round of backends (`None` = every serving
-    /// backend, the broadcast path; `Some` = a routed subset), merge
-    /// and deduplicate the partial answers. A backend dying mid-round
-    /// only removes its partial answer; an empty routed target set
-    /// answers at once with an empty response.
-    fn send_round(&mut self, request: &Request, targets: Option<&[usize]>) -> Result<Response>;
-
-    /// The backends a retrieve-shaped `query` is routed to (`None` =
-    /// broadcast).
-    fn route(&self, query: &abdl::Query) -> Option<Vec<usize>>;
-
-    /// Place one INSERT on a replica group.
-    fn insert(&mut self, record: &Record) -> Result<Response>;
-
-    /// Attach health metadata to an outgoing response.
-    fn finalize(&mut self, resp: Response) -> Response;
-
-    /// A DELETE or a group move changed the directory (the controller
-    /// caches its degraded verdict).
-    fn placement_changed(&mut self) {}
-
-    /// Copy `keys` of group `from` to the members `to` adds, remove
-    /// them from the members it abandons, and commit the new placement,
-    /// all between one chunk's `move-begin` and `move-end` markers.
-    fn move_group_inner(&mut self, from: &[usize], to: &[usize], keys: &[DbKey]) -> Result<()>;
-
-    /// Records relocated per WAL bracket: large groups move as a
-    /// sequence of bounded chunks so a pump step never stalls a
-    /// foreground request behind a whole-group copy.
-    fn move_chunk(&self) -> usize {
-        rebalance::DEFAULT_MOVE_CHUNK
-    }
-
-    /// Execute one flight of [`execute_batch`](DataPlane::execute_batch):
-    /// two or more pairwise-commuting inserts and retrieves, answered in
-    /// admission order with exactly the results serial execution would
-    /// give.
-    fn execute_flight(&mut self, flight: &[Request]) -> Vec<Result<Response>>;
-
-    /// Take a drained backend out of service (its `drain-end` is
-    /// already logged).
-    fn retire_backend(&mut self, i: usize);
-
-    /// The full compacted state: the bookkeeping plus every record that
-    /// still has a serving replica.
-    fn snapshot(&mut self) -> Result<SnapshotData>;
-
+/// The protocol steps that span the cluster state and the backends: a
+/// backfilling unique constraint, a rebalance step and its chunked
+/// group move, the logical affected set of a mutation, the request
+/// dispatcher and the batch scheduler that forms flights.
+impl Controller {
     /// Run `op` inside one WAL group-commit batch: an operation's
     /// markers (and any deaths detected along the way) sync together.
     /// A crash point landing inside the batch still flushes durably
     /// through the crashing append, so the per-append sweep holds.
-    fn batched<T>(&mut self, op: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
-        self.state().wal_begin_batch();
+    pub(crate) fn batched<T>(&mut self, op: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.state.wal_begin_batch();
         let result = op(self);
-        let flush = self.state().wal_commit_batch();
+        let flush = self.state.wal_commit_batch();
         let out = result?;
         flush?;
         Ok(out)
@@ -955,10 +902,9 @@ pub(crate) trait DataPlane: Kernel + Sized {
     /// The scheduler walks the batch in admission order, classifying
     /// each request's [`Footprint`] and greedily forming *flights* of
     /// consecutive non-conflicting inserts and retrieves, which
-    /// [`execute_flight`](DataPlane::execute_flight) runs together —
-    /// read-only flights (reads always commute, broadcast scans
-    /// included) and mixed read/insert flights (key-/file-disjoint
-    /// footprints) alike. A conflicting request closes the flight (a
+    /// `execute_flight` runs together — read-only flights (reads always
+    /// commute, broadcast scans included) and mixed read/insert flights
+    /// (key-/file-disjoint footprints) alike. A conflicting request closes the flight (a
     /// `conflict_stalls` tick) and waits for it to drain; a flight also
     /// closes at [`REPLY_CACHE`] members, because a backend answers a
     /// retransmitted seq from its reply cache only within that distance
@@ -979,16 +925,16 @@ pub(crate) trait DataPlane: Kernel + Sized {
     /// batch is a durability optimisation, not atomicity: each request
     /// keeps its own result, and a flush failure is stashed for the
     /// next `execute` to surface.
-    fn execute_batch(&mut self, requests: &[Request]) -> Vec<Result<Response>> {
+    pub(crate) fn schedule_batch(&mut self, requests: &[Request]) -> Vec<Result<Response>> {
         if requests.len() < 2 {
             return requests.iter().map(|r| self.execute(r)).collect();
         }
-        self.totals().batched_requests += requests.len() as u64;
-        self.state().wal_begin_batch();
+        self.totals.batched_requests += requests.len() as u64;
+        self.state.wal_begin_batch();
         let mut results = Vec::with_capacity(requests.len());
-        let rebalancing = !self.state().rebalancer.is_idle();
+        let rebalancing = !self.state.rebalancer.is_idle();
         if rebalancing {
-            self.totals().rebalance_stalls += requests.len() as u64;
+            self.totals.rebalance_stalls += requests.len() as u64;
         }
         let mut i = 0;
         while i < requests.len() {
@@ -998,7 +944,7 @@ pub(crate) trait DataPlane: Kernel + Sized {
                 if !matches!(requests[j], Request::Insert { .. } | Request::Retrieve { .. }) {
                     break;
                 }
-                let fp = Footprint::of(&requests[j], &self.state().unique_groups);
+                let fp = Footprint::of(&requests[j], &self.state.unique_groups);
                 // A broadcast *write* cannot be staged at all; a
                 // broadcast read can ride a read-only flight (read
                 // pairs always commute; any write next to it is a
@@ -1007,7 +953,7 @@ pub(crate) trait DataPlane: Kernel + Sized {
                     break;
                 }
                 if flight_fps.iter().any(|f| f.conflicts(&fp)) {
-                    self.totals().conflict_stalls += 1;
+                    self.totals.conflict_stalls += 1;
                     break;
                 }
                 flight_fps.push(fp);
@@ -1017,7 +963,7 @@ pub(crate) trait DataPlane: Kernel + Sized {
                 let flight = &requests[i..j];
                 let reads =
                     flight.iter().filter(|r| matches!(r, Request::Retrieve { .. })).count();
-                let t = self.totals();
+                let t = &mut self.totals;
                 t.sched_flights += 1;
                 if reads == flight.len() {
                     t.sched_read_flights += 1;
@@ -1032,13 +978,13 @@ pub(crate) trait DataPlane: Kernel + Sized {
                 i += 1;
             }
         }
-        self.state().commit_batch_results(requests, &mut results);
+        self.state.commit_batch_results(requests, &mut results);
         self.maybe_snapshot();
         results
     }
 
     /// Broadcast a request to every serving backend.
-    fn broadcast(&mut self, request: &Request) -> Result<Response> {
+    pub(crate) fn broadcast(&mut self, request: &Request) -> Result<Response> {
         self.send_round(request, None)
     }
 
@@ -1058,38 +1004,37 @@ pub(crate) trait DataPlane: Kernel + Sized {
     /// records when the file already holds data (constraints are
     /// usually declared before loading, so the backfill broadcast is
     /// rare). Shared by the live path and WAL replay.
-    fn register_unique(&mut self, file: &str, attrs: Vec<String>) {
-        if let Some(gi) = self.state().add_unique_group(file, attrs) {
+    pub(crate) fn register_unique(&mut self, file: &str, attrs: Vec<String>) {
+        if let Some(gi) = self.state.add_unique_group(file, attrs) {
             if let Ok(resp) = self.broadcast(&file_scan(file)) {
-                self.state().backfill_unique(file, gi, resp.into_records());
+                self.state.backfill_unique(file, gi, resp.into_records());
             }
         }
     }
 
     /// Write a compacted snapshot now and truncate the log. No-op when
     /// not durable.
-    fn snapshot_now(&mut self) -> Result<()> {
-        if self.state().wal.is_none() {
+    pub(crate) fn snapshot_now(&mut self) -> Result<()> {
+        if self.state.wal.is_none() {
             return Ok(());
         }
         let text = self.snapshot()?.to_text();
-        self.state().wal.as_mut().expect("wal present").install_snapshot(&text)
+        self.state.wal.as_mut().expect("wal present").install_snapshot(&text)
     }
 
     /// Compact if the snapshot cadence says so. Called only at
     /// top-level operation boundaries — never between a begin/end
     /// marker pair, which would truncate the begin entry while freezing
     /// the pre-operation state.
-    fn maybe_snapshot(&mut self) {
-        if self.state().wal.as_ref().is_some_and(Wal::needs_snapshot) {
+    pub(crate) fn maybe_snapshot(&mut self) {
+        if self.state.wal.as_ref().is_some_and(Wal::needs_snapshot) {
             if let Err(e) = self.snapshot_now() {
-                self.state().pending_error.get_or_insert(e);
+                self.state.pending_error.get_or_insert(e);
             }
         }
     }
 
-    /// Relocate one *chunk* ([`move_chunk`](DataPlane::move_chunk)
-    /// records) of replica group `from` to `to`: the unit of online
+    /// Relocate one *chunk* (`move_chunk` records) of replica group `from` to `to`: the unit of online
     /// rebalance. WAL-bracketed (`move-begin` … `move-end` in one group
     /// commit) and idempotent — replaying the bracket against any
     /// intermediate state converges to the same placement, and a `from`
@@ -1104,21 +1049,20 @@ pub(crate) trait DataPlane: Kernel + Sized {
     /// from the new (complete) placement after — per key for mid-group
     /// chunks, per group for the final one.
     fn move_group(&mut self, from: &[usize], to: &[usize]) -> Result<bool> {
-        let chunk = self.move_chunk();
-        let keys = self.state().next_move_chunk(from, chunk);
+        let keys = self.state.next_move_chunk(from, self.move_chunk);
         if keys.is_empty() {
             return Ok(true);
         }
         if let Err(e) = self.batched(|k| k.move_group_inner(from, to, &keys)) {
             // The retry rescans, so the chunk that failed is not lost.
-            self.state().move_cursor = None;
+            self.state.move_cursor = None;
             return Err(e);
         }
-        self.placement_changed();
+        self.degraded_dirty = true;
         // Foreground inserts may have bound fresh keys to the group
         // after the scan; the refcount check catches them (the next
         // step rescans), where trusting the cursor would strand them.
-        let state = self.state();
+        let state = &self.state;
         Ok(state.move_cursor.is_none() && state.directory.group_live_entries(from) == 0)
     }
 
@@ -1129,12 +1073,12 @@ pub(crate) trait DataPlane: Kernel + Sized {
     /// `FinishDrain` marker can never overtake the moves it commits.
     /// Planning is state-based, so retrying a failed job later is
     /// always safe.
-    fn rebalance_step(&mut self) -> Result<bool> {
-        let Some(job) = self.state().rebalancer.pop() else { return Ok(false) };
+    pub(crate) fn rebalance_step(&mut self) -> Result<bool> {
+        let Some(job) = self.state.rebalancer.pop() else { return Ok(false) };
         let result = match &job {
             MoveJob::Move { from, to } => self.move_group(from, to).map(|done| !done),
-            MoveJob::FinishAdd { backend } => self.state().finish_add(*backend).map(|()| false),
-            MoveJob::FinishDrain { backend } => self.state().finish_drain(*backend).map(|()| {
+            MoveJob::FinishAdd { backend } => self.state.finish_add(*backend).map(|()| false),
+            MoveJob::FinishDrain { backend } => self.state.finish_drain(*backend).map(|()| {
                 self.retire_backend(*backend);
                 false
             }),
@@ -1142,12 +1086,12 @@ pub(crate) trait DataPlane: Kernel + Sized {
         match result {
             Ok(more_chunks) => {
                 if more_chunks {
-                    self.state().rebalancer.requeue(job);
+                    self.state.rebalancer.requeue(job);
                 }
                 Ok(true)
             }
             Err(e) => {
-                self.state().rebalancer.requeue(job);
+                self.state.rebalancer.requeue(job);
                 Err(e)
             }
         }
@@ -1156,13 +1100,13 @@ pub(crate) trait DataPlane: Kernel + Sized {
     /// Work off up to `throttle` queued jobs behind a foreground
     /// request; an error is stashed for the next `execute` (the job
     /// stays queued).
-    fn pump_rebalance(&mut self) {
-        for _ in 0..self.state().rebalancer.throttle() {
+    pub(crate) fn pump_rebalance(&mut self) {
+        for _ in 0..self.state.rebalancer.throttle() {
             match self.rebalance_step() {
                 Ok(true) => {}
                 Ok(false) => break,
                 Err(e) => {
-                    self.state().pending_error.get_or_insert(e);
+                    self.state.pending_error.get_or_insert(e);
                     break;
                 }
             }
@@ -1172,7 +1116,7 @@ pub(crate) trait DataPlane: Kernel + Sized {
     /// The request dispatcher behind `Kernel::execute`, shared with WAL
     /// replay (which must not re-trigger pending-error surfacing or
     /// snapshot compaction).
-    fn execute_inner(&mut self, request: &Request) -> Result<Response> {
+    pub(crate) fn execute_inner(&mut self, request: &Request) -> Result<Response> {
         match request {
             Request::Insert { record } => {
                 let resp = self.insert(record)?;
@@ -1182,10 +1126,10 @@ pub(crate) trait DataPlane: Kernel + Sized {
                 // Logical affected set: matching records, deduplicated
                 // across replicas, *before* the round mutates them (the
                 // pre-images also feed the index/residency bookkeeping).
-                let targets = self.route(query);
+                let targets = self.state.route_targets(query);
                 let matched = self.matching_records(query, targets.as_deref())?;
                 let resp = self.send_round(request, targets.as_deref())?;
-                let state = self.state();
+                let state = &mut self.state;
                 for (k, rec) in &matched {
                     if let Some(group) = state.directory.remove(k) {
                         if let Some(file) = rec.file() {
@@ -1194,19 +1138,19 @@ pub(crate) trait DataPlane: Kernel + Sized {
                     }
                     state.index_remove(*k, rec);
                 }
-                self.placement_changed();
-                self.state().log_append(LogRecord::Exec { request: request.clone() })?;
+                self.degraded_dirty = true;
+                self.state.log_append(LogRecord::Exec { request: request.clone() })?;
                 let out = Response::with_affected(matched.len(), resp.stats);
                 Ok(self.finalize(out))
             }
             Request::Update { query, modifier } => {
-                let targets = self.route(query);
+                let targets = self.state.route_targets(query);
                 let matched = self.matching_records(query, targets.as_deref())?;
                 let resp = self.send_round(request, targets.as_deref())?;
                 for (k, rec) in &matched {
-                    self.state().index_update(*k, rec, &modifier.attr, &modifier.value);
+                    self.state.index_update(*k, rec, &modifier.attr, &modifier.value);
                 }
-                self.state().log_append(LogRecord::Exec { request: request.clone() })?;
+                self.state.log_append(LogRecord::Exec { request: request.clone() })?;
                 let out = Response::with_affected(matched.len(), resp.stats);
                 Ok(self.finalize(out))
             }
@@ -1214,7 +1158,7 @@ pub(crate) trait DataPlane: Kernel + Sized {
                 // Partial aggregates do not merge (AVG); fetch the
                 // matching records (deduplicated) and aggregate
                 // globally.
-                let targets = self.route(query);
+                let targets = self.state.route_targets(query);
                 let rows =
                     self.send_round(&Request::retrieve_all(query.clone()), targets.as_deref())?;
                 let mut stats = rows.stats;
@@ -1228,9 +1172,9 @@ pub(crate) trait DataPlane: Kernel + Sized {
                 // Matching halves may live on different backends; join
                 // at the controller over the merged partials. Each half
                 // routes independently.
-                let lt = self.route(left);
+                let lt = self.state.route_targets(left);
                 let l = self.send_round(&Request::retrieve_all(left.clone()), lt.as_deref())?;
-                let rt = self.route(right);
+                let rt = self.state.route_targets(right);
                 let r = self.send_round(&Request::retrieve_all(right.clone()), rt.as_deref())?;
                 // Tag halves into scratch files (a record matching both
                 // qualifications must appear on both sides, so the keys
@@ -1267,7 +1211,7 @@ pub(crate) trait DataPlane: Kernel + Sized {
             }
             other => {
                 let targets = match other {
-                    Request::Retrieve { query, .. } => self.route(query),
+                    Request::Retrieve { query, .. } => self.state.route_targets(query),
                     _ => None,
                 };
                 let resp = self.send_round(other, targets.as_deref())?;

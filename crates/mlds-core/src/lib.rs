@@ -23,8 +23,9 @@
 //! * **KMS** — `mlds-translator` (CODASYL-DML→ABDL) and the Daplex DML
 //!   interpreter of `mlds-daplex`;
 //! * **KC**  — request forwarding to the kernel: a single
-//!   [`abdl::Store`] or the multi-backend [`mbds::Controller`] /
-//!   [`mbds::SimCluster`], all behind [`abdl::Kernel`];
+//!   [`abdl::Store`] or the multi-backend [`mbds::Controller`] (over
+//!   threads, backend processes or simulated backends), all behind
+//!   [`abdl::Kernel`];
 //! * **KFS** — [`kfs`]: result formatting back into the user's model.
 //!
 //! ## Quickstart

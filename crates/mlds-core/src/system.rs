@@ -13,9 +13,9 @@ use translator::Translator;
 
 /// The Multi-Lingual Database System.
 ///
-/// Generic over its kernel database system: a single [`abdl::Store`],
-/// the threaded [`mbds::Controller`], or the deterministic
-/// [`mbds::SimCluster`].
+/// Generic over its kernel database system: a single [`abdl::Store`]
+/// or the multi-backend [`mbds::Controller`] (over threads, backend
+/// processes or deterministic simulated backends).
 pub struct Mlds<K: Kernel = abdl::Store> {
     kernel: K,
     network_dbs: Vec<NetworkSchema>,
@@ -56,6 +56,14 @@ impl Mlds<abdl::Store> {
 }
 
 impl Mlds<mbds::Controller> {
+    /// An MLDS over a controller of simulated backends (default
+    /// replication, default cost model): deterministic, with a virtual
+    /// clock instead of threads.
+    pub fn simulated_backend(backends: usize) -> Self {
+        let k = mbds::DEFAULT_REPLICATION.min(backends);
+        Mlds::with_kernel(mbds::Controller::simulated(backends, k, mbds::CostModel::default()))
+    }
+
     /// An MLDS over the threaded multi-backend kernel.
     pub fn multi_backend(backends: usize) -> Self {
         Mlds::with_kernel(mbds::Controller::new(backends))
@@ -140,13 +148,6 @@ impl Mlds<mbds::Controller> {
         // the shared backend threads instead of shutting them down.
         self.kernel = standby.promote()?;
         Ok(())
-    }
-}
-
-impl Mlds<mbds::SimCluster> {
-    /// An MLDS over the simulated-time multi-backend kernel.
-    pub fn simulated_backend(backends: usize) -> Self {
-        Mlds::with_kernel(mbds::SimCluster::new(backends))
     }
 }
 

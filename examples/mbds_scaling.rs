@@ -1,5 +1,5 @@
 //! The MBDS performance claims (§I.B.2), printed as response-time
-//! tables from the deterministic simulator — experiments E7/E8 in
+//! tables from a controller over simulated backends — experiments E7/E8 in
 //! miniature (the full sweeps live in the `mlds-bench` experiment
 //! harness).
 //!
@@ -8,12 +8,15 @@
 //! ```
 
 use mlds::abdl::{Kernel, Record, Request, Value};
-use mlds::mbds::SimCluster;
+use mlds::mbds::{Controller, CostModel};
 
 const DB_SIZE: usize = 40_000;
 const SELECT: i64 = 4_000;
 
-fn load(cluster: &mut SimCluster, records: usize) {
+/// An unreplicated controller over `n` simulated backends, loaded with
+/// `records` records, its clock reset.
+fn loaded(n: usize, records: usize) -> Controller {
+    let mut cluster = Controller::simulated(n, 1, CostModel::default());
     cluster.create_file("f");
     for i in 0..records {
         let rec = Record::from_pairs([("FILE", Value::str("f"))])
@@ -21,7 +24,8 @@ fn load(cluster: &mut SimCluster, records: usize) {
             .with("payload", Value::Int((i * 37 % 1000) as i64));
         cluster.execute(&Request::Insert { record: rec }).unwrap();
     }
-    cluster.reset_clock();
+    cluster.clock().unwrap().reset();
+    cluster
 }
 
 fn retrieval(limit: i64) -> Request {
@@ -34,10 +38,9 @@ fn main() {
     println!("{:>9} {:>18} {:>9} {:>11}", "backends", "response (ms)", "speedup", "ideal");
     let mut base = None;
     for n in [1usize, 2, 4, 6, 8, 12, 16] {
-        let mut cluster = SimCluster::unreplicated(n);
-        load(&mut cluster, DB_SIZE);
+        let mut cluster = loaded(n, DB_SIZE);
         cluster.execute(&retrieval(SELECT)).unwrap();
-        let ms = cluster.last_response_us() / 1000.0;
+        let ms = cluster.clock().unwrap().last_response_us() / 1000.0;
         let base_ms = *base.get_or_insert(ms);
         println!("{n:>9} {ms:>18.1} {:>8.2}x {:>10}x", base_ms / ms, n);
     }
@@ -47,10 +50,9 @@ fn main() {
     let mut base = None;
     for n in [1usize, 2, 4, 6, 8, 12, 16] {
         let per_backend = DB_SIZE / 8;
-        let mut cluster = SimCluster::unreplicated(n);
-        load(&mut cluster, per_backend * n);
+        let mut cluster = loaded(n, per_backend * n);
         cluster.execute(&retrieval((SELECT / 8) * n as i64)).unwrap();
-        let ms = cluster.last_response_us() / 1000.0;
+        let ms = cluster.clock().unwrap().last_response_us() / 1000.0;
         let base_ms = *base.get_or_insert(ms);
         println!("{n:>9} {:>10} {ms:>18.1} {:>10.3}", per_backend * n, ms / base_ms);
     }

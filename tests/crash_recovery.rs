@@ -384,90 +384,44 @@ fn torn_tail_loses_only_the_last_append_even_across_double_crash() {
     assert_eq!(r2.execute(&all).unwrap().records().len(), 10);
 }
 
-/// Apply one op to the simulated cluster, mirroring [`apply`].
-fn apply_sim(s: &mut mlds::mbds::SimCluster, op: &Op) {
-    match op {
-        Op::CreateFile => s.create_file("f"),
-        Op::AddUnique => s.add_unique_constraint("f", vec!["u".to_owned()]),
-        Op::Insert { v } => {
-            let rec =
-                Record::from_pairs([("FILE", Value::str("f"))]).with("v", Value::Int(*v));
-            let _ = s.execute(&Request::Insert { record: rec });
-        }
-        Op::InsertU { v, u } => {
-            let rec = Record::from_pairs([("FILE", Value::str("f"))])
-                .with("v", Value::Int(*v))
-                .with("u", Value::Int(*u));
-            let _ = s.execute(&Request::Insert { record: rec });
-        }
-        Op::Update { below, set } => {
-            let req =
-                parse_request(&format!("UPDATE ((FILE = f) and (v < {below})) (m = {set})"))
-                    .unwrap();
-            let _ = s.execute(&req);
-        }
-        Op::UpdateU { below, set } => {
-            let req =
-                parse_request(&format!("UPDATE ((FILE = f) and (v < {below})) (u = {set})"))
-                    .unwrap();
-            let _ = s.execute(&req);
-        }
-        Op::Delete { v } => {
-            let req = parse_request(&format!("DELETE ((FILE = f) and (v = {v}))")).unwrap();
-            let _ = s.execute(&req);
-        }
-        Op::Retrieve { below } => {
-            let req =
-                parse_request(&format!("RETRIEVE ((FILE = f) and (v < {below})) (*)")).unwrap();
-            let _ = s.execute(&req);
-        }
-        Op::Kill { backend } => s.kill_backend(*backend),
-        Op::Restart { backend } => {
-            let _ = s.restart_backend(*backend);
-        }
-        Op::Txn { vs } => {
-            let txn = Transaction::new(vs.iter().map(|v| txn_insert(*v)).collect());
-            let _ = s.execute_transaction(&txn);
-        }
-    }
+/// A durable controller over simulated backends, for the twin tests.
+fn simulated_durable() -> Controller {
+    use mlds::mbds::CostModel;
+    Controller::simulated_durable(BACKENDS, REPLICATION, CostModel::default(), MemLog::new())
+        .unwrap()
 }
 
-/// The threaded controller and the simulated cluster produce the same
-/// snapshot text (and hence the same recovered state) for the same
-/// operation sequence — the durable analogue of E13's equivalence.
+/// The controller over threads (or processes) and over simulated
+/// backends produces the same snapshot text (and hence the same
+/// recovered state) for the same operation sequence — the durable
+/// analogue of E13's equivalence.
 #[test]
 fn controller_and_sim_cluster_agree_on_durable_state() {
-    use mlds::mbds::{CostModel, SimCluster};
     let ops = gen_ops(0xD15C, 50);
     let mut c = Controller::durable_with(BACKENDS, REPLICATION, MemLog::new()).unwrap();
-    let mut s =
-        SimCluster::durable_with(BACKENDS, REPLICATION, CostModel::default(), MemLog::new())
-            .unwrap();
+    let mut s = simulated_durable();
     for op in &ops {
         apply(&mut c, op);
-        apply_sim(&mut s, op);
+        apply(&mut s, op);
     }
-    assert_eq!(c.state_digest().unwrap(), s.state_digest());
+    assert_eq!(c.state_digest().unwrap(), s.state_digest().unwrap());
     assert_eq!(c.key_high_water(), s.key_high_water());
 }
 
-/// The same twin-kernel equivalence over a unique-constrained workload:
+/// The same twin equivalence over a unique-constrained workload:
 /// scoped routing, index-based duplicate rejection, tuple-moving
 /// updates and group-committed transactions all produce identical
-/// durable state — and identical unique indexes — in both kernels.
+/// durable state — and identical unique indexes — over either link.
 #[test]
 fn controller_and_sim_cluster_agree_on_unique_constrained_state() {
-    use mlds::mbds::{CostModel, SimCluster};
     let ops = gen_ops_unique(0xA11CE, 80);
     let mut c = Controller::durable_with(BACKENDS, REPLICATION, MemLog::new()).unwrap();
-    let mut s =
-        SimCluster::durable_with(BACKENDS, REPLICATION, CostModel::default(), MemLog::new())
-            .unwrap();
+    let mut s = simulated_durable();
     for op in &ops {
         apply(&mut c, op);
-        apply_sim(&mut s, op);
+        apply(&mut s, op);
     }
-    assert_eq!(c.state_digest().unwrap(), s.state_digest());
+    assert_eq!(c.state_digest().unwrap(), s.state_digest().unwrap());
     assert_eq!(c.unique_index_digest(), s.unique_index_digest());
     assert!(!c.unique_index_digest().is_empty(), "workload never populated the index");
     assert_eq!(c.key_high_water(), s.key_high_water());

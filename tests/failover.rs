@@ -395,10 +395,10 @@ fn standby_mirror_matches_primary_digest_while_tailing() {
         apply(&mut c, op);
         sb.poll().unwrap();
         if i % 20 == 0 {
-            assert_eq!(sb.state_digest(), c.state_digest().unwrap(), "diverged at op {i}");
+            assert_eq!(sb.state_digest().unwrap(), c.state_digest().unwrap(), "diverged at op {i}");
         }
     }
-    assert_eq!(sb.state_digest(), c.state_digest().unwrap());
+    assert_eq!(sb.state_digest().unwrap(), c.state_digest().unwrap());
     let lag = sb.lag();
     assert_eq!(lag.bytes_behind, 0, "caught-up standby must report zero lag");
     assert!(lag.records_shipped > 0);

@@ -305,6 +305,36 @@ fn double_kill_of_both_replicas_loses_the_group_despite_restart() {
     assert_eq!(resp.records().len(), 6, "no donor, no resurrection");
 }
 
+/// A fault plan that spans a restart fires on the same messages over
+/// every link: the restarted backend counts from 0, and its schema
+/// replay, the survivors' scan and the copies back all run through the
+/// plan. Here its 4th message (the second record copied back) crashes
+/// it, so the restart fails alike over threads and over simulated
+/// backends, and both clusters end in the same state.
+#[test]
+fn a_fault_plan_spanning_a_restart_fires_alike_over_threads_and_simulated_backends() {
+    use mlds::mbds::{CostModel, FaultKind};
+    let run = |mut c: Controller| {
+        let insert = |c: &mut Controller, i: i64| {
+            let record = mlds::abdl::Record::from_pairs([("FILE", mlds::abdl::Value::str("f"))])
+                .with("f", mlds::abdl::Value::Int(i));
+            c.execute(&mlds::abdl::Request::Insert { record }).unwrap();
+        };
+        c.create_file("f");
+        (0..6).for_each(|i| insert(&mut c, i));
+        c.kill_backend(1);
+        c.set_fault_plan(FaultPlan::new().with(1, 4, FaultKind::Crash));
+        let err = c.restart_backend(1).unwrap_err();
+        assert!(err.to_string().contains("backend 1 died during recovery"), "{err}");
+        (6..12).for_each(|i| insert(&mut c, i));
+        assert_eq!(c.alive_count(), 2);
+        c.state_digest().unwrap()
+    };
+    let threads = run(Controller::with_timeouts(3, 2, Duration::from_millis(200)));
+    let simulated = run(Controller::simulated(3, 2, CostModel::default()));
+    assert_eq!(threads, simulated);
+}
+
 // ---------------------------------------------------------------------------
 // Degraded-mode parallel reads: a backend dying mid read-wave.
 // ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
-//! Kernel-equivalence: the multi-backend kernels (threaded controller
-//! and simulated cluster) must be observationally identical to the
-//! single store for any request stream. Complements the per-crate unit
+//! Kernel-equivalence: the multi-backend kernel (the controller over
+//! threads, processes or simulated backends) must be observationally
+//! identical to the single store for any request stream. Complements the per-crate unit
 //! tests with a randomized sweep.
 
 use mlds::abdl::{Kernel, Record, Request, Store, Value};
-use mlds::mbds::{Controller, SimCluster};
+use mlds::mbds::{Controller, CostModel};
+
+/// A controller over `n` simulated backends (k = 2, clamped to `n`).
+fn simulated(n: usize) -> Controller {
+    Controller::simulated(n, 2.min(n), CostModel::default())
+}
 
 /// A deterministic pseudo-random request stream (no external RNG needed;
 /// a simple LCG keeps the test reproducible).
@@ -101,7 +106,7 @@ fn sim_cluster_matches_store_on_random_workloads() {
         let workload = random_workload(seed, 150);
         let mut single = Store::new();
         let a = observe(&mut single, &workload);
-        let mut sim = SimCluster::new(5);
+        let mut sim = simulated(5);
         let b = observe(&mut sim, &workload);
         assert_eq!(a, b, "sim cluster diverged from single store (seed {seed})");
     }
@@ -110,10 +115,10 @@ fn sim_cluster_matches_store_on_random_workloads() {
 #[test]
 fn backend_count_does_not_change_results() {
     let workload = random_workload(1234, 120);
-    let mut base = SimCluster::new(1);
+    let mut base = simulated(1);
     let a = observe(&mut base, &workload);
     for n in [2usize, 3, 8, 16] {
-        let mut sim = SimCluster::new(n);
+        let mut sim = simulated(n);
         let b = observe(&mut sim, &workload);
         assert_eq!(a, b, "results changed with {n} backends");
     }

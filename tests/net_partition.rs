@@ -376,7 +376,7 @@ fn faulty_ship_link_standby_converges_and_promotes_to_primary_digest() {
     // then the standby's own mirror must already match the primary.
     sb.poll().unwrap();
     sb.poll().unwrap();
-    assert_eq!(sb.state_digest(), want_digest, "standby mirror diverged under ship faults");
+    assert_eq!(sb.state_digest().unwrap(), want_digest, "standby mirror diverged under ship faults");
 
     // Promotion fences the primary and serves the identical state.
     let mut p = sb.promote().unwrap();

@@ -25,7 +25,7 @@ use mlds::abdl::parse::parse_request;
 use mlds::abdl::prng::Prng;
 use mlds::abdl::{Kernel, Record, Request, Value};
 use mlds::mbds::rebalance::DEFAULT_MOVE_CHUNK;
-use mlds::mbds::{Controller, CostModel, MemLog, SimCluster};
+use mlds::mbds::{Controller, CostModel, MemLog};
 
 const BACKENDS: usize = 3;
 const REPLICATION: usize = 2;
@@ -113,41 +113,6 @@ fn apply(c: &mut Controller, op: &Op) {
         }
         Op::FinishRebalance => {
             let _ = c.finish_rebalance();
-        }
-    }
-}
-
-fn apply_sim(s: &mut SimCluster, op: &Op) {
-    match op {
-        Op::CreateFile => s.create_file("f"),
-        Op::Insert { v } => {
-            let rec =
-                Record::from_pairs([("FILE", Value::str("f"))]).with("v", Value::Int(*v));
-            let _ = s.execute(&Request::Insert { record: rec });
-        }
-        Op::Update { below, set } => {
-            let req =
-                parse_request(&format!("UPDATE ((FILE = f) and (v < {below})) (m = {set})"))
-                    .unwrap();
-            let _ = s.execute(&req);
-        }
-        Op::Delete { v } => {
-            let req = parse_request(&format!("DELETE ((FILE = f) and (v = {v}))")).unwrap();
-            let _ = s.execute(&req);
-        }
-        Op::Retrieve { below } => {
-            let req =
-                parse_request(&format!("RETRIEVE ((FILE = f) and (v < {below})) (*)")).unwrap();
-            let _ = s.execute(&req);
-        }
-        Op::AddBackend => {
-            let _ = s.add_backend();
-        }
-        Op::Drain { backend } => {
-            let _ = s.drain_backend(*backend);
-        }
-        Op::FinishRebalance => {
-            let _ = s.finish_rebalance();
         }
     }
 }
@@ -331,24 +296,24 @@ fn elastic_add_then_drain_matches_a_static_cluster() {
     assert!(t.move_bytes > 0, "no record bytes were actually shipped");
 }
 
-/// The same elastic-vs-static equivalence on the simulated twin, plus
-/// cross-kernel: the threaded controller and the simulated cluster
-/// agree byte-for-byte on durable state through the add and the drain.
-/// A bulk load ahead of the workload puts ~1,700 records in each of the
-/// 3 replica groups, so every group move streams as at least four
-/// default-size chunks through both kernels' move cursor.
+/// The same elastic-vs-static equivalence over simulated backends,
+/// plus across links: the controller over threads (or processes) and
+/// over simulated backends agree byte-for-byte on durable state through
+/// the add and the drain. A bulk load ahead of the workload puts ~1,700
+/// records in each of the 3 replica groups, so every group move streams
+/// as at least four default-size chunks through the move cursor.
 #[test]
 fn sim_cluster_agrees_with_controller_through_add_and_drain() {
     let mut ops = vec![Op::CreateFile];
     ops.extend((0..5_100).map(|v| Op::Insert { v: v % 1000 }));
     ops.extend(gen_ops(0x51A5, 30).into_iter().skip(1));
+    let simulated = || {
+        Controller::simulated_durable(BACKENDS, REPLICATION, CostModel::default(), MemLog::new())
+            .unwrap()
+    };
     let mut c = Controller::durable_with(BACKENDS, REPLICATION, MemLog::new()).unwrap();
-    let mut s =
-        SimCluster::durable_with(BACKENDS, REPLICATION, CostModel::default(), MemLog::new())
-            .unwrap();
-    let mut stat =
-        SimCluster::durable_with(BACKENDS, REPLICATION, CostModel::default(), MemLog::new())
-            .unwrap();
+    let mut s = simulated();
+    let mut stat = simulated();
     for op in &ops {
         if matches!(op, Op::AddBackend) {
             let (entries, groups, _) = c.directory_stats();
@@ -358,14 +323,18 @@ fn sim_cluster_agrees_with_controller_through_add_and_drain() {
             );
         }
         apply(&mut c, op);
-        apply_sim(&mut s, op);
+        apply(&mut s, op);
         if !matches!(op, Op::AddBackend | Op::Drain { .. } | Op::FinishRebalance) {
-            apply_sim(&mut stat, op);
+            apply(&mut stat, op);
         }
     }
-    assert_eq!(c.state_digest().unwrap(), s.state_digest(), "kernels diverged");
+    assert_eq!(c.state_digest().unwrap(), s.state_digest().unwrap(), "links diverged");
     assert_eq!(c.key_high_water(), s.key_high_water());
-    assert_eq!(s.logical_digest(), stat.logical_digest(), "elastic sim diverged from static");
+    assert_eq!(
+        s.logical_digest().unwrap(),
+        stat.logical_digest().unwrap(),
+        "elastic sim diverged from static"
+    );
     let t = s.exec_totals();
     assert!(t.groups_moved > 0 && t.move_bytes > 0);
 }

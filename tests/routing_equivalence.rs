@@ -17,7 +17,7 @@
 use mlds::abdl::parse::parse_request;
 use mlds::abdl::prng::Prng;
 use mlds::abdl::{Error, Kernel, Record, Request, Response, Store, Value};
-use mlds::mbds::{Controller, SimCluster};
+use mlds::mbds::{Controller, CostModel};
 use std::collections::HashMap;
 
 const BACKENDS: usize = 6;
@@ -305,7 +305,7 @@ fn batched_point_reads_fly_as_probes_in_capped_flights() {
     }
     assert_eq!(c.exec_totals().messages_sent - before, 2 * ROWS as u64);
 
-    let mut sim = SimCluster::new(4);
+    let mut sim = Controller::simulated(4, 2, CostModel::default());
     load_f(&mut sim, ROWS);
     for res in sim.execute_batch(&reads) {
         assert_eq!(res.unwrap().records().len(), 1);
@@ -313,4 +313,5 @@ fn batched_point_reads_fly_as_probes_in_capped_flights() {
     let t = sim.exec_totals();
     assert_eq!(t.sched_flights, 2);
     assert_eq!(t.sched_max_flight, 256);
+    assert_eq!(t.read_probes, ROWS as u64);
 }
