@@ -582,7 +582,8 @@ const E13_BACKENDS: usize = 8;
 
 /// Simulated time (ms) to restart one killed backend of an `n`-backend,
 /// k = 2 cluster holding `db` records: every round of the restart —
-/// schema replay, the survivors' file scans, one copy per record.
+/// schema replay, one key fetch per replica-group window, one copy per
+/// record.
 fn e13_recovery_ms(n: usize, db: usize) -> f64 {
     let mut cluster = simulated(n, 2);
     workload::load_flat(&mut cluster, db);

@@ -33,7 +33,7 @@
 use crate::fault::FaultPlan;
 use crate::health::BackendState;
 use crate::link::{Cluster, Link, Stamp, Window};
-use crate::net::{NetFaultPlan, WireOp};
+use crate::net::{NetFaultPlan, WireOp, REPLY_CACHE};
 use crate::rebalance;
 use crate::sim::{CostModel, SimClock};
 use crate::state::{check_config, file_scan, ClusterState};
@@ -42,7 +42,7 @@ use abdl::engine::aggregate;
 use abdl::{
     DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, Request, Response, Result, Transaction,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -675,26 +675,22 @@ impl Controller {
     }
 
     /// Recovery step 1: rebuild state from the snapshot. All backends
-    /// are freshly spawned and alive at this point; records are loaded
-    /// into their group members, then the dead set is re-killed.
+    /// are freshly spawned and alive at this point; the dead set is
+    /// re-killed, then records are loaded into their serving group
+    /// members.
     pub(crate) fn load_snapshot(&mut self, snap: &SnapshotData) -> Result<()> {
         self.state.apply_snapshot(snap);
         for file in &snap.files {
             self.try_create_file(file)?;
         }
-        for (key, group, record) in &snap.places {
-            let Some(record) = record else { continue };
-            for &i in group {
-                if !snap.dead.contains(&i) {
-                    self.load_replica(i, DbKey(*key), record)?;
-                }
-            }
-        }
         for &i in &snap.dead {
             self.kill_backend(i);
         }
         self.degraded_dirty = true;
-        Ok(())
+        let copies = snap.places.iter().filter_map(|(key, group, record)| {
+            Some((&group[..], DbKey(*key), record.as_ref()?))
+        });
+        self.put_copies(copies)
     }
 
     /// Recovery step 2: replay one post-snapshot log entry — the
@@ -709,12 +705,7 @@ impl Controller {
                 Ok(())
             }
             LogRecord::Insert { key, group, record } => {
-                for &i in group {
-                    if self.state.health.is_serving(i) {
-                        self.load_replica(i, DbKey(*key), record)?;
-                    }
-                }
-                Ok(())
+                self.put_copies([(&group[..], DbKey(*key), record)])
             }
             LogRecord::Exec { request } => self.execute_inner(request).map(|_| ()),
             LogRecord::Dead { backend } => {
@@ -747,14 +738,6 @@ impl Controller {
             }
             _ => Ok(()),
         }
-    }
-
-    /// Push one record copy to backend `i` (recovery load path).
-    fn load_replica(&mut self, i: usize, key: DbKey, record: &Record) -> Result<()> {
-        if let Some(result) = self.call(i, WireOp::InsertWithKey(key, record.clone())) {
-            result?;
-        }
-        Ok(())
     }
 
     /// Failure injection: kill backend `i`. With replication, its
@@ -855,18 +838,20 @@ impl Controller {
         self.degraded_dirty = true;
 
         self.replay_schema(i, "during restart")?;
-        // Anti-entropy: pull surviving copies and re-insert the records
-        // this backend is supposed to hold.
-        for file in self.state.files.clone() {
-            let survivors = self.broadcast(&file_scan(&file))?;
-            for (key, rec) in survivors.into_records() {
-                if self.state.directory.get(&key).is_some_and(|g| g.contains(&i)) {
-                    let Some(result) = self.call(i, WireOp::InsertWithKey(key, rec)) else {
-                        return Err(Error::Unavailable(format!(
-                            "backend {i} died during recovery"
-                        )));
-                    };
-                    result?;
+        // Anti-entropy: for each replica group holding `i`, pull its
+        // keys from the group's other members, a window at a time, and
+        // copy them back — only `i`'s partners are messaged.
+        let dir = &self.state.directory;
+        let groups: BTreeSet<Vec<usize>> =
+            dir.groups_in_use().filter(|g| g.contains(&i)).map(<[usize]>::to_vec).collect();
+        let restarted = [i];
+        for group in groups {
+            let partners: Vec<usize> = group.iter().copied().filter(|&m| m != i).collect();
+            for keys in self.state.directory.keys_of_group(&group).chunks(REPLY_CACHE as usize) {
+                let records = self.fetch_records(&partners, keys)?;
+                self.put_copies(records.iter().map(|(key, rec)| (&restarted[..], *key, rec)))?;
+                if !self.state.health.is_serving(i) {
+                    return Err(Error::Unavailable(format!("backend {i} died during recovery")));
                 }
             }
         }
@@ -1016,24 +1001,14 @@ impl Controller {
         self.state.log_move_begin(from, to, keys)?;
         let removed: Vec<usize> = from.iter().copied().filter(|m| !to.contains(m)).collect();
         // Any member of either group may hold the only surviving copy.
-        let mut sources: Vec<usize> = from
-            .iter()
-            .chain(to.iter())
-            .copied()
-            .filter(|&m| self.state.health.is_serving(m))
-            .collect();
+        let mut sources = [from, to].concat();
         sources.sort_unstable();
         sources.dedup();
         let moved = self.fetch_records(&sources, keys)?;
-        for (key, rec) in &moved {
-            let bytes = rec.to_string().len() as u64;
-            for &m in to {
-                if !self.state.health.is_serving(m) {
-                    continue;
-                }
-                self.load_replica(m, *key, rec)?;
-                self.totals.move_bytes += bytes;
-            }
+        let live = to.iter().filter(|&&m| self.state.health.is_serving(m)).count() as u64;
+        self.put_copies(moved.iter().map(|(key, rec)| (to, *key, rec)))?;
+        for (_, rec) in &moved {
+            self.totals.move_bytes += rec.to_string().len() as u64 * live;
         }
         self.delete_keys(&removed, keys);
         // Usually a no-op (the mirror already committed the chunk);
@@ -1053,11 +1028,11 @@ impl Controller {
         }
     }
 
-    /// Fetch exactly `keys` from `sources`, keeping the first copy of
-    /// each key that answers — the key-scoped read under group moves
-    /// and promotion heals. Backend errors propagate (the move is
-    /// requeued and retried); a dead source simply contributes nothing,
-    /// as with `send_round`.
+    /// Fetch exactly `keys` from the serving `sources`, keeping the
+    /// first copy of each key that answers — the key-scoped read under
+    /// group moves, promotion heals and restarts. Backend errors
+    /// propagate (a move is requeued and retried); a dead source simply
+    /// contributes nothing, as with `send_round`.
     fn fetch_records(
         &mut self,
         sources: &[usize],
@@ -1083,6 +1058,40 @@ impl Controller {
             Some(e) => Err(e),
             None => Ok(by_key.into_iter().collect()),
         }
+    }
+
+    /// Put each record under its key on its serving targets — the one
+    /// record copy behind restarts, snapshot loads, log replay, group
+    /// moves and move heals. A record's copies go out under one seq, a
+    /// round like an insert wave. Rounds are pipelined in windows of at
+    /// most [`REPLY_CACHE`] seqs — every copy of a window is in flight
+    /// before the first ack is awaited — so a retransmitted copy is
+    /// answered from the backend's reply cache instead of being applied
+    /// twice. A target that is dead, or dies, is skipped; a backend
+    /// error is returned once its whole window has drained.
+    fn put_copies<'a>(
+        &mut self,
+        copies: impl IntoIterator<Item = (&'a [usize], DbKey, &'a Record)>,
+    ) -> Result<()> {
+        let mut copies = copies.into_iter().peekable();
+        while copies.peek().is_some() {
+            let mut rounds = Vec::new();
+            for (targets, key, rec) in copies.by_ref().take(REPLY_CACHE as usize) {
+                rounds.push(self.send_each(targets, || WireOp::InsertWithKey(key, rec.clone())));
+            }
+            let mut first_err = None;
+            for (seq, sent) in rounds {
+                for m in sent {
+                    if let Some(Err(e)) = self.recv_reply(m, seq) {
+                        first_err.get_or_insert(e);
+                    }
+                }
+            }
+            if let Some(e) = first_err {
+                return Err(e);
+            }
+        }
+        Ok(())
     }
 
     /// A deterministic rendering of the controller's *logical* contents
@@ -1727,32 +1736,14 @@ impl Controller {
         let removed: Vec<usize> = from.iter().copied().filter(|m| !to.contains(m)).collect();
         // Pull one surviving copy of each chunk record from the group's
         // serving members — key-scoped, so a chunk costs O(chunk) at
-        // the backends, never a file scan.
-        let sources: Vec<usize> =
-            from.iter().copied().filter(|&m| self.state.health.is_serving(m)).collect();
-        let moved = self.fetch_records(&sources, keys)?;
-        // Copy to the members the move adds — pipelined: every insert
-        // of the chunk is in flight before the first ack is awaited,
-        // so a chunk costs one reply round instead of one per record …
-        let mut acks: Vec<(usize, u64)> = Vec::new();
-        for (key, rec) in &moved {
-            let bytes = rec.to_string().len() as u64;
-            for &m in &added {
-                if !self.state.health.is_serving(m) {
-                    continue;
-                }
-                let seq = self.next_seq();
-                if self.send_to(m, seq, WireOp::InsertWithKey(*key, rec.clone())) {
-                    acks.push((m, seq));
-                }
-                self.totals.move_bytes += bytes;
-            }
+        // the backends, never a file scan — and copy it to the members
+        // the move adds …
+        let moved = self.fetch_records(from, keys)?;
+        let live = added.iter().filter(|&&m| self.state.health.is_serving(m)).count() as u64;
+        self.put_copies(moved.iter().map(|(key, rec)| (&added[..], *key, rec)))?;
+        for (_, rec) in &moved {
+            self.totals.move_bytes += rec.to_string().len() as u64 * live;
             self.state.resident_move(rec, &added, &removed);
-        }
-        for (m, seq) in acks {
-            if let Some(result) = self.recv_reply(m, seq) {
-                result?;
-            }
         }
         // … physically remove from the members it abandons (a stale
         // copy would be resurrected by the next broadcast read) …
@@ -1834,6 +1825,35 @@ mod tests {
         assert_eq!(c.alive_count(), 3);
         let timeouts = c.exec_totals().reply_timeouts;
         assert!(timeouts <= 2, "{timeouts} reply windows missed");
+    }
+
+    /// A restart messages only the restarted backend's replica-group
+    /// partners: a crash armed at the next message of a backend that
+    /// shares no group with it never fires, and the restarted cluster
+    /// equals the same run over threads.
+    #[test]
+    fn a_restart_messages_only_the_restarted_backends_partners() {
+        let run = |mut c: Controller| {
+            c.create_file("f");
+            for v in 0..64 {
+                let record = Record::from_pairs([("FILE", Value::str("f"))]);
+                c.execute(&Request::Insert { record: record.with("v", Value::Int(v)) }).unwrap();
+            }
+            c.kill_backend(0);
+            let bystander = 4;
+            let dir = &c.state.directory;
+            assert!(dir.groups_in_use().all(|g| !(g.contains(&0) && g.contains(&bystander))));
+            // The bystander has handled the create and its inserts;
+            // crash it at its next message.
+            let inserts = dir.iter().filter(|(_, g)| g.contains(&bystander)).count() as u64;
+            c.set_fault_plan(FaultPlan::new().with(bystander, inserts + 2, FaultKind::Crash));
+            c.restart_backend(0).unwrap();
+            assert_eq!(c.alive_count(), 8, "the restart messaged backend {bystander}");
+            c.set_fault_plan(FaultPlan::new());
+            c.state_digest().unwrap()
+        };
+        let simulated = run(Controller::simulated(8, 2, CostModel::default()));
+        assert_eq!(simulated, run(Controller::with_replication(8, 2)));
     }
 
     #[test]

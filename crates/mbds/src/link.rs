@@ -32,6 +32,7 @@
 use crate::fault::{FaultKind, FaultPlan};
 use crate::net::{self, kind, Frame, NetFaultPlan, TcpLink, WireOp, WireReply};
 use crate::sim::{self, CostModel, SimClock, SimLink};
+use abdl::engine::ExecStats;
 use abdl::{DbKey, Error, ExecTotals, Record, Response, Result, Store};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -152,7 +153,8 @@ pub(crate) fn apply(store: &mut Store, op: WireOp) -> Result<Response> {
                 .iter()
                 .filter_map(|&k| store.record_by_key(k).map(|r| (k, r.clone())))
                 .collect();
-            Ok(Response::with_records(records, Default::default()))
+            let stats = ExecStats { records_returned: records.len() as u64, ..Default::default() };
+            Ok(Response::with_records(records, stats))
         }
         op => Err(Error::Internal(format!("backend: {op:?} is not a storage operation"))),
     }

@@ -1554,7 +1554,7 @@ pub mod flight {
 /// | model action | real code path it abstracts |
 /// |---|---|
 /// | [`RebalanceAction::MoveBegin`] | `move_group` logs the durable `MoveBegin {from, to, keys}` marker — the chunk's exact keys — before any copy is sent (`Controller::move_group_inner`) |
-/// | [`RebalanceAction::ChunkCopy`] | one record of the bracketed chunk lands durably on the new members (`load_replica` / the insert envelope in `move_group_inner`) |
+/// | [`RebalanceAction::ChunkCopy`] | one record of the bracketed chunk lands durably on the new members (the windowed `put_copies` behind `move_group_inner` and `heal_move_inner`) |
 /// | [`RebalanceAction::MoveCommit`] | the old copies are deleted, the directory commits the chunk's placement (per-key rebinds, or the whole-group retarget when the chunk empties it), and `MoveEnd` is logged — the single atomic step at which reads switch placement |
 /// | [`RebalanceAction::Read`] | a foreground scoped read routes through the directory and observes the group's record set |
 /// | [`RebalanceAction::Crash`] | the primary dies mid-chunk; the begin marker and the copies already landed are durable, the directory and move queue are not |

@@ -601,8 +601,8 @@ pub enum WireOp {
     /// resurrected by a later broadcast read).
     DeleteKeys(Vec<DbKey>),
     /// Fetch records by key — the key-scoped read under a rebalance
-    /// chunk copy (a whole-file scan per chunk would make every move
-    /// O(database)).
+    /// chunk copy and a restart's re-replication (a whole-file scan
+    /// would make every move and restart O(database)).
     FetchKeys(Vec<DbKey>),
     /// Liveness and epoch probe.
     Ping,
@@ -1317,9 +1317,10 @@ impl ServerState {
 
 /// How far below a newly applied seq a client's past replies are still
 /// retained for idempotent retransmission. The controller closes every
-/// staged flight at this many members, so every seq a link's
-/// retransmission window can resend is still answered from the cache
-/// instead of being re-applied.
+/// staged flight at this many members, and sends record copies
+/// (restart, recovery load, move) in windows of at most this many
+/// seqs, so every seq a link's retransmission window can resend is
+/// still answered from the cache instead of being re-applied.
 pub(crate) const REPLY_CACHE: u64 = 256;
 
 /// Serve one accepted connection against the shared state. Returns

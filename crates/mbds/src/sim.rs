@@ -30,7 +30,8 @@
 //!            + backends_reached × msg_time                (per-backend reply)
 //! ```
 //!
-//! One `InsertWithKey` costs one block. Result forwarding is charged
+//! One `InsertWithKey` costs one block; a `FetchKeys` costs the records
+//! it returns, like any result. Result forwarding is charged
 //! *inside* the parallel phase: each backend transmits its own partial
 //! result concurrently with the others (MBDS backends have private
 //! channels to the controller), so growing the response size
@@ -408,6 +409,26 @@ mod tests {
         clock.reset();
         assert_eq!((clock.total_us(), clock.last_response_us()), (0.0, 0.0));
         assert!(Controller::new(1).clock().is_none());
+    }
+
+    /// A key fetch is charged for the records it returns. Restarting
+    /// one of two backends costs exactly the schema round, one fetch
+    /// round from its partner per replica group holding it (`[0, 1]`
+    /// and `[1, 0]`, 10 records each) and one copy round per record.
+    #[test]
+    fn a_fetch_round_is_charged_for_the_records_it_returns() {
+        let mut cluster = sim(2);
+        load(&mut cluster, 20);
+        cluster.kill_backend(1);
+        let clock = cluster.clock().unwrap();
+        clock.reset();
+        cluster.restart_backend(1).unwrap();
+        let CostModel { block_time_us: block, msg_time_us: msg, record_time_us: record } =
+            CostModel::default();
+        let schema = msg + msg;
+        let fetch = msg + 10.0 * record + msg;
+        let copies = 20.0 * (msg + block + msg);
+        assert_eq!(clock.total_us(), schema + 2.0 * fetch + copies);
     }
 
     #[test]

@@ -94,8 +94,8 @@ impl KeySet {
     }
 }
 
-/// A retrieve of every record of `file` — the scan behind snapshots,
-/// restarts and constraint backfills.
+/// A retrieve of every record of `file` — the scan behind snapshots
+/// and constraint backfills.
 pub(crate) fn file_scan(file: &str) -> Request {
     Request::retrieve_all(abdl::Query::conjunction(vec![abdl::Predicate::eq(
         abdl::FILE_ATTR,

@@ -572,6 +572,42 @@ fn crash_mid_burst_answers_every_request_handled_before_it() {
     assert_eq!(got.2, want.2);
 }
 
+/// A group move whose bracket (`set_move_chunk`) is longer than the
+/// backends' reply cache, over a seeded lossy network. The copy is
+/// windowed at the reply cache's span, so every retransmitted copy is
+/// answered from the cache instead of being applied twice, and the
+/// grown cluster holds exactly the static cluster's data.
+#[test]
+fn a_move_longer_than_the_reply_cache_converges_over_a_lossy_link() {
+    let seed = |c: &mut Controller| {
+        c.try_create_file("u").unwrap();
+        for k in 0..1_200 {
+            c.execute(&unique_insert(k)).unwrap();
+        }
+    };
+    let mut fixed = Controller::over_tcp(3, REPLICATION).unwrap();
+    seed(&mut fixed);
+    let mut grown = Controller::over_tcp(3, REPLICATION).unwrap();
+    seed(&mut grown);
+    grown.set_reply_timeout(std::time::Duration::from_millis(400));
+    grown.set_retry_budget(4);
+    // One bracket moves the whole ~400-record group.
+    grown.set_move_chunk(1_024);
+    // The seeded events on the three seeded links have passed; the
+    // joining backend's link counts frames from 0, so its events (and
+    // a reply dropped early in the copy) fire inside the move.
+    grown.set_net_fault_plan(
+        NetFaultPlan::seeded(0xC0B1, 4, 300).with(3, LinkDir::Recv, 5, NetFaultKind::Drop),
+    );
+    grown.add_backend().unwrap();
+    grown.finish_rebalance().unwrap();
+    let t = grown.exec_totals();
+    assert!(t.groups_moved > 0, "nothing moved: {t:?}");
+    assert!(t.retries > 0, "the fault plan never cost a retry: {t:?}");
+    assert_eq!(grown.alive_count(), 4, "{t:?}");
+    assert_eq!(grown.logical_digest().unwrap(), fixed.logical_digest().unwrap());
+}
+
 fn unique_insert(k: i64) -> Request {
     Request::Insert {
         record: Record::from_pairs([("FILE", Value::str("u"))]).with("k", Value::Int(k)),
