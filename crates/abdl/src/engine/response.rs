@@ -54,6 +54,12 @@ impl Response {
         &self.records
     }
 
+    /// The result records, mutable in place (a layer rewriting
+    /// attribute values need not copy them).
+    pub fn records_mut(&mut self) -> &mut [(DbKey, Record)] {
+        &mut self.records
+    }
+
     /// Consume the response, returning its records.
     pub fn into_records(self) -> Vec<(DbKey, Record)> {
         self.records

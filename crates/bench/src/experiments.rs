@@ -456,8 +456,7 @@ pub fn e11() -> String {
         ("CREATE person (…)", "CREATE person (name := 'E11', age := 30);"),
     ] {
         let r = &m.execute_daplex(&mut dap, script).expect("daplex")[0];
-        let _ = writeln!(out, "{:<12} {:<58} {:>6}", "Daplex", label, "n/a");
-        let _ = (r,);
+        let _ = writeln!(out, "{:<12} {:<58} {:>6}", "Daplex", label, r.abdl.len());
     }
 
     // SQL.

@@ -24,9 +24,10 @@
 use crate::ab_map::{entity_query, fn_storage, FnStorage, Loader};
 use crate::error::{Error, Result};
 use crate::names;
+use crate::schema::FunctionalSchema;
 use crate::DIALECT;
 use abdl::parse::{Cursor, Tok};
-use abdl::{Kernel, Predicate, Query, RelOp, Request, Value, FILE_ATTR};
+use abdl::{Conjunction, Kernel, Predicate, Query, RelOp, Request, TargetList, Value, FILE_ATTR};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -336,17 +337,63 @@ fn join_values(mut vals: Vec<Value>) -> Value {
 
 // ----- execution -----------------------------------------------------
 
+/// Keys per key-equality disjunction when `resolve` checks that seed
+/// keys drawn from an ancestor's file belong to the designator's own
+/// file: one request per this many keys.
+const MEMBERSHIP_CHUNK: usize = 64;
+
+/// A kernel view that logs every request it forwards, so a statement
+/// can report the ABDL it issued (as the CODASYL KMS reports
+/// `StepOutput::requests`).
+struct Logged<'a, K: Kernel> {
+    inner: &'a mut K,
+    requests: Vec<Request>,
+}
+
+impl<K: Kernel> Kernel for Logged<'_, K> {
+    fn create_file(&mut self, name: &str) {
+        self.inner.create_file(name);
+    }
+
+    fn add_unique_constraint(&mut self, file: &str, attrs: Vec<String>) {
+        self.inner.add_unique_constraint(file, attrs);
+    }
+
+    fn reserve_key(&mut self) -> abdl::DbKey {
+        self.inner.reserve_key()
+    }
+
+    fn execute(&mut self, request: &Request) -> abdl::Result<abdl::Response> {
+        self.requests.push(request.clone());
+        self.inner.execute(request)
+    }
+
+    fn health(&self) -> abdl::KernelHealth {
+        self.inner.health()
+    }
+
+    fn exec_totals(&self) -> abdl::ExecTotals {
+        self.inner.exec_totals()
+    }
+}
+
 /// The Daplex DML interpreter: resolves designators to entity keys on
 /// the `AB(functional)` store and applies [`Loader`] operations.
 pub struct Interpreter<'a, K: Kernel> {
     loader: &'a mut Loader,
-    store: &'a mut K,
+    store: Logged<'a, K>,
 }
 
 impl<'a, K: Kernel> Interpreter<'a, K> {
     /// Wrap a loader and its kernel.
     pub fn new(loader: &'a mut Loader, store: &'a mut K) -> Self {
-        Interpreter { loader, store }
+        Interpreter { loader, store: Logged { inner: store, requests: Vec::new() } }
+    }
+
+    /// The ABDL requests issued since the last call, in execution
+    /// order (auxiliary retrievals included).
+    pub fn take_requests(&mut self) -> Vec<Request> {
+        std::mem::take(&mut self.store.requests)
     }
 
     /// Execute one statement.
@@ -372,14 +419,14 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
             DaplexStatement::Create { entity, values } => {
                 let pairs: Vec<(&str, Value)> =
                     values.iter().map(|(f, v)| (f.as_str(), v.clone())).collect();
-                let key = self.loader.create_entity(self.store, entity, &pairs)?;
+                let key = self.loader.create_entity(&mut self.store, entity, &pairs)?;
                 Ok(Outcome::Affected(vec![key]))
             }
             DaplexStatement::Assign { designator, function, value } => {
                 let keys = self.resolve(designator)?;
                 for &key in &keys {
                     self.loader.set_function(
-                        self.store,
+                        &mut self.store,
                         &designator.entity,
                         key,
                         function,
@@ -391,7 +438,7 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
             DaplexStatement::Destroy { designator } => {
                 let keys = self.resolve(designator)?;
                 for &key in &keys {
-                    self.loader.destroy(self.store, &designator.entity, key)?;
+                    self.loader.destroy(&mut self.store, &designator.entity, key)?;
                 }
                 Ok(Outcome::Affected(keys))
             }
@@ -417,7 +464,7 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
         // set-valued function), but for set-derived single-valued
         // functions (reverse-transformed network sets) it lives on the
         // member and ranges over `o` — accept both orientations.
-        let schema = self.loader.schema().clone();
+        let schema = self.loader.schema();
         let on_owner = schema.function(&owner.entity, function).is_some();
         let on_member = !on_owner
             && schema
@@ -438,9 +485,9 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
                     (&member.entity, m, o)
                 };
                 if include {
-                    self.loader.link(self.store, ty, from, function, to)?;
+                    self.loader.link(&mut self.store, ty, from, function, to)?;
                 } else {
-                    self.loader.unlink(self.store, ty, from, function, to)?;
+                    self.loader.unlink(&mut self.store, ty, from, function, to)?;
                 }
                 affected.push(m);
             }
@@ -449,45 +496,67 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
     }
 
     /// Resolve a designator to the sorted set of matching entity keys.
+    ///
+    /// Set-at-a-time, cheapest equivalent translation first:
+    /// 1. each single-function predicate becomes one kernel retrieve on
+    ///    the file declaring the function, filtered through the
+    ///    kernel's directory index; the key sets are intersected (and
+    ///    the rest skipped once the intersection is empty);
+    /// 2. when none of those files is the designator's own (a
+    ///    subtype ranged over by supertype functions, `name(student)`),
+    ///    the seed keys are checked against the designator's file with
+    ///    key-equality disjunctions of [`MEMBERSHIP_CHUNK`] keys;
+    /// 3. composed-path predicates are evaluated last, per surviving
+    ///    entity.
+    ///
+    /// Only a designator without single-function predicates scans its
+    /// whole file.
     pub fn resolve(&mut self, d: &Designator) -> Result<Vec<i64>> {
-        let schema = self.loader.schema().clone();
+        let schema = self.loader.schema();
         schema.require_entity_like(&d.entity)?;
-        // Start with every key present in the designator's own file.
-        let mut keys = self.keys_in_file(&d.entity, None)?;
+        let mut indexed = Vec::new();
+        let mut composed = Vec::new();
         for pred in &d.predicates {
             if pred.path.len() == 1 {
-                // Single function: filter kernel-side (index-assisted).
-                let f = schema.require_function(&d.entity, pred.function())?.clone();
-                let file = match fn_storage(&schema, &d.entity, &f)? {
-                    FnStorage::ScalarAttr { file }
-                    | FnStorage::ScalarMultiAttr { file }
-                    | FnStorage::MemberAttr { file, .. } => file,
-                    other => {
-                        return Err(Error::ValueOutOfRange {
-                            function: pred.function().to_owned(),
-                            got: pred.value.to_string(),
-                            why: format!("cannot apply predicates to storage {other:?}"),
-                        })
-                    }
-                };
-                let matching = self.keys_in_file(
-                    &file,
-                    Some(Predicate::new(pred.function().to_owned(), pred.op, pred.value.clone())),
-                )?;
-                keys.retain(|k| matching.contains(k));
+                indexed.push((predicate_file(schema, &d.entity, pred)?, pred));
             } else {
-                // Function composition: evaluate the path per entity;
-                // set-valued steps are existential ("some related
-                // entity satisfies").
-                let mut surviving = BTreeSet::new();
-                for &k in &keys {
-                    let values = self.path_values(&d.entity, k, &pred.path)?;
-                    if values.iter().any(|v| pred.op.eval(v, &pred.value)) {
-                        surviving.insert(k);
-                    }
-                }
-                keys = surviving;
+                composed.push(pred);
             }
+        }
+        let mut keys = if indexed.is_empty() {
+            keys_in_file(&mut self.store, &d.entity, None)?
+        } else {
+            let mut seed: Option<BTreeSet<i64>> = None;
+            for (file, pred) in &indexed {
+                if seed.as_ref().is_some_and(BTreeSet::is_empty) {
+                    break;
+                }
+                let p = Predicate::new(pred.function().to_owned(), pred.op, pred.value.clone());
+                let matching = keys_in_file(&mut self.store, file, Some(p))?;
+                seed = Some(match seed {
+                    None => matching,
+                    Some(s) => s.intersection(&matching).copied().collect(),
+                });
+            }
+            let seed = seed.unwrap_or_default();
+            if indexed.iter().any(|(file, _)| *file == d.entity) {
+                seed
+            } else {
+                keys_among(&mut self.store, &d.entity, &seed)?
+            }
+        };
+        for pred in composed {
+            // Function composition: evaluate the path per entity;
+            // set-valued steps are existential ("some related entity
+            // satisfies").
+            let mut surviving = BTreeSet::new();
+            for &k in &keys {
+                let values = self.path_values(&d.entity, k, &pred.path)?;
+                if values.iter().any(|v| pred.op.eval(v, &pred.value)) {
+                    surviving.insert(k);
+                }
+            }
+            keys = surviving;
         }
         Ok(keys.into_iter().collect())
     }
@@ -516,7 +585,7 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
                 None => {
                     // No entities left to follow; resolve the target
                     // type for the remaining steps anyway.
-                    let schema = self.loader.schema().clone();
+                    let schema = self.loader.schema();
                     let func = schema.require_function(&ty, f)?;
                     ty = schema
                         .entity_range(func)
@@ -539,87 +608,67 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
     /// Follow an entity-valued function from one entity: returns the
     /// target entity type and the related keys.
     fn related_keys(&mut self, entity: &str, key: i64, function: &str) -> Result<(String, Vec<i64>)> {
-        let schema = self.loader.schema().clone();
-        let f = schema.require_function(entity, function)?.clone();
+        let schema = self.loader.schema();
+        let f = schema.require_function(entity, function)?;
         let range = schema
-            .entity_range(&f)
+            .entity_range(f)
             .ok_or_else(|| Error::ValueOutOfRange {
                 function: function.to_owned(),
                 got: format!("#{key}"),
                 why: "inner path steps must be entity-valued".into(),
             })?
             .to_owned();
-        match fn_storage(&schema, entity, &f)? {
-            FnStorage::MemberAttr { file, .. } => {
-                let resp = self
-                    .store
-                    .execute(&Request::retrieve_all(entity_query(&file, key)))
-                    .map_err(Error::Kernel)?;
-                let keys: BTreeSet<i64> = resp
-                    .records()
-                    .iter()
-                    .filter_map(|(_, r)| r.get(function).and_then(Value::as_int))
-                    .collect();
-                Ok((range, keys.into_iter().collect()))
-            }
+        let (query, attr) = match fn_storage(schema, entity, f)? {
+            FnStorage::MemberAttr { file, .. } => (entity_query(&file, key), function.to_owned()),
             FnStorage::RangeMemberAttr { file, .. } => {
                 let q = Query::conjunction(vec![
                     Predicate::eq(FILE_ATTR, Value::str(file.clone())),
                     Predicate::eq(function.to_owned(), Value::Int(key)),
                 ]);
-                let resp = self
-                    .store
-                    .execute(&Request::retrieve_all(q))
-                    .map_err(Error::Kernel)?;
-                let keys: BTreeSet<i64> = resp
-                    .records()
-                    .iter()
-                    .filter_map(|(_, r)| r.get(names::key_attr(&file)).and_then(Value::as_int))
-                    .collect();
-                Ok((range, keys.into_iter().collect()))
+                (q, names::key_attr(&file).to_owned())
             }
             FnStorage::Link { pair } => {
-                let (own_attr, other_attr) = if pair.left_function == f.name {
-                    (pair.left_function.clone(), pair.right_function.clone())
+                let (own_attr, other_attr) = if pair.left_function == function {
+                    (pair.left_function, pair.right_function)
                 } else {
-                    (pair.right_function.clone(), pair.left_function.clone())
+                    (pair.right_function, pair.left_function)
                 };
                 let q = Query::conjunction(vec![
-                    Predicate::eq(FILE_ATTR, Value::str(pair.link.clone())),
+                    Predicate::eq(FILE_ATTR, Value::str(pair.link)),
                     Predicate::eq(own_attr, Value::Int(key)),
                 ]);
-                let resp = self
-                    .store
-                    .execute(&Request::retrieve_all(q))
-                    .map_err(Error::Kernel)?;
-                let keys: BTreeSet<i64> = resp
-                    .records()
-                    .iter()
-                    .filter_map(|(_, r)| r.get(&other_attr).and_then(Value::as_int))
-                    .collect();
-                Ok((range, keys.into_iter().collect()))
+                (q, other_attr)
             }
-            other => Err(Error::ValueOutOfRange {
-                function: function.to_owned(),
-                got: format!("#{key}"),
-                why: format!("inner path steps must be entity-valued (storage {other:?})"),
-            }),
-        }
+            other => {
+                return Err(Error::ValueOutOfRange {
+                    function: function.to_owned(),
+                    got: format!("#{key}"),
+                    why: format!("inner path steps must be entity-valued (storage {other:?})"),
+                })
+            }
+        };
+        let resp = self.store.execute(&retrieve(query, &attr)).map_err(Error::Kernel)?;
+        let keys: BTreeSet<i64> = resp
+            .records()
+            .iter()
+            .filter_map(|(_, r)| r.get(&attr).and_then(Value::as_int))
+            .collect();
+        Ok((range, keys.into_iter().collect()))
     }
 
     /// All raw values of a function on one entity (repeated records of
     /// scalar multi-valued functions each contribute; entity-valued
     /// functions yield the related entity keys as integers).
     fn scalar_values(&mut self, entity: &str, key: i64, function: &str) -> Result<Vec<Value>> {
-        let schema = self.loader.schema().clone();
-        let f = schema.require_function(entity, function)?.clone();
-        match fn_storage(&schema, entity, &f)? {
+        let schema = self.loader.schema();
+        let f = schema.require_function(entity, function)?;
+        match fn_storage(schema, entity, f)? {
             FnStorage::ScalarAttr { file }
             | FnStorage::ScalarMultiAttr { file }
             | FnStorage::MemberAttr { file, .. } => {
                 let resp = self
                     .store
-                    .execute(&Request::retrieve_all(entity_query(&file, key)))
+                    .execute(&retrieve(entity_query(&file, key), function))
                     .map_err(Error::Kernel)?;
                 let mut vals: Vec<Value> = Vec::new();
                 for (_, r) in resp.records() {
@@ -637,36 +686,18 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
         }
     }
 
-    /// Keys of entities in `file` (repeated records deduplicated),
-    /// optionally restricted by a predicate.
-    fn keys_in_file(&mut self, file: &str, pred: Option<Predicate>) -> Result<BTreeSet<i64>> {
-        let mut q = Query::conjunction(vec![Predicate::eq(FILE_ATTR, Value::str(file))]);
-        if let Some(p) = pred {
-            q = q.and_predicate(p);
-        }
-        let resp = self
-            .store
-            .execute(&Request::retrieve_all(q))
-            .map_err(Error::Kernel)?;
-        Ok(resp
-            .records()
-            .iter()
-            .filter_map(|(_, r)| r.get(names::key_attr(file)).and_then(Value::as_int))
-            .collect())
-    }
-
     /// Read a function's value(s) for an entity: scalars read from the
     /// declaring file (joining through the hierarchy); scalar
     /// multi-valued functions return their values comma-joined;
     /// entity-valued functions return the related entity key(s).
     pub fn read_function(&mut self, entity: &str, key: i64, function: &str) -> Result<Value> {
-        let schema = self.loader.schema().clone();
-        let f = schema.require_function(entity, function)?.clone();
-        match fn_storage(&schema, entity, &f)? {
+        let schema = self.loader.schema();
+        let f = schema.require_function(entity, function)?;
+        match fn_storage(schema, entity, f)? {
             FnStorage::ScalarAttr { file } | FnStorage::MemberAttr { file, .. } => {
                 let resp = self
                     .store
-                    .execute(&Request::retrieve_all(entity_query(&file, key)))
+                    .execute(&retrieve(entity_query(&file, key), function))
                     .map_err(Error::Kernel)?;
                 Ok(resp
                     .records()
@@ -677,7 +708,7 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
             FnStorage::ScalarMultiAttr { file } => {
                 let resp = self
                     .store
-                    .execute(&Request::retrieve_all(entity_query(&file, key)))
+                    .execute(&retrieve(entity_query(&file, key), function))
                     .map_err(Error::Kernel)?;
                 let mut vals: Vec<String> = resp
                     .records()
@@ -694,50 +725,83 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
                 vals.dedup();
                 Ok(Value::Str(vals.join(", ")))
             }
-            FnStorage::RangeMemberAttr { file, .. } => {
-                // Keys of range entities pointing back at `key`.
-                let q = Query::conjunction(vec![
-                    Predicate::eq(FILE_ATTR, Value::str(file.clone())),
-                    Predicate::eq(function.to_owned(), Value::Int(key)),
-                ]);
-                let resp = self
-                    .store
-                    .execute(&Request::retrieve_all(q))
-                    .map_err(Error::Kernel)?;
-                let keys: BTreeSet<i64> = resp
-                    .records()
-                    .iter()
-                    .filter_map(|(_, r)| r.get(names::key_attr(&file)).and_then(Value::as_int))
-                    .collect();
-                Ok(Value::Str(
-                    keys.iter().map(|k| format!("#{k}")).collect::<Vec<_>>().join(", "),
-                ))
-            }
-            FnStorage::Link { pair } => {
-                let (own_attr, other_attr) = if pair.left_function == f.name {
-                    (pair.left_function.clone(), pair.right_function.clone())
-                } else {
-                    (pair.right_function.clone(), pair.left_function.clone())
-                };
-                let q = Query::conjunction(vec![
-                    Predicate::eq(FILE_ATTR, Value::str(pair.link.clone())),
-                    Predicate::eq(own_attr, Value::Int(key)),
-                ]);
-                let resp = self
-                    .store
-                    .execute(&Request::retrieve_all(q))
-                    .map_err(Error::Kernel)?;
-                let keys: BTreeSet<i64> = resp
-                    .records()
-                    .iter()
-                    .filter_map(|(_, r)| r.get(&other_attr).and_then(Value::as_int))
-                    .collect();
+            FnStorage::RangeMemberAttr { .. } | FnStorage::Link { .. } => {
+                let (_, keys) = self.related_keys(entity, key, function)?;
                 Ok(Value::Str(
                     keys.iter().map(|k| format!("#{k}")).collect::<Vec<_>>().join(", "),
                 ))
             }
         }
     }
+}
+
+/// A RETRIEVE of `query` projected to the one attribute the caller
+/// reads.
+fn retrieve(query: Query, attr: &str) -> Request {
+    Request::Retrieve { query, target: TargetList::attrs([attr]), by: None }
+}
+
+/// The kernel file a single-function predicate filters: the file
+/// declaring the function (an ancestor's for inherited functions).
+fn predicate_file(schema: &FunctionalSchema, entity: &str, pred: &FnPredicate) -> Result<String> {
+    let f = schema.require_function(entity, pred.function())?;
+    match fn_storage(schema, entity, f)? {
+        FnStorage::ScalarAttr { file }
+        | FnStorage::ScalarMultiAttr { file }
+        | FnStorage::MemberAttr { file, .. } => Ok(file),
+        other => Err(Error::ValueOutOfRange {
+            function: pred.function().to_owned(),
+            got: pred.value.to_string(),
+            why: format!("cannot apply predicates to storage {other:?}"),
+        }),
+    }
+}
+
+/// Keys of entities in `file` (repeated records deduplicated),
+/// optionally restricted by a predicate.
+fn keys_in_file<K: Kernel>(
+    store: &mut K,
+    file: &str,
+    pred: Option<Predicate>,
+) -> Result<BTreeSet<i64>> {
+    let mut q = Query::conjunction(vec![Predicate::eq(FILE_ATTR, Value::str(file))]);
+    if let Some(p) = pred {
+        q = q.and_predicate(p);
+    }
+    key_set(store, file, q)
+}
+
+/// The subset of `keys` present in `file`: one retrieve per
+/// [`MEMBERSHIP_CHUNK`] keys, each a disjunction of key equalities.
+fn keys_among<K: Kernel>(store: &mut K, file: &str, keys: &BTreeSet<i64>) -> Result<BTreeSet<i64>> {
+    let keys: Vec<i64> = keys.iter().copied().collect();
+    let mut out = BTreeSet::new();
+    for chunk in keys.chunks(MEMBERSHIP_CHUNK) {
+        let q = Query::new(
+            chunk
+                .iter()
+                .map(|&k| {
+                    Conjunction::new(vec![
+                        Predicate::eq(FILE_ATTR, Value::str(file)),
+                        Predicate::eq(names::key_attr(file).to_owned(), Value::Int(k)),
+                    ])
+                })
+                .collect(),
+        );
+        out.extend(key_set(store, file, q)?);
+    }
+    Ok(out)
+}
+
+/// The distinct entity keys of `file`'s records matching `query`.
+fn key_set<K: Kernel>(store: &mut K, file: &str, query: Query) -> Result<BTreeSet<i64>> {
+    let attr = names::key_attr(file);
+    let resp = store.execute(&retrieve(query, attr)).map_err(Error::Kernel)?;
+    Ok(resp
+        .records()
+        .iter()
+        .filter_map(|(_, r)| r.get(attr).and_then(Value::as_int))
+        .collect())
 }
 
 #[cfg(test)]
@@ -912,6 +976,216 @@ mod tests {
         let Outcome::Rows(rows) = &outcomes[0] else { panic!("expected rows") };
         let v = rows[0].values[0].as_str().unwrap();
         assert!(v.contains("Advanced Database") && v.contains("Database Design"), "{v}");
+    }
+
+    /// The scan-first resolution `resolve` replaced, kept as its
+    /// equivalence oracle: start from every key of the designator's
+    /// file, then filter predicate by predicate in written order.
+    fn resolve_by_scan<K: Kernel>(
+        interp: &mut Interpreter<'_, K>,
+        d: &Designator,
+    ) -> Result<Vec<i64>> {
+        interp.loader.schema().require_entity_like(&d.entity)?;
+        let mut keys = keys_in_file(&mut interp.store, &d.entity, None)?;
+        for pred in &d.predicates {
+            if pred.path.len() == 1 {
+                let file = predicate_file(interp.loader.schema(), &d.entity, pred)?;
+                let p = Predicate::new(pred.function().to_owned(), pred.op, pred.value.clone());
+                let matching = keys_in_file(&mut interp.store, &file, Some(p))?;
+                keys.retain(|k| matching.contains(k));
+            } else {
+                let mut surviving = BTreeSet::new();
+                for &k in &keys {
+                    let values = interp.path_values(&d.entity, k, &pred.path)?;
+                    if values.iter().any(|v| pred.op.eval(v, &pred.value)) {
+                        surviving.insert(k);
+                    }
+                }
+                keys = surviving;
+            }
+        }
+        Ok(keys.into_iter().collect())
+    }
+
+    /// Students enrolled beyond the sample four: enough that an
+    /// unselective predicate spans several membership chunks.
+    const EXTRA_STUDENTS: usize = 150;
+
+    /// The sample University plus `EXTRA_STUDENTS` students named
+    /// `s_{i}` and plain persons (no student record) named like some of
+    /// them, so a supertype predicate's seed holds non-members.
+    fn grown_university<K: Kernel>(mut kernel: K) -> (Loader, K) {
+        let schema = university::schema();
+        crate::ab_map::install(&schema, &mut kernel);
+        let mut loader = Loader::new(schema);
+        let keys = university::populate(&mut loader, &mut kernel).unwrap();
+        let majors = ["Computer Science", "Mathematics", "History"];
+        for i in 0..EXTRA_STUDENTS {
+            let k = loader
+                .create_entity(
+                    &mut kernel,
+                    "student",
+                    &[
+                        ("name", Value::str(format!("s_{i}"))),
+                        ("age", Value::Int(18 + (i % 23) as i64)),
+                        ("major", Value::str(majors[i % majors.len()])),
+                        ("gpa", Value::Float(2.0 + (i % 20) as f64 / 10.0)),
+                    ],
+                )
+                .unwrap();
+            let advisor = keys.faculty[i % keys.faculty.len()];
+            loader.link(&mut kernel, "student", k, "advisor", advisor).unwrap();
+        }
+        for i in (0..EXTRA_STUDENTS).step_by(7) {
+            loader
+                .create_entity(
+                    &mut kernel,
+                    "person",
+                    &[
+                        ("name", Value::str(format!("s_{i}"))),
+                        ("age", Value::Int(30 + (i % 40) as i64)),
+                    ],
+                )
+                .unwrap();
+        }
+        (loader, kernel)
+    }
+
+    /// A random predicate over `entity`: supertype and subtype
+    /// functions, composed paths, hitting and missing values, and
+    /// unselective comparisons.
+    fn random_predicate(rng: &mut abdl::prng::Prng, entity: &str) -> FnPredicate {
+        let pred = |path: &[&str], op: RelOp, value: Value| FnPredicate {
+            path: path.iter().map(|p| (*p).to_owned()).collect(),
+            op,
+            value,
+        };
+        let ops = [RelOp::Eq, RelOp::Ne, RelOp::Lt, RelOp::Le, RelOp::Gt, RelOp::Ge];
+        let op = ops[rng.index(ops.len())];
+        let name = match rng.index(4) {
+            0 => Value::str("Coker"),
+            1 => Value::str("nobody"),
+            _ => Value::str(format!("s_{}", rng.index(EXTRA_STUDENTS + 10))),
+        };
+        let pick = |rng: &mut abdl::prng::Prng, values: &[&str]| {
+            Value::str(values[rng.index(values.len())])
+        };
+        match (entity, rng.index(6)) {
+            ("student" | "person", 0) => pred(&["name"], RelOp::Eq, name),
+            ("student" | "person", 1) => pred(&["age"], op, Value::Int(rng.gen_range(15, 45))),
+            ("student" | "person", 2) => pred(&["name"], RelOp::Ne, Value::str("nobody")),
+            ("student", 3) => {
+                let m = pick(rng, &["Computer Science", "Mathematics", "History", "Music"]);
+                pred(&["major"], RelOp::Eq, m)
+            }
+            ("student", 4) => pred(&["gpa"], op, Value::Float(1.5 + rng.index(30) as f64 / 10.0)),
+            ("student", _) => {
+                let d = pick(rng, &["Computer Science", "Mathematics", "Nowhere"]);
+                pred(&["dname", "dept", "advisor"], RelOp::Eq, d)
+            }
+            ("person", _) => pred(&["age"], RelOp::Ge, Value::Int(18)),
+            ("faculty", 0) => pred(&["degrees"], RelOp::Eq, pick(rng, &["PhD", "BS", "MA"])),
+            ("faculty", 1) => {
+                pred(&["rank"], RelOp::Eq, pick(rng, &["full", "associate", "assistant"]))
+            }
+            ("faculty", 2) => {
+                pred(&["salary"], op, Value::Float(rng.gen_range(55_000, 70_000) as f64))
+            }
+            ("faculty", 3) => pred(&["ename"], RelOp::Eq, pick(rng, &["Hsiao", "Lum", "Baker"])),
+            ("faculty", _) => pred(&["credits", "teaching"], op, Value::Int(rng.gen_range(2, 6))),
+            (_, 0 | 1) => pred(&["credits"], op, Value::Int(rng.gen_range(2, 6))),
+            (_, 2 | 3) => pred(&["title"], RelOp::Eq, pick(rng, &["Linear Algebra", "Compilers"])),
+            (_, _) => pred(&["rank", "taught_by"], RelOp::Eq, Value::str("full")),
+        }
+    }
+
+    /// Seeded designators with 0–3 predicates agree with the scan-first
+    /// oracle, key for key, on `kernel`.
+    fn resolve_matches_scan_first<K: Kernel>(kernel: K, seed: u64) {
+        let (mut loader, mut kernel) = grown_university(kernel);
+        let mut interp = Interpreter::new(&mut loader, &mut kernel);
+        let mut rng = abdl::prng::Prng::seed_from_u64(seed);
+        let entities = ["student", "student", "student", "person", "faculty", "course"];
+        let (mut hits, mut misses) = (0, 0);
+        for case in 0..60 {
+            let entity = entities[rng.index(entities.len())];
+            let predicates =
+                (0..rng.index(4)).map(|_| random_predicate(&mut rng, entity)).collect();
+            let d = Designator { entity: entity.to_owned(), predicates };
+            let got = interp.resolve(&d).unwrap();
+            let want = resolve_by_scan(&mut interp, &d).unwrap();
+            assert_eq!(got, want, "case {case}: {d:?}");
+            if got.is_empty() {
+                misses += 1;
+            } else {
+                hits += 1;
+            }
+        }
+        assert!(hits >= 10 && misses >= 5, "seed {seed}: {hits} hits, {misses} misses");
+        // The unselective supertype predicate spans several chunks and
+        // drops the plain persons named like students.
+        let all = Designator {
+            entity: "student".into(),
+            predicates: vec![FnPredicate {
+                path: vec!["name".into()],
+                op: RelOp::Ne,
+                value: Value::str(""),
+            }],
+        };
+        assert_eq!(interp.resolve(&all).unwrap().len(), 4 + EXTRA_STUDENTS);
+        const { assert!(4 + EXTRA_STUDENTS > 2 * MEMBERSHIP_CHUNK) };
+        // Malformed designators still fail, whichever resolution runs.
+        for bad in [
+            "FOR EACH student SUCH THAT ghost(student) = 1 PRINT name(student);",
+            "FOR EACH faculty SUCH THAT teaching(faculty) = 1 PRINT ename(faculty);",
+            "FOR EACH ghost SUCH THAT name(ghost) = 'x' PRINT name(ghost);",
+        ] {
+            let [DaplexStatement::ForEach { designator, .. }] = &parse_statements(bad).unwrap()[..]
+            else {
+                panic!("{bad}")
+            };
+            assert!(interp.resolve(designator).is_err(), "{bad}");
+            assert!(resolve_by_scan(&mut interp, designator).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn resolve_matches_scan_first_on_a_store() {
+        for seed in [1, 2, 3] {
+            resolve_matches_scan_first(abdl::Store::new(), seed);
+        }
+    }
+
+    #[test]
+    fn resolve_matches_scan_first_on_a_replicated_controller() {
+        let cluster = || mbds::Controller::simulated(4, 2, mbds::CostModel::default());
+        for seed in [1, 2] {
+            resolve_matches_scan_first(cluster(), seed);
+        }
+    }
+
+    #[test]
+    fn supertype_predicate_checks_membership_instead_of_scanning() {
+        let (mut loader, mut store, keys) = university::sample_database().unwrap();
+        let mut interp = Interpreter::new(&mut loader, &mut store);
+        // A plain person who shares a student's name.
+        let stmts = parse_statements(
+            "CREATE person (name := 'Coker', age := 40);\
+             FOR EACH student SUCH THAT name(student) = 'Coker' PRINT major(student);",
+        )
+        .unwrap();
+        interp.execute(&stmts[0]).unwrap();
+        interp.take_requests();
+        let Outcome::Rows(rows) = interp.execute(&stmts[1]).unwrap() else { panic!("rows") };
+        assert_eq!(rows.iter().map(|r| r.key).collect::<Vec<_>>(), vec![keys.students[0]]);
+        let issued: Vec<String> = interp.take_requests().iter().map(ToString::to_string).collect();
+        assert_eq!(issued.len(), 3, "seed, membership, one read: {issued:?}");
+        let seed = "RETRIEVE ((FILE = 'person') and (name = 'Coker')) (person)";
+        assert_eq!(issued[0], seed, "{issued:?}");
+        let membership = "RETRIEVE (((FILE = 'student') and (student = ";
+        assert!(issued[1].starts_with(membership), "{issued:?}");
+        let scan = "RETRIEVE ((FILE = 'student')) ";
+        assert!(issued.iter().all(|r| !r.starts_with(scan)), "{issued:?}");
     }
 
     #[test]

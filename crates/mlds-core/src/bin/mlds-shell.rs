@@ -604,6 +604,11 @@ impl Shell {
             Session::Daplex(s) => match with_mlds!(kern, m, m.execute_daplex(s, line)) {
                 Ok(outputs) => {
                     for out in outputs {
+                        if echo_abdl {
+                            for req in &out.abdl {
+                                println!("  ABDL: {req}");
+                            }
+                        }
                         if out.display.is_empty() {
                             println!("({} affected)", out.affected);
                         } else {

@@ -64,10 +64,9 @@ impl Namespace {
     }
 
     fn map_record_out(&self, rec: &mut Record) {
-        if let Some(file) = rec.file().map(str::to_owned) {
-            if let Some(stripped) = file.strip_prefix(&self.prefix) {
-                rec.set(FILE_ATTR, Value::str(stripped));
-            }
+        if let Some(stripped) = rec.file().and_then(|f| f.strip_prefix(&self.prefix)) {
+            let stripped = Value::str(stripped);
+            rec.set(FILE_ATTR, stripped);
         }
     }
 
@@ -88,24 +87,13 @@ impl Namespace {
     }
 
     /// `resp` with this database's prefix stripped from returned
-    /// records.
+    /// records, in place: the records are not copied, and every other
+    /// field (availability, message count) passes through untouched.
     pub fn map_response_out(&self, mut resp: Response) -> Response {
-        let records: Vec<(DbKey, Record)> = resp
-            .records()
-            .iter()
-            .map(|(k, r)| {
-                let mut r = r.clone();
-                self.map_record_out(&mut r);
-                (*k, r)
-            })
-            .collect();
-        let mut out = Response::with_records(records, resp.stats);
-        out.groups = resp.groups.take();
-        out.affected = resp.affected;
-        // Namespacing must not hide the kernel's availability view.
-        out.degraded = resp.degraded;
-        out.unavailable_backends = std::mem::take(&mut resp.unavailable_backends);
-        out
+        for (_, rec) in resp.records_mut() {
+            self.map_record_out(rec);
+        }
+        resp
     }
 }
 
@@ -242,5 +230,31 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert!(recs.iter().all(|(_, r)| r.file() == Some("t")), "prefix stripped on the way out");
         assert!(store.file_names().any(|f| f == "db.t"));
+    }
+
+    #[test]
+    fn response_mapping_strips_in_place_and_keeps_every_field() {
+        let ns = Namespace::new("db");
+        let mut resp = Response::with_records(
+            vec![
+                (
+                    DbKey(7),
+                    Record::from_pairs([("FILE", Value::str("db.t"))]).with("t", Value::Int(1)),
+                ),
+                (DbKey(8), Record::from_pairs([("t", Value::Int(2))])),
+            ],
+            Default::default(),
+        );
+        resp.degraded = true;
+        resp.unavailable_backends = vec![2];
+        resp.messages_sent = 3;
+        let out = ns.map_response_out(resp);
+        assert_eq!(out.records()[0].1.file(), Some("t"));
+        assert_eq!(out.records()[0].1.get("t"), Some(&Value::Int(1)));
+        let projected = Record::from_pairs([("t", Value::Int(2))]);
+        assert_eq!(out.records()[1].1, projected, "a record without FILE passes unchanged");
+        assert!(out.degraded);
+        assert_eq!(out.unavailable_backends, vec![2]);
+        assert_eq!(out.messages_sent, 3);
     }
 }

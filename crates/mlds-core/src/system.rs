@@ -528,10 +528,10 @@ impl<K: Kernel> Mlds<K> {
         let statements = daplex::dml::parse_statements(script)?;
         let mut outputs = Vec::with_capacity(statements.len());
         for stmt in &statements {
-            let outcome = {
+            let (outcome, requests) = {
                 let mut ns = NamespacedKernel::new(&mut self.kernel, &session.database);
                 let mut interp = daplex::dml::Interpreter::new(&mut session.loader, &mut ns);
-                interp.execute(stmt)?
+                (interp.execute(stmt)?, interp.take_requests())
             };
             let display = match &outcome {
                 daplex::dml::Outcome::Rows(rows) => {
@@ -572,7 +572,7 @@ impl<K: Kernel> Mlds<K> {
             outputs.push(StatementOutput {
                 statement: format!("{stmt:?}"),
                 verb: daplex_verb(stmt).to_owned(),
-                abdl: Vec::new(),
+                abdl: requests.iter().map(ToString::to_string).collect(),
                 display,
                 affected,
                 degraded: self.kernel.health().degraded,

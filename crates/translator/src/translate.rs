@@ -124,18 +124,19 @@ impl Translator {
     /// In `AB(functional)` an entity with scalar multi-valued functions
     /// is several kernel records under one entity key; navigation and
     /// currency address the entity, not the copies.
+    /// The sort is stable, so each key keeps its first-returned record
+    /// as representative; only the representatives are copied.
     fn rows(&self, record_type: &str, resp: &Response) -> Vec<(i64, Record)> {
-        let mut rows: Vec<(i64, Record)> = Vec::new();
-        for (_, rec) in resp.records() {
-            let Some(key) = rec.get(key_attr(record_type)).and_then(Value::as_int) else {
-                continue;
-            };
-            if rows.iter().all(|(k, _)| *k != key) {
-                rows.push((key, rec.clone()));
-            }
-        }
+        let mut rows: Vec<(i64, &Record)> = resp
+            .records()
+            .iter()
+            .filter_map(|(_, rec)| {
+                Some((rec.get(key_attr(record_type)).and_then(Value::as_int)?, rec))
+            })
+            .collect();
         rows.sort_by_key(|(k, _)| *k);
-        rows
+        rows.dedup_by_key(|(k, _)| *k);
+        rows.into_iter().map(|(k, rec)| (k, rec.clone())).collect()
     }
 
     /// The current of the run-unit, checked to be of `record_type`.
@@ -880,5 +881,68 @@ impl Translator {
             self.run(kernel, out, Request::Delete { query: self.entity_query(record, key) })?;
         out.affected += resp.affected;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use abdl::engine::ExecStats;
+    use abdl::{DbKey, Store};
+    use daplex::university;
+
+    fn faculty_rows(resp: &Response) -> Vec<(i64, Record)> {
+        let net = transform::transform(&university::schema()).unwrap();
+        Translator::for_functional(net).rows("faculty", resp)
+    }
+
+    #[test]
+    fn repeated_records_give_one_row_per_entity_in_key_order() {
+        // Hsiao's faculty part is one kernel record per degree.
+        let (_, mut store, keys): (_, Store, _) = university::sample_database().unwrap();
+        let resp = store
+            .execute(&Request::retrieve_all(Query::conjunction(vec![Predicate::eq(
+                FILE_ATTR,
+                Value::str("faculty"),
+            )])))
+            .unwrap();
+        assert_eq!(resp.records().len(), 4, "Hsiao's two degrees are two records");
+        let rows = faculty_rows(&resp);
+        let row_keys: Vec<i64> = rows.iter().map(|(k, _)| *k).collect();
+        let mut want = keys.faculty.clone();
+        want.sort_unstable();
+        assert_eq!(row_keys, want);
+        let hsiao = &rows.iter().find(|(k, _)| *k == keys.faculty[0]).unwrap().1;
+        assert_eq!(hsiao.get("degrees"), Some(&Value::str("BS")), "first-returned record");
+    }
+
+    #[test]
+    fn the_first_returned_record_represents_its_key() {
+        let rec = |key: i64, degree: &str| {
+            Record::from_pairs([("FILE", Value::str("faculty"))])
+                .with("faculty", Value::Int(key))
+                .with("degrees", Value::str(degree))
+        };
+        // Keys arrive out of order, each repeated, one record without
+        // the key attribute.
+        let resp = Response::with_records(
+            vec![
+                (DbKey(1), rec(9, "PhD")),
+                (DbKey(2), rec(3, "MS")),
+                (DbKey(3), rec(9, "BS")),
+                (DbKey(4), Record::from_pairs([("FILE", Value::str("faculty"))])),
+                (DbKey(5), rec(3, "BA")),
+                (DbKey(6), rec(5, "MA")),
+            ],
+            ExecStats::default(),
+        );
+        let rows: Vec<(i64, Value)> = faculty_rows(&resp)
+            .into_iter()
+            .map(|(k, r)| (k, r.get_or_null("degrees").clone()))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![(3, Value::str("MS")), (5, Value::str("MA")), (9, Value::str("PhD"))]
+        );
     }
 }

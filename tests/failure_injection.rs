@@ -170,21 +170,31 @@ fn malformed_daplex_dml_never_panics() {
     let mut m = Mlds::single_backend();
     m.create_database(daplex::university::UNIVERSITY_DDL).unwrap();
     let mut s = m.connect_daplex("u", "university").unwrap();
-    for src in [
-        "FOR EACH;",
-        "FOR EACH student PRINT;",
-        "FOR EACH ghost PRINT name(ghost);",
-        "FOR EACH student SUCH THAT ghost(student) = 1 PRINT name(student);",
-        "CREATE student name := 'x';",
-        "CREATE student (ghost := 1);",
-        "CREATE student (age := 5);", // out of range
-        "DESTROY;",
-        "ASSIGN gpa(student) := ;",
-        "INCLUDE course IN teaching(faculty);", // missing SUCH THAT is fine syntactically…
+    // Each malformed statement keeps its diagnosis (None: it runs).
+    for (src, error) in [
+        ("FOR EACH;", Some("expected entity type")),
+        ("FOR EACH student PRINT;", Some("expected function name")),
+        ("FOR EACH ghost PRINT name(ghost);", Some("unknown entity type `ghost`")),
+        (
+            "FOR EACH student SUCH THAT ghost(student) = 1 PRINT name(student);",
+            Some("entity `student` has no function `ghost`"),
+        ),
+        ("CREATE student name := 'x';", Some("expected `(` opening assignments")),
+        ("CREATE student (ghost := 1);", Some("entity `student` has no function `ghost`")),
+        ("CREATE student (age := 5);", Some("outside range 16..99")), // out of range
+        ("DESTROY;", Some("expected entity type")),
+        ("ASSIGN gpa(student) := ;", Some("expected literal")),
+        // Missing SUCH THAT is fine syntactically, and both designators
+        // are empty.
+        ("INCLUDE course IN teaching(faculty);", None),
     ] {
-        // …so accept either a parse error or an execution error; the
-        // requirement is no panic and no partial corruption.
-        let _ = m.execute_daplex(&mut s, src);
+        // The requirement is no panic, no partial corruption, and the
+        // same diagnosis.
+        match (m.execute_daplex(&mut s, src), error) {
+            (Err(e), Some(want)) => assert!(e.to_string().contains(want), "{src}: {e}"),
+            (Ok(_), None) => {}
+            (got, want) => panic!("{src}: got {got:?}, want error {want:?}"),
+        }
     }
     // The database is still healthy.
     m.populate_university("university").unwrap();
