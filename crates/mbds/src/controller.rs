@@ -33,7 +33,7 @@
 use crate::fault::FaultPlan;
 use crate::health::BackendState;
 use crate::link::{Cluster, Link, Stamp, Window};
-use crate::net::{NetFaultPlan, WireOp, REPLY_CACHE};
+use crate::net::{WireOp, REPLY_CACHE};
 use crate::rebalance;
 use crate::sim::{CostModel, SimClock};
 use crate::state::{check_config, file_scan, ClusterState};
@@ -476,10 +476,13 @@ impl Controller {
         self.state.replication
     }
 
-    /// Install a fault plan; it applies to messages the backends have
-    /// not yet processed. Message counters are per-backend and count
-    /// from the backend's first message ever, so install the plan
-    /// before the traffic it should disturb.
+    /// Install a fault plan in place of the last one, before the
+    /// traffic it should disturb. Backend events count a backend's
+    /// messages from its start, and a restart counts from 0 again;
+    /// link events count a link's frames per direction from the link's
+    /// first, and a restart gets a new link. Only the socket transport
+    /// moves frames: the channel bus and simulated links ignore link
+    /// events. Installing a plan moves no frame counter.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         *self.cluster.faults.lock().expect("fault plan lock") = plan.clone();
         for i in 0..self.backends.len() {
@@ -518,14 +521,6 @@ impl Controller {
     /// True when the backends are separate OS processes over TCP.
     pub fn is_tcp(&self) -> bool {
         self.cluster.is_remote()
-    }
-
-    /// Install a network fault plan (socket transport only; a no-op on
-    /// the channel bus, which has no network to disturb). Applies to
-    /// frames not yet moved; per-link frame counters start at the
-    /// link's first frame ever.
-    pub fn set_net_fault_plan(&mut self, plan: NetFaultPlan) {
-        self.cluster.set_net_fault_plan(plan);
     }
 
     /// Sever the link to backend `i` — a real partition: frames in
@@ -1799,7 +1794,7 @@ impl Drop for Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultKind;
+    use crate::fault::{FaultKind, LinkDir, LinkFault};
     use crate::state::KeySet;
     use abdl::parse::parse_request;
     use abdl::Store;
@@ -1854,6 +1849,42 @@ mod tests {
         };
         let simulated = run(Controller::simulated(8, 2, CostModel::default()));
         assert_eq!(simulated, run(Controller::with_replication(8, 2)));
+    }
+
+    /// Link events need frames to fire on. The channel bus and the
+    /// simulated link move none, so a plan holding only link events —
+    /// a sever among them — leaves a run's digest and counters equal
+    /// to a run with no plan at all.
+    #[test]
+    fn link_events_leave_frameless_links_untouched() {
+        let run = |cluster: Cluster, plan: Option<FaultPlan>| {
+            let mut c = Controller::spawned(4, 2, cluster).unwrap();
+            if let Some(plan) = plan {
+                c.set_fault_plan(plan);
+            }
+            c.create_file("f");
+            for v in 0..40 {
+                let record = Record::from_pairs([("FILE", Value::str("f"))]);
+                c.execute(&Request::Insert { record: record.with("v", Value::Int(v)) }).unwrap();
+                if v % 8 == 7 {
+                    let update = format!("UPDATE ((FILE = f) and (v < {v})) (m = {v})");
+                    c.execute(&parse_request(&update).unwrap()).unwrap();
+                    c.execute(&parse_request("RETRIEVE (FILE = f) (*)").unwrap()).unwrap();
+                }
+            }
+            c.kill_backend(1);
+            c.restart_backend(1).unwrap();
+            (c.state_digest().unwrap(), c.exec_totals())
+        };
+        let links = FaultPlan::seeded_links(0xBAD5EED, 4, 60)
+            .with_link(0, LinkDir::Recv, 3, LinkFault::Drop)
+            .with_link(1, LinkDir::Send, 2, LinkFault::Sever)
+            .with_link(2, LinkDir::Send, 4, LinkFault::DelayMs(500));
+        let fabrics: [fn() -> Cluster; 2] =
+            [Cluster::threads, || Cluster::simulated(CostModel::default())];
+        for fabric in fabrics {
+            assert_eq!(run(fabric(), Some(links.clone())), run(fabric(), None));
+        }
     }
 
     #[test]

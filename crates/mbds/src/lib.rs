@@ -52,7 +52,9 @@
 //! * a seeded, deterministic [`FaultPlan`] injects reply drops, delays,
 //!   crashes and panics at exact per-backend message counts —
 //!   bit-identical across runs over threads and over simulated
-//!   backends (experiment E13);
+//!   backends (experiment E13) — and, in the same plan, link faults
+//!   (drop, delay, duplicate, reorder or sever a frame) at exact
+//!   per-link, per-direction frame counts on the socket transport;
 //! * controller state itself is **durable and recoverable** (the [`wal`]
 //!   module): every directory mutation is written to a checksummed
 //!   write-ahead log with periodic compacted snapshots, and
@@ -103,13 +105,10 @@ pub mod wal;
 
 pub use controller::{Controller, DEFAULT_REPLICATION};
 pub use directory::{CompressionStats, Directory};
-pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkDir, LinkEvent, LinkFault};
 pub use health::{BackendState, HealthBoard};
 pub use model::{CheckReport, Counterexample, ModelConfig, Mutation, Violation};
-pub use net::{
-    Frame, FrameReader, LinkDir, NetFaultEvent, NetFaultKind, NetFaultPlan, RemoteLog, ShipServer,
-    TcpLink,
-};
+pub use net::{Frame, FrameReader, RemoteLog, ShipServer, TcpLink};
 pub use placement::Partitioner;
 pub use rebalance::{MoveJob, Rebalancer};
 pub use sched::Footprint;

@@ -30,7 +30,7 @@
 //! names its transport.
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::net::{self, kind, Frame, NetFaultPlan, TcpLink, WireOp, WireReply};
+use crate::net::{self, kind, Frame, TcpLink, WireOp, WireReply};
 use crate::sim::{self, CostModel, SimClock, SimLink};
 use abdl::engine::ExecStats;
 use abdl::{DbKey, Error, ExecTotals, Record, Response, Result, Store};
@@ -369,9 +369,16 @@ struct SocketLink {
 }
 
 impl SocketLink {
-    /// An unconnected link to backend process `i` at `addr`.
-    fn new(procs: &Arc<Processes>, i: usize, addr: SocketAddr, client_id: u64) -> SocketLink {
-        let tcp = TcpLink::new(i, addr, client_id, Arc::clone(&procs.plan));
+    /// An unconnected link to backend process `i` at `addr`, judging
+    /// its frames by `cluster`'s fault plan.
+    fn new(
+        cluster: &Cluster,
+        procs: &Arc<Processes>,
+        i: usize,
+        addr: SocketAddr,
+        client_id: u64,
+    ) -> SocketLink {
+        let tcp = TcpLink::new(i, addr, client_id, Arc::clone(&cluster.faults));
         let procs = Arc::clone(procs);
         SocketLink { index: i, tcp, window: RetransmitWindow::default(), procs }
     }
@@ -492,24 +499,15 @@ impl Link for SocketLink {
         self.procs.reap(self.index);
     }
 
-    /// The plan is shipped and its ack awaited for one window.
+    /// The plan is shipped and its ack awaited for one window, on the
+    /// control path the handshake takes: no frame counter moves, so
+    /// installing a plan never shifts where its own link events fire.
     fn push_faults(&mut self, at: Stamp, seq: u64, plan: &FaultPlan) {
-        let frame = WireOp::SetFaults(plan.clone()).into_frame(seq, at.epoch);
-        if !queue_redialing(&mut self.tcp, &frame, at) || self.tcp.flush().is_err() {
+        if !self.tcp.is_connected() && self.tcp.connect(at.epoch, at.window).is_err() {
             return;
         }
-        let deadline = Instant::now() + at.window;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return;
-            }
-            match self.tcp.recv(left) {
-                Ok(Some(f)) if f.seq == seq && f.kind == kind::REPLY_OK => return,
-                Ok(Some(_)) => continue,
-                Ok(None) | Err(_) => return,
-            }
-        }
+        let frame = WireOp::SetFaults(plan.clone()).into_frame(seq, at.epoch);
+        let _ = self.tcp.exchange(&frame, kind::REPLY_OK, at.window);
     }
 
     fn sever(&mut self) {
@@ -560,8 +558,10 @@ fn decode_reply(frame: &Frame) -> Result<Response> {
 pub(crate) struct Cluster {
     /// The cluster fence: messages stamped below it are refused.
     pub(crate) fence: Arc<AtomicU64>,
-    /// The backend fault plan; worker threads and simulated backends
-    /// read it on every message, backend processes are shipped a copy.
+    /// The fault plan. Worker threads and simulated backends read its
+    /// backend events on every message, and backend processes are
+    /// shipped a copy; every socket link judges its frames by its link
+    /// events.
     pub(crate) faults: Arc<Mutex<FaultPlan>>,
     /// How long a controller waits for one reply window.
     pub(crate) reply_timeout: Duration,
@@ -582,14 +582,12 @@ enum Fabric {
 }
 
 /// The table of a socket-transport cluster: where the backend
-/// processes listen (kept current across restarts), their OS child
+/// processes listen (kept current across restarts) and their OS child
 /// handles (holding them keeps the backends' stdin pipes open — each
-/// backend's watchdog exits when every holder is gone), and the
-/// network fault plan every link consults.
+/// backend's watchdog exits when every holder is gone).
 struct Processes {
     addrs: Mutex<Vec<SocketAddr>>,
     children: Mutex<Vec<Option<Child>>>,
-    plan: Arc<Mutex<NetFaultPlan>>,
 }
 
 impl Processes {
@@ -630,7 +628,6 @@ impl Cluster {
         Cluster::new(Fabric::Processes(Arc::new(Processes {
             addrs: Mutex::default(),
             children: Mutex::default(),
-            plan: Arc::default(),
         })))
     }
 
@@ -672,13 +669,6 @@ impl Cluster {
         }
     }
 
-    /// Install a network fault plan (a no-op without a network).
-    pub(crate) fn set_net_fault_plan(&self, plan: NetFaultPlan) {
-        if let Fabric::Processes(procs) = &*self.fabric {
-            *procs.plan.lock().expect("net plan lock") = plan;
-        }
-    }
-
     /// Start a fresh backend (empty store, message counter at 0) in
     /// slot `i` — a new slot when `i` is the width, a replacement for a
     /// stopped backend otherwise — and link to it as `client_id` at
@@ -692,7 +682,7 @@ impl Cluster {
             }
             Fabric::Processes(procs) => {
                 let bp = net::spawn_backend_process(i)?;
-                let mut link = SocketLink::new(procs, i, bp.addr, client_id);
+                let mut link = SocketLink::new(self, procs, i, bp.addr, client_id);
                 link.tcp.connect(epoch, HANDSHAKE).map_err(|e| {
                     Error::Internal(format!(
                         "backend {i} at {} refused the handshake: {e:?}",
@@ -727,7 +717,7 @@ impl Cluster {
             }
             Fabric::Processes(procs) => {
                 let addr = procs.addrs.lock().expect("net addrs lock")[i];
-                let mut link = SocketLink::new(procs, i, addr, client_id);
+                let mut link = SocketLink::new(self, procs, i, addr, client_id);
                 let _ = link.tcp.connect(epoch, self.reply_timeout);
                 Box::new(link)
             }

@@ -19,7 +19,7 @@
 //! | [`Action::Crash`] | the controller dies; its in-memory buffers (admitted requests, staged writes, the open batch) are lost |
 //! | [`Action::Recover`] | `Controller::recover` replays snapshot+log and **fences out every earlier incarnation** by bumping the epoch past everything the store has seen (`Wal::refence`) |
 //! | [`Action::ShipSend`] / [`Action::ShipDeliver`] | the standby's `LogCursor` polls the store and applies one shipped record to the mirror (`Standby::poll`); over TCP the poll is a `RemoteLog` pull |
-//! | [`Action::ShipDrop`] / [`Action::ShipDup`] | a lost or duplicated pull reply on the ship link (`NetFaultPlan` drop/duplicate); a delayed reply is an in-flight message that other actions simply overtake |
+//! | [`Action::ShipDrop`] / [`Action::ShipDup`] | a lost or duplicated pull reply on the ship link (a `FaultPlan` link event: drop/duplicate); a delayed reply is an in-flight message that other actions simply overtake |
 //! | [`Action::ShipResync`] | the cursor notices a snapshot-install generation bump and rebuilds the mirror from the snapshot (`CursorUpdate::Snapshot`) |
 //! | [`Action::PromoteFence`] | `Standby::promote`, first half: the final poll consumes every whole durable record, then the store's fence epoch is raised past everything the log has seen |
 //! | [`Action::PromoteInstall`] | `Standby::promote`, second half: every backend's fence is raised (shared `AtomicU64` in-process, the `Hello` epoch over TCP) and the warm mirror becomes the serving controller |

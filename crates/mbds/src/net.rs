@@ -9,10 +9,12 @@
 //! threads inside the controller's process, so the fault harness could
 //! only simulate crashes. Here the bus becomes real: every message is a
 //! length-prefixed, CRC-checksummed, epoch-stamped frame over TCP, and
-//! every socket is wrapped in a [`TcpLink`] whose deterministic, seeded
-//! [`NetFaultPlan`] can drop, delay, duplicate, reorder or sever
-//! traffic per-link and per-direction — partitions and slow links as
-//! first-class injectable faults alongside the crash injector.
+//! every socket is wrapped in a [`TcpLink`] whose frames pass the link
+//! events of the cluster's one [`FaultPlan`]: a seeded, deterministic
+//! schedule can drop, delay, duplicate, reorder or sever traffic
+//! per-link and per-direction — partitions and slow links as
+//! first-class injectable faults beside the backend crash events of
+//! the same plan.
 //!
 //! Design rules, mirroring the WAL's discipline:
 //!
@@ -35,13 +37,12 @@
 //!   promoted standby's first `Hello` fences an isolated old primary
 //!   out of remote backends.
 
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::{FaultPlan, LinkJudge};
 use crate::link::{Backend, Delivery, Verdict};
 use crate::wal::{crc32, LogStore};
 use abdl::engine::{ExecStats, GroupRow, Response};
 use abdl::parse::parse_request;
 use abdl::{DbKey, Error, Record, Request, Result, Value};
-use abdl::prng::Prng;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -74,7 +75,8 @@ pub mod kind {
     pub const PING: u8 = 0x06;
     /// Orderly shutdown of the backend process.
     pub const SHUTDOWN: u8 = 0x07;
-    /// Install a classic backend [`FaultPlan`](crate::FaultPlan).
+    /// Install a [`FaultPlan`](crate::FaultPlan); the backend acts on
+    /// its backend events.
     pub const SET_FAULTS: u8 = 0x08;
     /// Successful reply carrying an encoded [`Response`](abdl::Response).
     pub const REPLY_OK: u8 = 0x09;
@@ -274,7 +276,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 /// Cursor over a frame body; every take is bounds-checked so a
 /// malformed body decodes to an error, never a panic.
-struct Take<'a> {
+pub(crate) struct Take<'a> {
     buf: &'a [u8],
     at: usize,
 }
@@ -284,7 +286,7 @@ impl<'a> Take<'a> {
         Take { buf, at: 0 }
     }
 
-    fn bad(what: &str) -> Error {
+    pub(crate) fn bad(what: &str) -> Error {
         Error::Internal(format!("wire: malformed frame body ({what})"))
     }
 
@@ -294,7 +296,7 @@ impl<'a> Take<'a> {
         Ok(b)
     }
 
-    fn u64(&mut self) -> Result<u64> {
+    pub(crate) fn u64(&mut self) -> Result<u64> {
         let end = self.at + 8;
         let bytes = self.buf.get(self.at..end).ok_or_else(|| Self::bad("u64"))?;
         self.at = end;
@@ -539,48 +541,6 @@ pub fn decode_error(body: &[u8]) -> Result<Error> {
     Ok(err)
 }
 
-/// Text codec for a classic [`FaultPlan`], so the controller can ship
-/// an installed plan to its backend processes.
-pub fn fault_plan_to_text(plan: &FaultPlan) -> String {
-    let mut out = String::new();
-    for e in plan.events() {
-        let kind = match e.kind {
-            FaultKind::DropReply => "drop".to_string(),
-            FaultKind::DelayReplyMs(ms) => format!("delay:{ms}"),
-            FaultKind::Crash => "crash".to_string(),
-            FaultKind::Panic => "panic".to_string(),
-        };
-        out.push_str(&format!("{} {} {}\n", e.backend, e.at_request, kind));
-    }
-    out
-}
-
-/// Parse the [`fault_plan_to_text`] representation back into a plan.
-pub fn fault_plan_from_text(text: &str) -> Result<FaultPlan> {
-    let mut plan = FaultPlan::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let bad = || Error::Internal(format!("wire: bad fault plan line `{line}`"));
-        let backend: usize = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-        let at: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-        let kind = match parts.next().ok_or_else(bad)? {
-            "drop" => FaultKind::DropReply,
-            "crash" => FaultKind::Crash,
-            "panic" => FaultKind::Panic,
-            d if d.starts_with("delay:") => {
-                FaultKind::DelayReplyMs(d[6..].parse().map_err(|_| bad())?)
-            }
-            _ => return Err(bad()),
-        };
-        plan = plan.with(backend, at, kind);
-    }
-    Ok(plan)
-}
-
 /// Operations a controller (or standby) sends to a backend process.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireOp {
@@ -608,7 +568,8 @@ pub enum WireOp {
     Ping,
     /// Orderly process shutdown.
     Shutdown,
-    /// Install a classic backend fault plan.
+    /// Install a fault plan. The backend acts on its backend events;
+    /// link events are judged on the client's side of each link.
     SetFaults(FaultPlan),
     /// WAL-shipping pull from the generation/line position held.
     PullLog {
@@ -653,7 +614,7 @@ impl WireOp {
             WireOp::Ping => kind::PING,
             WireOp::Shutdown => kind::SHUTDOWN,
             WireOp::SetFaults(plan) => {
-                put_str(b, &fault_plan_to_text(&plan));
+                plan.encode(b);
                 kind::SET_FAULTS
             }
             WireOp::PullLog { generation, have } => {
@@ -681,7 +642,7 @@ impl WireOp {
             kind::FETCH_KEYS => WireOp::FetchKeys(take_keys(&mut t, "fetch-keys")?),
             kind::PING => WireOp::Ping,
             kind::SHUTDOWN => WireOp::Shutdown,
-            kind::SET_FAULTS => WireOp::SetFaults(fault_plan_from_text(&t.str()?)?),
+            kind::SET_FAULTS => WireOp::SetFaults(FaultPlan::decode(&mut t)?),
             kind::PULL_LOG => WireOp::PullLog { generation: t.u64()?, have: t.u64()? },
             k => return Err(Take::bad(&format!("request kind {k:#x}"))),
         };
@@ -799,119 +760,6 @@ impl WireReply {
 }
 
 // ---------------------------------------------------------------------
-// Network fault plan
-// ---------------------------------------------------------------------
-
-/// Which direction of a link a network fault applies to, from the
-/// client's (controller's) point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkDir {
-    /// Frames the controller sends toward the backend.
-    Send,
-    /// Frames the backend sends toward the controller.
-    Recv,
-}
-
-/// What a network fault does to the frame it fires on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetFaultKind {
-    /// The frame vanishes (the retry path must recover it).
-    Drop,
-    /// The frame is delivered only after this many milliseconds.
-    DelayMs(u64),
-    /// The frame is delivered twice (idempotency must absorb it).
-    Duplicate,
-    /// The frame is held and delivered *after* the next frame on the
-    /// same link and direction.
-    Reorder,
-    /// The link is severed: every later frame in both directions fails
-    /// until [`TcpLink::heal`] — a real partition.
-    Sever,
-}
-
-/// One scheduled network fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetFaultEvent {
-    /// Link (backend index) the fault fires on.
-    pub link: usize,
-    /// Direction it applies to.
-    pub dir: LinkDir,
-    /// Fires on the `at_frame`-th frame in that direction (1-based).
-    pub at_frame: u64,
-    /// What happens.
-    pub kind: NetFaultKind,
-}
-
-/// A deterministic schedule of per-link, per-direction network faults.
-/// The socket transport consults it on every frame it moves; equal
-/// plans produce bit-identical fault sequences, which is what lets the
-/// lossy-link convergence test compare digests against a clean run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetFaultPlan {
-    events: Vec<NetFaultEvent>,
-}
-
-impl NetFaultPlan {
-    /// An empty plan (a perfect network).
-    pub fn new() -> Self {
-        NetFaultPlan::default()
-    }
-
-    /// Add an event: link `link`, direction `dir`, firing on that
-    /// direction's `at_frame`-th frame.
-    pub fn with(mut self, link: usize, dir: LinkDir, at_frame: u64, kind: NetFaultKind) -> Self {
-        self.events.push(NetFaultEvent { link, dir, at_frame, kind });
-        self
-    }
-
-    /// A seeded lossy-but-recoverable plan over `links` links: each
-    /// direction of each link independently has a ~1-in-2 chance of one
-    /// drop/delay/duplicate/reorder somewhere in its first `horizon`
-    /// frames. Severs are deliberately excluded — a seeded plan must
-    /// stay inside the retry budget so the workload converges; real
-    /// partitions are scheduled explicitly with [`with`](Self::with).
-    pub fn seeded(seed: u64, links: usize, horizon: u64) -> Self {
-        let mut rng = Prng::seed_from_u64(seed);
-        let mut plan = NetFaultPlan::new();
-        for link in 0..links {
-            for dir in [LinkDir::Send, LinkDir::Recv] {
-                if !rng.chance(1, 2) {
-                    continue;
-                }
-                let at_frame = 2 + rng.next_u64() % horizon.max(1);
-                let kind = match rng.index(4) {
-                    0 => NetFaultKind::Drop,
-                    1 => NetFaultKind::DelayMs(1 + rng.next_u64() % 10),
-                    2 => NetFaultKind::Duplicate,
-                    _ => NetFaultKind::Reorder,
-                };
-                plan.events.push(NetFaultEvent { link, dir, at_frame, kind });
-            }
-        }
-        plan
-    }
-
-    /// The scheduled events.
-    pub fn events(&self) -> &[NetFaultEvent] {
-        &self.events
-    }
-
-    /// True when no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The fault (if any) firing on `link`'s `frame_no`-th frame in
-    /// direction `dir`.
-    pub fn action(&self, link: usize, dir: LinkDir, frame_no: u64) -> Option<NetFaultKind> {
-        self.events
-            .iter()
-            .find(|e| e.link == link && e.dir == dir && e.at_frame == frame_no)
-            .map(|e| e.kind)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Client link
 // ---------------------------------------------------------------------
 
@@ -925,17 +773,17 @@ pub enum LinkError {
 }
 
 /// A fault-injectable framed TCP connection from the controller to one
-/// backend. All injected faults are applied on the client side — the
-/// send direction on the write path, the receive direction on the read
-/// path — which keeps a seeded plan deterministic: the controller is
-/// single-threaded per request round, so frame counters advance in
-/// program order.
+/// backend. Every frame it moves passes the link's `LinkJudge` on the
+/// client side — the send direction on the write path, the receive
+/// direction on the read path — which keeps a seeded plan
+/// deterministic: the controller is single-threaded per request round,
+/// so frame counters advance in program order. Control exchanges (the
+/// `Hello` handshake, shipping a fault plan) bypass the judge, so they
+/// move no counter.
 #[derive(Debug)]
 pub struct TcpLink {
-    index: usize,
     addr: SocketAddr,
     client_id: u64,
-    plan: Arc<Mutex<NetFaultPlan>>,
     stream: Option<TcpStream>,
     reader: FrameReader,
     /// Encoded frames queued by [`queue`](Self::queue) and not yet
@@ -943,43 +791,28 @@ pub struct TcpLink {
     /// [`flush`](Self::flush) (or receive), so a flight's frames reach
     /// the backend as one burst instead of one segment each.
     out: Vec<u8>,
-    frames_sent: u64,
-    frames_recv: u64,
-    /// Frame held back by a send-direction Reorder, queued after the
-    /// next outgoing frame.
-    held_send: Option<Vec<u8>>,
-    /// Frame held back by a recv-direction Reorder, delivered after
-    /// the next incoming frame.
-    held_recv: Option<Frame>,
-    /// Frames ready to deliver before touching the socket (duplicates,
-    /// released reorders).
+    /// Received frames the judge let through, not yet delivered.
     pending_in: VecDeque<Frame>,
-    severed: bool,
+    judge: LinkJudge<Vec<u8>, Frame>,
 }
 
 impl TcpLink {
-    /// A link to `addr` identifying itself as `client_id`; faults on
-    /// this link consult `plan` under link id `index`.
+    /// A link to `addr` identifying itself as `client_id`; its frames
+    /// are judged against `plan`'s link events for link `index`.
     pub fn new(
         index: usize,
         addr: SocketAddr,
         client_id: u64,
-        plan: Arc<Mutex<NetFaultPlan>>,
+        plan: Arc<Mutex<FaultPlan>>,
     ) -> Self {
         TcpLink {
-            index,
             addr,
             client_id,
-            plan,
             stream: None,
             reader: FrameReader::new(),
             out: Vec::new(),
-            frames_sent: 0,
-            frames_recv: 0,
-            held_send: None,
-            held_recv: None,
             pending_in: VecDeque::new(),
-            severed: false,
+            judge: LinkJudge::new(index, plan),
         }
     }
 
@@ -990,21 +823,19 @@ impl TcpLink {
 
     /// Sever the link: sends and receives fail until [`heal`](Self::heal).
     pub fn sever(&mut self) {
-        self.severed = true;
+        self.judge.sever();
         self.disconnect();
         self.pending_in.clear();
-        self.held_recv = None;
-        self.held_send = None;
     }
 
     /// Heal a severed link (the next send reconnects).
     pub fn heal(&mut self) {
-        self.severed = false;
+        self.judge.heal();
     }
 
     /// True while the link is severed.
     pub fn is_severed(&self) -> bool {
-        self.severed
+        self.judge.is_severed()
     }
 
     /// True when a TCP connection is currently established.
@@ -1026,7 +857,7 @@ impl TcpLink {
     /// at `epoch`, and wait up to `timeout` for the `HelloAck`.
     /// Returns the backend's fence epoch.
     pub fn connect(&mut self, epoch: u64, timeout: Duration) -> std::result::Result<u64, LinkError> {
-        if self.severed {
+        if self.is_severed() {
             return Err(LinkError::Closed);
         }
         let stream = TcpStream::connect_timeout(&self.addr, timeout).map_err(|_| LinkError::Closed)?;
@@ -1036,7 +867,21 @@ impl TcpLink {
         // client id the Hello names); the caller's window resends them.
         self.disconnect();
         self.stream = Some(stream);
-        self.out = WireOp::Hello { client_id: self.client_id }.into_frame(0, epoch).to_bytes();
+        let hello = WireOp::Hello { client_id: self.client_id }.into_frame(0, epoch);
+        let ack = self.exchange(&hello, kind::HELLO_ACK, timeout)?;
+        Take::new(&ack.body).u64().map_err(|_| LinkError::Closed)
+    }
+
+    /// Send a control frame past the judge and wait up to `timeout`
+    /// for the reply of kind `reply` to its seq; frames of any other
+    /// kind or seq that arrive meanwhile are discarded, unjudged.
+    pub(crate) fn exchange(
+        &mut self,
+        frame: &Frame,
+        reply: u8,
+        timeout: Duration,
+    ) -> std::result::Result<Frame, LinkError> {
+        self.out.extend_from_slice(&frame.to_bytes());
         self.flush()?;
         let deadline = std::time::Instant::now() + timeout;
         loop {
@@ -1045,10 +890,7 @@ impl TcpLink {
                 return Err(LinkError::Timeout);
             }
             match self.recv_raw(left)? {
-                Some(frame) if frame.kind == kind::HELLO_ACK => {
-                    let mut t = Take::new(&frame.body);
-                    return t.u64().map_err(|_| LinkError::Closed);
-                }
+                Some(f) if f.kind == reply && f.seq == frame.seq => return Ok(f),
                 Some(_) => continue,
                 None => return Err(LinkError::Timeout),
             }
@@ -1082,56 +924,28 @@ impl TcpLink {
         self.flush()
     }
 
-    /// Queue one frame for the next flush, applying send-direction
-    /// faults now, frame by frame, so a seeded plan fires on the same
-    /// frames whether or not they share a write. `Drop` consumes the
-    /// frame silently (the caller's retry path recovers it); `Sever`
-    /// partitions the link.
+    /// Queue one frame for the next flush, judging it now, frame by
+    /// frame, so a seeded plan fires on the same frames whether or not
+    /// they share a write. A dropped frame is consumed silently (the
+    /// caller's retry path recovers it); a sever partitions the link.
     pub fn queue(&mut self, frame: &Frame) -> std::result::Result<(), LinkError> {
-        if self.severed {
+        if self.is_severed() || self.stream.is_none() {
             return Err(LinkError::Closed);
         }
-        if self.stream.is_none() {
-            return Err(LinkError::Closed);
+        let out = &mut self.out;
+        if self.judge.send(frame.to_bytes(), |bytes| out.extend_from_slice(&bytes)) {
+            return Ok(());
         }
-        self.frames_sent += 1;
-        let action = {
-            let plan = self.plan.lock().expect("net plan lock");
-            plan.action(self.index, LinkDir::Send, self.frames_sent)
-        };
-        let bytes = frame.to_bytes();
-        match action {
-            Some(NetFaultKind::Drop) => return Ok(()),
-            Some(NetFaultKind::DelayMs(ms)) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                self.out.extend_from_slice(&bytes);
-            }
-            Some(NetFaultKind::Duplicate) => {
-                self.out.extend_from_slice(&bytes);
-                self.out.extend_from_slice(&bytes);
-            }
-            Some(NetFaultKind::Reorder) => {
-                self.held_send = Some(bytes);
-                return Ok(());
-            }
-            Some(NetFaultKind::Sever) => {
-                self.sever();
-                return Err(LinkError::Closed);
-            }
-            None => self.out.extend_from_slice(&bytes),
-        }
-        if let Some(held) = self.held_send.take() {
-            self.out.extend_from_slice(&held);
-        }
-        Ok(())
+        self.sever();
+        Err(LinkError::Closed)
     }
 
-    /// Receive one frame within `timeout`, applying recv-direction
-    /// faults; queued frames are flushed first, so a reply is never
-    /// awaited for a request still sitting in the queue. Corrupt frames
-    /// are skipped in place; `Ok(None)` means the window expired.
+    /// Receive one frame within `timeout`, judging each frame read;
+    /// queued frames are flushed first, so a reply is never awaited
+    /// for a request still sitting in the queue. Corrupt frames are
+    /// skipped in place; `Ok(None)` means the window expired.
     pub fn recv(&mut self, timeout: Duration) -> std::result::Result<Option<Frame>, LinkError> {
-        if self.severed {
+        if self.is_severed() {
             return Err(LinkError::Closed);
         }
         self.flush()?;
@@ -1148,35 +962,11 @@ impl TcpLink {
                 Some(frame) => frame,
                 None => return Ok(None),
             };
-            self.frames_recv += 1;
-            let action = {
-                let plan = self.plan.lock().expect("net plan lock");
-                plan.action(self.index, LinkDir::Recv, self.frames_recv)
-            };
-            let deliver = match action {
-                Some(NetFaultKind::Drop) => continue,
-                Some(NetFaultKind::DelayMs(ms)) => {
-                    std::thread::sleep(Duration::from_millis(ms));
-                    frame
-                }
-                Some(NetFaultKind::Duplicate) => {
-                    self.pending_in.push_back(frame.clone());
-                    frame
-                }
-                Some(NetFaultKind::Reorder) => {
-                    self.held_recv = Some(frame);
-                    continue;
-                }
-                Some(NetFaultKind::Sever) => {
-                    self.sever();
-                    return Err(LinkError::Closed);
-                }
-                None => frame,
-            };
-            if let Some(held) = self.held_recv.take() {
-                self.pending_in.push_back(held);
+            let pending = &mut self.pending_in;
+            if !self.judge.recv(frame, |frame| pending.push_back(frame)) {
+                self.sever();
+                return Err(LinkError::Closed);
             }
-            return Ok(Some(deliver));
         }
     }
 
@@ -1592,16 +1382,6 @@ struct RemoteLogInner {
     /// local, never the partitioned old primary's.
     online: bool,
     seq: u64,
-    /// Send-direction frame counter for the fault plan (pull requests).
-    pulls: u64,
-    /// Recv-direction frame counter for the fault plan (pull replies).
-    replies: u64,
-    /// Reply held back by a recv-direction `Reorder`, with the `have`
-    /// offset its pull carried; delivered after the next reply.
-    held: Option<(WireReply, u64)>,
-    /// A `Sever` fault partitions the ship link: later syncs serve the
-    /// cached mirror, exactly like an unreachable primary.
-    severed: bool,
 }
 
 /// The standby's view of the primary's log, pulled over TCP. Implements
@@ -1616,10 +1396,9 @@ pub struct RemoteLog {
     /// How long one pull may take before the standby falls back to its
     /// cached state.
     timeout: Duration,
-    /// Optional fault plan consulted on every pull (send direction) and
-    /// reply (recv direction) under link id `link`.
-    plan: Option<Arc<Mutex<NetFaultPlan>>>,
-    link: usize,
+    /// The ship link's judge: pulls are its send direction, replies
+    /// (with the `have` offset their pull carried) its recv direction.
+    judge: Mutex<LinkJudge<Vec<u8>, (WireReply, u64)>>,
 }
 
 impl std::fmt::Debug for RemoteLog {
@@ -1635,8 +1414,7 @@ impl RemoteLog {
             addr,
             inner: Arc::new(Mutex::new(RemoteLogInner { online: true, ..Default::default() })),
             timeout: Duration::from_millis(500),
-            plan: None,
-            link: 0,
+            judge: Mutex::new(LinkJudge::new(0, Arc::default())),
         }
     }
 
@@ -1646,23 +1424,15 @@ impl RemoteLog {
         self
     }
 
-    /// Subject the ship link to `plan` under link id `link`: the send
-    /// direction counts pull requests, the recv direction counts pull
-    /// replies. Because each pull is its own one-shot connection, a
-    /// send-direction `Reorder` degenerates to a short delay (there is
-    /// no later frame on the same connection to slip behind); a
-    /// recv-direction `Reorder` holds the reply and delivers it — by
-    /// then stale — after the *next* pull's reply.
-    pub fn with_fault_plan(mut self, link: usize, plan: Arc<Mutex<NetFaultPlan>>) -> RemoteLog {
-        self.plan = Some(plan);
-        self.link = link;
+    /// Subject the ship link to `plan`'s link events for link `link`:
+    /// the send direction counts pull requests, the recv direction
+    /// counts pull replies. Each pull is its own one-shot connection,
+    /// so a held-back pull goes out behind the next one on that pull's
+    /// connection, and a held-back reply is applied — by then stale —
+    /// after the *next* pull's reply.
+    pub fn with_fault_plan(mut self, link: usize, plan: Arc<Mutex<FaultPlan>>) -> RemoteLog {
+        self.judge = Mutex::new(LinkJudge::new(link, plan));
         self
-    }
-
-    fn plan_action(&self, dir: LinkDir, frame_no: u64) -> Option<NetFaultKind> {
-        let plan = self.plan.as_ref()?;
-        let plan = plan.lock().expect("net plan lock");
-        plan.action(self.link, dir, frame_no)
     }
 
     /// True while reads still sync from the primary.
@@ -1674,40 +1444,27 @@ impl RemoteLog {
     /// Unreachable or severed primaries leave the cache untouched.
     fn sync(&self) {
         let mut inner = self.inner.lock().expect("remote log lock");
-        if !inner.online || inner.severed {
+        if !inner.online {
             return;
         }
         inner.seq += 1;
         let seq = inner.seq;
         let have = inner.lines.len() as u64;
         let pull = WireOp::PullLog { generation: inner.generation, have }.into_frame(seq, 0);
-
-        // Send-direction faults on the pull request.
-        inner.pulls += 1;
-        match self.plan_action(LinkDir::Send, inner.pulls) {
-            Some(NetFaultKind::Drop) => return, // pull lost; the next read retries
-            Some(NetFaultKind::DelayMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-            Some(NetFaultKind::Reorder) => std::thread::sleep(Duration::from_millis(1)),
-            Some(NetFaultKind::Sever) => {
-                inner.severed = true;
-                return;
-            }
-            Some(NetFaultKind::Duplicate) | None => {}
+        // The pulls the judge lets through now: none when this one is
+        // lost or held back, two when it is duplicated or releases a
+        // held one. The server answers each; only the first reply is
+        // read, and the apply path makes any other harmless.
+        let mut wire = Vec::new();
+        let mut judge = self.judge.lock().expect("ship judge lock");
+        if !judge.send(pull.to_bytes(), |bytes| wire.extend_from_slice(&bytes)) || wire.is_empty() {
+            return;
         }
-        let duplicate_pull =
-            matches!(self.plan_action(LinkDir::Send, inner.pulls), Some(NetFaultKind::Duplicate));
-
         let reply = (|| -> std::io::Result<Option<Frame>> {
             let mut stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
             stream.set_nodelay(true).ok();
             stream.set_read_timeout(Some(self.timeout)).ok();
-            stream.write_all(&pull.to_bytes())?;
-            if duplicate_pull {
-                // The wire delivers the pull twice; the server answers
-                // twice. Only the first reply is read — the apply path
-                // must make the duplicate harmless either way.
-                stream.write_all(&pull.to_bytes())?;
-            }
+            stream.write_all(&wire)?;
             stream.flush()?;
             let mut reader = FrameReader::new();
             loop {
@@ -1720,34 +1477,7 @@ impl RemoteLog {
         })();
         let Ok(Some(frame)) = reply else { return };
         let Ok(reply) = WireReply::from_frame(&frame) else { return };
-
-        // Recv-direction faults on the reply.
-        inner.replies += 1;
-        match self.plan_action(LinkDir::Recv, inner.replies) {
-            Some(NetFaultKind::Drop) => return,
-            Some(NetFaultKind::DelayMs(ms)) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                Self::apply_reply(&mut inner, reply, have);
-            }
-            Some(NetFaultKind::Duplicate) => {
-                Self::apply_reply(&mut inner, reply.clone(), have);
-                Self::apply_reply(&mut inner, reply, have);
-            }
-            Some(NetFaultKind::Reorder) => {
-                // Held back: this reply arrives — stale — after the
-                // next pull's reply.
-                inner.held = Some((reply, have));
-                return;
-            }
-            Some(NetFaultKind::Sever) => {
-                inner.severed = true;
-                return;
-            }
-            None => Self::apply_reply(&mut inner, reply, have),
-        }
-        if let Some((stale, stale_have)) = inner.held.take() {
-            Self::apply_reply(&mut inner, stale, stale_have);
-        }
+        judge.recv((reply, have), |(reply, have)| Self::apply_reply(&mut inner, reply, have));
     }
 
     /// Fold one pull reply into the replica. Replies can arrive late,
@@ -1841,7 +1571,10 @@ impl LogStore for RemoteLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{LinkDir, LinkFault};
     use crate::MemLog;
+    use abdl::prng::Prng;
+    use std::collections::BTreeSet;
 
     fn seeded_record(rng: &mut Prng) -> Record {
         let mut rec = Record::from_pairs([("FILE", Value::str("wire"))]);
@@ -1857,16 +1590,55 @@ mod tests {
         rec
     }
 
+    /// A plan mixing seeded backend and link events with a sever, so
+    /// every fault tag crosses the wire.
+    fn seeded_plan(rng: &mut Prng) -> FaultPlan {
+        let links = FaultPlan::seeded_links(rng.next_u64(), 3, 50);
+        let sever = (rng.index(3), rng.next_u64() % 99);
+        let mut plan = FaultPlan::seeded(rng.next_u64(), 6, 50).with_link(
+            sever.0,
+            LinkDir::Recv,
+            sever.1,
+            LinkFault::Sever,
+        );
+        for e in links.link_events() {
+            plan = plan.with_link(e.link, e.dir, e.at_frame, e.kind);
+        }
+        plan
+    }
+
+    fn seeded_keys(rng: &mut Prng) -> Vec<DbKey> {
+        (0..rng.index(5)).map(|_| DbKey(rng.next_u64())).collect()
+    }
+
+    /// A seeded frame of any of the 15 operation and reply kinds.
     fn seeded_frame(rng: &mut Prng) -> Frame {
         let seq = rng.next_u64();
         let epoch = rng.next_u64() % 16;
-        match rng.index(6) {
-            0 => WireOp::Hello { client_id: rng.next_u64() }.into_frame(seq, epoch),
-            1 => WireOp::CreateFile(format!("f{}", rng.next_u64() % 100)).into_frame(seq, epoch),
-            2 => WireOp::InsertWithKey(DbKey(rng.next_u64()), seeded_record(rng))
-                .into_frame(seq, epoch),
-            3 => WireOp::Ping.into_frame(seq, epoch),
-            4 => {
+        let op = |op: WireOp| op.into_frame(seq, epoch);
+        let reply = |reply: WireReply| reply.into_frame(seq, epoch);
+        match rng.index(15) {
+            0 => op(WireOp::Hello { client_id: rng.next_u64() }),
+            1 => op(WireOp::CreateFile(format!("f{}", rng.next_u64() % 100))),
+            2 => op(WireOp::InsertWithKey(DbKey(rng.next_u64()), seeded_record(rng))),
+            3 => {
+                let v = rng.next_u64() % 1000;
+                let text = [
+                    format!("RETRIEVE ((FILE = f) and (v < {v})) (*)"),
+                    format!("UPDATE ((FILE = f) and (v = {v})) (m = 1)"),
+                    format!("DELETE ((FILE = f) and (v > {v}))"),
+                ][rng.index(3)]
+                .clone();
+                op(WireOp::Exec(parse_request(&text).expect("seeded request parses")))
+            }
+            4 => op(WireOp::DeleteKeys(seeded_keys(rng))),
+            5 => op(WireOp::FetchKeys(seeded_keys(rng))),
+            6 => op(WireOp::Ping),
+            7 => op(WireOp::Shutdown),
+            8 => op(WireOp::SetFaults(seeded_plan(rng))),
+            9 => op(WireOp::PullLog { generation: rng.next_u64() % 9, have: rng.next_u64() % 500 }),
+            10 => reply(WireReply::HelloAck { fence: rng.next_u64() % 16 }),
+            11 => {
                 let mut resp = Response::with_records(
                     vec![(DbKey(rng.next_u64() % 50), seeded_record(rng))],
                     ExecStats { records_examined: rng.next_u64() % 99, ..Default::default() },
@@ -1880,23 +1652,45 @@ mod tests {
                         values: vec![Value::Float(0.5 + rng.index(9) as f64)],
                     }]);
                 }
-                WireReply::Ok(resp).into_frame(seq, epoch)
+                reply(WireReply::Ok(resp))
             }
-            _ => WireReply::Err(Error::DuplicateKey {
+            12 => reply(WireReply::Err(Error::DuplicateKey {
                 file: "wire".into(),
                 attrs: vec![format!("a{}", rng.index(3))],
-            })
-            .into_frame(seq, epoch),
+            })),
+            13 => reply(WireReply::Pong { fence: rng.next_u64() % 16 }),
+            _ => {
+                let full = rng.chance(1, 2);
+                let lines = (0..rng.index(4)).map(|i| format!("line {i}")).collect();
+                reply(WireReply::LogDelta {
+                    generation: rng.next_u64() % 9,
+                    fence: rng.next_u64() % 16,
+                    snapshot: full.then(|| format!("snap {}", rng.next_u64() % 9)),
+                    lines,
+                    full,
+                })
+            }
         }
     }
 
-    /// Fuzz-style property test: random envelopes survive the byte
-    /// round-trip exactly, including float bit patterns.
+    /// True for the frame kinds a backend (or log shipper) answers with.
+    fn is_reply(k: u8) -> bool {
+        matches!(
+            k,
+            kind::HELLO_ACK | kind::REPLY_OK | kind::REPLY_ERR | kind::PONG | kind::LOG_DELTA
+        )
+    }
+
+    /// Fuzz-style property test: random envelopes of every kind survive
+    /// the byte round-trip exactly, including float bit patterns and a
+    /// fault plan of both vocabularies.
     #[test]
     fn random_envelopes_round_trip() {
         let mut rng = Prng::seed_from_u64(2024);
+        let mut kinds = BTreeSet::new();
         for _ in 0..500 {
             let frame = seeded_frame(&mut rng);
+            kinds.insert(frame.kind);
             let bytes = frame.to_bytes();
             let mut reader = FrameReader::new();
             let mut cursor = io::Cursor::new(&bytes);
@@ -1904,20 +1698,29 @@ mod tests {
                 FrameRead::Frame(out) => {
                     assert_eq!(out, frame);
                     // And the typed layer round-trips too.
-                    match out.kind {
-                        k if k >= kind::REPLY_OK => {
-                            let reply = WireReply::from_frame(&out).expect("reply decode");
-                            assert_eq!(reply.into_frame(out.seq, out.epoch), frame);
-                        }
-                        _ => {
-                            let op = WireOp::from_frame(&out).expect("op decode");
-                            assert_eq!(op.into_frame(out.seq, out.epoch), frame);
-                        }
+                    if is_reply(out.kind) {
+                        let reply = WireReply::from_frame(&out).expect("reply decode");
+                        assert_eq!(reply.into_frame(out.seq, out.epoch), frame);
+                    } else {
+                        let op = WireOp::from_frame(&out).expect("op decode");
+                        assert_eq!(op.into_frame(out.seq, out.epoch), frame);
                     }
                 }
                 FrameRead::Corrupt => panic!("clean frame read as corrupt"),
             }
         }
+        assert_eq!(kinds.len(), 15, "every operation and reply kind drawn: {kinds:?}");
+
+        // A truncated (or overlong) fault plan decodes to an error,
+        // never a panic.
+        let frame = WireOp::SetFaults(seeded_plan(&mut rng)).into_frame(1, 0);
+        for cut in 0..frame.body.len() {
+            let cut = Frame { body: frame.body[..cut].to_vec(), ..frame.clone() };
+            assert!(WireOp::from_frame(&cut).is_err(), "{}-byte plan body decoded", cut.body.len());
+        }
+        let mut long = frame.clone();
+        long.body.push(0);
+        assert!(WireOp::from_frame(&long).is_err());
     }
 
     /// A bit-flipped frame fails its CRC and is skipped in place; the
@@ -2101,40 +1904,60 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
+    /// A fault plan crosses the wire in the `SetFaults` body: every
+    /// backend and link fault kind comes back exactly, the empty plan
+    /// too, and a body that is no plan is an error.
     #[test]
     fn fault_plan_text_round_trips() {
+        use crate::fault::FaultKind;
+        let round_trip = |plan: FaultPlan| {
+            let frame = WireOp::SetFaults(plan).into_frame(1, 0);
+            match WireOp::from_frame(&frame).expect("decode") {
+                WireOp::SetFaults(plan) => plan,
+                op => panic!("decoded as {op:?}"),
+            }
+        };
         let plan = FaultPlan::new()
             .with(0, 3, FaultKind::DropReply)
             .with(2, 7, FaultKind::DelayReplyMs(15))
             .with(1, 1, FaultKind::Crash)
-            .with(3, 9, FaultKind::Panic);
-        let text = fault_plan_to_text(&plan);
-        assert_eq!(fault_plan_from_text(&text).expect("parse"), plan);
-        assert_eq!(fault_plan_from_text("").expect("empty"), FaultPlan::new());
-        assert!(fault_plan_from_text("x y z").is_err());
+            .with(3, 9, FaultKind::Panic)
+            .with_link(0, LinkDir::Send, 2, LinkFault::Drop)
+            .with_link(1, LinkDir::Recv, 4, LinkFault::DelayMs(3))
+            .with_link(1, LinkDir::Send, 5, LinkFault::Duplicate)
+            .with_link(2, LinkDir::Recv, 6, LinkFault::Reorder)
+            .with_link(3, LinkDir::Send, 8, LinkFault::Sever);
+        assert_eq!(round_trip(plan.clone()), plan);
+        assert_eq!(round_trip(FaultPlan::new()), FaultPlan::new());
+        let junk = Frame { kind: kind::SET_FAULTS, seq: 1, epoch: 0, body: b"x y z".to_vec() };
+        assert!(WireOp::from_frame(&junk).is_err());
     }
 
+    /// Seeded link plans are a pure function of their seed, and never
+    /// sever: a seeded lossy network must stay recoverable.
     #[test]
     fn seeded_net_plans_are_reproducible_and_never_sever() {
-        let a = NetFaultPlan::seeded(41, 6, 40);
-        let b = NetFaultPlan::seeded(41, 6, 40);
+        let a = FaultPlan::seeded_links(41, 6, 40);
+        let b = FaultPlan::seeded_links(41, 6, 40);
         assert_eq!(a, b);
-        assert_ne!(a, NetFaultPlan::seeded(42, 6, 40));
+        assert_ne!(a, FaultPlan::seeded_links(42, 6, 40));
         assert!(!a.is_empty(), "seed 41 over 12 link-directions should fire something");
-        for e in a.events() {
-            assert_ne!(e.kind, NetFaultKind::Sever, "seeded plans must stay recoverable");
+        assert!(a.events().is_empty(), "a link plan holds no backend events");
+        for e in a.link_events() {
+            assert_ne!(e.kind, LinkFault::Sever, "seeded plans must stay recoverable");
         }
     }
 
+    /// A link lookup answers only its own link, direction and frame.
     #[test]
     fn net_plan_lookup_matches_events() {
-        let plan = NetFaultPlan::new()
-            .with(1, LinkDir::Send, 4, NetFaultKind::Drop)
-            .with(1, LinkDir::Recv, 4, NetFaultKind::Duplicate);
-        assert_eq!(plan.action(1, LinkDir::Send, 4), Some(NetFaultKind::Drop));
-        assert_eq!(plan.action(1, LinkDir::Recv, 4), Some(NetFaultKind::Duplicate));
-        assert_eq!(plan.action(1, LinkDir::Send, 5), None);
-        assert_eq!(plan.action(0, LinkDir::Send, 4), None);
+        let plan = FaultPlan::new()
+            .with_link(1, LinkDir::Send, 4, LinkFault::Drop)
+            .with_link(1, LinkDir::Recv, 4, LinkFault::Duplicate);
+        assert_eq!(plan.link_action(1, LinkDir::Send, 4), Some(LinkFault::Drop));
+        assert_eq!(plan.link_action(1, LinkDir::Recv, 4), Some(LinkFault::Duplicate));
+        assert_eq!(plan.link_action(1, LinkDir::Send, 5), None);
+        assert_eq!(plan.link_action(0, LinkDir::Send, 4), None);
     }
 
     /// ShipServer + RemoteLog: the standby's replica tracks the
@@ -2229,20 +2052,21 @@ mod tests {
     }
 
     /// End-to-end ship link under faults: duplicated and reordered pull
-    /// replies (plus a dropped pull) still converge the replica to the
-    /// primary's exact log.
+    /// replies, a duplicated and a held-back pull, and a dropped pull
+    /// still converge the replica to the primary's exact log.
     #[test]
     fn faulty_ship_link_still_converges() {
         let primary = MemLog::new();
         let mut writer: Box<dyn LogStore> = Box::new(primary.clone());
         let server = ShipServer::spawn(Box::new(primary.clone())).expect("ship server");
         let plan = Arc::new(Mutex::new(
-            NetFaultPlan::new()
-                .with(7, LinkDir::Send, 2, NetFaultKind::Drop)
-                .with(7, LinkDir::Send, 4, NetFaultKind::Duplicate)
-                .with(7, LinkDir::Recv, 2, NetFaultKind::Duplicate)
-                .with(7, LinkDir::Recv, 3, NetFaultKind::Reorder)
-                .with(7, LinkDir::Recv, 5, NetFaultKind::Drop),
+            FaultPlan::new()
+                .with_link(7, LinkDir::Send, 2, LinkFault::Drop)
+                .with_link(7, LinkDir::Send, 4, LinkFault::Duplicate)
+                .with_link(7, LinkDir::Send, 6, LinkFault::Reorder)
+                .with_link(7, LinkDir::Recv, 2, LinkFault::Duplicate)
+                .with_link(7, LinkDir::Recv, 3, LinkFault::Reorder)
+                .with_link(7, LinkDir::Recv, 5, LinkFault::Drop),
         ));
         let remote = RemoteLog::connect(server.addr()).with_fault_plan(7, Arc::clone(&plan));
         let mut want = Vec::new();

@@ -18,7 +18,7 @@
 //!    wire* (`ShipServer`/`RemoteLog`), heal the old primary's links,
 //!    and prove its writes are fenced at the now-remote backends while
 //!    the promoted controller serves the exact pre-partition state.
-//! 3. **Lossy-link convergence** — a seeded `NetFaultPlan` dropping,
+//! 3. **Lossy-link convergence** — seeded link faults dropping,
 //!    delaying, duplicating and reordering frames must converge to the
 //!    same digest as the clean run (retries and idempotent request ids
 //!    doing their job), with the retry counters proving frames were
@@ -36,8 +36,8 @@ use mlds::abdl::parse::parse_request;
 use mlds::abdl::prng::Prng;
 use mlds::abdl::{Kernel, Record, Request, Value};
 use mlds::mbds::{
-    BackendState, Controller, FaultKind, FaultPlan, LinkDir, MemLog, NetFaultKind, NetFaultPlan,
-    RemoteLog, ShipServer,
+    BackendState, Controller, FaultKind, FaultPlan, LinkDir, LinkFault, MemLog, RemoteLog,
+    ShipServer,
 };
 
 const BACKENDS: usize = 4;
@@ -257,13 +257,13 @@ fn lossy_link_workload_converges_to_clean_digest() {
     lossy.try_create_file("f").unwrap();
     // A seeded plan plus a hand-placed burst on link 0 so every fault
     // kind provably fires.
-    let plan = NetFaultPlan::seeded(0xBAD5EED, BACKENDS, 60)
-        .with(0, LinkDir::Send, 3, NetFaultKind::Drop)
-        .with(0, LinkDir::Recv, 4, NetFaultKind::Duplicate)
-        .with(1, LinkDir::Send, 5, NetFaultKind::DelayMs(8))
-        .with(1, LinkDir::Recv, 6, NetFaultKind::Reorder)
-        .with(2, LinkDir::Recv, 3, NetFaultKind::Drop);
-    lossy.set_net_fault_plan(plan);
+    let plan = FaultPlan::seeded_links(0xBAD5EED, BACKENDS, 60)
+        .with_link(0, LinkDir::Send, 3, LinkFault::Drop)
+        .with_link(0, LinkDir::Recv, 4, LinkFault::Duplicate)
+        .with_link(1, LinkDir::Send, 5, LinkFault::DelayMs(8))
+        .with_link(1, LinkDir::Recv, 6, LinkFault::Reorder)
+        .with_link(2, LinkDir::Recv, 3, LinkFault::Drop);
+    lossy.set_fault_plan(plan);
     for op in &ops {
         apply(&mut lossy, op);
     }
@@ -329,10 +329,10 @@ fn health_board_tracks_a_flapping_backend() {
 
 /// Property 5 — a faulty *ship* link. The standby tails the primary's
 /// WAL through a `RemoteLog` whose pull requests and replies are
-/// dropped, duplicated and reordered by a `NetFaultPlan`. At-most-once
-/// reply application on the replica must absorb every duplicate and
-/// stale delivery: the standby converges, and its promotion serves the
-/// primary's exact digest and query answers.
+/// dropped, duplicated and reordered by a `FaultPlan`'s link events.
+/// At-most-once reply application on the replica must absorb every
+/// duplicate and stale delivery: the standby converges, and its
+/// promotion serves the primary's exact digest and query answers.
 #[test]
 fn faulty_ship_link_standby_converges_and_promotes_to_primary_digest() {
     use std::sync::{Arc, Mutex};
@@ -347,19 +347,19 @@ fn faulty_ship_link_standby_converges_and_promotes_to_primary_digest() {
     // fire in the first ~30 frames; the workload generates ~150, so the
     // tail of the run and promote's final poll are clean.
     let plan = Arc::new(Mutex::new(
-        NetFaultPlan::new()
-            .with(0, LinkDir::Recv, 3, NetFaultKind::Reorder)
-            .with(0, LinkDir::Recv, 5, NetFaultKind::Duplicate)
-            .with(0, LinkDir::Recv, 9, NetFaultKind::Reorder)
-            .with(0, LinkDir::Recv, 11, NetFaultKind::Duplicate)
-            .with(0, LinkDir::Recv, 13, NetFaultKind::Drop)
-            .with(0, LinkDir::Recv, 17, NetFaultKind::Reorder)
-            .with(0, LinkDir::Recv, 21, NetFaultKind::Duplicate)
-            .with(0, LinkDir::Send, 4, NetFaultKind::Duplicate)
-            .with(0, LinkDir::Send, 7, NetFaultKind::Drop)
-            .with(0, LinkDir::Send, 14, NetFaultKind::Duplicate)
-            .with(0, LinkDir::Send, 19, NetFaultKind::Drop)
-            .with(0, LinkDir::Send, 25, NetFaultKind::Reorder),
+        FaultPlan::new()
+            .with_link(0, LinkDir::Recv, 3, LinkFault::Reorder)
+            .with_link(0, LinkDir::Recv, 5, LinkFault::Duplicate)
+            .with_link(0, LinkDir::Recv, 9, LinkFault::Reorder)
+            .with_link(0, LinkDir::Recv, 11, LinkFault::Duplicate)
+            .with_link(0, LinkDir::Recv, 13, LinkFault::Drop)
+            .with_link(0, LinkDir::Recv, 17, LinkFault::Reorder)
+            .with_link(0, LinkDir::Recv, 21, LinkFault::Duplicate)
+            .with_link(0, LinkDir::Send, 4, LinkFault::Duplicate)
+            .with_link(0, LinkDir::Send, 7, LinkFault::Drop)
+            .with_link(0, LinkDir::Send, 14, LinkFault::Duplicate)
+            .with_link(0, LinkDir::Send, 19, LinkFault::Drop)
+            .with_link(0, LinkDir::Send, 25, LinkFault::Reorder),
     ));
     let ship = ShipServer::spawn(Box::new(log.clone())).unwrap();
     let remote = RemoteLog::connect(ship.addr()).with_fault_plan(0, Arc::clone(&plan));
@@ -442,11 +442,11 @@ fn lossy_link_batched_workload_converges_to_clean_digest() {
     lossy.set_reply_timeout(std::time::Duration::from_millis(400));
     lossy.set_retry_budget(4);
     lossy.try_create_file("f").unwrap();
-    lossy.set_net_fault_plan(
-        NetFaultPlan::seeded(0x5EED5, BACKENDS, 40)
-            .with(0, LinkDir::Send, 3, NetFaultKind::Drop)
-            .with(1, LinkDir::Recv, 4, NetFaultKind::Reorder)
-            .with(2, LinkDir::Recv, 5, NetFaultKind::Drop),
+    lossy.set_fault_plan(
+        FaultPlan::seeded_links(0x5EED5, BACKENDS, 40)
+            .with_link(0, LinkDir::Send, 3, LinkFault::Drop)
+            .with_link(1, LinkDir::Recv, 4, LinkFault::Reorder)
+            .with_link(2, LinkDir::Recv, 5, LinkFault::Drop),
     );
     for batch in &batches {
         for res in lossy.execute_batch(batch) {
@@ -514,14 +514,14 @@ fn long_faulty_flight_over_tcp_matches_serial_execution() {
     // Every link has moved at most `sent` frames each way so far, so
     // these all fire inside the batch, early in the first flight.
     let sent = faulty.exec_totals().messages_sent;
-    faulty.set_net_fault_plan(
-        NetFaultPlan::new()
-            .with(0, LinkDir::Send, sent + 5, NetFaultKind::Drop)
-            .with(0, LinkDir::Send, sent + 9, NetFaultKind::Duplicate)
-            .with(0, LinkDir::Send, sent + 13, NetFaultKind::Reorder)
-            .with(0, LinkDir::Recv, sent + 6, NetFaultKind::Drop)
-            .with(0, LinkDir::Recv, sent + 10, NetFaultKind::Duplicate)
-            .with(0, LinkDir::Recv, sent + 14, NetFaultKind::Reorder),
+    faulty.set_fault_plan(
+        FaultPlan::new()
+            .with_link(0, LinkDir::Send, sent + 5, LinkFault::Drop)
+            .with_link(0, LinkDir::Send, sent + 9, LinkFault::Duplicate)
+            .with_link(0, LinkDir::Send, sent + 13, LinkFault::Reorder)
+            .with_link(0, LinkDir::Recv, sent + 6, LinkFault::Drop)
+            .with_link(0, LinkDir::Recv, sent + 10, LinkFault::Duplicate)
+            .with_link(0, LinkDir::Recv, sent + 14, LinkFault::Reorder),
     );
     let got: Vec<String> = faulty.execute_batch(&batch).iter().map(outcome).collect();
 
@@ -596,8 +596,8 @@ fn a_move_longer_than_the_reply_cache_converges_over_a_lossy_link() {
     // The seeded events on the three seeded links have passed; the
     // joining backend's link counts frames from 0, so its events (and
     // a reply dropped early in the copy) fire inside the move.
-    grown.set_net_fault_plan(
-        NetFaultPlan::seeded(0xC0B1, 4, 300).with(3, LinkDir::Recv, 5, NetFaultKind::Drop),
+    grown.set_fault_plan(
+        FaultPlan::seeded_links(0xC0B1, 4, 300).with_link(3, LinkDir::Recv, 5, LinkFault::Drop),
     );
     grown.add_backend().unwrap();
     grown.finish_rebalance().unwrap();
@@ -606,6 +606,59 @@ fn a_move_longer_than_the_reply_cache_converges_over_a_lossy_link() {
     assert!(t.retries > 0, "the fault plan never cost a retry: {t:?}");
     assert_eq!(grown.alive_count(), 4, "{t:?}");
     assert_eq!(grown.logical_digest().unwrap(), fixed.logical_digest().unwrap());
+}
+
+/// One plan, both vocabularies: a backend crash and link drops and
+/// duplicates installed by one `set_fault_plan` end with the dead set
+/// and the digest of the crash alone. The link faults cost retries,
+/// not outcomes.
+#[test]
+fn one_plan_carries_backend_and_link_faults_over_tcp() {
+    let ops = gen_ops(0xF1A7, 60, false);
+    let run = |plan: FaultPlan| {
+        let mut c = Controller::over_tcp(BACKENDS, REPLICATION).unwrap();
+        c.set_reply_timeout(std::time::Duration::from_millis(400));
+        c.set_retry_budget(4);
+        c.try_create_file("f").unwrap();
+        c.set_fault_plan(plan);
+        for op in &ops {
+            apply(&mut c, op);
+        }
+        (c.health().unavailable, c.state_digest().unwrap(), c.exec_totals().retries)
+    };
+    let crash = FaultPlan::new().with(2, 12, FaultKind::Crash);
+    let both = crash
+        .clone()
+        .with_link(0, LinkDir::Send, 4, LinkFault::Drop)
+        .with_link(0, LinkDir::Recv, 6, LinkFault::Duplicate)
+        .with_link(1, LinkDir::Recv, 5, LinkFault::Drop)
+        .with_link(3, LinkDir::Send, 7, LinkFault::Duplicate);
+    let (want_dead, want_digest, _) = run(crash);
+    assert_eq!(want_dead, vec![2], "the crash must fire");
+    let (dead, digest, retries) = run(both);
+    assert_eq!(dead, want_dead);
+    assert_eq!(digest, want_digest);
+    assert!(retries > 0, "the link drops never cost a retry");
+}
+
+/// Installing a plan moves no frame counter: the plan travels to the
+/// backend on the handshake's unjudged control path. A drop placed on
+/// the first frame after everything the link has sent so far hits the
+/// next request, not the plan's own `SetFaults` frame, and costs that
+/// request a retry.
+#[test]
+fn installing_a_plan_moves_no_frame_counter() {
+    let mut c = Controller::over_tcp(1, 1).unwrap();
+    c.set_reply_timeout(std::time::Duration::from_millis(400));
+    c.set_retry_budget(4);
+    c.try_create_file("u").unwrap();
+    let sent = c.exec_totals().messages_sent;
+    c.set_fault_plan(FaultPlan::new().with_link(0, LinkDir::Send, sent + 1, LinkFault::Drop));
+    assert_eq!(c.exec_totals().retries, 0);
+    c.execute(&unique_insert(1)).unwrap();
+    assert!(c.exec_totals().retries > 0, "the drop hit something other than the insert");
+    let all = parse_request("RETRIEVE (FILE = u) (*)").unwrap();
+    assert_eq!(c.execute(&all).unwrap().records().len(), 1);
 }
 
 fn unique_insert(k: i64) -> Request {
