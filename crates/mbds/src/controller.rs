@@ -42,6 +42,7 @@ use abdl::engine::aggregate;
 use abdl::{
     DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, Request, Response, Result, Transaction,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,6 +63,17 @@ pub const DEFAULT_RETRY_BUDGET: u32 = 3;
 fn next_client_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     ((std::process::id() as u64) << 32) | NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// What a read sends. Partial aggregates do not merge (AVG), so an
+/// aggregate goes out as the raw retrieve and is aggregated in phase 3.
+fn read_wire(request: &Request) -> Cow<'_, Request> {
+    match request {
+        Request::Retrieve { query, target, .. } if target.has_aggregates() => {
+            Cow::Owned(Request::retrieve_all(query.clone()))
+        }
+        _ => Cow::Borrowed(request),
+    }
 }
 
 /// One flight member's state between the batch scheduler's staging
@@ -90,9 +102,6 @@ struct StagedInsert {
 /// counterpart of [`StagedInsert`].
 struct StagedRead {
     seq: u64,
-    /// The request actually sent (`retrieve_all` for aggregates, the
-    /// original retrieve otherwise) — kept for probe failover resends.
-    wire: Request,
     /// Backends the round reached.
     sent: Vec<usize>,
     /// Untried replicas that can each answer the whole probe, in
@@ -106,8 +115,7 @@ struct StagedRead {
     /// A contacted backend died before answering. For a probe the
     /// merged answer is missing entirely and phase 3 fails over to a
     /// replica; for a routed round the survivors carry the answer
-    /// (degraded-mode reporting covers the rest), exactly like
-    /// `send_round`.
+    /// (degraded-mode reporting covers the rest).
     lost: bool,
     /// True when this member went out as a single-backend probe.
     probe: bool,
@@ -537,6 +545,14 @@ impl Controller {
         if let Some(link) = self.backends.get_mut(i) {
             link.heal();
         }
+    }
+
+    /// The frames the link to backend `i` has moved, `(sent, received)`:
+    /// a link event at frame `n` fires on the `n`th frame in its
+    /// direction. `(0, 0)` over the channel bus and simulated links,
+    /// which move no frames.
+    pub fn link_frames(&self, i: usize) -> (u64, u64) {
+        self.backends[i].frames()
     }
 
     /// The health board's current verdict on backend `i`.
@@ -1018,9 +1034,7 @@ impl Controller {
             return;
         }
         let (seq, sent) = self.send_each(members, || WireOp::DeleteKeys(keys.to_vec()));
-        for m in sent {
-            let _ = self.recv_reply(m, seq);
-        }
+        let _ = self.drain_round(seq, &sent);
     }
 
     /// Fetch exactly `keys` from the serving `sources`, keeping the
@@ -1035,24 +1049,12 @@ impl Controller {
     ) -> Result<Vec<(DbKey, Record)>> {
         let (seq, sent) = self.send_each(sources, || WireOp::FetchKeys(keys.to_vec()));
         let mut by_key: BTreeMap<DbKey, Record> = BTreeMap::new();
-        let mut first_err = None;
-        for m in sent {
-            match self.recv_reply(m, seq) {
-                Some(Ok(resp)) => {
-                    for (key, rec) in resp.into_records() {
-                        by_key.entry(key).or_insert(rec);
-                    }
-                }
-                Some(Err(e)) => {
-                    first_err.get_or_insert(e);
-                }
-                None => {}
+        for (_, resp) in self.drain_round(seq, &sent)? {
+            for (key, rec) in resp.into_records() {
+                by_key.entry(key).or_insert(rec);
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(by_key.into_iter().collect()),
-        }
+        Ok(by_key.into_iter().collect())
     }
 
     /// Put each record under its key on its serving targets — the one
@@ -1076,10 +1078,8 @@ impl Controller {
             }
             let mut first_err = None;
             for (seq, sent) in rounds {
-                for m in sent {
-                    if let Some(Err(e)) = self.recv_reply(m, seq) {
-                        first_err.get_or_insert(e);
-                    }
+                if let Err(e) = self.drain_round(seq, &sent) {
+                    first_err.get_or_insert(e);
                 }
             }
             if let Some(e) = first_err {
@@ -1260,8 +1260,29 @@ impl Controller {
         self.degraded_cache
     }
 
-    /// Phase-1 bookkeeping and first replica wave for one insert
-    /// flight member — the staging half of `insert`.
+    /// Await each of `sent`'s replies to one `seq`, in order: the one
+    /// drain of every round the controller sends. A member that dies
+    /// contributes nothing. The first backend error is kept until the
+    /// whole round has drained — bailing early would leave stale
+    /// replies to desynchronize the next round — and then returned.
+    /// Otherwise the answering members and their replies.
+    fn drain_round(&mut self, seq: u64, sent: &[usize]) -> Result<Vec<(usize, Response)>> {
+        let mut replies = Vec::with_capacity(sent.len());
+        let mut first_err = None;
+        for &i in sent {
+            match self.recv_reply(i, seq) {
+                Some(Ok(resp)) => replies.push((i, resp)),
+                Some(Err(e)) => {
+                    first_err.get_or_insert(e);
+                }
+                None => {}
+            }
+        }
+        first_err.map_or(Ok(replies), Err)
+    }
+
+    /// Phase 1 of an insert: the unique check, key allocation, rotor
+    /// step and the first replica wave's sends.
     fn stage_insert(&mut self, record: &Record) -> Result<StagedInsert> {
         self.state.check_unique(record)?;
         let file = record.file().map(str::to_owned).ok_or(Error::MissingFileKeyword)?;
@@ -1284,50 +1305,42 @@ impl Controller {
         })
     }
 
-    /// Phase-1 routing and sends for one read flight member. Prefers a
-    /// single-backend probe when the unique index pins every disjunct
-    /// to keys one serving backend fully covers; otherwise the same
-    /// scoped/broadcast round `send_round` would run, just without
-    /// awaiting the replies yet.
+    /// Phase 1 of a read: its routing and sends, no reply awaited. The
+    /// one plan of every controller read — flight members, solo
+    /// retrieves, a mutation's pre-images and a join's halves. Prefers
+    /// a single-backend probe when the unique index pins every
+    /// disjunct to keys one serving backend fully covers; otherwise a
+    /// round to the `route_targets` backends, or a broadcast.
     fn stage_read(&mut self, request: &Request) -> StagedRead {
-        let (wire, query) = match request {
-            // Partial aggregates do not merge (AVG); stage the raw
-            // retrieve and aggregate globally in phase 3, exactly as
-            // the solo path does.
-            Request::Retrieve { query, target, .. } if target.has_aggregates() => {
-                (Request::retrieve_all(query.clone()), query)
-            }
-            Request::Retrieve { query, .. } => (request.clone(), query),
-            _ => unreachable!("read flights hold only retrieves"),
+        let Request::Retrieve { query, .. } = request else {
+            unreachable!("only retrieves are staged as reads")
         };
         let (targets, fallback, probe) = match self.probe_plan(query) {
             Some((first, rest)) => (Some(vec![first]), rest, true),
             None => (self.state.route_targets(query), Vec::new(), false),
         };
         let unavailable = self.state.health.serving_count() == 0;
-        let round: Vec<usize> = match &targets {
-            None => (0..self.backends.len()).collect(),
-            Some(ts) => ts.clone(),
-        };
+        let broadcast = targets.is_none();
+        let round = targets.unwrap_or_else(|| (0..self.backends.len()).collect());
         let msgs = round.iter().filter(|&&i| self.state.health.is_serving(i)).count() as u64;
-        let (seq, sent) = self.send_each(&round, || WireOp::Exec(wire.clone()));
+        let wire = read_wire(request);
+        let (seq, sent) = self.send_each(&round, || WireOp::Exec(wire.clone().into_owned()));
         if probe {
             self.totals.read_probes += sent.len() as u64;
             for &i in &sent {
                 self.read_probes_by_backend[i] += 1;
             }
         }
-        // Mirror `send_round`'s unavailability contract: a broadcast
-        // (or any read, with zero serving backends) that reaches
-        // nobody is an error, while a scoped round whose targets all
-        // just died degrades to the survivors' (empty) answer.
-        let err = (sent.is_empty() && (targets.is_none() || unavailable))
+        // A broadcast (or any read, with zero serving backends) that
+        // reaches nobody is an error, while a scoped round whose
+        // targets all just died degrades to the survivors' (empty)
+        // answer.
+        let err = (sent.is_empty() && (broadcast || unavailable))
             .then(|| Error::Unavailable("no live backends".into()));
         // A probe that reached nobody still has its fallbacks to try.
         let lost = probe && sent.is_empty() && !fallback.is_empty();
         StagedRead {
             seq,
-            wire,
             sent,
             fallback,
             merged: Response::default(),
@@ -1370,11 +1383,28 @@ impl Controller {
         Some((first, covering))
     }
 
-    /// Complete one read flight member: if a probed backend died
-    /// mid-flight, re-probe its replicas one at a time (the bus is
-    /// idle again, so a fresh seq per retry is safe), then merge,
-    /// aggregate if the request asked for it, and finalize — the same
-    /// shape the solo retrieve path produces.
+    /// Phase 2 of a read: merge the round's replies. A member that died
+    /// marks the read `lost` — phase 3 fails a probe over, and a routed
+    /// round's survivors carry the answer.
+    fn collect_read(&mut self, s: &mut StagedRead) {
+        match self.drain_round(s.seq, &s.sent) {
+            Ok(replies) => {
+                s.lost |= replies.len() < s.sent.len();
+                for (_, resp) in replies {
+                    s.merged.merge(resp);
+                }
+            }
+            Err(e) => {
+                s.err.get_or_insert(e);
+            }
+        }
+    }
+
+    /// Phase 3 of a read: if a probed backend died, re-probe its
+    /// replicas one at a time (the bus is idle again, so a fresh seq
+    /// per retry is safe), then dedup the merged answer and aggregate
+    /// it if the request asked for that. The response carries the
+    /// read's messages.
     fn finish_staged_read(&mut self, request: &Request, mut s: StagedRead) -> Result<Response> {
         while s.probe && s.lost && !s.fallback.is_empty() {
             let i = s.fallback.remove(0);
@@ -1385,15 +1415,13 @@ impl Controller {
             self.totals.read_probes += 1;
             self.totals.read_probe_failovers += 1;
             self.read_probes_by_backend[i] += 1;
-            match self.call(i, WireOp::Exec(s.wire.clone())) {
+            match self.call(i, WireOp::Exec(read_wire(request).into_owned())) {
                 Some(Ok(resp)) => {
                     s.merged.merge(resp);
                     s.lost = false;
                 }
                 Some(Err(e)) => {
-                    if s.err.is_none() {
-                        s.err = Some(e);
-                    }
+                    s.err.get_or_insert(e);
                     s.lost = false;
                 }
                 None => {} // also died; try the next replica
@@ -1403,7 +1431,7 @@ impl Controller {
             return Err(e);
         }
         s.merged.dedup_by_key();
-        let resp = match request {
+        let mut resp = match request {
             Request::Retrieve { target, by, .. } if target.has_aggregates() => {
                 let mut stats = s.merged.stats;
                 let groups = aggregate(s.merged.records(), target, by.as_deref())?;
@@ -1414,76 +1442,52 @@ impl Controller {
             }
             _ => s.merged,
         };
-        self.totals.records_examined += resp.stats.records_examined;
-        let mut out = self.finalize(resp);
-        out.messages_sent = s.msgs;
-        Ok(out)
+        resp.messages_sent = s.msgs;
+        Ok(resp)
     }
 
-    /// Write `record` under `key` in replica waves along the placement
-    /// scan from `primary` (resuming at `scanned`, with `assigned`
-    /// already acknowledged) until k copies are acknowledged or the
-    /// ring is exhausted, then commit the insert. Each wave's copies
-    /// are all sent before any reply is awaited (send-all-then-collect,
-    /// like a broadcast round), so a k-way write costs one round trip
-    /// instead of k; a wave member that dies is substituted by the
-    /// next serving backend in the following wave. A failed insert
-    /// still consumed its key and rotor step: that is logged
-    /// (`alloc`) so recovery agrees. Returns the messages sent.
-    fn place_replicas(
-        &mut self,
-        key: DbKey,
-        file: String,
-        record: &Record,
-        primary: usize,
-        mut scanned: usize,
-        mut assigned: Vec<usize>,
-    ) -> Result<u64> {
+    /// Every record matching `query`, deduplicated across replicas,
+    /// read alone through the same three phases as a flight member's
+    /// read: the pre-images of a mutation and each half of a join.
+    pub(crate) fn read_matching(&mut self, query: &abdl::Query) -> Result<Response> {
+        let request = Request::retrieve_all(query.clone());
+        let mut s = self.stage_read(&request);
+        self.collect_read(&mut s);
+        self.finish_staged_read(&request, s)
+    }
+
+    /// Phase 3 of an insert: write further replica waves along the
+    /// placement scan until k copies are acknowledged or the ring is
+    /// exhausted, then commit the insert. Each wave's copies are all
+    /// sent before any reply is awaited, so a k-way write costs one
+    /// round trip instead of k; a wave member that dies is substituted
+    /// by the next serving backend in the following wave. A failed
+    /// insert still consumed its key and rotor step: that is logged
+    /// (`alloc`) so recovery agrees.
+    fn finish_staged_insert(&mut self, record: &Record, mut s: StagedInsert) -> Result<Response> {
         let k = self.state.replication;
-        let mut msgs = 0u64;
-        while assigned.len() < k {
-            let wave = self.state.next_wave(primary, &mut scanned, k - assigned.len());
+        while s.err.is_none() && s.assigned.len() < k {
+            let wave = self.state.next_wave(s.primary, &mut s.scanned, k - s.assigned.len());
             if wave.is_empty() {
                 break;
             }
-            msgs += wave.len() as u64;
+            s.msgs += wave.len() as u64;
+            let key = s.key;
             let (seq, sent) = self.send_each(&wave, || WireOp::InsertWithKey(key, record.clone()));
-            let mut first_err = None;
-            for i in sent {
-                match self.recv_reply(i, seq) {
-                    Some(Ok(_)) => assigned.push(i),
-                    // Drain the whole wave before erroring so reply
-                    // queues stay synchronized.
-                    Some(Err(e)) if first_err.is_none() => first_err = Some(e),
-                    Some(Err(_)) => {}
-                    None => {} // died mid-insert; the next wave substitutes
-                }
-            }
-            if let Some(e) = first_err {
-                self.state.log_append(LogRecord::Alloc { key: key.0, file })?;
-                return Err(e);
+            match self.drain_round(seq, &sent) {
+                Ok(replies) => s.assigned.extend(replies.into_iter().map(|(i, _)| i)),
+                Err(e) => s.err = Some(e),
             }
         }
-        if assigned.is_empty() {
-            self.state.log_append(LogRecord::Alloc { key: key.0, file })?;
-            return Err(Error::Unavailable("no live backend accepted the insert".into()));
+        if s.err.is_none() && s.assigned.is_empty() {
+            s.err = Some(Error::Unavailable("no live backend accepted the insert".into()));
         }
-        self.state.commit_insert(key, &file, assigned, record)?;
-        Ok(msgs)
-    }
-
-    /// Complete one flight member: substitute replicas lost to
-    /// backends dying mid-flight (the same scan `insert` runs), then
-    /// commit the cluster-state bookkeeping.
-    fn finish_staged_insert(&mut self, record: &Record, mut s: StagedInsert) -> Result<Response> {
         if let Some(e) = s.err {
-            // Key and rotor step are consumed even though the insert
-            // failed; log that so recovery agrees.
             self.state.log_append(LogRecord::Alloc { key: s.key.0, file: s.file })?;
             return Err(e);
         }
-        s.msgs += self.place_replicas(s.key, s.file, record, s.primary, s.scanned, s.assigned)?;
-        let mut resp = self.finalize(Response::with_affected(1, Default::default()));
+        self.state.commit_insert(s.key, &s.file, s.assigned, record)?;
+        let mut resp = Response::with_affected(1, Default::default());
         resp.messages_sent = s.msgs;
         Ok(resp)
     }
@@ -1516,11 +1520,17 @@ impl Kernel for Controller {
         if let Some(e) = self.state.pending_error.take() {
             return Err(e);
         }
-        self.totals.requests += 1;
-        let msgs_before = self.totals.messages_sent;
-        let mut resp = self.execute_inner(request)?;
-        resp.messages_sent = self.totals.messages_sent - msgs_before;
-        self.totals.records_examined += resp.stats.records_examined;
+        let resp = match request {
+            Request::Insert { .. } | Request::Retrieve { .. } => self.execute_solo(request)?,
+            _ => {
+                self.totals.requests += 1;
+                let msgs_before = self.totals.messages_sent;
+                let mut resp = self.execute_inner(request)?;
+                resp.messages_sent = self.totals.messages_sent - msgs_before;
+                self.totals.records_examined += resp.stats.records_examined;
+                resp
+            }
+        };
         // Piggyback up to `throttle` queued rebalance moves on this
         // foreground request — the online add/drain progresses in
         // bounded slices while traffic flows. Runs after the message
@@ -1566,7 +1576,8 @@ impl Controller {
     /// Execute a flight of pairwise non-conflicting inserts and
     /// retrieves with their backend rounds pipelined: every member's
     /// sends go out before any reply is awaited, so the flight costs
-    /// one round-trip latency instead of one per member.
+    /// one round-trip latency instead of one per member. A solo insert
+    /// or retrieve is a flight of one ([`execute_solo`](Self::execute_solo)).
     ///
     /// Order discipline: all three phases walk the flight in admission
     /// order. The controller-side reads (unique check, key allocation,
@@ -1589,7 +1600,7 @@ impl Controller {
     /// placements cannot change the answer.
     pub(crate) fn execute_flight(&mut self, flight: &[Request]) -> Vec<Result<Response>> {
         // Phase 1 — stage: per-member bookkeeping, then the member's
-        // sends (first replica wave / routed read round), no replies
+        // sends (first replica wave / planned read round), no replies
         // awaited.
         let mut staged: Vec<Staged> = Vec::with_capacity(flight.len());
         for request in flight {
@@ -1606,34 +1617,13 @@ impl Controller {
         // be mistaken for a stale one and discarded.
         for s in &mut staged {
             match s {
-                Staged::Insert(Ok(si)) => {
-                    let mut first_err = None;
-                    for idx in 0..si.sent.len() {
-                        let i = si.sent[idx];
-                        match self.recv_reply(i, si.seq) {
-                            Some(Ok(_)) => si.assigned.push(i),
-                            Some(Err(e)) if first_err.is_none() => first_err = Some(e),
-                            Some(Err(_)) => {}
-                            None => {} // died mid-flight; substituted in phase 3
-                        }
-                    }
-                    si.err = first_err;
-                }
+                // A member that died mid-flight is substituted in phase 3.
+                Staged::Insert(Ok(si)) => match self.drain_round(si.seq, &si.sent) {
+                    Ok(replies) => si.assigned.extend(replies.into_iter().map(|(i, _)| i)),
+                    Err(e) => si.err = Some(e),
+                },
                 Staged::Insert(Err(_)) => {}
-                Staged::Read(sr) => {
-                    for idx in 0..sr.sent.len() {
-                        let i = sr.sent[idx];
-                        match self.recv_reply(i, sr.seq) {
-                            Some(Ok(resp)) => sr.merged.merge(resp),
-                            Some(Err(e)) if sr.err.is_none() => sr.err = Some(e),
-                            Some(Err(_)) => {}
-                            // Died mid-flight. A probe's whole answer is
-                            // gone (phase 3 fails over); a routed round's
-                            // survivors carry it, like `send_round`.
-                            None => sr.lost = true,
-                        }
-                    }
-                }
+                Staged::Read(sr) => self.collect_read(sr),
             }
         }
         // Phase 3 — finish: with the bus idle again, run substitute
@@ -1643,27 +1633,35 @@ impl Controller {
         flight
             .iter()
             .zip(staged)
-            .map(|(request, s)| match (request, s) {
-                (_, Staged::Insert(Err(e))) => Err(e),
-                (Request::Insert { record }, Staged::Insert(Ok(s))) => {
-                    self.finish_staged_insert(record, s)
-                }
-                (_, Staged::Read(s)) => self.finish_staged_read(request, *s),
-                _ => unreachable!("flight member and staged state disagree"),
+            .map(|(request, s)| {
+                let resp = match (request, s) {
+                    (_, Staged::Insert(Err(e))) => Err(e),
+                    (Request::Insert { record }, Staged::Insert(Ok(s))) => {
+                        self.finish_staged_insert(record, s)
+                    }
+                    (_, Staged::Read(s)) => self.finish_staged_read(request, *s),
+                    _ => unreachable!("flight member and staged state disagree"),
+                }?;
+                self.totals.records_examined += resp.stats.records_examined;
+                Ok(self.finalize(resp))
             })
             .collect()
     }
 
+    /// Run one insert or retrieve as a flight of one.
+    pub(crate) fn execute_solo(&mut self, request: &Request) -> Result<Response> {
+        let mut answers = self.execute_flight(std::slice::from_ref(request));
+        answers.pop().expect("a flight of one answers once")
+    }
+
     /// Send a request to one round of backends (`None` = every serving
-    /// backend, the broadcast path; `Some` = a routed subset), merge
-    /// and dedup the partial responses, and retry-tolerate failures: a
-    /// backend dying mid-round only removes its partial answer (the
-    /// merged result stays correct as long as each record has a live
-    /// replica, which `degraded` reports). All in-flight replies are
-    /// drained before any error is returned, so the per-backend reply
-    /// queues never desynchronize. An empty routed target set answers
-    /// immediately with an empty response — exactly what a broadcast
-    /// would have merged.
+    /// backend, the broadcast path; `Some` = a routed subset) and merge
+    /// and dedup the partial responses. Only the rounds no read plan
+    /// shapes come here: a mutation, and the whole-file scans behind
+    /// snapshots and constraint backfills, which ignore residency on
+    /// purpose. A backend dying mid-round only removes its partial
+    /// answer. An empty routed target set answers immediately with an
+    /// empty response — exactly what a broadcast would have merged.
     pub(crate) fn send_round(
         &mut self,
         request: &Request,
@@ -1685,34 +1683,11 @@ impl Controller {
             return Err(Error::Unavailable("no live backends".into()));
         }
         let mut merged = Response::default();
-        let mut first_err = None;
-        for i in sent {
-            match self.recv_reply(i, seq) {
-                Some(Ok(resp)) => merged.merge(resp),
-                // Keep draining the other backends' replies even after
-                // an error — bailing early would leave stale replies
-                // desynchronizing the next round.
-                Some(Err(e)) if first_err.is_none() => first_err = Some(e),
-                Some(Err(_)) => {}
-                None => {} // dead mid-round; survivors carry the answer
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
+        for (_, resp) in self.drain_round(seq, &sent)? {
+            merged.merge(resp);
         }
         merged.dedup_by_key();
         Ok(merged)
-    }
-
-    /// Preferred replica group, then every other backend as fallback
-    /// so a dead group member is substituted by the next live one.
-    pub(crate) fn insert(&mut self, record: &Record) -> Result<Response> {
-        self.state.check_unique(record)?;
-        let file = record.file().ok_or(Error::MissingFileKeyword)?.to_owned();
-        let key = self.state.alloc_key();
-        let primary = self.state.partitioner.place_group(&file, self.state.replication)[0];
-        self.place_replicas(key, file, record, primary, 0, Vec::new())?;
-        Ok(Response::with_affected(1, Default::default()))
     }
 
     /// Attach health metadata to an outgoing response.

@@ -341,6 +341,11 @@ impl<S: Clone, R: Clone> LinkJudge<S, R> {
     pub(crate) fn is_severed(&self) -> bool {
         self.severed
     }
+
+    /// Frames judged so far: `(sent, received)`.
+    pub(crate) fn frames(&self) -> (u64, u64) {
+        (self.frames[LinkDir::Send as usize], self.frames[LinkDir::Recv as usize])
+    }
 }
 
 /// What `fault` does to `item`: the one place a link fault is decided.

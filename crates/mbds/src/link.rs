@@ -222,6 +222,11 @@ pub(crate) trait Link: Send {
     fn is_connected(&self) -> bool {
         false
     }
+    /// Frames moved so far, `(sent, received)`, as link events count
+    /// them; a link that moves no frames counts none.
+    fn frames(&self) -> (u64, u64) {
+        (0, 0)
+    }
 }
 
 // --- Channel bus -------------------------------------------------------
@@ -526,6 +531,10 @@ impl Link for SocketLink {
 
     fn is_connected(&self) -> bool {
         self.tcp.is_connected()
+    }
+
+    fn frames(&self) -> (u64, u64) {
+        self.tcp.frames()
     }
 }
 

@@ -838,6 +838,12 @@ impl TcpLink {
         self.judge.is_severed()
     }
 
+    /// Frames judged so far, `(sent, received)`: the counters a plan's
+    /// link events for this link fire on.
+    pub fn frames(&self) -> (u64, u64) {
+        self.judge.frames()
+    }
+
     /// True when a TCP connection is currently established.
     pub fn is_connected(&self) -> bool {
         self.stream.is_some()

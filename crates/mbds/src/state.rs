@@ -15,9 +15,9 @@
 //!
 //! The few protocol steps that need the backends as well (a
 //! backfilling unique constraint, a rebalance step and its chunked
-//! group move, the logical affected set of a mutation, the request
-//! dispatcher and the batch scheduler that forms flights) are a second
-//! `impl Controller` block at the end of this module.
+//! group move, the solo path of deletes, updates and joins, and the
+//! batch scheduler that forms flights) are a second `impl Controller`
+//! block at the end of this module.
 
 use crate::controller::Controller;
 use crate::directory::Directory;
@@ -27,7 +27,6 @@ use crate::placement::Partitioner;
 use crate::rebalance::{self, MoveJob, Rebalancer};
 use crate::sched::Footprint;
 use crate::wal::{LogRecord, SnapshotData, Wal, WalStats};
-use abdl::engine::aggregate;
 use abdl::{
     DbKey, Error, ExecTotals, Kernel, Record, RelOp, Request, Response, Result, Store, Value,
 };
@@ -879,8 +878,8 @@ impl ClusterState {
 
 /// The protocol steps that span the cluster state and the backends: a
 /// backfilling unique constraint, a rebalance step and its chunked
-/// group move, the logical affected set of a mutation, the request
-/// dispatcher and the batch scheduler that forms flights.
+/// group move, the solo path of deletes, updates and joins, and the
+/// batch scheduler that forms flights.
 impl Controller {
     /// Run `op` inside one WAL group-commit batch: an operation's
     /// markers (and any deaths detected along the way) sync together.
@@ -904,20 +903,23 @@ impl Controller {
     /// consecutive non-conflicting inserts and retrieves, which
     /// `execute_flight` runs together — read-only flights (reads always
     /// commute, broadcast scans included) and mixed read/insert flights
-    /// (key-/file-disjoint footprints) alike. A conflicting request closes the flight (a
-    /// `conflict_stalls` tick) and waits for it to drain; a flight also
-    /// closes at [`REPLY_CACHE`] members, because a backend answers a
-    /// retransmitted seq from its reply cache only within that distance
-    /// of the newest one, and a flight's seqs span its length. Deletes,
-    /// updates and joins run dependent controller-side rounds and
-    /// execute solo. Because flight members pairwise commute, the
-    /// result is always equivalent to executing the batch serially in
-    /// admission order (`tests/concurrent_equivalence.rs`).
+    /// (key-/file-disjoint footprints) alike. A conflicting request
+    /// closes the flight (a `conflict_stalls` tick) and waits for it to
+    /// drain; a flight also closes at [`REPLY_CACHE`] members, because a
+    /// backend answers a retransmitted seq from its reply cache only
+    /// within that distance of the newest one, and a flight's seqs span
+    /// its length. A request left alone runs through `execute`: an
+    /// insert or retrieve as a flight of one, a delete, update or join
+    /// through its dependent controller-side rounds. Because flight
+    /// members pairwise commute, the result is always equivalent to
+    /// executing the batch serially in admission order
+    /// (`tests/concurrent_equivalence.rs`).
     ///
     /// An in-flight group move is a standing broadcast-write conflict:
-    /// while the rebalance queue is non-empty no flight forms (each
-    /// member runs solo, after any move its own `execute` pumps), so no
-    /// staged read can overlap a directory retarget.
+    /// while the rebalance queue is non-empty no flight of two or more
+    /// forms (each member runs as a flight of one, and its own
+    /// `execute` pumps the queue after it), so no staged read can
+    /// overlap a directory retarget.
     ///
     /// The whole batch runs inside one WAL group-commit batch: every
     /// session's appends are buffered and flushed with a single sync —
@@ -986,18 +988,6 @@ impl Controller {
     /// Broadcast a request to every serving backend.
     pub(crate) fn broadcast(&mut self, request: &Request) -> Result<Response> {
         self.send_round(request, None)
-    }
-
-    /// The records currently matching `query`, deduplicated across
-    /// replicas — the *logical* affected set of a mutation, with the
-    /// pre-images the index maintenance needs.
-    fn matching_records(
-        &mut self,
-        query: &abdl::Query,
-        targets: Option<&[usize]>,
-    ) -> Result<Vec<(DbKey, Record)>> {
-        let resp = self.send_round(&Request::retrieve_all(query.clone()), targets)?;
-        Ok(resp.into_records())
     }
 
     /// Register a constraint group, backfilling the index from existing
@@ -1113,69 +1103,46 @@ impl Controller {
         }
     }
 
-    /// The request dispatcher behind `Kernel::execute`, shared with WAL
-    /// replay (which must not re-trigger pending-error surfacing or
-    /// snapshot compaction).
+    /// The solo path behind `Kernel::execute` for the requests that run
+    /// dependent controller-side rounds — deletes, updates and joins —
+    /// shared with WAL replay (which must not re-trigger pending-error
+    /// surfacing or snapshot compaction). Any other request, such as
+    /// one a parsed `exec` log entry names, runs as a flight of one.
     pub(crate) fn execute_inner(&mut self, request: &Request) -> Result<Response> {
         match request {
-            Request::Insert { record } => {
-                let resp = self.insert(record)?;
-                Ok(self.finalize(resp))
-            }
-            Request::Delete { query } => {
+            Request::Delete { query } | Request::Update { query, .. } => {
                 // Logical affected set: matching records, deduplicated
                 // across replicas, *before* the round mutates them (the
                 // pre-images also feed the index/residency bookkeeping).
+                let matched = self.read_matching(query)?.into_records();
                 let targets = self.state.route_targets(query);
-                let matched = self.matching_records(query, targets.as_deref())?;
                 let resp = self.send_round(request, targets.as_deref())?;
                 let state = &mut self.state;
-                for (k, rec) in &matched {
-                    if let Some(group) = state.directory.remove(k) {
-                        if let Some(file) = rec.file() {
-                            state.resident_remove(file, &group);
-                        }
+                if let Request::Update { modifier, .. } = request {
+                    for (k, rec) in &matched {
+                        state.index_update(*k, rec, &modifier.attr, &modifier.value);
                     }
-                    state.index_remove(*k, rec);
-                }
-                self.degraded_dirty = true;
-                self.state.log_append(LogRecord::Exec { request: request.clone() })?;
-                let out = Response::with_affected(matched.len(), resp.stats);
-                Ok(self.finalize(out))
-            }
-            Request::Update { query, modifier } => {
-                let targets = self.state.route_targets(query);
-                let matched = self.matching_records(query, targets.as_deref())?;
-                let resp = self.send_round(request, targets.as_deref())?;
-                for (k, rec) in &matched {
-                    self.state.index_update(*k, rec, &modifier.attr, &modifier.value);
+                } else {
+                    for (k, rec) in &matched {
+                        if let Some(group) = state.directory.remove(k) {
+                            if let Some(file) = rec.file() {
+                                state.resident_remove(file, &group);
+                            }
+                        }
+                        state.index_remove(*k, rec);
+                    }
+                    self.degraded_dirty = true;
                 }
                 self.state.log_append(LogRecord::Exec { request: request.clone() })?;
                 let out = Response::with_affected(matched.len(), resp.stats);
                 Ok(self.finalize(out))
-            }
-            Request::Retrieve { query, target, by } if target.has_aggregates() => {
-                // Partial aggregates do not merge (AVG); fetch the
-                // matching records (deduplicated) and aggregate
-                // globally.
-                let targets = self.state.route_targets(query);
-                let rows =
-                    self.send_round(&Request::retrieve_all(query.clone()), targets.as_deref())?;
-                let mut stats = rows.stats;
-                let groups = aggregate(rows.records(), target, by.as_deref())?;
-                stats.records_returned = groups.len() as u64;
-                let mut resp = Response::with_records(Vec::new(), stats);
-                resp.groups = Some(groups);
-                Ok(self.finalize(resp))
             }
             Request::RetrieveCommon { left, left_attr, right, right_attr, target } => {
                 // Matching halves may live on different backends; join
                 // at the controller over the merged partials. Each half
-                // routes independently.
-                let lt = self.state.route_targets(left);
-                let l = self.send_round(&Request::retrieve_all(left.clone()), lt.as_deref())?;
-                let rt = self.state.route_targets(right);
-                let r = self.send_round(&Request::retrieve_all(right.clone()), rt.as_deref())?;
+                // is planned independently.
+                let l = self.read_matching(left)?;
+                let r = self.read_matching(right)?;
                 // Tag halves into scratch files (a record matching both
                 // qualifications must appear on both sides, so the keys
                 // are remapped disjointly).
@@ -1209,14 +1176,7 @@ impl Controller {
                 out.stats += stats;
                 Ok(self.finalize(out))
             }
-            other => {
-                let targets = match other {
-                    Request::Retrieve { query, .. } => self.state.route_targets(query),
-                    _ => None,
-                };
-                let resp = self.send_round(other, targets.as_deref())?;
-                Ok(self.finalize(resp))
-            }
+            other => self.execute_solo(other),
         }
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! The mapping itself lives in [`Namespace`], a plain value that does
 //! not borrow the kernel. That separation matters to the concurrent
-//! service layer: the dispatcher maps requests from *several* sessions
+//! service layer: the admission workers map requests from *several* sessions
 //! (each with its own database prefix) before handing the whole group
 //! to `Kernel::execute_batch`, which a borrowing adapter could not
 //! express. [`NamespacedKernel`] composes a `Namespace` with a kernel

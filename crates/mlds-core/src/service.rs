@@ -4,42 +4,37 @@
 //! many users at once, but [`Mlds`](crate::Mlds) itself is a
 //! single-threaded value: every `execute_*` call borrows it mutably.
 //! [`MldsService`] lifts that restriction without touching the kernel
-//! borrow discipline. It moves the whole `Mlds` into a dispatcher
+//! borrow discipline. It moves the whole `Mlds` into an executor
 //! thread and hands out [`ServiceSession`] handles that are `Send` —
 //! each session submits ABDL requests over a channel and blocks on a
 //! private reply channel.
 //!
 //! The concurrency win comes from *admission batching*: when several
-//! sessions have requests queued at once, the dispatcher drains them
-//! all, maps each through its session's database [`Namespace`], and
-//! hands the whole group to [`Kernel::execute_batch`] in one call. On
+//! sessions have requests queued at once, they are drained together,
+//! each mapped through its session's database [`Namespace`], and the
+//! whole group is handed to [`Kernel::execute_batch`] in one call. On
 //! the multi-backend controller that means the batch scheduler keeps
 //! non-conflicting requests in flight on the backend bus together and
 //! the WAL group-commits every append under a single sync — the two
 //! costs that dominate a one-at-a-time front door.
 //!
+//! Admission is one pipeline of N shard workers feeding one executor
+//! ([`start`](MldsService::start) is the pipeline with one worker).
+//! Each worker owns a disjoint slice of the database namespace
+//! (sessions are routed to the worker that owns their database at open
+//! time), drains its own queue and namespace-maps its runs, so at high
+//! session counts the mapping work runs in parallel. The executor owns
+//! the `Mlds` and concatenates runs from different shards into one
+//! [`Kernel::execute_batch`] call, so the cross-session group commit
+//! and flight scheduling span shards. Per-worker channel ordering keeps
+//! every session's open-before-submit and submission-order guarantees.
+//!
 //! Every executed request is also recorded in the **admission log**
 //! (session id, database, session-level request, normalized outcome),
-//! in the exact order the dispatcher admitted it. Replaying that log
-//! serially on an identically-configured fresh system must reproduce
-//! every outcome and the same final state — the equivalence bar that
+//! in the executor's concatenation order. Replaying that log serially
+//! on an identically-configured fresh system must reproduce every
+//! outcome and the same final state — the equivalence bar that
 //! `tests/concurrent_equivalence.rs` pins.
-//!
-//! At high session counts the single dispatcher thread itself becomes
-//! the bottleneck: it namespace-maps every request of every session
-//! between kernel calls. [`start_sharded`](MldsService::start_sharded)
-//! splits that admission work across N workers, each owning a disjoint
-//! slice of the database namespace (sessions are routed to the worker
-//! that owns their database at open time). Workers drain and
-//! namespace-map their own queues in parallel and forward mapped runs
-//! to a single executor thread that owns the `Mlds`; the executor
-//! concatenates runs from different shards into one
-//! [`Kernel::execute_batch`] call, so the cross-session group commit
-//! and flight scheduling now span shards too. Per-worker channel
-//! ordering keeps every session's open-before-submit and
-//! submission-order guarantees; the admission log records the
-//! executor's concatenation order, which replays serially like any
-//! other admission order.
 
 use crate::namespace::Namespace;
 use crate::system::Mlds;
@@ -48,12 +43,13 @@ use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 
-/// Most jobs the dispatcher will drain into one admission batch.
+/// Most jobs a worker or the executor will drain into one admission
+/// batch.
 /// Bounds per-batch latency; the controller's scheduler decides how
 /// much of the batch actually flies concurrently.
 const MAX_BATCH: usize = 64;
 
-/// One admitted request, recorded in dispatcher admission order.
+/// One admitted request, recorded in admission order.
 #[derive(Debug, Clone)]
 pub struct AdmissionEntry {
     /// Session that submitted the request.
@@ -82,7 +78,7 @@ pub struct SessionStat {
     pub errors: u64,
 }
 
-/// Everything the dispatcher hands back when the service stops.
+/// Everything the executor hands back when the service stops.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceReport {
     /// Every executed request, in admission order.
@@ -197,20 +193,19 @@ impl ServiceSession {
 /// [`into_parts`](MldsService::into_parts) hands it back along with
 /// the admission log.
 pub struct MldsService<K: Kernel + Send + 'static> {
-    /// One admission queue per shard worker (one entry when classic).
+    /// One admission queue per shard worker.
     txs: Vec<Sender<Job>>,
-    /// Shard worker threads (empty when classic).
+    /// Shard worker threads.
     workers: Vec<JoinHandle<()>>,
     handle: JoinHandle<(Mlds<K>, ServiceReport)>,
     next_id: u64,
 }
 
 impl<K: Kernel + Send + 'static> MldsService<K> {
-    /// Move `mlds` into a dispatcher thread and start serving.
+    /// Move `mlds` into an executor thread and start serving through
+    /// one admission worker.
     pub fn start(mlds: Mlds<K>) -> Self {
-        let (tx, rx) = channel();
-        let handle = std::thread::spawn(move || dispatch(mlds, rx));
-        MldsService { txs: vec![tx], workers: Vec::new(), handle, next_id: 0 }
+        MldsService::start_sharded(mlds, 1)
     }
 
     /// Like [`start`](MldsService::start), but admission is sharded:
@@ -234,7 +229,7 @@ impl<K: Kernel + Send + 'static> MldsService<K> {
         MldsService { txs, workers, handle, next_id: 0 }
     }
 
-    /// The number of admission shards (1 for a classic service).
+    /// The number of admission shards (1 for [`start`](MldsService::start)).
     pub fn shards(&self) -> usize {
         self.txs.len()
     }
@@ -246,7 +241,7 @@ impl<K: Kernel + Send + 'static> MldsService<K> {
         let id = self.next_id;
         let tx = self.txs[shard_of(db, self.txs.len())].clone();
         let (ack_tx, ack_rx) = channel();
-        // The dispatcher owns the registry; wait for the ack so a
+        // The executor owns the session table; wait for its ack so a
         // session can never race ahead of its own registration.
         let _ = tx.send(Job::Open {
             id,
@@ -258,7 +253,7 @@ impl<K: Kernel + Send + 'static> MldsService<K> {
         ServiceSession { id, db: db.to_owned(), tx }
     }
 
-    /// Stop the dispatcher and reclaim the `Mlds` plus the admission
+    /// Stop the service and reclaim the `Mlds` plus the admission
     /// log and per-session counters. Outstanding sessions' submits
     /// fail with [`Error::Unavailable`] afterwards.
     pub fn into_parts(self) -> (Mlds<K>, ServiceReport) {
@@ -268,89 +263,7 @@ impl<K: Kernel + Send + 'static> MldsService<K> {
         for w in self.workers {
             let _ = w.join();
         }
-        self.handle.join().expect("service dispatcher panicked")
-    }
-}
-
-fn dispatch<K: Kernel>(mut mlds: Mlds<K>, rx: Receiver<Job>) -> (Mlds<K>, ServiceReport) {
-    let mut report = ServiceReport::default();
-    // id → (namespace, index into report.sessions)
-    let mut registry: HashMap<u64, (Namespace, usize)> = HashMap::new();
-    'serve: loop {
-        let first = match rx.recv() {
-            Ok(job) => job,
-            Err(_) => break,
-        };
-        // Drain whatever else is already queued: these are the
-        // requests that were admitted "at the same time" and may
-        // execute as one batch.
-        let mut jobs = vec![first];
-        while jobs.len() < MAX_BATCH {
-            match rx.try_recv() {
-                Ok(job) => jobs.push(job),
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
-        }
-        while !jobs.is_empty() {
-            if matches!(jobs[0], Job::Exec { .. }) {
-                // Gather the run of consecutive Exec jobs.
-                let mut j = 1;
-                while j < jobs.len() && matches!(jobs[j], Job::Exec { .. }) {
-                    j += 1;
-                }
-                let run: Vec<Job> = jobs.drain(..j).collect();
-                execute_run(&mut mlds, &registry, &mut report, run);
-                continue;
-            }
-            match jobs.remove(0) {
-                Job::Open { id, uid, db, ack } => {
-                    registry.insert(id, (Namespace::new(&db), report.sessions.len()));
-                    report.sessions.push(SessionStat { id, uid, db, requests: 0, errors: 0 });
-                    let _ = ack.send(());
-                }
-                Job::Stop => break 'serve,
-                Job::Exec { .. } => unreachable!(),
-            }
-        }
-    }
-    (mlds, report)
-}
-
-fn execute_run<K: Kernel>(
-    mlds: &mut Mlds<K>,
-    registry: &HashMap<u64, (Namespace, usize)>,
-    report: &mut ServiceReport,
-    run: Vec<Job>,
-) {
-    let mut mapped = Vec::with_capacity(run.len());
-    let mut meta = Vec::with_capacity(run.len());
-    for job in run {
-        let Job::Exec { id, request, reply } = job else { unreachable!() };
-        let Some((ns, slot)) = registry.get(&id) else {
-            let _ = reply.send(Err(Error::Unavailable(format!("unknown session {id}"))));
-            continue;
-        };
-        mapped.push(ns.map_request_in(&request));
-        meta.push((id, request, reply, ns.clone(), *slot));
-    }
-    if mapped.is_empty() {
-        return;
-    }
-    let results = mlds.kernel_mut().execute_batch(&mapped);
-    for ((id, request, reply, ns, slot), result) in meta.into_iter().zip(results) {
-        let result = result.map(|r| ns.map_response_out(r));
-        let stat = &mut report.sessions[slot];
-        stat.requests += 1;
-        if result.is_err() {
-            stat.errors += 1;
-        }
-        report.admissions.push(AdmissionEntry {
-            session: id,
-            db: stat.db.clone(),
-            request,
-            outcome: outcome_of(&result),
-        });
-        let _ = reply.send(result);
+        self.handle.join().expect("service executor panicked")
     }
 }
 

@@ -5,7 +5,7 @@
 //! threads submitting over an [`mlds::MldsService`], the controller's
 //! batch scheduler keeping non-conflicting requests in flight together
 //! and group-committing their WAL appends — is equivalent to *some*
-//! serial order, namely the dispatcher's admission order. The service
+//! serial order, namely the service's admission order. The service
 //! records that order in its admission log; replaying the log one
 //! request at a time on a fresh, identically-configured system must
 //! reproduce every per-request outcome (records, affected counts,

@@ -477,9 +477,11 @@ fn outcome(result: &mlds::abdl::Result<mlds::abdl::Response>) -> String {
 /// commuting unique-keyed inserts and point reads — longer than the
 /// backends' reply cache, so the scheduler must close a flight at the
 /// cap — with frames dropped, duplicated and reordered mid-flight in
-/// both directions of one link. Each retry resends the link's whole
-/// window of unanswered frames; per-request outcomes, the state digest
-/// and the unique index must all equal a serial run of the same batch.
+/// both directions of one link. Each event sits on an exact frame of
+/// that link, read from its counters, which installing the plan must
+/// not move. Each retry resends the link's whole window of unanswered
+/// frames; per-request outcomes, the state digest and the unique index
+/// must all equal a serial run of the same batch.
 #[test]
 fn long_faulty_flight_over_tcp_matches_serial_execution() {
     const SEEDED: i64 = 16;
@@ -506,33 +508,52 @@ fn long_faulty_flight_over_tcp_matches_serial_execution() {
         .collect();
 
     let mut serial = build();
+    let (start, _) = serial.link_frames(0);
     let want: Vec<String> = batch.iter().map(|r| outcome(&serial.execute(r))).collect();
+    // The frames the batch itself sends on link 0: one per message.
+    let batch_frames = serial.link_frames(0).0 - start;
 
     let mut faulty = build();
     faulty.set_reply_timeout(std::time::Duration::from_millis(400));
     faulty.set_retry_budget(4);
-    // Every link has moved at most `sent` frames each way so far, so
-    // these all fire inside the batch, early in the first flight.
-    let sent = faulty.exec_totals().messages_sent;
+    // Each event is placed on link 0's exact frame: `n` frames into the
+    // batch in its direction. All of them fire early in the first
+    // flight.
+    let (sent, recvd) = faulty.link_frames(0);
     faulty.set_fault_plan(
         FaultPlan::new()
             .with_link(0, LinkDir::Send, sent + 5, LinkFault::Drop)
             .with_link(0, LinkDir::Send, sent + 9, LinkFault::Duplicate)
             .with_link(0, LinkDir::Send, sent + 13, LinkFault::Reorder)
-            .with_link(0, LinkDir::Recv, sent + 6, LinkFault::Drop)
-            .with_link(0, LinkDir::Recv, sent + 10, LinkFault::Duplicate)
-            .with_link(0, LinkDir::Recv, sent + 14, LinkFault::Reorder),
+            .with_link(0, LinkDir::Recv, recvd + 6, LinkFault::Drop)
+            .with_link(0, LinkDir::Recv, recvd + 10, LinkFault::Duplicate)
+            .with_link(0, LinkDir::Recv, recvd + 14, LinkFault::Reorder),
     );
+    assert_eq!(faulty.link_frames(0), (sent, recvd), "installing the plan moved a frame counter");
     let got: Vec<String> = faulty.execute_batch(&batch).iter().map(outcome).collect();
 
+    // Every event fired inside the batch. The drops were recovered by
+    // resending link 0's window, and the duplicates and reorders
+    // changed no answer.
+    let t = faulty.exec_totals();
+    let (sent_after, recvd_after) = faulty.link_frames(0);
+    assert!(
+        sent_after >= sent + 13 && recvd_after >= recvd + 14,
+        "the batch moved link 0 only to frames ({sent_after}, {recvd_after}), \
+         short of the plan's events"
+    );
+    assert!(t.retries > 0, "the dropped frames cost no retry: {t:?}");
+    assert!(
+        sent_after - sent > batch_frames,
+        "link 0 sent {} frames, no more than the batch's own {batch_frames}: nothing was resent",
+        sent_after - sent
+    );
     for (n, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g, w, "request {n} diverged from serial execution");
     }
-    let t = faulty.exec_totals();
     assert_eq!(faulty.alive_count(), BACKENDS, "a lost frame was never resent: {t:?}");
     assert_eq!(faulty.state_digest().unwrap(), serial.state_digest().unwrap());
     assert_eq!(faulty.unique_index_digest(), serial.unique_index_digest());
-    assert!(t.retries > 0, "the fault plan never cost a retry: {t:?}");
     assert_eq!(t.conflict_stalls, 0, "{t:?}");
     assert!(t.sched_flights >= 2, "the reply-cache cap never closed a flight: {t:?}");
 }

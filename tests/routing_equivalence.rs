@@ -12,12 +12,15 @@
 //!
 //! The payoff is then checked as exact message counts on the requests
 //! the optimisations are about (unique inserts, duplicate rejections,
-//! point reads on the unique attribute, batched point reads).
+//! point reads on the unique attribute, key-pinned updates and deletes,
+//! batched point reads). Every controller read is planned the same
+//! way, so a solo point read, a batched one and a key-pinned
+//! mutation's pre-image fetch each probe one backend.
 
 use mlds::abdl::parse::parse_request;
 use mlds::abdl::prng::Prng;
 use mlds::abdl::{Error, Kernel, Record, Request, Response, Store, Value};
-use mlds::mbds::{Controller, CostModel};
+use mlds::mbds::{Controller, CostModel, FaultKind, FaultPlan};
 use std::collections::HashMap;
 
 const BACKENDS: usize = 6;
@@ -245,9 +248,12 @@ fn load_f(k: &mut impl Kernel, rows: i64) {
 /// The broadcast tax, counted: on 8 backends with k = 2, a unique
 /// insert costs exactly its k replica writes (the index replaces a
 /// cluster-wide probe), a duplicate is rejected before any message, a
-/// point read on the unique attribute reaches only its replica group,
-/// a read the index cannot pin reaches every backend holding the file,
-/// and a read of an empty file reaches nobody.
+/// point read on the unique attribute probes one backend of its
+/// replica group, a key-pinned update or delete costs that one
+/// pre-image probe plus its k mutation messages, a read the index
+/// cannot pin reaches every backend holding the file, and a read of an
+/// empty file reaches nobody. A point read whose probed backend crashes
+/// on the probe fails over to the replica and still answers.
 #[test]
 fn unique_attribute_requests_cost_exact_message_counts() {
     let mut c = Controller::with_replication(8, 2);
@@ -265,7 +271,17 @@ fn unique_attribute_requests_cost_exact_message_counts() {
     for u in [0, 57, 202] {
         let resp = c.execute(&point_read(u)).unwrap();
         assert_eq!(resp.records().len(), 1);
-        assert_eq!(resp.messages_sent, 2, "point read u={u} reaches its replica pair");
+        assert_eq!(resp.messages_sent, 1, "point read u={u} probes one replica");
+    }
+    for (text, what) in [
+        ("UPDATE ((FILE = f) and (u = 57)) (v = 99)", "update"),
+        ("DELETE ((FILE = f) and (u = 202))", "delete"),
+    ] {
+        let probes = c.exec_totals().read_probes;
+        let resp = c.execute(&parse_request(text).unwrap()).unwrap();
+        assert_eq!(resp.affected, 1, "key-pinned {what}");
+        assert_eq!(resp.messages_sent, 1 + 2, "key-pinned {what}: pre-image probe + k writes");
+        assert_eq!(c.exec_totals().read_probes, probes + 1, "key-pinned {what} pre-image");
     }
     let scan = parse_request("RETRIEVE ((FILE = f) and (v = 3)) (*)").unwrap();
     let resp = c.execute(&scan).unwrap();
@@ -275,13 +291,34 @@ fn unique_attribute_requests_cost_exact_message_counts() {
     let resp = c.execute(&parse_request("RETRIEVE (FILE = empty) (*)").unwrap()).unwrap();
     assert!(resp.records().is_empty());
     assert_eq!(resp.messages_sent, 0, "an empty file costs nothing");
+
+    // Find the backend that point read probes, then crash it on its
+    // next message, whatever its count: a crash is armed at every
+    // message number it can have reached. Two short reply windows
+    // detect the crash.
+    c.set_reply_timeout(std::time::Duration::from_millis(100));
+    let probed_before = c.read_probe_counts().to_vec();
+    c.execute(&point_read(0)).unwrap();
+    let probed = (0..c.backend_count())
+        .find(|&i| c.read_probe_counts()[i] > probed_before[i])
+        .expect("a point read probes a backend");
+    let horizon = c.exec_totals().messages_sent + 1;
+    c.set_fault_plan((1..=horizon).fold(FaultPlan::new(), |plan, n| {
+        plan.with(probed, n, FaultKind::Crash)
+    }));
+    let failovers = c.exec_totals().read_probe_failovers;
+    let resp = c.execute(&point_read(0)).unwrap();
+    assert_eq!(resp.records().len(), 1, "the replica answers for the crashed probe");
+    assert_eq!(resp.messages_sent, 2, "the probe and its failover");
+    assert_eq!(c.exec_totals().read_probe_failovers, failovers + 1);
+    assert!(!c.health().unavailable.is_empty(), "the probed backend crashed");
 }
 
 /// Batched point reads fly as single-backend probes, in flights capped
 /// at the backends' reply-cache span (256): 300 reads are 2 flights,
-/// 300 probes and 300 messages, where the same reads one by one cost
-/// two replica messages each. The simulator's scheduler forms exactly
-/// the same flights.
+/// 300 probes and 300 messages, and the same reads one by one are
+/// flights of one and cost one probe each. The simulator's scheduler
+/// forms exactly the same flights.
 #[test]
 fn batched_point_reads_fly_as_probes_in_capped_flights() {
     const ROWS: i64 = 300;
@@ -303,7 +340,7 @@ fn batched_point_reads_fly_as_probes_in_capped_flights() {
     for r in &reads {
         c.execute(r).unwrap();
     }
-    assert_eq!(c.exec_totals().messages_sent - before, 2 * ROWS as u64);
+    assert_eq!(c.exec_totals().messages_sent - before, ROWS as u64);
 
     let mut sim = Controller::simulated(4, 2, CostModel::default());
     load_f(&mut sim, ROWS);
