@@ -356,7 +356,8 @@ fn spawn_thread(
 #[derive(Default)]
 struct RetransmitWindow {
     /// Sent frames keyed by seq; an entry leaves when its reply is
-    /// taken. A retry resends all of them in seq order.
+    /// taken. A retry resends, in seq order, those with no reply in
+    /// `early`.
     unacked: BTreeMap<u64, Frame>,
     /// Replies to seqs still in `unacked` that arrived while an
     /// earlier seq was being awaited (a flight's collect phase awaits
@@ -390,8 +391,8 @@ impl SocketLink {
 
     /// One reply window. The window is split into `retry_budget + 1`
     /// sub-waits with doubling lengths (1, 2, 4, … shares of the
-    /// window); each expiry retransmits the link's whole window of
-    /// unanswered frames — idempotent request ids make that safe — and
+    /// window); each expiry retransmits every frame the link still
+    /// has no reply to — idempotent request ids make that safe — and
     /// counts into `retries`/`backoff_ms`, so the health board only
     /// sees losses the retry budget could not hide. A reply to another
     /// seq still in the window is kept for its own wait; anything else
@@ -447,7 +448,7 @@ impl SocketLink {
         }
     }
 
-    /// Queue the whole window of unanswered frames, in seq order,
+    /// Queue every sent frame with no reply yet, in seq order,
     /// re-dialing once if the connection is gone; the wait that
     /// follows writes them as one burst. Frames whose replies were
     /// lost are answered from the backend's reply cache; frames that
@@ -455,8 +456,12 @@ impl SocketLink {
     /// their flight, which is safe because a flight's members pairwise
     /// commute.
     fn retransmit(&mut self, at: Stamp) -> bool {
-        let tcp = &mut self.tcp;
-        self.window.unacked.values().all(|frame| queue_redialing(tcp, frame, at))
+        let (tcp, window) = (&mut self.tcp, &self.window);
+        window
+            .unacked
+            .iter()
+            .filter(|(seq, _)| !window.early.contains_key(seq))
+            .all(|(_, frame)| queue_redialing(tcp, frame, at))
     }
 }
 
@@ -752,7 +757,26 @@ fn put<T>(slots: &mut Vec<T>, i: usize, item: T) -> Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{LinkDir, LinkFault};
     use std::net::TcpListener;
+
+    /// A socket-transport cluster whose backend 0 is a server on a
+    /// loopback port in this process, serving one connection until it
+    /// hangs up.
+    fn loopback_backend() -> (Cluster, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            net::serve_conn(stream, &Mutex::new(net::ServerState::new(0)));
+        });
+        let procs = Cluster::processes();
+        if let Fabric::Processes(p) = &*procs.fabric {
+            p.addrs.lock().unwrap().push(addr);
+            p.children.lock().unwrap().push(None);
+        }
+        (procs, server)
+    }
 
     /// The fence refusal is written once, so the channel bus and the
     /// socket transport refuse a below-fence message in the same words.
@@ -775,20 +799,8 @@ mod tests {
         let mut chan = threads.spawn(0, 1, 5).unwrap();
         let over_chan = refusal(chan.as_mut(), &mut totals);
 
-        // A backend server on a loopback port in this process, serving
-        // one connection until it hangs up; the handshake at epoch 5
-        // raises its fence.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            net::serve_conn(stream, &Mutex::new(net::ServerState::new(0)));
-        });
-        let procs = Cluster::processes();
-        if let Fabric::Processes(p) = &*procs.fabric {
-            p.addrs.lock().unwrap().push(addr);
-            p.children.lock().unwrap().push(None);
-        }
+        // The handshake at epoch 5 raises the backend's fence.
+        let (procs, server) = loopback_backend();
         let mut sock = procs.attach(0, 1, 5);
         assert!(sock.is_connected());
         let over_socket = refusal(sock.as_mut(), &mut totals);
@@ -796,6 +808,31 @@ mod tests {
         assert_eq!(over_chan, "backend 0: request fenced (epoch 0 < fence 5)");
         assert_eq!(over_socket, over_chan);
         chan.stop(Stamp { epoch: 5, ..at });
+        drop(sock);
+        server.join().unwrap();
+    }
+
+    /// A retry resends only the seqs still unanswered: replies that
+    /// overtook the awaited seq are kept, not asked for again.
+    #[test]
+    fn a_retry_resends_only_unanswered_seqs() {
+        let at = Stamp { epoch: 0, window: Duration::from_millis(4500), retry_budget: 1 };
+        let (procs, server) = loopback_backend();
+        *procs.faults.lock().unwrap() =
+            FaultPlan::new().with_link(0, LinkDir::Send, 1, LinkFault::Drop);
+        let mut sock = procs.attach(0, 1, 0);
+        for seq in 1..=3 {
+            assert!(sock.queue(at, seq, WireOp::CreateFile(format!("f{seq}"))));
+        }
+        sock.flush();
+        // Seq 1's request is dropped; the replies to 2 and 3 arrive
+        // while it is awaited, and the first sub-wait's expiry retries.
+        let mut totals = ExecTotals::default();
+        for seq in 1..=3 {
+            assert!(matches!(sock.await_reply(at, seq, &mut totals), Window::Reply(Ok(_))));
+        }
+        assert_eq!(totals.retries, 1);
+        assert_eq!(sock.frames().0, 3 + 1, "the retry resends seq 1 alone");
         drop(sock);
         server.join().unwrap();
     }

@@ -4,39 +4,15 @@
 //! user-selected data model with transactions written in a
 //! corresponding user data language"; this binary is that loop. Lines
 //! starting with `.` are shell commands; everything else is handed to
-//! the open session's language interface (CODASYL-DML or Daplex).
+//! the open session's language interface (CODASYL-DML, Daplex, SQL or
+//! DL/I).
 //!
 //! ```text
 //! cargo run -p mlds-core --bin mlds-shell                 # interactive
 //! cargo run -p mlds-core --bin mlds-shell -- script.mlds  # batch
 //! ```
 //!
-//! Commands:
-//!
-//! ```text
-//! .help                         this text
-//! .demo                         load + populate the University database
-//! .create <path>                load a database from a DDL file (model auto-detected)
-//! .open <db> [codasyl|daplex|sql|dli]   open a session (default codasyl)
-//! .dbs                          list databases
-//! .schema <db>                  print a database's schema
-//! .transformed <db>             print a functional database's transformed network schema
-//! .abdl on|off                  echo generated ABDL requests (default on)
-//! .spawn <n> [requests] [read%] drive <n> concurrent sessions through the service layer
-//! .sessions                     per-session roster from the last .spawn
-//! .stats                        kernel work counters (requests, records, scheduler occupancy)
-//! .save <path> / .load <path>   dump / restore the kernel as ABDL text
-//! .durable <dir> [backends]     switch to a durable multi-backend kernel (WAL in <dir>)
-//! .tcp [backends]               switch to out-of-process backends over the TCP transport
-//! .timeout <ms>                 set the multi-backend kernel's reply window
-//! .recover <dir>                rebuild the kernel from the write-ahead log in <dir>
-//! .standby <dir>                attach a hot standby tailing the WAL in <dir>
-//! .lag                          ship pending log records and print replication lag
-//! .promote                      fail over: promote the standby over the live backends
-//! .addbackend                   grow the cluster: add a backend and rebalance onto it
-//! .drain <id>                   shrink the cluster: move backend <id>'s groups away
-//! .quit                         exit
-//! ```
+//! The commands are listed once, in the `HELP` text that `.help` prints.
 
 use mlds::abdl::{parse::parse_request, prng::Prng, Kernel};
 use mlds::{
@@ -171,50 +147,33 @@ impl Shell {
             },
             Some("open") => {
                 let Some(db) = words.next() else {
-                    eprintln!("usage: .open <db> [codasyl|daplex]");
+                    eprintln!("usage: .open <db> [codasyl|daplex|sql|dli]");
                     return true;
                 };
-                let lang = words.next().unwrap_or("codasyl");
-                with_mlds!(&mut self.kern, m, {
-                    match lang {
-                        "codasyl" => match m.connect_codasyl("shell", db) {
-                            Ok(s) => {
-                                println!(
-                                    "opened `{db}` via CODASYL-DML{}",
-                                    if s.is_cross_model() {
-                                        " (functional database, schema transformed)"
-                                    } else {
-                                        ""
-                                    }
-                                );
-                                self.session = Session::Codasyl(Box::new(s));
-                            }
-                            Err(e) => eprintln!("{e}"),
-                        },
-                        "daplex" => match m.connect_daplex("shell", db) {
-                            Ok(s) => {
-                                println!("opened `{db}` via Daplex");
-                                self.session = Session::Daplex(Box::new(s));
-                            }
-                            Err(e) => eprintln!("{e}"),
-                        },
-                        "sql" => match m.connect_sql("shell", db) {
-                            Ok(s) => {
-                                println!("opened `{db}` via SQL");
-                                self.session = Session::Sql(Box::new(s));
-                            }
-                            Err(e) => eprintln!("{e}"),
-                        },
-                        "dli" => match m.connect_dli("shell", db) {
-                            Ok(s) => {
-                                println!("opened `{db}` via DL/I");
-                                self.session = Session::Dli(Box::new(s));
-                            }
-                            Err(e) => eprintln!("{e}"),
-                        },
-                        other => eprintln!("unknown language `{other}` (codasyl|daplex|sql|dli)"),
+                let opened = with_mlds!(&mut self.kern, m, match words.next().unwrap_or("codasyl") {
+                    "codasyl" => m.connect_codasyl("shell", db).map(|s| {
+                        let via = if s.is_cross_model() {
+                            "CODASYL-DML (functional database, schema transformed)"
+                        } else {
+                            "CODASYL-DML"
+                        };
+                        (via, Session::Codasyl(Box::new(s)))
+                    }),
+                    "daplex" => m.connect_daplex("shell", db).map(|s| ("Daplex", Session::Daplex(Box::new(s)))),
+                    "sql" => m.connect_sql("shell", db).map(|s| ("SQL", Session::Sql(Box::new(s)))),
+                    "dli" => m.connect_dli("shell", db).map(|s| ("DL/I", Session::Dli(Box::new(s)))),
+                    other => {
+                        eprintln!("unknown language `{other}` (codasyl|daplex|sql|dli)");
+                        return true;
                     }
-                })
+                });
+                match opened {
+                    Ok((via, session)) => {
+                        println!("opened `{db}` via {via}");
+                        self.session = session;
+                    }
+                    Err(e) => eprintln!("{e}"),
+                }
             }
             Some("dbs") => with_mlds!(&mut self.kern, m, {
                 for name in m.database_names() {
@@ -583,69 +542,32 @@ impl Shell {
 
     fn statement(&mut self, line: &str) {
         let Shell { kern, session, echo_abdl, .. } = self;
-        let echo_abdl = *echo_abdl;
-        match session {
-            Session::None => eprintln!("no open session (try `.demo` then `.open university`)"),
-            Session::Codasyl(s) => match with_mlds!(kern, m, m.execute_codasyl(s, line)) {
-                Ok(outputs) => {
-                    for out in outputs {
-                        if echo_abdl {
-                            for req in &out.abdl {
-                                println!("  ABDL: {req}");
-                            }
-                        }
-                        if !out.display.is_empty() {
-                            println!("{}", out.display);
-                        }
-                    }
-                }
-                Err(e) => eprintln!("{e}"),
-            },
-            Session::Daplex(s) => match with_mlds!(kern, m, m.execute_daplex(s, line)) {
-                Ok(outputs) => {
-                    for out in outputs {
-                        if echo_abdl {
-                            for req in &out.abdl {
-                                println!("  ABDL: {req}");
-                            }
-                        }
-                        if out.display.is_empty() {
-                            println!("({} affected)", out.affected);
-                        } else {
-                            println!("{}", out.display);
+        let outputs = match session {
+            Session::None => {
+                return eprintln!("no open session (try `.demo` then `.open university`)")
+            }
+            Session::Codasyl(s) => with_mlds!(kern, m, m.execute_codasyl(s, line)),
+            Session::Daplex(s) => with_mlds!(kern, m, m.execute_daplex(s, line)),
+            Session::Sql(s) => with_mlds!(kern, m, m.execute_sql(s, line)),
+            Session::Dli(s) => with_mlds!(kern, m, m.execute_dli(s, line)),
+        };
+        match outputs {
+            Ok(outputs) => {
+                for out in outputs {
+                    if *echo_abdl {
+                        for req in &out.abdl {
+                            println!("  ABDL: {req}");
                         }
                     }
-                }
-                Err(e) => eprintln!("{e}"),
-            },
-            Session::Sql(s) => match with_mlds!(kern, m, m.execute_sql(s, line)) {
-                Ok(outputs) => {
-                    for out in outputs {
-                        if echo_abdl {
-                            for req in &out.abdl {
-                                println!("  ABDL: {req}");
-                            }
-                        }
+                    if !out.display.is_empty() {
                         println!("{}", out.display);
+                    } else if matches!(session, Session::Daplex(_)) {
+                        // A Daplex query that found nothing still answers.
+                        println!("({} affected)", out.affected);
                     }
                 }
-                Err(e) => eprintln!("{e}"),
-            },
-            Session::Dli(s) => match with_mlds!(kern, m, m.execute_dli(s, line)) {
-                Ok(outputs) => {
-                    for out in outputs {
-                        if echo_abdl {
-                            for req in &out.abdl {
-                                println!("  ABDL: {req}");
-                            }
-                        }
-                        if !out.display.is_empty() {
-                            println!("{}", out.display);
-                        }
-                    }
-                }
-                Err(e) => eprintln!("{e}"),
-            },
+            }
+            Err(e) => eprintln!("{e}"),
         }
     }
 }

@@ -19,7 +19,8 @@ pub enum Error {
     UnknownDatabase(String),
     /// A database of the given name already exists.
     DatabaseExists(String),
-    /// The session's database disappeared (dropped between statements).
+    /// The session's database was dropped after the session connected
+    /// (a database created anew under the same name is another one).
     StaleSession(String),
     /// Network-model layer error.
     Codasyl(codasyl::Error),
@@ -47,7 +48,9 @@ impl fmt::Display for Error {
             ),
             Error::UnknownDatabase(name) => write!(f, "no database named `{name}`"),
             Error::DatabaseExists(name) => write!(f, "database `{name}` already exists"),
-            Error::StaleSession(name) => write!(f, "database `{name}` no longer exists"),
+            Error::StaleSession(name) => {
+                write!(f, "database `{name}` was dropped after this session connected")
+            }
             Error::Codasyl(e) => write!(f, "{e}"),
             Error::Daplex(e) => write!(f, "{e}"),
             Error::Translator(e) => write!(f, "{e}"),

@@ -3,11 +3,12 @@
 //! "KFS reformats the results into UDM format and displays them, via
 //! LIL, to the user." Kernel records are attribute–value pair lists;
 //! the network user expects record-occurrence displays shaped by the
-//! record type declaration, and the Daplex user expects function-value
-//! rows.
+//! record type declaration, the Daplex user expects function-value
+//! rows, and the DL/I user expects segment occurrences.
 
 use abdl::{Record, Value};
 use codasyl::schema::{NetworkSchema, RecordType};
+use daplex::dml::{DaplexStatement, Row};
 
 /// Format a kernel record as a network record occurrence:
 /// `course #3 ( title = 'Advanced Database', semester = 'F87', credits = 4 )`.
@@ -51,6 +52,40 @@ pub fn format_daplex_row(print: &[String], values: &[Value]) -> String {
         .map(|(f, v)| format!("{f} = {v}"))
         .collect::<Vec<_>>()
         .join(", ")
+}
+
+/// Format the rows a Daplex FOR EACH printed, one per line, each value
+/// named as printed: `f` for a plain function, `f(g(x))` for a composed
+/// path.
+pub fn format_daplex_rows(stmt: &DaplexStatement, rows: &[Row]) -> String {
+    let print: Vec<String> = match stmt {
+        DaplexStatement::ForEach { print, .. } => print
+            .iter()
+            .map(|path| match path.as_slice() {
+                [f] => f.clone(),
+                _ => format!("{}(x{}", path.join("("), ")".repeat(path.len())),
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
+    rows.iter().map(|r| format_daplex_row(&print, &r.values)).collect::<Vec<_>>().join("\n")
+}
+
+/// Format a DL/I segment occurrence:
+/// `course #58 ( cno = 20, title = 'Compilers' )`, showing the segment
+/// type's declared fields only.
+pub fn format_segment(schema: &dli::HierSchema, segment: &str, key: i64, rec: &Record) -> String {
+    let fields = schema
+        .segment(segment)
+        .map(|sg| {
+            sg.fields
+                .iter()
+                .map(|f| format!("{} = {}", f.name, rec.get_or_null(&f.name)))
+                .collect::<Vec<_>>()
+                .join(", ")
+        })
+        .unwrap_or_default();
+    format!("{segment} #{key} ( {fields} )")
 }
 
 #[cfg(test)]

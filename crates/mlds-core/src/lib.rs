@@ -14,14 +14,18 @@
 //!
 //! This crate assembles the pipeline:
 //!
-//! * **LIL** — [`Mlds`]: database creation (network or functional DDL),
-//!   the schema registry ("LIL … first searches the existing network
-//!   schemas … If the desired database is not found …, the list of
-//!   functional schemas is then searched"), session management, and —
-//!   the thesis's contribution — the one-step schema transformation
-//!   triggered when a CODASYL-DML user opens a *functional* database;
-//! * **KMS** — `mlds-translator` (CODASYL-DML→ABDL) and the Daplex DML
-//!   interpreter of `mlds-daplex`;
+//! * **LIL** — [`Mlds`]: database creation from any of four DDLs
+//!   (CODASYL, Daplex, SQL, DBD — the model is auto-detected), one
+//!   schema registry, one connect rule ("LIL … first searches the
+//!   existing network schemas … If the desired database is not found
+//!   …, the list of functional schemas is then searched"), session
+//!   management, and — the thesis's contribution — the one-step schema
+//!   transformation triggered when a CODASYL-DML user opens a
+//!   *functional* database (and its kin: Daplex over a network
+//!   database, SQL over a hierarchical one);
+//! * **KMS** — `mlds-translator` (CODASYL-DML→ABDL), the Daplex DML
+//!   interpreter of `mlds-daplex`, and the SQL and DL/I translators of
+//!   `mlds-relational` and `mlds-hierarchical`;
 //! * **KC**  — request forwarding to the kernel: a single
 //!   [`abdl::Store`] or the multi-backend [`mbds::Controller`] (over
 //!   threads, backend processes or simulated backends), all behind

@@ -1,8 +1,7 @@
 //! Per-user sessions — the `user_info`/`li_info` structures of Chapter
 //! IV.B, one per open language interface.
 
-use codasyl::dml::Statement;
-use translator::{RunUnit, StepOutput, Translator};
+use translator::{RunUnit, Translator};
 
 /// What one executed user statement produced, for display.
 #[derive(Debug, Clone)]
@@ -31,6 +30,8 @@ pub struct CodasylSession {
     pub uid: String,
     /// The database this session is bound to.
     pub database: String,
+    /// The registration of `database` the session connected to.
+    pub(crate) db_id: u64,
     pub(crate) translator: Translator,
     pub(crate) run_unit: RunUnit,
     /// Statement/requests history (per-verb counts for E10).
@@ -38,10 +39,11 @@ pub struct CodasylSession {
 }
 
 impl CodasylSession {
-    pub(crate) fn new(uid: &str, database: &str, translator: Translator) -> Self {
+    pub(crate) fn new(uid: &str, database: &str, db_id: u64, translator: Translator) -> Self {
         CodasylSession {
             uid: uid.to_owned(),
             database: database.to_owned(),
+            db_id,
             translator,
             run_unit: RunUnit::new(),
             history: Vec::new(),
@@ -69,10 +71,6 @@ impl CodasylSession {
     pub fn uwa(&self) -> &codasyl::Uwa {
         &self.run_unit.uwa
     }
-
-    pub(crate) fn record_history(&mut self, stmt: &Statement, out: &StepOutput) {
-        self.history.push((stmt.verb().to_owned(), out.requests.len()));
-    }
 }
 
 /// A Daplex session: the `dap_info` of the thesis.
@@ -81,12 +79,14 @@ pub struct DaplexSession {
     pub uid: String,
     /// The database this session is bound to.
     pub database: String,
+    /// The registration of `database` the session connected to.
+    pub(crate) db_id: u64,
     pub(crate) loader: daplex::ab_map::Loader,
 }
 
 impl DaplexSession {
-    pub(crate) fn new(uid: &str, database: &str, loader: daplex::ab_map::Loader) -> Self {
-        DaplexSession { uid: uid.to_owned(), database: database.to_owned(), loader }
+    pub(crate) fn new(uid: &str, database: &str, db_id: u64, loader: daplex::ab_map::Loader) -> Self {
+        DaplexSession { uid: uid.to_owned(), database: database.to_owned(), db_id, loader }
     }
 
     /// The functional schema the session operates over.
@@ -101,12 +101,14 @@ pub struct SqlSession {
     pub uid: String,
     /// The database this session is bound to.
     pub database: String,
+    /// The registration of `database` the session connected to.
+    pub(crate) db_id: u64,
     pub(crate) translator: relational::SqlTranslator,
 }
 
 impl SqlSession {
-    pub(crate) fn new(uid: &str, database: &str, translator: relational::SqlTranslator) -> Self {
-        SqlSession { uid: uid.to_owned(), database: database.to_owned(), translator }
+    pub(crate) fn new(uid: &str, database: &str, db_id: u64, translator: relational::SqlTranslator) -> Self {
+        SqlSession { uid: uid.to_owned(), database: database.to_owned(), db_id, translator }
     }
 
     /// The relational schema the session operates over.
@@ -122,12 +124,14 @@ pub struct HierSession {
     pub uid: String,
     /// The database this session is bound to.
     pub database: String,
+    /// The registration of `database` the session connected to.
+    pub(crate) db_id: u64,
     pub(crate) session: dli::DliSession,
 }
 
 impl HierSession {
-    pub(crate) fn new(uid: &str, database: &str, session: dli::DliSession) -> Self {
-        HierSession { uid: uid.to_owned(), database: database.to_owned(), session }
+    pub(crate) fn new(uid: &str, database: &str, db_id: u64, session: dli::DliSession) -> Self {
+        HierSession { uid: uid.to_owned(), database: database.to_owned(), db_id, session }
     }
 
     /// The hierarchical schema the session operates over.

@@ -1,4 +1,11 @@
 //! LIL + the assembled MLDS.
+//!
+//! Every language interface is the same pipeline over one kernel, so
+//! LIL states each of its decisions once: one registry of databases in
+//! all four data models, one connect rule that binds a session to a
+//! database's own schema or to its one derived view, and one
+//! per-statement driver that scopes the kernel to the session's
+//! database, runs the language's step and stamps the answer's health.
 
 use crate::error::{Error, Result};
 use crate::kfs;
@@ -8,8 +15,119 @@ use abdl::Kernel;
 use codasyl::dml::Statement;
 use codasyl::NetworkSchema;
 use daplex::FunctionalSchema;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use translator::Translator;
+
+/// The four data models, in [`Mlds::database_names`] order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Model {
+    Network,
+    Functional,
+    Relational,
+    Hierarchical,
+}
+
+/// A database schema in one of the four data models (the thesis's
+/// `dbid_node` union).
+enum Schema {
+    Network(NetworkSchema),
+    Functional(FunctionalSchema),
+    Relational(relational::RelSchema),
+    Hierarchical(dli::HierSchema),
+}
+
+impl Schema {
+    /// Parse a DDL of any model. The leading keyword discriminates the
+    /// four DDLs, so the parsers are tried in order.
+    fn parse(ddl: &str) -> Result<Schema> {
+        codasyl::ddl::parse_schema(ddl).map(Schema::Network).or_else(|net| {
+            daplex::ddl::parse_schema(ddl).map(Schema::Functional).or_else(|fun| {
+                relational::ddl::parse_schema(ddl)
+                    .map(Schema::Relational)
+                    .or_else(|_| dli::ddl::parse_schema(ddl).map(Schema::Hierarchical))
+                    .map_err(|_| Error::UnrecognizedDdl {
+                        network: net.to_string(),
+                        functional: fun.to_string(),
+                    })
+            })
+        })
+    }
+
+    fn name(&self) -> &str {
+        match self {
+            Schema::Network(s) => &s.name,
+            Schema::Functional(s) => &s.name,
+            Schema::Relational(s) => &s.name,
+            Schema::Hierarchical(s) => &s.name,
+        }
+    }
+
+    fn model(&self) -> Model {
+        match self {
+            Schema::Network(_) => Model::Network,
+            Schema::Functional(_) => Model::Functional,
+            Schema::Relational(_) => Model::Relational,
+            Schema::Hierarchical(_) => Model::Hierarchical,
+        }
+    }
+
+    /// Create the database's kernel files: the AB(model) mapping of its
+    /// KMS.
+    fn install<K: Kernel>(&self, kernel: &mut K) {
+        match self {
+            Schema::Network(s) => codasyl::ab_map::install(s, kernel),
+            Schema::Functional(s) => daplex::ab_map::install(s, kernel),
+            Schema::Relational(s) => relational::ab_map::install(s, kernel),
+            Schema::Hierarchical(s) => dli::ab_map::install(s, kernel),
+        }
+    }
+
+    /// The kernel files [`install`](Self::install) creates, unscoped.
+    fn files(&self) -> Vec<String> {
+        match self {
+            Schema::Network(s) => s.records.iter().map(|r| r.name.clone()).collect(),
+            Schema::Functional(s) => {
+                let links = s.m2m_pairs().into_iter().map(|p| p.link);
+                s.entity_like_names().into_iter().map(str::to_owned).chain(links).collect()
+            }
+            Schema::Relational(s) => s.tables.iter().map(|t| t.name.clone()).collect(),
+            Schema::Hierarchical(s) => s.segments.iter().map(|seg| seg.name.clone()).collect(),
+        }
+    }
+
+    /// This schema's view in `model`, if it has one: a functional
+    /// database's network schema (the thesis's transformation), a
+    /// network database's functional schema (its reverse), or a
+    /// hierarchical database's read-only relational view (the Zawis
+    /// edge). `None` without deriving anything when there is none.
+    fn view(&self, model: Model) -> Option<Result<Schema>> {
+        let view = match (self, model) {
+            (Schema::Functional(s), Model::Network) => transform::transform(s).map(Schema::Network),
+            (Schema::Network(s), Model::Functional) => transform::reverse(s).map(Schema::Functional),
+            (Schema::Hierarchical(s), Model::Relational) => {
+                transform::relational_view(s).map(Schema::Relational)
+            }
+            _ => return None,
+        };
+        Some(view.map_err(|e| Error::Transform(e.to_string())))
+    }
+}
+
+/// Registration ids, unique across every [`Mlds`] of the process.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+/// One registered database.
+struct Database {
+    /// Kept by every session opened on this registration: once the
+    /// database is dropped (and perhaps created anew), no registration
+    /// has the id and the session is stale.
+    id: u64,
+    schema: Schema,
+    /// The one view another model's sessions use, derived on the first
+    /// such connect and kept: the direct-language-interface strategy
+    /// transforms a schema once, not per transaction.
+    view: Option<Schema>,
+}
 
 /// The Multi-Lingual Database System.
 ///
@@ -18,21 +136,8 @@ use translator::Translator;
 /// processes or deterministic simulated backends).
 pub struct Mlds<K: Kernel = abdl::Store> {
     kernel: K,
-    network_dbs: Vec<NetworkSchema>,
-    functional_dbs: Vec<FunctionalSchema>,
-    relational_dbs: Vec<relational::RelSchema>,
-    hierarchical_dbs: Vec<dli::HierSchema>,
-    /// One-step transformation cache: the direct-language-interface
-    /// strategy transforms a functional schema once, not per
-    /// transaction.
-    transformed: HashMap<String, NetworkSchema>,
-    /// The reverse cache: functional views of network databases, for
-    /// Daplex sessions on network data (the MMDS matrix's other
-    /// direction).
-    reversed: HashMap<String, FunctionalSchema>,
-    /// Relational views of hierarchical databases, for SQL sessions on
-    /// hierarchical data (the Zawis edge of the matrix).
-    sql_views: HashMap<String, relational::RelSchema>,
+    /// Every loaded database, in creation order.
+    databases: Vec<Database>,
 }
 
 impl Mlds<abdl::Store> {
@@ -154,16 +259,7 @@ impl Mlds<mbds::Controller> {
 impl<K: Kernel> Mlds<K> {
     /// An MLDS over an arbitrary kernel.
     pub fn with_kernel(kernel: K) -> Self {
-        Mlds {
-            kernel,
-            network_dbs: Vec::new(),
-            functional_dbs: Vec::new(),
-            relational_dbs: Vec::new(),
-            hierarchical_dbs: Vec::new(),
-            transformed: HashMap::new(),
-            reversed: HashMap::new(),
-            sql_views: HashMap::new(),
-        }
+        Mlds { kernel, databases: Vec::new() }
     }
 
     /// Direct access to the kernel (KC's downstream).
@@ -186,23 +282,16 @@ impl<K: Kernel> Mlds<K> {
         self.kernel.exec_totals()
     }
 
-    /// Names of all loaded databases (network first, then functional —
-    /// LIL's search order).
-    pub fn database_names(&self) -> Vec<&str> {
-        self.network_dbs
-            .iter()
-            .map(|s| s.name.as_str())
-            .chain(self.functional_dbs.iter().map(|s| s.name.as_str()))
-            .chain(self.relational_dbs.iter().map(|s| s.name.as_str()))
-            .chain(self.hierarchical_dbs.iter().map(|s| s.name.as_str()))
-            .collect()
+    fn database(&self, db: &str) -> Option<&Database> {
+        self.databases.iter().find(|d| d.schema.name() == db)
     }
 
-    fn name_taken(&self, name: &str) -> bool {
-        self.network_dbs.iter().any(|s| s.name == name)
-            || self.functional_dbs.iter().any(|s| s.name == name)
-            || self.relational_dbs.iter().any(|s| s.name == name)
-            || self.hierarchical_dbs.iter().any(|s| s.name == name)
+    /// Names of all loaded databases: network, then functional, then
+    /// relational, then hierarchical, each model in creation order.
+    pub fn database_names(&self) -> Vec<&str> {
+        let mut dbs: Vec<&Database> = self.databases.iter().collect();
+        dbs.sort_by_key(|d| d.schema.model());
+        dbs.into_iter().map(|d| d.schema.name()).collect()
     }
 
     /// Load a new database, auto-detecting the data model of the DDL
@@ -210,221 +299,81 @@ impl<K: Kernel> Mlds<K> {
     /// KMS \[transforms\] the UDM-database definition into an equivalent
     /// KDM database definition"). Returns the database name.
     pub fn create_database(&mut self, ddl: &str) -> Result<String> {
-        // The leading keyword discriminates the four DDLs of the
-        // thesis's dbid_node union; fall through the parsers in order.
-        match codasyl::ddl::parse_schema(ddl) {
-            Ok(schema) => self.install_network(schema),
-            Err(net_err) => match daplex::ddl::parse_schema(ddl) {
-                Ok(schema) => self.install_functional(schema),
-                Err(fun_err) => {
-                    if let Ok(schema) = relational::ddl::parse_schema(ddl) {
-                        return self.install_relational(schema);
-                    }
-                    if let Ok(schema) = dli::ddl::parse_schema(ddl) {
-                        return self.install_hierarchical(schema);
-                    }
-                    Err(Error::UnrecognizedDdl {
-                        network: net_err.to_string(),
-                        functional: fun_err.to_string(),
-                    })
-                }
-            },
+        let schema = Schema::parse(ddl)?;
+        let name = schema.name().to_owned();
+        if self.database(&name).is_some() {
+            return Err(Error::DatabaseExists(name));
         }
-    }
-
-    /// Load a new relational database from SQL DDL.
-    pub fn create_relational_database(&mut self, ddl: &str) -> Result<String> {
-        let schema = relational::ddl::parse_schema(ddl)?;
-        self.install_relational(schema)
-    }
-
-    /// Load a new hierarchical database from a DBD.
-    pub fn create_hierarchical_database(&mut self, ddl: &str) -> Result<String> {
-        let schema = dli::ddl::parse_schema(ddl)?;
-        self.install_hierarchical(schema)
-    }
-
-    /// Load a new network database from CODASYL DDL.
-    pub fn create_network_database(&mut self, ddl: &str) -> Result<String> {
-        let schema = codasyl::ddl::parse_schema(ddl)?;
-        self.install_network(schema)
-    }
-
-    /// Load a new functional database from Daplex DDL.
-    pub fn create_functional_database(&mut self, ddl: &str) -> Result<String> {
-        let schema = daplex::ddl::parse_schema(ddl)?;
-        self.install_functional(schema)
-    }
-
-    fn install_network(&mut self, schema: NetworkSchema) -> Result<String> {
-        if self.name_taken(&schema.name) {
-            return Err(Error::DatabaseExists(schema.name));
-        }
-        codasyl::ab_map::install(&schema, &mut NamespacedKernel::new(&mut self.kernel, &schema.name));
-        let name = schema.name.clone();
-        self.network_dbs.push(schema);
+        schema.install(&mut NamespacedKernel::new(&mut self.kernel, &name));
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        self.databases.push(Database { id, schema, view: None });
         Ok(name)
-    }
-
-    fn install_functional(&mut self, schema: FunctionalSchema) -> Result<String> {
-        if self.name_taken(&schema.name) {
-            return Err(Error::DatabaseExists(schema.name));
-        }
-        daplex::ab_map::install(&schema, &mut NamespacedKernel::new(&mut self.kernel, &schema.name));
-        let name = schema.name.clone();
-        self.functional_dbs.push(schema);
-        Ok(name)
-    }
-
-    fn install_relational(&mut self, schema: relational::RelSchema) -> Result<String> {
-        if self.name_taken(&schema.name) {
-            return Err(Error::DatabaseExists(schema.name));
-        }
-        relational::ab_map::install(&schema, &mut NamespacedKernel::new(&mut self.kernel, &schema.name));
-        let name = schema.name.clone();
-        self.relational_dbs.push(schema);
-        Ok(name)
-    }
-
-    fn install_hierarchical(&mut self, schema: dli::HierSchema) -> Result<String> {
-        if self.name_taken(&schema.name) {
-            return Err(Error::DatabaseExists(schema.name));
-        }
-        dli::ab_map::install(&schema, &mut NamespacedKernel::new(&mut self.kernel, &schema.name));
-        let name = schema.name.clone();
-        self.hierarchical_dbs.push(schema);
-        Ok(name)
-    }
-
-    /// The relational schema of a loaded relational database.
-    pub fn relational_schema(&self, db: &str) -> Option<&relational::RelSchema> {
-        self.relational_dbs.iter().find(|s| s.name == db)
-    }
-
-    /// The hierarchical schema of a loaded hierarchical database.
-    pub fn hierarchical_schema(&self, db: &str) -> Option<&dli::HierSchema> {
-        self.hierarchical_dbs.iter().find(|s| s.name == db)
-    }
-
-    /// Open a SQL session. Relational databases connect directly; a
-    /// *hierarchical* database is exposed through a read-only
-    /// relational view (the Zawis edge the thesis's conclusion cites:
-    /// "accessing a hierarchical database via SQL transactions").
-    pub fn connect_sql(&mut self, uid: &str, db: &str) -> Result<SqlSession> {
-        if let Some(schema) = self.relational_dbs.iter().find(|s| s.name == db).cloned() {
-            return Ok(SqlSession::new(uid, db, relational::SqlTranslator::new(schema)));
-        }
-        if let Some(hier) = self.hierarchical_dbs.iter().find(|s| s.name == db).cloned() {
-            let view = match self.sql_views.get(db) {
-                Some(v) => v.clone(),
-                None => {
-                    let v = transform::relational_view(&hier)
-                        .map_err(|e| Error::Transform(e.to_string()))?;
-                    self.sql_views.insert(db.to_owned(), v.clone());
-                    v
-                }
-            };
-            return Ok(SqlSession::new(uid, db, relational::SqlTranslator::new(view)));
-        }
-        Err(Error::UnknownDatabase(db.to_owned()))
-    }
-
-    /// The cached relational view of a hierarchical database (present
-    /// after the first SQL connection).
-    pub fn sql_view(&self, db: &str) -> Option<&relational::RelSchema> {
-        self.sql_views.get(db)
-    }
-
-    /// Open a DL/I session on a hierarchical database.
-    pub fn connect_dli(&mut self, uid: &str, db: &str) -> Result<HierSession> {
-        let schema = self
-            .hierarchical_dbs
-            .iter()
-            .find(|s| s.name == db)
-            .cloned()
-            .ok_or_else(|| Error::UnknownDatabase(db.to_owned()))?;
-        Ok(HierSession::new(uid, db, dli::DliSession::new(schema)))
-    }
-
-    /// Execute a SQL script.
-    pub fn execute_sql(
-        &mut self,
-        session: &mut SqlSession,
-        script: &str,
-    ) -> Result<Vec<StatementOutput>> {
-        let statements = relational::dml::parse_statements(script)?;
-        let mut out = Vec::with_capacity(statements.len());
-        for stmt in &statements {
-            let mut ns = NamespacedKernel::new(&mut self.kernel, &session.database);
-            let rs = session.translator.execute(&mut ns, stmt)?;
-            out.push(StatementOutput {
-                statement: format!("{stmt:?}"),
-                verb: sql_verb(stmt).to_owned(),
-                abdl: rs.requests.iter().map(ToString::to_string).collect(),
-                display: rs.to_string(),
-                affected: rs.affected.max(rs.rows.len()),
-                degraded: self.kernel.health().degraded,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Execute a DL/I call script.
-    pub fn execute_dli(
-        &mut self,
-        session: &mut HierSession,
-        script: &str,
-    ) -> Result<Vec<StatementOutput>> {
-        let calls = dli::calls::parse_calls(script)?;
-        let mut out = Vec::with_capacity(calls.len());
-        for call in &calls {
-            let mut ns = NamespacedKernel::new(&mut self.kernel, &session.database);
-            let res = session.session.execute(&mut ns, call)?;
-            let display = match &res.found {
-                Some((seg, key, rec)) => {
-                    let fields = session
-                        .session
-                        .schema()
-                        .segment(seg)
-                        .map(|sg| {
-                            sg.fields
-                                .iter()
-                                .map(|f| format!("{} = {}", f.name, rec.get_or_null(&f.name)))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        })
-                        .unwrap_or_default();
-                    format!("{seg} #{key} ( {fields} )")
-                }
-                None if res.affected > 0 => format!("{} segment(s) affected", res.affected),
-                None => String::new(),
-            };
-            out.push(StatementOutput {
-                statement: format!("{call:?}"),
-                verb: call.verb().to_owned(),
-                abdl: res.requests.iter().map(ToString::to_string).collect(),
-                display,
-                affected: res.affected,
-                degraded: self.kernel.health().degraded,
-            });
-        }
-        Ok(out)
-    }
-
-    /// The functional schema of a loaded functional database.
-    pub fn functional_schema(&self, db: &str) -> Option<&FunctionalSchema> {
-        self.functional_dbs.iter().find(|s| s.name == db)
     }
 
     /// The network schema of a loaded network database.
     pub fn network_schema(&self, db: &str) -> Option<&NetworkSchema> {
-        self.network_dbs.iter().find(|s| s.name == db)
+        let Schema::Network(s) = &self.database(db)?.schema else { return None };
+        Some(s)
+    }
+
+    /// The functional schema of a loaded functional database.
+    pub fn functional_schema(&self, db: &str) -> Option<&FunctionalSchema> {
+        let Schema::Functional(s) = &self.database(db)?.schema else { return None };
+        Some(s)
+    }
+
+    /// The relational schema of a loaded relational database.
+    pub fn relational_schema(&self, db: &str) -> Option<&relational::RelSchema> {
+        let Schema::Relational(s) = &self.database(db)?.schema else { return None };
+        Some(s)
+    }
+
+    /// The hierarchical schema of a loaded hierarchical database.
+    pub fn hierarchical_schema(&self, db: &str) -> Option<&dli::HierSchema> {
+        let Schema::Hierarchical(s) = &self.database(db)?.schema else { return None };
+        Some(s)
     }
 
     /// The cached transformed schema of a functional database (present
     /// after the first CODASYL connection).
     pub fn transformed_schema(&self, db: &str) -> Option<&NetworkSchema> {
-        self.transformed.get(db)
+        let Some(Schema::Network(s)) = &self.database(db)?.view else { return None };
+        Some(s)
+    }
+
+    /// The cached reverse-transformed (functional) schema of a network
+    /// database (present after the first Daplex connection).
+    pub fn reversed_schema(&self, db: &str) -> Option<&FunctionalSchema> {
+        let Some(Schema::Functional(s)) = &self.database(db)?.view else { return None };
+        Some(s)
+    }
+
+    /// The cached relational view of a hierarchical database (present
+    /// after the first SQL connection).
+    pub fn sql_view(&self, db: &str) -> Option<&relational::RelSchema> {
+        let Some(Schema::Relational(s)) = &self.database(db)?.view else { return None };
+        Some(s)
+    }
+
+    /// The connect rule of every interface: a session of `model` binds
+    /// to the database's own schema when that is its model; otherwise
+    /// to the database's view, derived once, when the view has that
+    /// model; otherwise there is no such database for it (and no view
+    /// is derived). Answers the registration id, whether the schema is
+    /// the view, and the schema.
+    fn bind(&mut self, db: &str, model: Model) -> Result<(u64, bool, &Schema)> {
+        let unknown = || Error::UnknownDatabase(db.to_owned());
+        let d = self.databases.iter_mut().find(|d| d.schema.name() == db).ok_or_else(unknown)?;
+        if d.schema.model() == model {
+            return Ok((d.id, false, &d.schema));
+        }
+        if d.view.is_none() {
+            d.view = d.schema.view(model).transpose()?;
+        }
+        match &d.view {
+            Some(view) if view.model() == model => Ok((d.id, true, view)),
+            _ => Err(unknown()),
+        }
     }
 
     /// Open a CODASYL-DML session. LIL "first searches the existing
@@ -434,22 +383,12 @@ impl<K: Kernel> Mlds<K> {
     /// mapping process is initiated in order to transform the
     /// functional schema into a network schema."
     pub fn connect_codasyl(&mut self, uid: &str, db: &str) -> Result<CodasylSession> {
-        if let Some(schema) = self.network_dbs.iter().find(|s| s.name == db) {
-            return Ok(CodasylSession::new(uid, db, Translator::for_network(schema.clone())));
-        }
-        if let Some(schema) = self.functional_dbs.iter().find(|s| s.name == db).cloned() {
-            let net = match self.transformed.get(db) {
-                Some(net) => net.clone(),
-                None => {
-                    let net = transform::transform(&schema)
-                        .map_err(|e| Error::Transform(e.to_string()))?;
-                    self.transformed.insert(db.to_owned(), net.clone());
-                    net
-                }
-            };
-            return Ok(CodasylSession::new(uid, db, Translator::for_functional(net)));
-        }
-        Err(Error::UnknownDatabase(db.to_owned()))
+        let (id, view, Schema::Network(net)) = self.bind(db, Model::Network)? else {
+            unreachable!("bind answers a schema of the model asked for")
+        };
+        let translator =
+            if view { Translator::for_functional(net.clone()) } else { Translator::for_network(net.clone()) };
+        Ok(CodasylSession::new(uid, db, id, translator))
     }
 
     /// Open a Daplex session. Functional databases connect directly;
@@ -458,28 +397,47 @@ impl<K: Kernel> Mlds<K> {
     /// thesis's conclusion sketches. (The member-side kernel layout
     /// makes the `AB(network)` store directly Daplex-interpretable.)
     pub fn connect_daplex(&mut self, uid: &str, db: &str) -> Result<DaplexSession> {
-        if let Some(schema) = self.functional_dbs.iter().find(|s| s.name == db).cloned() {
-            return Ok(DaplexSession::new(uid, db, daplex::ab_map::Loader::new(schema)));
-        }
-        if let Some(net) = self.network_dbs.iter().find(|s| s.name == db).cloned() {
-            let fun = match self.reversed.get(db) {
-                Some(fun) => fun.clone(),
-                None => {
-                    let fun = transform::reverse(&net)
-                        .map_err(|e| Error::Transform(e.to_string()))?;
-                    self.reversed.insert(db.to_owned(), fun.clone());
-                    fun
-                }
-            };
-            return Ok(DaplexSession::new(uid, db, daplex::ab_map::Loader::new(fun)));
-        }
-        Err(Error::UnknownDatabase(db.to_owned()))
+        let (id, _, Schema::Functional(fun)) = self.bind(db, Model::Functional)? else {
+            unreachable!("bind answers a schema of the model asked for")
+        };
+        Ok(DaplexSession::new(uid, db, id, daplex::ab_map::Loader::new(fun.clone())))
     }
 
-    /// The cached reverse-transformed (functional) schema of a network
-    /// database (present after the first Daplex connection).
-    pub fn reversed_schema(&self, db: &str) -> Option<&FunctionalSchema> {
-        self.reversed.get(db)
+    /// Open a SQL session. Relational databases connect directly; a
+    /// *hierarchical* database is exposed through a read-only
+    /// relational view (the Zawis edge the thesis's conclusion cites:
+    /// "accessing a hierarchical database via SQL transactions").
+    pub fn connect_sql(&mut self, uid: &str, db: &str) -> Result<SqlSession> {
+        let (id, _, Schema::Relational(rel)) = self.bind(db, Model::Relational)? else {
+            unreachable!("bind answers a schema of the model asked for")
+        };
+        Ok(SqlSession::new(uid, db, id, relational::SqlTranslator::new(rel.clone())))
+    }
+
+    /// Open a DL/I session on a hierarchical database.
+    pub fn connect_dli(&mut self, uid: &str, db: &str) -> Result<HierSession> {
+        let (id, _, Schema::Hierarchical(hier)) = self.bind(db, Model::Hierarchical)? else {
+            unreachable!("bind answers a schema of the model asked for")
+        };
+        Ok(HierSession::new(uid, db, id, dli::DliSession::new(hier.clone())))
+    }
+
+    /// The per-statement driver of every interface: refuse a session
+    /// whose database is gone (dropped, or dropped and created anew),
+    /// run the language's `step` over the kernel scoped to the
+    /// database, and stamp whether the kernel answered degraded.
+    fn drive(
+        &mut self,
+        db: &str,
+        id: u64,
+        step: impl FnOnce(&mut NamespacedKernel<'_, K>) -> Result<StatementOutput>,
+    ) -> Result<StatementOutput> {
+        if !self.databases.iter().any(|d| d.id == id) {
+            return Err(Error::StaleSession(db.to_owned()));
+        }
+        let mut out = step(&mut NamespacedKernel::new(&mut self.kernel, db))?;
+        out.degraded = self.kernel.health().degraded;
+        Ok(out)
     }
 
     /// Execute a CODASYL-DML script (one statement per line / `;`).
@@ -498,24 +456,18 @@ impl<K: Kernel> Mlds<K> {
         session: &mut CodasylSession,
         stmt: &Statement,
     ) -> Result<StatementOutput> {
-        let mut ns = NamespacedKernel::new(&mut self.kernel, &session.database);
-        let out = session.translator.execute(&mut session.run_unit, &mut ns, stmt)?;
-        session.record_history(stmt, &out);
-        let display = match (&out.found, out.stored_key) {
-            (Some((rt, key, rec)), _) => {
-                kfs::format_network_record(session.translator.schema(), rt, *key, rec)
-            }
-            (None, Some(key)) => format!("stored #{key}"),
-            (None, None) if out.affected > 0 => format!("{} record(s) affected", out.affected),
-            _ => String::new(),
-        };
-        Ok(StatementOutput {
-            statement: stmt.to_string(),
-            verb: stmt.verb().to_owned(),
-            abdl: out.requests.iter().map(ToString::to_string).collect(),
-            display,
-            affected: out.affected,
-            degraded: self.kernel.health().degraded,
+        self.drive(&session.database, session.db_id, |ns| {
+            let out = session.translator.execute(&mut session.run_unit, ns, stmt)?;
+            session.history.push((stmt.verb().to_owned(), out.requests.len()));
+            let display = match (&out.found, out.stored_key) {
+                (Some((rt, key, rec)), _) => {
+                    kfs::format_network_record(session.translator.schema(), rt, *key, rec)
+                }
+                (None, Some(key)) => format!("stored #{key}"),
+                (None, None) if out.affected > 0 => format!("{} record(s) affected", out.affected),
+                _ => String::new(),
+            };
+            Ok(output(stmt.to_string(), stmt.verb(), &out.requests, display, out.affected))
         })
     }
 
@@ -525,81 +477,77 @@ impl<K: Kernel> Mlds<K> {
         session: &mut DaplexSession,
         script: &str,
     ) -> Result<Vec<StatementOutput>> {
+        use daplex::dml::Outcome;
         let statements = daplex::dml::parse_statements(script)?;
-        let mut outputs = Vec::with_capacity(statements.len());
-        for stmt in &statements {
-            let (outcome, requests) = {
-                let mut ns = NamespacedKernel::new(&mut self.kernel, &session.database);
-                let mut interp = daplex::dml::Interpreter::new(&mut session.loader, &mut ns);
-                (interp.execute(stmt)?, interp.take_requests())
-            };
-            let display = match &outcome {
-                daplex::dml::Outcome::Rows(rows) => {
-                    let print: Vec<String> = match stmt {
-                        daplex::dml::DaplexStatement::ForEach { print, .. } => print
-                            .iter()
-                            .map(|path| {
-                                // Render `f` for plain functions and
-                                // `f(g(x))` for composed paths.
-                                if path.len() == 1 {
-                                    return path[0].clone();
-                                }
-                                let mut s = String::new();
-                                for p in path {
-                                    s.push_str(p);
-                                    s.push('(');
-                                }
-                                s.push('x');
-                                s.push_str(&")".repeat(path.len()));
-                                s
-                            })
-                            .collect(),
-                        _ => Vec::new(),
-                    };
-                    rows.iter()
-                        .map(|r| kfs::format_daplex_row(&print, &r.values))
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                }
-                daplex::dml::Outcome::Affected(keys) => {
-                    format!("{} entity(ies) affected", keys.len())
-                }
-            };
-            let affected = match &outcome {
-                daplex::dml::Outcome::Affected(keys) => keys.len(),
-                daplex::dml::Outcome::Rows(rows) => rows.len(),
-            };
-            outputs.push(StatementOutput {
-                statement: format!("{stmt:?}"),
-                verb: daplex_verb(stmt).to_owned(),
-                abdl: requests.iter().map(ToString::to_string).collect(),
-                display,
-                affected,
-                degraded: self.kernel.health().degraded,
-            });
-        }
-        Ok(outputs)
+        let step = |stmt| {
+            self.drive(&session.database, session.db_id, |ns| {
+                let mut interp = daplex::dml::Interpreter::new(&mut session.loader, ns);
+                let outcome = interp.execute(stmt)?;
+                let (display, affected) = match &outcome {
+                    Outcome::Rows(rows) => (kfs::format_daplex_rows(stmt, rows), rows.len()),
+                    Outcome::Affected(keys) => {
+                        (format!("{} entity(ies) affected", keys.len()), keys.len())
+                    }
+                };
+                let requests = interp.take_requests();
+                Ok(output(format!("{stmt:?}"), daplex_verb(stmt), &requests, display, affected))
+            })
+        };
+        statements.iter().map(step).collect()
     }
 
-    /// Drop a database: remove its schema from the registry (and the
-    /// transformation cache) and delete its kernel files' records.
-    /// Open sessions on it become stale.
-    pub fn drop_database(&mut self, db: &str) -> Result<()> {
-        let files: Vec<String> = if let Some(s) = self.network_schema(db) {
-            s.records.iter().map(|r| r.name.clone()).collect()
-        } else if let Some(s) = self.functional_schema(db) {
-            let mut f: Vec<String> =
-                s.entity_like_names().iter().map(|n| (*n).to_owned()).collect();
-            f.extend(s.m2m_pairs().into_iter().map(|p| p.link));
-            f
-        } else if let Some(s) = self.relational_schema(db) {
-            s.tables.iter().map(|t| t.name.clone()).collect()
-        } else if let Some(s) = self.hierarchical_schema(db) {
-            s.segments.iter().map(|seg| seg.name.clone()).collect()
-        } else {
-            return Err(Error::UnknownDatabase(db.to_owned()));
+    /// Execute a SQL script.
+    pub fn execute_sql(
+        &mut self,
+        session: &mut SqlSession,
+        script: &str,
+    ) -> Result<Vec<StatementOutput>> {
+        let statements = relational::dml::parse_statements(script)?;
+        let step = |stmt| {
+            self.drive(&session.database, session.db_id, |ns| {
+                let rs = session.translator.execute(ns, stmt)?;
+                let affected = rs.affected.max(rs.rows.len());
+                Ok(output(format!("{stmt:?}"), sql_verb(stmt), &rs.requests, rs.to_string(), affected))
+            })
         };
-        for file in files {
+        statements.iter().map(step).collect()
+    }
+
+    /// Execute a DL/I call script.
+    pub fn execute_dli(
+        &mut self,
+        session: &mut HierSession,
+        script: &str,
+    ) -> Result<Vec<StatementOutput>> {
+        let calls = dli::calls::parse_calls(script)?;
+        let step = |call| {
+            self.drive(&session.database, session.db_id, |ns| {
+                let res = session.session.execute(ns, call)?;
+                let display = match &res.found {
+                    Some((seg, key, rec)) => {
+                        kfs::format_segment(session.session.schema(), seg, *key, rec)
+                    }
+                    None if res.affected > 0 => format!("{} segment(s) affected", res.affected),
+                    None => String::new(),
+                };
+                Ok(output(format!("{call:?}"), call.verb(), &res.requests, display, res.affected))
+            })
+        };
+        calls.iter().map(step).collect()
+    }
+
+    /// Drop a database: delete its kernel files' records and remove it
+    /// (and its view) from the registry. Open sessions on it become
+    /// stale: their next statement fails with
+    /// [`Error::StaleSession`], even once a database of the same name
+    /// is created anew.
+    pub fn drop_database(&mut self, db: &str) -> Result<()> {
+        let at = self
+            .databases
+            .iter()
+            .position(|d| d.schema.name() == db)
+            .ok_or_else(|| Error::UnknownDatabase(db.to_owned()))?;
+        for file in self.databases[at].schema.files() {
             self.kernel.execute(&abdl::Request::Delete {
                 query: abdl::Query::conjunction(vec![abdl::Predicate::eq(
                     abdl::FILE_ATTR,
@@ -607,13 +555,7 @@ impl<K: Kernel> Mlds<K> {
                 )]),
             })?;
         }
-        self.network_dbs.retain(|s| s.name != db);
-        self.functional_dbs.retain(|s| s.name != db);
-        self.relational_dbs.retain(|s| s.name != db);
-        self.hierarchical_dbs.retain(|s| s.name != db);
-        self.transformed.remove(db);
-        self.reversed.remove(db);
-        self.sql_views.remove(db);
+        self.databases.remove(at);
         Ok(())
     }
 
@@ -621,15 +563,25 @@ impl<K: Kernel> Mlds<K> {
     /// with the thesis's sample data.
     pub fn populate_university(&mut self, db: &str) -> Result<daplex::university::UniversityKeys> {
         let schema = self
-            .functional_dbs
-            .iter()
-            .find(|s| s.name == db)
+            .functional_schema(db)
             .cloned()
             .ok_or_else(|| Error::UnknownDatabase(db.to_owned()))?;
         let mut loader = daplex::ab_map::Loader::new(schema);
         let mut ns = NamespacedKernel::new(&mut self.kernel, db);
         Ok(daplex::university::populate(&mut loader, &mut ns)?)
     }
+}
+
+/// One statement's output, before the driver stamps `degraded`.
+fn output(
+    statement: String,
+    verb: &str,
+    requests: &[abdl::Request],
+    display: String,
+    affected: usize,
+) -> StatementOutput {
+    let abdl = requests.iter().map(ToString::to_string).collect();
+    StatementOutput { statement, verb: verb.to_owned(), abdl, display, affected, degraded: false }
 }
 
 fn sql_verb(stmt: &relational::dml::SqlStatement) -> &'static str {
@@ -835,6 +787,82 @@ mod tests {
         // The name is reusable.
         m.create_database(daplex::university::UNIVERSITY_DDL).unwrap();
         assert!(matches!(m.drop_database("ghost"), Err(Error::UnknownDatabase(_))));
+    }
+
+    const SUPPLIERS: &str = "CREATE DATABASE suppliers;
+        CREATE TABLE supplier (sno INTEGER NOT NULL, sname CHAR(20), PRIMARY KEY (sno));";
+    const SCHOOL: &str = "HIERARCHY NAME IS school.
+        SEGMENT department.
+          02 dno TYPE IS FIXED.
+          SEQUENCE IS dno.";
+
+    /// A database dropped under open sessions leaves all four of them
+    /// stale, and a database created anew under the same name is not
+    /// the one they connected to: they stay stale and write nothing
+    /// into it.
+    #[test]
+    fn sessions_on_a_dropped_database_are_stale() {
+        let mut m = university_mlds();
+        m.create_database(SUPPLIERS).unwrap();
+        m.create_database(SCHOOL).unwrap();
+        let mut cod = m.connect_codasyl("u", "university").unwrap();
+        let mut dap = m.connect_daplex("u", "university").unwrap();
+        let mut sql = m.connect_sql("u", "suppliers").unwrap();
+        let mut dli = m.connect_dli("u", "school").unwrap();
+        let store = "MOVE 'Compilers' TO title IN course\nSTORE course";
+        for _ in 0..2 {
+            for db in ["university", "suppliers", "school"] {
+                m.drop_database(db).unwrap();
+            }
+            let stale = |db: &str| Err(Error::StaleSession(db.to_owned()));
+            assert_eq!(m.execute_codasyl(&mut cod, store).map(|_| ()), stale("university"));
+            assert_eq!(
+                m.execute_daplex(&mut dap, "CREATE student (name := 'Newhart');").map(|_| ()),
+                stale("university")
+            );
+            assert_eq!(
+                m.execute_sql(&mut sql, "INSERT INTO supplier (sno) VALUES (1);").map(|_| ()),
+                stale("suppliers")
+            );
+            assert_eq!(m.execute_dli(&mut dli, "ISRT department (dno = 1)").map(|_| ()), stale("school"));
+            for ddl in [daplex::university::UNIVERSITY_DDL, SUPPLIERS, SCHOOL] {
+                m.create_database(ddl).unwrap();
+            }
+            for (db, file) in
+                [("university", "course"), ("university", "person"), ("suppliers", "supplier"), ("school", "department")]
+            {
+                assert_eq!(m.kernel_mut().file_len(&crate::kernel_file(db, file)), 0, "{db}.{file}");
+            }
+        }
+        // A session opened on the new database works.
+        let mut cod = m.connect_codasyl("u", "university").unwrap();
+        assert!(m.execute_codasyl(&mut cod, store).unwrap()[1].display.starts_with("stored #"));
+        assert_eq!(m.kernel_mut().file_len(&crate::kernel_file("university", "course")), 1);
+    }
+
+    /// A session of a model the database neither has nor has a view in
+    /// finds no database, and derives no view on the way.
+    #[test]
+    fn a_wrong_model_connect_derives_no_view() {
+        let mut m = university_mlds();
+        m.create_database(SUPPLIERS).unwrap();
+        m.create_database(SCHOOL).unwrap();
+        m.create_database("SCHEMA NAME IS airline. RECORD NAME IS flight. 02 num TYPE IS FIXED.")
+            .unwrap();
+        assert_eq!(m.database_names(), vec!["airline", "university", "suppliers", "school"]);
+        for (db, unknown) in [
+            ("university", [m.connect_sql("u", "university").err(), m.connect_dli("u", "university").err()]),
+            ("airline", [m.connect_sql("u", "airline").err(), m.connect_dli("u", "airline").err()]),
+            ("school", [m.connect_codasyl("u", "school").err(), m.connect_daplex("u", "school").err()]),
+        ] {
+            for err in unknown {
+                assert_eq!(err, Some(Error::UnknownDatabase(db.to_owned())));
+            }
+        }
+        assert!(m.connect_dli("u", "suppliers").is_err());
+        assert!(m.transformed_schema("university").is_none());
+        assert!(m.reversed_schema("airline").is_none());
+        assert!(m.sql_view("school").is_none());
     }
 
     #[test]

@@ -68,7 +68,27 @@ fn degraded_mode_is_reported_not_silent() {
     let mut m = Mlds::multi_backend(4);
     m.create_database(daplex::university::UNIVERSITY_DDL).unwrap();
     m.populate_university("university").unwrap();
+    m.create_database(
+        "CREATE DATABASE suppliers;
+         CREATE TABLE supplier (sno INTEGER NOT NULL, sname CHAR(20), PRIMARY KEY (sno));",
+    )
+    .unwrap();
+    m.create_database(
+        "HIERARCHY NAME IS school.
+         SEGMENT department.
+           02 dno TYPE IS FIXED.
+           SEQUENCE IS dno.",
+    )
+    .unwrap();
     let mut s = m.connect_codasyl("u", "university").unwrap();
+    let mut sql = m.connect_sql("u", "suppliers").unwrap();
+    let mut dli = m.connect_dli("u", "school").unwrap();
+    let mut dap = m.connect_daplex("u", "university").unwrap();
+    for i in 1..=4 {
+        m.execute_sql(&mut sql, &format!("INSERT INTO supplier (sno, sname) VALUES ({i}, 'S{i}');"))
+            .unwrap();
+        m.execute_dli(&mut dli, &format!("ISRT department (dno = {i})")).unwrap();
+    }
 
     // Replica groups are adjacent pairs; killing two adjacent backends
     // removes both copies of some records.
@@ -82,6 +102,13 @@ fn degraded_mode_is_reported_not_silent() {
     // interfaces hand to the user.
     let out = m.execute_codasyl(&mut s, "FIND FIRST course WITHIN system_course").unwrap();
     assert!(out.last().unwrap().degraded);
+    // Every interface stamps it alike.
+    let out = m.execute_sql(&mut sql, "SELECT sname FROM supplier;").unwrap();
+    assert!(out.last().unwrap().degraded, "SQL");
+    let out = m.execute_dli(&mut dli, "GU department").unwrap();
+    assert!(out.last().unwrap().degraded, "DL/I");
+    let out = m.execute_daplex(&mut dap, "FOR EACH course PRINT title(course);").unwrap();
+    assert!(out.last().unwrap().degraded, "Daplex");
 }
 
 #[test]

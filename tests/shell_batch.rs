@@ -155,3 +155,65 @@ fn save_and_load_round_trip_through_the_shell() {
     assert!(stderr.is_empty(), "stderr: {stderr}");
     assert!(stdout.contains("title = 'Advanced Database'"), "{stdout}");
 }
+
+/// The whole LIL surface of the shell, pinned byte for byte: `.demo`,
+/// `.create` of a SQL DDL and a DBD, `.dbs`, `.schema`, `.abdl on`, and
+/// `.open` in all four languages, each running a statement that prints
+/// a result and one that does not (SQL and DL/I always print a line:
+/// their mutations answer with an affected count), plus the connect
+/// errors (unknown database, wrong model, unknown language).
+#[test]
+fn shell_transcript_is_pinned() {
+    let dir = fresh_dir("transcript");
+    let sql = dir.join("suppliers.sql");
+    let dbd = dir.join("school.dbd");
+    std::fs::write(
+        &sql,
+        "CREATE DATABASE suppliers;\n\
+         CREATE TABLE supplier (sno INTEGER NOT NULL, sname CHAR(20), city CHAR(15), \
+         PRIMARY KEY (sno));\n",
+    )
+    .unwrap();
+    std::fs::write(
+        &dbd,
+        "HIERARCHY NAME IS school.\n\
+         SEGMENT department.\n  02 dno TYPE IS FIXED.\n  02 dname TYPE IS CHARACTER 20.\n  \
+         SEQUENCE IS dno.\n\
+         SEGMENT course PARENT IS department.\n  02 cno TYPE IS FIXED.\n  \
+         02 title TYPE IS CHARACTER 30.\n",
+    )
+    .unwrap();
+    let (stdout, stderr) = run_shell(&format!(
+        ".demo\n\
+         .create {sql}\n\
+         .create {dbd}\n\
+         .dbs\n\
+         .schema suppliers\n\
+         .schema school\n\
+         .abdl on\n\
+         .open university\n\
+         MOVE 'Advanced Database' TO title IN course\n\
+         FIND ANY course USING title IN course\n\
+         .open university daplex\n\
+         FOR EACH student SUCH THAT major(student) = 'Computer Science' PRINT name(student);\n\
+         FOR EACH student SUCH THAT name(student) = 'Nobody' PRINT name(student);\n\
+         .open suppliers sql\n\
+         INSERT INTO supplier (sno, sname, city) VALUES (1, 'Smith', 'London');\n\
+         SELECT sname FROM supplier WHERE city = 'London';\n\
+         .open school dli\n\
+         ISRT department (dno = 1, dname = 'CS')\n\
+         GU department (dno = 1)\n\
+         GU department (dno = 9)\n\
+         .open school sql\n\
+         SELECT dname FROM department;\n\
+         .open ghost\n\
+         .open suppliers codasyl\n\
+         .open university cobol\n\
+         .quit\n",
+        sql = sql.display(),
+        dbd = dbd.display(),
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let transcript = format!("{stdout}--- stderr ---\n{stderr}");
+    assert_eq!(transcript, include_str!("expected/shell_transcript.txt"));
+}
