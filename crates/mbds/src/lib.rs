@@ -107,7 +107,7 @@ pub use controller::{Controller, DEFAULT_REPLICATION};
 pub use directory::{CompressionStats, Directory};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkDir, LinkEvent, LinkFault};
 pub use health::{BackendState, HealthBoard};
-pub use model::{CheckReport, Counterexample, ModelConfig, Mutation, Violation};
+pub use model::{CheckReport, Counterexample, Model, ModelConfig, Mutation, Violation};
 pub use net::{Frame, FrameReader, RemoteLog, ShipServer, TcpLink};
 pub use placement::Partitioner;
 pub use rebalance::{MoveJob, Rebalancer};

@@ -1,5 +1,23 @@
-//! An in-tree explicit-state model checker for the epoch-fenced
-//! failover protocol.
+//! An in-tree explicit-state model checker for the MBDS protocols.
+//!
+//! Three bounded models share one checker. Each is a configuration
+//! implementing [`Model`]: it states its state, actions, violations
+//! and bounds, its `initial`/`enabled`/`apply`, its mutation table and
+//! the coverage facts its search must reach. One breadth-first
+//! [`check`] exhausts any of them into one [`CheckReport`], carrying a
+//! shortest [`Counterexample`] when an invariant fails:
+//!
+//! | model | configuration | protocol it abstracts |
+//! |---|---|---|
+//! | `failover` | [`ModelConfig`] | the epoch-fenced primary/standby failover (below) |
+//! | `flight` | [`flight::FlightConfig`] | overlapped read flights against replicated write waves |
+//! | `rebalance` | [`rebalance::RebalanceConfig`] | one WAL-bracketed live group move under crash, recovery and promotion |
+//!
+//! `mbds-model --sweep` and E19 run every model's shipped protocol,
+//! which must hold and reach its coverage facts, and every mutation in
+//! its catalogue, which must be caught.
+//!
+//! # The failover model
 //!
 //! The crash sweeps (`tests/crash_recovery.rs`), the failover sweep
 //! (`tests/failover.rs`) and the partition harness
@@ -48,7 +66,312 @@
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::time::{Duration, Instant};
+
+/// The name every catalogue gives the protocol as shipped.
+const SHIPPED: &str = "none";
+
+/// A coverage fact of model `M`: its name, and whether a state
+/// witnesses it.
+pub type Fact<M> = (&'static str, fn(&M, &<M as Model>::State) -> bool);
+
+/// One bounded protocol model. A configuration implements it by
+/// stating its state machine (`initial`, `enabled` and `apply`, where
+/// an `Err` is an invariant violation), its search bounds, its
+/// mutation table and the coverage facts its search must reach;
+/// [`check`] does the rest.
+pub trait Model: Copy + fmt::Debug + 'static {
+    /// One abstract protocol state, hashed into the visited set.
+    type State: Clone + Eq + Hash + 'static;
+    /// One small-step action; a counterexample prints one per line.
+    type Action: Copy + Eq + fmt::Debug + fmt::Display;
+    /// Why a transition or a state is inconsistent.
+    type Violation: Clone + fmt::Debug + fmt::Display;
+    /// The protocol variant; `Default` is the protocol as shipped.
+    type Mutation: Copy + Eq + Default + fmt::Debug;
+
+    /// The model's name in reports.
+    const NAME: &'static str;
+    /// Every intentionally broken variant, with the name `mbds-model
+    /// --mutation` takes for it; each must produce a counterexample.
+    /// The shipped protocol is not listed (its name is `none`).
+    const MUTATIONS: &'static [(Self::Mutation, &'static str)];
+    /// Facts that some state the shipped protocol's search visits must
+    /// witness, each with its name, so that "no violation" is not
+    /// vacuous.
+    const COVERAGE: &'static [Fact<Self>] = &[];
+
+    /// The CI configuration, with the shipped protocol.
+    fn small() -> Self;
+    /// The protocol variant this configuration checks.
+    fn mutation(&self) -> Self::Mutation;
+    /// This configuration with `mutation` in place of its own.
+    fn mutated(self, mutation: Self::Mutation) -> Self;
+    /// The depth bound (actions along any path) and the state cap (0 =
+    /// none). Unbounded by default: the frontier simply drains.
+    fn bounds(&self) -> (u32, usize) {
+        (u32::MAX, 0)
+    }
+    /// The state the search starts from.
+    fn initial(&self) -> Self::State;
+    /// Every action enabled in `state`, in the order the search takes
+    /// them.
+    fn enabled(&self, state: &Self::State) -> Vec<Self::Action>;
+    /// `state` after `action`, or the invariant the step breaks.
+    fn apply(&self, state: &Self::State, action: Self::Action)
+        -> Result<Self::State, Self::Violation>;
+    /// Which of the model's numbered invariants `violation` breaks.
+    fn invariant(_violation: &Self::Violation) -> u8 {
+        1
+    }
+
+    /// `small()` with `mutation` applied.
+    fn with_mutation(mutation: Self::Mutation) -> Self {
+        Self::small().mutated(mutation)
+    }
+
+    /// The catalogue name of this configuration's mutation.
+    fn mutation_name(&self) -> &'static str {
+        let mutation = self.mutation();
+        Self::MUTATIONS
+            .iter()
+            .find(|(m, _)| *m == mutation)
+            .map_or(SHIPPED, |&(_, name)| name)
+    }
+
+    /// This configuration with the mutation called `name` (`none` is
+    /// the shipped protocol), or `None` if the catalogue lacks it.
+    fn named(self, name: &str) -> Option<Self> {
+        let mutation = if name == SHIPPED {
+            Some(Self::Mutation::default())
+        } else {
+            Self::MUTATIONS.iter().find(|(_, n)| *n == name).map(|&(m, _)| m)
+        };
+        mutation.map(|m| self.mutated(m))
+    }
+}
+
+/// What a failed check returns: the violated invariant and the
+/// shortest action trace (BFS order) from the initial state to it.
+#[derive(Debug, Clone)]
+pub struct Counterexample<M: Model> {
+    /// What broke.
+    pub violation: M::Violation,
+    /// Every action from the initial state to the violating one.
+    pub trace: Vec<M::Action>,
+}
+
+impl<M: Model> Counterexample<M> {
+    /// The trace rendered one action per line, violation last — the
+    /// artifact CI uploads.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (i, action) in self.trace.iter().enumerate() {
+            out.push_str(&format!("{:>3}. {action}\n", i + 1));
+        }
+        out.push_str(&format!("  ⇒ VIOLATION: {}\n", self.violation));
+        out
+    }
+
+    /// Which of the model's numbered invariants the trace breaks.
+    pub fn invariant(&self) -> u8 {
+        M::invariant(&self.violation)
+    }
+}
+
+/// What one exhaustive check explored.
+#[derive(Debug, Clone)]
+pub struct CheckReport<M: Model> {
+    /// The configuration checked.
+    pub config: M,
+    /// Distinct states visited.
+    pub states: usize,
+    /// Transitions taken (successor computations).
+    pub transitions: u64,
+    /// Deepest level reached (within the depth bound).
+    pub max_depth: u32,
+    /// Peak BFS frontier length.
+    pub frontier_peak: usize,
+    /// Wall-clock time of the search.
+    pub elapsed: Duration,
+    /// True when the depth bound pruned unexplored successors (the
+    /// search was exhaustive *up to the bound* either way).
+    pub depth_pruned: bool,
+    /// Each of the model's coverage facts, and whether some visited
+    /// state witnessed it.
+    pub coverage: Vec<(&'static str, bool)>,
+    /// The first violation found (BFS ⇒ a shortest trace), if any.
+    pub counterexample: Option<Counterexample<M>>,
+}
+
+impl<M: Model> CheckReport<M> {
+    /// Whether some visited state witnessed the coverage fact `fact`.
+    pub fn reached(&self, fact: &str) -> bool {
+        self.coverage.iter().any(|&(name, hit)| hit && name == fact)
+    }
+
+    /// True when the run met its expectation: the shipped protocol
+    /// holds and reaches every coverage fact, a mutation is caught.
+    pub fn as_expected(&self) -> bool {
+        if self.config.mutation() == M::Mutation::default() {
+            self.counterexample.is_none() && self.coverage.iter().all(|&(_, hit)| hit)
+        } else {
+            self.counterexample.is_some()
+        }
+    }
+
+    /// One summary line for logs and experiment tables.
+    pub fn summary(&self) -> String {
+        let coverage: String = self
+            .coverage
+            .iter()
+            .map(|&(fact, hit)| format!(" {fact}={}", if hit { "reached" } else { "UNREACHED" }))
+            .collect();
+        format!(
+            "model={} mutation={} states={} transitions={} depth={}{coverage} elapsed={:?} verdict={}",
+            M::NAME,
+            self.config.mutation_name(),
+            self.states,
+            self.transitions,
+            self.max_depth,
+            self.elapsed,
+            match &self.counterexample {
+                None => "no violation".to_owned(),
+                Some(ce) => format!("VIOLATION ({}) at depth {}", ce.violation, ce.trace.len()),
+            }
+        )
+    }
+}
+
+/// Exhaustive breadth-first check of `cfg` within its bounds: the
+/// exploration statistics, the coverage facts reached and, when an
+/// invariant fails, the shortest violating action trace.
+pub fn check<M: Model>(cfg: &M) -> CheckReport<M> {
+    let start = Instant::now();
+    let (depth, max_states) = cfg.bounds();
+    let mut reached = vec![false; M::COVERAGE.len()];
+    let run = explore(
+        cfg.initial(),
+        depth,
+        max_states,
+        |s| cfg.enabled(s),
+        |s, a| cfg.apply(s, a),
+        |next| {
+            for (hit, (_, fact)) in reached.iter_mut().zip(M::COVERAGE) {
+                *hit |= fact(cfg, next);
+            }
+        },
+    );
+    CheckReport {
+        config: *cfg,
+        states: run.states,
+        transitions: run.transitions,
+        max_depth: run.max_depth,
+        frontier_peak: run.frontier_peak,
+        elapsed: start.elapsed(),
+        depth_pruned: run.depth_pruned,
+        coverage: M::COVERAGE.iter().map(|&(fact, _)| fact).zip(reached).collect(),
+        counterexample: run.violation.map(|(violation, trace)| Counterexample { violation, trace }),
+    }
+}
+
+/// What one [`explore`] run found.
+pub(crate) struct Exploration<A, V> {
+    /// Distinct states visited.
+    pub(crate) states: usize,
+    /// Transitions taken (successor computations).
+    pub(crate) transitions: u64,
+    /// Deepest level reached.
+    pub(crate) max_depth: u32,
+    /// Peak frontier length.
+    pub(crate) frontier_peak: usize,
+    /// True when the depth bound pruned unexplored successors.
+    pub(crate) depth_pruned: bool,
+    /// The first violation, with the shortest action trace reaching it
+    /// from the initial state (BFS order).
+    pub(crate) violation: Option<(V, Vec<A>)>,
+}
+
+/// The breadth-first search behind every checker in this module: from
+/// `initial`, take each action `enabled` lists, `apply` it (an `Err` is
+/// a violation and ends the search), hand every successor to `visit`
+/// (coverage flags), and queue the successors not seen before. States
+/// at `depth` are not expanded; the search also stops once `max_states`
+/// distinct states are known (0 = no limit). Each visited state keeps
+/// only its parent id and the action that produced it, so the shortest
+/// trace is rebuilt without keeping parent states alive.
+pub(crate) fn explore<S, A, V>(
+    initial: S,
+    depth: u32,
+    max_states: usize,
+    enabled: impl Fn(&S) -> Vec<A>,
+    apply: impl Fn(&S, A) -> Result<S, V>,
+    mut visit: impl FnMut(&S),
+) -> Exploration<A, V>
+where
+    S: Clone + Eq + std::hash::Hash,
+    A: Copy,
+{
+    // id → (parent id, action that produced it).
+    let mut meta: Vec<(u32, Option<A>)> = vec![(0, None)];
+    let mut visited: HashMap<S, u32> = HashMap::new();
+    visited.insert(initial.clone(), 0);
+    let mut frontier: VecDeque<(S, u32, u32)> = VecDeque::from([(initial, 0, 0)]);
+    let mut out = Exploration {
+        states: 1,
+        transitions: 0,
+        max_depth: 0,
+        frontier_peak: 1,
+        depth_pruned: false,
+        violation: None,
+    };
+    while let Some((state, id, level)) = frontier.pop_front() {
+        if level >= depth {
+            out.depth_pruned = true;
+            continue;
+        }
+        for action in enabled(&state) {
+            out.transitions += 1;
+            let next = match apply(&state, action) {
+                Ok(next) => next,
+                Err(violation) => {
+                    let mut trace = Vec::new();
+                    let mut at = id;
+                    while let (parent, Some(step)) = meta[at as usize] {
+                        trace.push(step);
+                        at = parent;
+                    }
+                    trace.reverse();
+                    trace.push(action);
+                    out.states = visited.len();
+                    out.max_depth = out.max_depth.max(level + 1);
+                    out.violation = Some((violation, trace));
+                    return out;
+                }
+            };
+            visit(&next);
+            if let MapEntry::Vacant(slot) = visited.entry(next) {
+                let next_id = meta.len() as u32;
+                meta.push((id, Some(action)));
+                let state = slot.key().clone();
+                slot.insert(next_id);
+                out.max_depth = out.max_depth.max(level + 1);
+                frontier.push_back((state, next_id, level + 1));
+                out.frontier_peak = out.frontier_peak.max(frontier.len());
+            }
+        }
+        if max_states > 0 && visited.len() >= max_states {
+            break;
+        }
+    }
+    out.states = visited.len();
+    out
+}
+
+// ===========================================================================
+// Failover model: the epoch-fenced primary/standby protocol.
+// ===========================================================================
 
 /// A client write, identified by issue order. At most
 /// [`ModelConfig::writes`] ≤ 16 exist, so sets of writes are `u16`
@@ -101,45 +424,6 @@ pub enum Mutation {
     PromoteSkipsFinalPoll,
 }
 
-impl Mutation {
-    /// All mutations, for sweep harnesses.
-    pub const ALL: [Mutation; 6] = [
-        Mutation::AckDespiteFailedFlush,
-        Mutation::RacyFlushFence,
-        Mutation::SkipFenceRaiseOnPromote,
-        Mutation::PromoteWithoutEpochBump,
-        Mutation::RecoverWithoutRefence,
-        Mutation::PromoteSkipsFinalPoll,
-    ];
-
-    /// Parse a mutation name as accepted by the `mbds-model` binary.
-    pub fn parse(name: &str) -> Option<Mutation> {
-        Some(match name {
-            "none" => Mutation::None,
-            "ack-despite-failed-flush" => Mutation::AckDespiteFailedFlush,
-            "racy-flush-fence" => Mutation::RacyFlushFence,
-            "skip-fence-raise" => Mutation::SkipFenceRaiseOnPromote,
-            "promote-without-epoch-bump" => Mutation::PromoteWithoutEpochBump,
-            "recover-without-refence" => Mutation::RecoverWithoutRefence,
-            "promote-skips-final-poll" => Mutation::PromoteSkipsFinalPoll,
-            _ => return None,
-        })
-    }
-
-    /// The name [`Mutation::parse`] accepts for this mutation.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Mutation::None => "none",
-            Mutation::AckDespiteFailedFlush => "ack-despite-failed-flush",
-            Mutation::RacyFlushFence => "racy-flush-fence",
-            Mutation::SkipFenceRaiseOnPromote => "skip-fence-raise",
-            Mutation::PromoteWithoutEpochBump => "promote-without-epoch-bump",
-            Mutation::RecoverWithoutRefence => "recover-without-refence",
-            Mutation::PromoteSkipsFinalPoll => "promote-skips-final-poll",
-        }
-    }
-}
-
 /// Bounds and protocol variant for one exhaustive check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelConfig {
@@ -158,28 +442,6 @@ pub struct ModelConfig {
     pub max_states: usize,
     /// The protocol variant to check.
     pub mutation: Mutation,
-}
-
-impl ModelConfig {
-    /// The CI configuration named by the roadmap: 1 primary, 1
-    /// standby, 2 backends, 4 pending writes, depth 13 — exhausted in
-    /// seconds, > 10⁴ distinct states.
-    pub fn small() -> ModelConfig {
-        ModelConfig {
-            backends: 2,
-            writes: 4,
-            depth: 13,
-            max_crashes: 1,
-            max_snapshots: 1,
-            max_states: 0,
-            mutation: Mutation::None,
-        }
-    }
-
-    /// The small configuration with `mutation` applied.
-    pub fn with_mutation(mutation: Mutation) -> ModelConfig {
-        ModelConfig { mutation, ..ModelConfig::small() }
-    }
 }
 
 /// One small-step protocol action (see the module table for the real
@@ -311,18 +573,6 @@ pub enum Violation {
         /// The lost write.
         w: WriteId,
     },
-}
-
-impl Violation {
-    /// Which of the two checked invariants this violates (1-based).
-    pub fn invariant(&self) -> u8 {
-        match self {
-            Violation::EpochSharedByTwoWriters { .. }
-            | Violation::FencedWriteAccepted { .. } => 1,
-            Violation::AckedWriteNotDurable { .. }
-            | Violation::AckedWriteLostAtPromotion { .. } => 2,
-        }
-    }
 }
 
 impl fmt::Display for Violation {
@@ -474,11 +724,69 @@ pub struct State {
 }
 
 impl State {
-    fn initial(cfg: &ModelConfig) -> State {
+    /// Record that `writer` performed a fenced write in `epoch`.
+    fn claim(&mut self, epoch: u8, writer: CtrlId) -> Result<(), Violation> {
+        match self.claims.binary_search(&(epoch, writer)) {
+            Ok(_) => Ok(()),
+            Err(pos) => {
+                if self.claims.iter().any(|&(e, w)| e == epoch && w != writer) {
+                    return Err(Violation::EpochSharedByTwoWriters { epoch });
+                }
+                self.claims.insert(pos, (epoch, writer));
+                Ok(())
+            }
+        }
+    }
+}
+
+impl Model for ModelConfig {
+    type State = State;
+    type Action = Action;
+    type Violation = Violation;
+    type Mutation = Mutation;
+
+    const NAME: &'static str = "failover";
+    const MUTATIONS: &'static [(Mutation, &'static str)] = &[
+        (Mutation::AckDespiteFailedFlush, "ack-despite-failed-flush"),
+        (Mutation::RacyFlushFence, "racy-flush-fence"),
+        (Mutation::SkipFenceRaiseOnPromote, "skip-fence-raise"),
+        (Mutation::PromoteWithoutEpochBump, "promote-without-epoch-bump"),
+        (Mutation::RecoverWithoutRefence, "recover-without-refence"),
+        (Mutation::PromoteSkipsFinalPoll, "promote-skips-final-poll"),
+    ];
+
+    /// The CI configuration named by the roadmap: 1 primary, 1
+    /// standby, 2 backends, 4 pending writes, depth 13 — exhausted in
+    /// seconds, > 10⁴ distinct states.
+    fn small() -> ModelConfig {
+        ModelConfig {
+            backends: 2,
+            writes: 4,
+            depth: 13,
+            max_crashes: 1,
+            max_snapshots: 1,
+            max_states: 0,
+            mutation: Mutation::None,
+        }
+    }
+
+    fn mutation(&self) -> Mutation {
+        self.mutation
+    }
+
+    fn mutated(self, mutation: Mutation) -> ModelConfig {
+        ModelConfig { mutation, ..self }
+    }
+
+    fn bounds(&self) -> (u32, usize) {
+        (self.depth, self.max_states)
+    }
+
+    fn initial(&self) -> State {
         State {
             ctrls: [Ctrl::fresh(true), Ctrl::fresh(false)],
             store: StoreS { fence: 0, generation: 0, snap: 0, log: Vec::new(), max_epoch: 0 },
-            backends: vec![BackendS { fence: 0 }; cfg.backends as usize],
+            backends: vec![BackendS { fence: 0 }; self.backends as usize],
             standby: StandbyS {
                 generation: 0,
                 shipped: 0,
@@ -494,335 +802,263 @@ impl State {
         }
     }
 
-    /// Record that `writer` performed a fenced write in `epoch`.
-    fn claim(&mut self, epoch: u8, writer: CtrlId) -> Result<(), Violation> {
-        match self.claims.binary_search(&(epoch, writer)) {
-            Ok(_) => Ok(()),
-            Err(pos) => {
-                if self.claims.iter().any(|&(e, w)| e == epoch && w != writer) {
-                    return Err(Violation::EpochSharedByTwoWriters { epoch });
+    fn enabled(&self, s: &State) -> Vec<Action> {
+        let mut out = Vec::with_capacity(16);
+        for c in 0..2u8 {
+            let ctrl = &s.ctrls[c as usize];
+            if ctrl.active() {
+                if s.next_write < self.writes {
+                    out.push(Action::ClientWrite { to: c });
                 }
-                self.claims.insert(pos, (epoch, writer));
-                Ok(())
+                if !ctrl.inbox.is_empty() {
+                    out.push(Action::BackendWrite { c });
+                }
+                if !ctrl.staged.is_empty() {
+                    out.push(Action::WalAppend { c });
+                }
+                if !ctrl.batch.is_empty() {
+                    if self.mutation == Mutation::RacyFlushFence {
+                        if ctrl.flush_checked {
+                            out.push(Action::FlushLand { c });
+                        } else {
+                            out.push(Action::FlushCheck { c });
+                        }
+                    } else {
+                        out.push(Action::GroupCommitFlush { c });
+                    }
+                }
+                if s.snapshots < self.max_snapshots
+                    && !s.store.log.is_empty()
+                    && s.store.fence <= ctrl.epoch
+                {
+                    out.push(Action::SnapshotInstall { c });
+                }
+                if s.crashes < self.max_crashes {
+                    out.push(Action::Crash { c });
+                }
+            }
+            if ctrl.live && ctrl.crashed {
+                out.push(Action::Recover { c });
             }
         }
+        match &s.standby.phase {
+            StandbyPhase::Tailing => {
+                if s.standby.generation != s.store.generation {
+                    out.push(Action::ShipResync);
+                } else if s.inflight.is_none()
+                    && (s.standby.shipped as usize) < s.store.log.len()
+                {
+                    out.push(Action::ShipSend);
+                }
+                if s.inflight.is_some() {
+                    out.push(Action::ShipDeliver);
+                    out.push(Action::ShipDup);
+                    out.push(Action::ShipDrop);
+                }
+                if !s.ctrls[1].live {
+                    out.push(Action::PromoteFence);
+                }
+            }
+            StandbyPhase::Fenced { .. } => out.push(Action::PromoteInstall),
+            StandbyPhase::Promoted => {}
+        }
+        out
     }
 
-    /// The acknowledged-durability half of invariant 2, checked at
-    /// every state.
-    fn check(&self) -> Result<(), Violation> {
-        let durable = self.store.durable();
-        let lost = self.acked & !durable;
+    /// Apply `a` to a copy of `s`; `Err` is an invariant violation at
+    /// this transition or in the state it reaches.
+    fn apply(&self, s: &State, a: Action) -> Result<State, Violation> {
+        let mut n = s.clone();
+        match a {
+            Action::ClientWrite { to } => {
+                n.ctrls[to as usize].inbox.push(n.next_write);
+                n.next_write += 1;
+            }
+            Action::BackendWrite { c } => {
+                let epoch = n.ctrls[c as usize].epoch;
+                let w = n.ctrls[c as usize].inbox.remove(0);
+                let mut accepted = false;
+                for b in 0..n.backends.len() {
+                    if n.backends[b].fence > epoch {
+                        continue; // fenced out: the backend rejects the envelope
+                    }
+                    n.claim(epoch, c)?;
+                    accepted = true;
+                }
+                if accepted {
+                    n.ctrls[c as usize].staged.push(w);
+                    n.ctrls[c as usize].view |= bit(w);
+                }
+                // No backend accepted: the write fails, the client sees an
+                // error, nothing to track.
+            }
+            Action::WalAppend { c } => {
+                let w = n.ctrls[c as usize].staged.remove(0);
+                n.ctrls[c as usize].batch.push(w);
+            }
+            Action::GroupCommitFlush { c } => {
+                let epoch = n.ctrls[c as usize].epoch;
+                let batch = std::mem::take(&mut n.ctrls[c as usize].batch);
+                if n.store.fence > epoch {
+                    // Atomic fence refusal: the batch is lost, the client
+                    // sees an error — unless the mutation acks anyway.
+                    if self.mutation == Mutation::AckDespiteFailedFlush {
+                        for w in batch {
+                            n.acked |= bit(w);
+                        }
+                    }
+                } else {
+                    land_batch(&mut n, c, epoch, &batch)?;
+                }
+            }
+            Action::FlushCheck { c } => {
+                let epoch = n.ctrls[c as usize].epoch;
+                if n.store.fence > epoch {
+                    n.ctrls[c as usize].batch.clear();
+                } else {
+                    n.ctrls[c as usize].flush_checked = true;
+                }
+            }
+            Action::FlushLand { c } => {
+                let epoch = n.ctrls[c as usize].epoch;
+                let batch = std::mem::take(&mut n.ctrls[c as usize].batch);
+                n.ctrls[c as usize].flush_checked = false;
+                if n.store.fence > epoch {
+                    // The race: the fence rose between check and land, but
+                    // the landing is unconditional — the stale records
+                    // reach the store.
+                    return Err(Violation::FencedWriteAccepted {
+                        acceptor: u8::MAX,
+                        epoch,
+                        fence: n.store.fence,
+                    });
+                }
+                land_batch(&mut n, c, epoch, &batch)?;
+            }
+            Action::SnapshotInstall { c } => {
+                debug_assert!(n.store.fence <= n.ctrls[c as usize].epoch);
+                n.store.snap = n.store.durable();
+                n.store.log.clear();
+                n.store.generation += 1;
+                n.snapshots += 1;
+            }
+            Action::Crash { c } => {
+                let ctrl = &mut n.ctrls[c as usize];
+                ctrl.crashed = true;
+                ctrl.inbox.clear();
+                ctrl.staged.clear();
+                ctrl.batch.clear();
+                ctrl.flush_checked = false;
+                n.crashes += 1;
+            }
+            Action::Recover { c } => {
+                let seen = n.store.max_epoch.max(n.store.fence);
+                let epoch = if self.mutation == Mutation::RecoverWithoutRefence {
+                    seen
+                } else {
+                    // The fix the checker forced: every incarnation gets a
+                    // fresh epoch and fences out its predecessors.
+                    let e = seen + 1;
+                    n.store.fence = n.store.fence.max(e);
+                    e
+                };
+                let ctrl = &mut n.ctrls[c as usize];
+                ctrl.crashed = false;
+                ctrl.epoch = epoch;
+                ctrl.view = n.store.durable();
+            }
+            Action::ShipSend => {
+                let idx = n.standby.shipped;
+                let entry = n.store.log[idx as usize];
+                n.inflight =
+                    Some(ShipMsg { generation: n.store.generation, idx, w: entry.w });
+            }
+            Action::ShipDeliver | Action::ShipDup => {
+                let msg = n.inflight.expect("enabled only with an in-flight message");
+                if a == Action::ShipDeliver {
+                    n.inflight = None;
+                }
+                // The cursor's generation + sequence check: stale or
+                // duplicated messages are ignored.
+                if msg.generation == n.store.generation
+                    && msg.generation == n.standby.generation
+                    && msg.idx == n.standby.shipped
+                {
+                    n.standby.mirror |= bit(msg.w);
+                    n.standby.shipped += 1;
+                }
+            }
+            Action::ShipDrop => {
+                n.inflight = None;
+            }
+            Action::ShipResync => {
+                n.standby.generation = n.store.generation;
+                n.standby.shipped = 0;
+                n.standby.mirror = n.store.snap;
+            }
+            Action::PromoteFence => {
+                let view = if self.mutation == Mutation::PromoteSkipsFinalPoll {
+                    n.standby.mirror
+                } else {
+                    // The final poll: promote consumes every whole durable
+                    // record before the fence rises.
+                    n.store.durable()
+                };
+                let seen = n.store.max_epoch.max(n.store.fence);
+                let epoch = if self.mutation == Mutation::PromoteWithoutEpochBump {
+                    seen
+                } else {
+                    seen + 1
+                };
+                if self.mutation != Mutation::SkipFenceRaiseOnPromote {
+                    n.store.fence = n.store.fence.max(epoch);
+                }
+                n.standby.phase = StandbyPhase::Fenced { epoch, view, acked: n.acked };
+            }
+            Action::PromoteInstall => {
+                let StandbyPhase::Fenced { epoch, view, acked } = n.standby.phase else {
+                    unreachable!("enabled only in the fenced phase");
+                };
+                // Invariant 2, promotion half: every write acknowledged at
+                // the fence point must be part of the promoted
+                // controller's state.
+                let lost = acked & !view;
+                if lost != 0 {
+                    return Err(Violation::AckedWriteLostAtPromotion {
+                        w: lost.trailing_zeros() as u8,
+                    });
+                }
+                if self.mutation != Mutation::SkipFenceRaiseOnPromote {
+                    for b in &mut n.backends {
+                        b.fence = b.fence.max(epoch);
+                    }
+                }
+                let ctrl = &mut n.ctrls[1];
+                *ctrl = Ctrl::fresh(true);
+                ctrl.epoch = epoch;
+                ctrl.view = view;
+                n.standby.phase = StandbyPhase::Promoted;
+            }
+        }
+        // Invariant 2, durability half, checked at every state: an
+        // acknowledged write stays durable in the store.
+        let lost = n.acked & !n.store.durable();
         if lost != 0 {
             return Err(Violation::AckedWriteNotDurable { w: lost.trailing_zeros() as u8 });
         }
-        Ok(())
+        Ok(n)
     }
-}
 
-/// The counterexample a failed check returns: the violated invariant
-/// and the full action trace from the initial state.
-#[derive(Debug, Clone)]
-pub struct Counterexample {
-    /// What broke.
-    pub violation: Violation,
-    /// Every action from the initial state to the violating one.
-    pub trace: Vec<Action>,
-}
-
-impl Counterexample {
-    /// The trace rendered one action per line, violation last — the
-    /// artifact CI uploads.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (i, action) in self.trace.iter().enumerate() {
-            out.push_str(&format!("{:>3}. {action}\n", i + 1));
-        }
-        out.push_str(&format!("  ⇒ VIOLATION: {}\n", self.violation));
-        out
-    }
-}
-
-/// What one exhaustive check explored.
-#[derive(Debug, Clone)]
-pub struct CheckReport {
-    /// The configuration checked.
-    pub config: ModelConfig,
-    /// Distinct states visited.
-    pub states: usize,
-    /// Transitions taken (successor computations).
-    pub transitions: u64,
-    /// Deepest level reached (≤ `config.depth`).
-    pub max_depth: u32,
-    /// Peak BFS frontier length.
-    pub frontier_peak: usize,
-    /// Wall-clock time of the search.
-    pub elapsed: Duration,
-    /// True when the depth bound pruned unexplored successors (the
-    /// search was exhaustive *up to the bound* either way).
-    pub depth_pruned: bool,
-    /// The first violation found (BFS ⇒ a shortest trace), if any.
-    pub counterexample: Option<Counterexample>,
-}
-
-impl CheckReport {
-    /// One summary line for logs and experiment tables.
-    pub fn summary(&self) -> String {
-        format!(
-            "mutation={} states={} transitions={} depth={} elapsed={:?} verdict={}",
-            self.config.mutation.name(),
-            self.states,
-            self.transitions,
-            self.max_depth,
-            self.elapsed,
-            match &self.counterexample {
-                None => "no violation".to_owned(),
-                Some(ce) => format!("VIOLATION ({}) at depth {}", ce.violation, ce.trace.len()),
-            }
-        )
-    }
-}
-
-/// Enumerate every action enabled in `s`.
-fn enabled(s: &State, cfg: &ModelConfig) -> Vec<Action> {
-    let mut out = Vec::with_capacity(16);
-    for c in 0..2u8 {
-        let ctrl = &s.ctrls[c as usize];
-        if ctrl.active() {
-            if s.next_write < cfg.writes {
-                out.push(Action::ClientWrite { to: c });
-            }
-            if !ctrl.inbox.is_empty() {
-                out.push(Action::BackendWrite { c });
-            }
-            if !ctrl.staged.is_empty() {
-                out.push(Action::WalAppend { c });
-            }
-            if !ctrl.batch.is_empty() {
-                if cfg.mutation == Mutation::RacyFlushFence {
-                    if ctrl.flush_checked {
-                        out.push(Action::FlushLand { c });
-                    } else {
-                        out.push(Action::FlushCheck { c });
-                    }
-                } else {
-                    out.push(Action::GroupCommitFlush { c });
-                }
-            }
-            if s.snapshots < cfg.max_snapshots
-                && !s.store.log.is_empty()
-                && s.store.fence <= ctrl.epoch
-            {
-                out.push(Action::SnapshotInstall { c });
-            }
-            if s.crashes < cfg.max_crashes {
-                out.push(Action::Crash { c });
-            }
-        }
-        if ctrl.live && ctrl.crashed {
-            out.push(Action::Recover { c });
+    /// The first two violations are invariant 1 (exclusive epoch
+    /// writer), the last two invariant 2 (acknowledged writes survive).
+    fn invariant(violation: &Violation) -> u8 {
+        match violation {
+            Violation::EpochSharedByTwoWriters { .. }
+            | Violation::FencedWriteAccepted { .. } => 1,
+            Violation::AckedWriteNotDurable { .. }
+            | Violation::AckedWriteLostAtPromotion { .. } => 2,
         }
     }
-    match &s.standby.phase {
-        StandbyPhase::Tailing => {
-            if s.standby.generation != s.store.generation {
-                out.push(Action::ShipResync);
-            } else if s.inflight.is_none()
-                && (s.standby.shipped as usize) < s.store.log.len()
-            {
-                out.push(Action::ShipSend);
-            }
-            if s.inflight.is_some() {
-                out.push(Action::ShipDeliver);
-                out.push(Action::ShipDup);
-                out.push(Action::ShipDrop);
-            }
-            if !s.ctrls[1].live {
-                out.push(Action::PromoteFence);
-            }
-        }
-        StandbyPhase::Fenced { .. } => out.push(Action::PromoteInstall),
-        StandbyPhase::Promoted => {}
-    }
-    out
-}
-
-/// Apply `a` to a copy of `s`; `Err` is an invariant violation *at
-/// this transition* (state-level checks run separately).
-fn apply(s: &State, a: Action, cfg: &ModelConfig) -> Result<State, Violation> {
-    let mut n = s.clone();
-    match a {
-        Action::ClientWrite { to } => {
-            n.ctrls[to as usize].inbox.push(n.next_write);
-            n.next_write += 1;
-        }
-        Action::BackendWrite { c } => {
-            let epoch = n.ctrls[c as usize].epoch;
-            let w = n.ctrls[c as usize].inbox.remove(0);
-            let mut accepted = false;
-            for b in 0..n.backends.len() {
-                if n.backends[b].fence > epoch {
-                    continue; // fenced out: the backend rejects the envelope
-                }
-                n.claim(epoch, c)?;
-                accepted = true;
-            }
-            if accepted {
-                n.ctrls[c as usize].staged.push(w);
-                n.ctrls[c as usize].view |= bit(w);
-            }
-            // No backend accepted: the write fails, the client sees an
-            // error, nothing to track.
-        }
-        Action::WalAppend { c } => {
-            let w = n.ctrls[c as usize].staged.remove(0);
-            n.ctrls[c as usize].batch.push(w);
-        }
-        Action::GroupCommitFlush { c } => {
-            let epoch = n.ctrls[c as usize].epoch;
-            let batch = std::mem::take(&mut n.ctrls[c as usize].batch);
-            if n.store.fence > epoch {
-                // Atomic fence refusal: the batch is lost, the client
-                // sees an error — unless the mutation acks anyway.
-                if cfg.mutation == Mutation::AckDespiteFailedFlush {
-                    for w in batch {
-                        n.acked |= bit(w);
-                    }
-                }
-            } else {
-                land_batch(&mut n, c, epoch, &batch)?;
-            }
-        }
-        Action::FlushCheck { c } => {
-            let epoch = n.ctrls[c as usize].epoch;
-            if n.store.fence > epoch {
-                n.ctrls[c as usize].batch.clear();
-            } else {
-                n.ctrls[c as usize].flush_checked = true;
-            }
-        }
-        Action::FlushLand { c } => {
-            let epoch = n.ctrls[c as usize].epoch;
-            let batch = std::mem::take(&mut n.ctrls[c as usize].batch);
-            n.ctrls[c as usize].flush_checked = false;
-            if n.store.fence > epoch {
-                // The race: the fence rose between check and land, but
-                // the landing is unconditional — the stale records
-                // reach the store.
-                return Err(Violation::FencedWriteAccepted {
-                    acceptor: u8::MAX,
-                    epoch,
-                    fence: n.store.fence,
-                });
-            }
-            land_batch(&mut n, c, epoch, &batch)?;
-        }
-        Action::SnapshotInstall { c } => {
-            debug_assert!(n.store.fence <= n.ctrls[c as usize].epoch);
-            n.store.snap = n.store.durable();
-            n.store.log.clear();
-            n.store.generation += 1;
-            n.snapshots += 1;
-        }
-        Action::Crash { c } => {
-            let ctrl = &mut n.ctrls[c as usize];
-            ctrl.crashed = true;
-            ctrl.inbox.clear();
-            ctrl.staged.clear();
-            ctrl.batch.clear();
-            ctrl.flush_checked = false;
-            n.crashes += 1;
-        }
-        Action::Recover { c } => {
-            let seen = n.store.max_epoch.max(n.store.fence);
-            let epoch = if cfg.mutation == Mutation::RecoverWithoutRefence {
-                seen
-            } else {
-                // The fix the checker forced: every incarnation gets a
-                // fresh epoch and fences out its predecessors.
-                let e = seen + 1;
-                n.store.fence = n.store.fence.max(e);
-                e
-            };
-            let ctrl = &mut n.ctrls[c as usize];
-            ctrl.crashed = false;
-            ctrl.epoch = epoch;
-            ctrl.view = n.store.durable();
-        }
-        Action::ShipSend => {
-            let idx = n.standby.shipped;
-            let entry = n.store.log[idx as usize];
-            n.inflight =
-                Some(ShipMsg { generation: n.store.generation, idx, w: entry.w });
-        }
-        Action::ShipDeliver | Action::ShipDup => {
-            let msg = n.inflight.expect("enabled only with an in-flight message");
-            if a == Action::ShipDeliver {
-                n.inflight = None;
-            }
-            // The cursor's generation + sequence check: stale or
-            // duplicated messages are ignored.
-            if msg.generation == n.store.generation
-                && msg.generation == n.standby.generation
-                && msg.idx == n.standby.shipped
-            {
-                n.standby.mirror |= bit(msg.w);
-                n.standby.shipped += 1;
-            }
-        }
-        Action::ShipDrop => {
-            n.inflight = None;
-        }
-        Action::ShipResync => {
-            n.standby.generation = n.store.generation;
-            n.standby.shipped = 0;
-            n.standby.mirror = n.store.snap;
-        }
-        Action::PromoteFence => {
-            let view = if cfg.mutation == Mutation::PromoteSkipsFinalPoll {
-                n.standby.mirror
-            } else {
-                // The final poll: promote consumes every whole durable
-                // record before the fence rises.
-                n.store.durable()
-            };
-            let seen = n.store.max_epoch.max(n.store.fence);
-            let epoch = if cfg.mutation == Mutation::PromoteWithoutEpochBump {
-                seen
-            } else {
-                seen + 1
-            };
-            if cfg.mutation != Mutation::SkipFenceRaiseOnPromote {
-                n.store.fence = n.store.fence.max(epoch);
-            }
-            n.standby.phase = StandbyPhase::Fenced { epoch, view, acked: n.acked };
-        }
-        Action::PromoteInstall => {
-            let StandbyPhase::Fenced { epoch, view, acked } = n.standby.phase else {
-                unreachable!("enabled only in the fenced phase");
-            };
-            // Invariant 2, promotion half: every write acknowledged at
-            // the fence point must be part of the promoted
-            // controller's state.
-            let lost = acked & !view;
-            if lost != 0 {
-                return Err(Violation::AckedWriteLostAtPromotion {
-                    w: lost.trailing_zeros() as u8,
-                });
-            }
-            if cfg.mutation != Mutation::SkipFenceRaiseOnPromote {
-                for b in &mut n.backends {
-                    b.fence = b.fence.max(epoch);
-                }
-            }
-            let ctrl = &mut n.ctrls[1];
-            *ctrl = Ctrl::fresh(true);
-            ctrl.epoch = epoch;
-            ctrl.view = view;
-            n.standby.phase = StandbyPhase::Promoted;
-        }
-    }
-    Ok(n)
 }
 
 /// Land a flushed batch in the store: the fence has been checked (or
@@ -847,129 +1083,11 @@ fn land_batch(n: &mut State, c: CtrlId, epoch: u8, batch: &[WriteId]) -> Result<
     Ok(())
 }
 
-/// What one [`explore`] run found.
-pub(crate) struct Exploration<A, V> {
-    /// Distinct states visited.
-    pub(crate) states: usize,
-    /// Transitions taken (successor computations).
-    pub(crate) transitions: u64,
-    /// Deepest level reached.
-    pub(crate) max_depth: u32,
-    /// Peak frontier length.
-    pub(crate) frontier_peak: usize,
-    /// True when the depth bound pruned unexplored successors.
-    pub(crate) depth_pruned: bool,
-    /// The first violation, with the shortest action trace reaching it
-    /// from the initial state (BFS order).
-    pub(crate) violation: Option<(V, Vec<A>)>,
-}
-
-/// The breadth-first search behind every checker in this module: from
-/// `initial`, take each action `enabled` lists, `apply` it (an `Err` is
-/// a violation and ends the search), hand every successor to `visit`
-/// (coverage flags), and queue the successors not seen before. States
-/// at `depth` are not expanded; the search also stops once `max_states`
-/// distinct states are known (0 = no limit). Each visited state keeps
-/// only its parent id and the action that produced it, so the shortest
-/// trace is rebuilt without keeping parent states alive.
-pub(crate) fn explore<S, A, V>(
-    initial: S,
-    depth: u32,
-    max_states: usize,
-    enabled: impl Fn(&S) -> Vec<A>,
-    apply: impl Fn(&S, A) -> Result<S, V>,
-    mut visit: impl FnMut(&S),
-) -> Exploration<A, V>
-where
-    S: Clone + Eq + std::hash::Hash,
-    A: Copy,
-{
-    // id → (parent id, action that produced it).
-    let mut meta: Vec<(u32, Option<A>)> = vec![(0, None)];
-    let mut visited: HashMap<S, u32> = HashMap::new();
-    visited.insert(initial.clone(), 0);
-    let mut frontier: VecDeque<(S, u32, u32)> = VecDeque::from([(initial, 0, 0)]);
-    let mut out = Exploration {
-        states: 1,
-        transitions: 0,
-        max_depth: 0,
-        frontier_peak: 1,
-        depth_pruned: false,
-        violation: None,
-    };
-    while let Some((state, id, level)) = frontier.pop_front() {
-        if level >= depth {
-            out.depth_pruned = true;
-            continue;
-        }
-        for action in enabled(&state) {
-            out.transitions += 1;
-            let next = match apply(&state, action) {
-                Ok(next) => next,
-                Err(violation) => {
-                    let mut trace = Vec::new();
-                    let mut at = id;
-                    while let (parent, Some(step)) = meta[at as usize] {
-                        trace.push(step);
-                        at = parent;
-                    }
-                    trace.reverse();
-                    trace.push(action);
-                    out.states = visited.len();
-                    out.max_depth = out.max_depth.max(level + 1);
-                    out.violation = Some((violation, trace));
-                    return out;
-                }
-            };
-            visit(&next);
-            if let MapEntry::Vacant(slot) = visited.entry(next) {
-                let next_id = meta.len() as u32;
-                meta.push((id, Some(action)));
-                let state = slot.key().clone();
-                slot.insert(next_id);
-                out.max_depth = out.max_depth.max(level + 1);
-                frontier.push_back((state, next_id, level + 1));
-                out.frontier_peak = out.frontier_peak.max(frontier.len());
-            }
-        }
-        if max_states > 0 && visited.len() >= max_states {
-            break;
-        }
-    }
-    out.states = visited.len();
-    out
-}
-
-/// Exhaustive breadth-first check of `cfg`. Returns the exploration
-/// statistics and, when an invariant fails, the shortest violating
-/// action trace.
-pub fn check(cfg: &ModelConfig) -> CheckReport {
-    let start = Instant::now();
-    let run = explore(
-        State::initial(cfg),
-        cfg.depth,
-        cfg.max_states,
-        |s| enabled(s, cfg),
-        |s, a| apply(s, a, cfg).and_then(|next| next.check().map(|()| next)),
-        |_| {},
-    );
-    CheckReport {
-        config: *cfg,
-        states: run.states,
-        transitions: run.transitions,
-        max_depth: run.max_depth,
-        frontier_peak: run.frontier_peak,
-        elapsed: start.elapsed(),
-        depth_pruned: run.depth_pruned,
-        counterexample: run.violation.map(|(violation, trace)| Counterexample { violation, trace }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick(mutation: Mutation, depth: u32) -> CheckReport {
+    fn quick(mutation: Mutation, depth: u32) -> CheckReport<ModelConfig> {
         check(&ModelConfig {
             depth,
             ..ModelConfig::with_mutation(mutation)
@@ -986,23 +1104,17 @@ mod tests {
 
     #[test]
     fn every_mutation_is_caught_at_shallow_depth() {
-        for mutation in Mutation::ALL {
+        for &(mutation, name) in ModelConfig::MUTATIONS {
             let report = quick(mutation, 12);
             let ce = report
                 .counterexample
-                .unwrap_or_else(|| panic!("{} produced no counterexample", mutation.name()));
+                .unwrap_or_else(|| panic!("{name} produced no counterexample"));
             assert!(!ce.trace.is_empty());
             let expected = match mutation {
                 Mutation::AckDespiteFailedFlush | Mutation::PromoteSkipsFinalPoll => 2,
                 _ => 1,
             };
-            assert_eq!(
-                ce.violation.invariant(),
-                expected,
-                "{}: wrong invariant: {}",
-                mutation.name(),
-                ce.violation
-            );
+            assert_eq!(ce.invariant(), expected, "{name}: wrong invariant: {}", ce.violation);
         }
     }
 
@@ -1083,12 +1195,34 @@ mod tests {
         assert_eq!(run.states, 5);
     }
 
+    /// Every name in `M`'s catalogue, and `none`, selects its mutation
+    /// and is the name reported back; an unknown name selects nothing.
+    pub(super) fn names_round_trip<M: Model>() {
+        let shipped = (M::Mutation::default(), SHIPPED);
+        for &(mutation, name) in M::MUTATIONS.iter().chain([shipped].iter()) {
+            let cfg = M::small().named(name).expect(name);
+            assert_eq!(cfg.mutation(), mutation, "{name}");
+            assert_eq!(cfg.mutation_name(), name);
+        }
+        assert!(M::small().named("no-such-mutation").is_none());
+    }
+
     #[test]
     fn mutation_names_round_trip() {
-        for mutation in Mutation::ALL.iter().chain([Mutation::None].iter()) {
-            assert_eq!(Mutation::parse(mutation.name()), Some(*mutation));
-        }
-        assert_eq!(Mutation::parse("no-such-mutation"), None);
+        names_round_trip::<ModelConfig>();
+    }
+
+    #[test]
+    fn mutation_names_are_unique_across_the_three_catalogues() {
+        let names: Vec<&str> = (ModelConfig::MUTATIONS.iter().map(|m| m.1))
+            .chain(flight::FlightConfig::MUTATIONS.iter().map(|m| m.1))
+            .chain(rebalance::RebalanceConfig::MUTATIONS.iter().map(|m| m.1))
+            .collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "a --mutation name must pick one model: {names:?}");
+        assert!(!names.contains(&SHIPPED));
     }
 }
 
@@ -1132,14 +1266,15 @@ mod tests {
 /// `{r_0 .. r_{read_after-1}}` — never a half-applied write (torn
 /// batch), never a write admitted after the read.
 pub mod flight {
+    use super::{Fact, Model};
     use std::fmt;
-    use std::time::{Duration, Instant};
 
     /// Protocol mutations: each deletes one fence the real scheduler
     /// enforces, and each must produce a counterexample.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub enum FlightMutation {
         /// The shipped protocol, unmodified.
+        #[default]
         None,
         /// Readers stage without waiting for earlier-admitted
         /// conflicting writes to drain — probes interleave with the
@@ -1148,32 +1283,6 @@ pub mod flight {
         /// Writes admitted *after* the readers stage their waves
         /// before the readers' probes have all returned.
         ReorderAheadOfWrites,
-    }
-
-    impl FlightMutation {
-        /// Every mutation in the catalogue (excluding `None`).
-        pub const ALL: [FlightMutation; 2] = [
-            FlightMutation::OverlapConflictingRead,
-            FlightMutation::ReorderAheadOfWrites,
-        ];
-
-        /// Stable identifier, e.g. for a CLI flag.
-        pub fn name(self) -> &'static str {
-            match self {
-                FlightMutation::None => "none",
-                FlightMutation::OverlapConflictingRead => "overlap-conflicting-read",
-                FlightMutation::ReorderAheadOfWrites => "reorder-ahead-of-writes",
-            }
-        }
-
-        /// Inverse of [`FlightMutation::name`].
-        pub fn parse(s: &str) -> Option<FlightMutation> {
-            FlightMutation::ALL
-                .iter()
-                .chain([FlightMutation::None].iter())
-                .copied()
-                .find(|m| m.name() == s)
-        }
     }
 
     /// Checker configuration. `small()` exhausts in well under a
@@ -1190,24 +1299,6 @@ pub mod flight {
         pub readers: u8,
         /// Protocol mutation under test.
         pub mutation: FlightMutation,
-    }
-
-    impl FlightConfig {
-        /// The CI configuration: exhausts in microseconds.
-        pub fn small() -> FlightConfig {
-            FlightConfig {
-                backends: 3,
-                writes: 3,
-                read_after: 1,
-                readers: 2,
-                mutation: FlightMutation::None,
-            }
-        }
-
-        /// `small()` with one fence deleted.
-        pub fn with_mutation(mutation: FlightMutation) -> FlightConfig {
-            FlightConfig { mutation, ..FlightConfig::small() }
-        }
     }
 
     /// One atomic step of the interleaving.
@@ -1264,64 +1355,6 @@ pub mod flight {
         }
     }
 
-    /// A violating interleaving: the invariant broken plus the exact
-    /// action sequence (shortest, by BFS) that reaches it.
-    #[derive(Clone, Debug)]
-    pub struct FlightCounterexample {
-        /// The invariant that broke.
-        pub violation: TornRead,
-        /// The shortest action sequence reaching the violation.
-        pub trace: Vec<FlightAction>,
-    }
-
-    impl FlightCounterexample {
-        /// The numbered action trace plus the violated invariant.
-        pub fn render(&self) -> String {
-            let mut out = String::new();
-            for (i, action) in self.trace.iter().enumerate() {
-                out.push_str(&format!("{:>3}. {}\n", i + 1, action));
-            }
-            out.push_str(&format!("VIOLATION: {}", self.violation));
-            out
-        }
-    }
-
-    /// What an exhaustive run found.
-    #[derive(Clone, Debug)]
-    pub struct FlightReport {
-        /// The configuration that was checked.
-        pub config: FlightConfig,
-        /// Distinct states visited.
-        pub states: usize,
-        /// Transitions explored (states are revisited via BFS dedupe).
-        pub transitions: u64,
-        /// True iff the checker reached a state where two readers were
-        /// simultaneously mid-probe — i.e. the fences leave read–read
-        /// overlap genuinely reachable.
-        pub overlap_reached: bool,
-        /// Wall-clock time of the exhaustive search.
-        pub elapsed: Duration,
-        /// `Some` iff some interleaving violated the prefix invariant.
-        pub counterexample: Option<FlightCounterexample>,
-    }
-
-    impl FlightReport {
-        /// One-line stats: states, transitions, overlap, verdict.
-        pub fn summary(&self) -> String {
-            format!(
-                "{} states, {} transitions, overlap {}, {:?}, {}",
-                self.states,
-                self.transitions,
-                if self.overlap_reached { "reachable" } else { "UNREACHABLE" },
-                self.elapsed,
-                match &self.counterexample {
-                    Some(ce) => format!("VIOLATED ({})", ce.violation),
-                    None => "invariant holds".to_string(),
-                }
-            )
-        }
-    }
-
     /// Reader-session state: which backends have returned, and the
     /// union-merged set of records observed present.
     #[derive(Clone, Hash, PartialEq, Eq)]
@@ -1332,8 +1365,9 @@ pub mod flight {
         seen: u8,
     }
 
+    /// One abstract scheduler state — hashable, so BFS dedupes on it.
     #[derive(Clone, Hash, PartialEq, Eq)]
-    struct State {
+    pub struct State {
         /// `present[w]` = bitmask over {replica 0, replica 1} of the
         /// copies of record `w` still present at their stores.
         present: Vec<u8>,
@@ -1343,14 +1377,6 @@ pub mod flight {
     }
 
     impl State {
-        fn initial(cfg: &FlightConfig) -> State {
-            State {
-                present: vec![0b11; cfg.writes as usize],
-                waves: vec![0; cfg.writes as usize],
-                readers: vec![Reader { probed: 0, seen: 0 }; cfg.readers as usize],
-            }
-        }
-
         /// Backend hosting `replica` of record `w`.
         fn backend_of(w: u8, replica: u8, cfg: &FlightConfig) -> u8 {
             (w + replica) % cfg.backends
@@ -1371,86 +1397,9 @@ pub mod flight {
         }
     }
 
-    fn enabled(state: &State, cfg: &FlightConfig) -> Vec<FlightAction> {
-        let mut actions = Vec::new();
-        for w in 0..cfg.writes {
-            for replica in 0..2u8 {
-                if state.waves[w as usize] & (1 << replica) != 0 {
-                    continue;
-                }
-                // Fence 2: writes admitted after the readers hold
-                // their waves until every probe has returned.
-                if w >= cfg.read_after
-                    && !state.readers_done(cfg)
-                    && cfg.mutation != FlightMutation::ReorderAheadOfWrites
-                {
-                    continue;
-                }
-                actions.push(FlightAction::WriteWave { w, replica });
-            }
-        }
-        // Fence 1: probes stage only once the earlier-admitted
-        // conflicting writes have fully drained.
-        let may_probe = state.prefix_drained(cfg)
-            || cfg.mutation == FlightMutation::OverlapConflictingRead;
-        if may_probe {
-            for reader in 0..cfg.readers {
-                for backend in 0..cfg.backends {
-                    if state.readers[reader as usize].probed & (1 << backend) == 0 {
-                        actions.push(FlightAction::Probe { reader, backend });
-                    }
-                }
-            }
-        }
-        actions
-    }
-
-    /// Apply `action`; returns the torn-read violation if the acting
-    /// reader completed with a non-prefix deleted set.
-    fn apply(
-        state: &State,
-        action: FlightAction,
-        cfg: &FlightConfig,
-    ) -> Result<State, TornRead> {
-        let mut next = state.clone();
-        match action {
-            FlightAction::WriteWave { w, replica } => {
-                next.waves[w as usize] |= 1 << replica;
-                next.present[w as usize] &= !(1 << replica);
-            }
-            FlightAction::Probe { reader, backend } => {
-                let r = &mut next.readers[reader as usize];
-                r.probed |= 1 << backend;
-                for w in 0..cfg.writes {
-                    for replica in 0..2u8 {
-                        if State::backend_of(w, replica, cfg) == backend
-                            && state.present[w as usize] & (1 << replica) != 0
-                        {
-                            r.seen |= 1 << w;
-                        }
-                    }
-                }
-                if next.all_probed(reader as usize, cfg) {
-                    let observed: Vec<u8> = (0..cfg.writes)
-                        .filter(|&w| next.readers[reader as usize].seen & (1 << w) == 0)
-                        .collect();
-                    let expected: Vec<u8> = (0..cfg.read_after).collect();
-                    if observed != expected {
-                        return Err(TornRead {
-                            reader,
-                            observed_deleted: observed,
-                            expected_deleted: expected,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(next)
-    }
-
     /// True in a state where two distinct readers are both mid-probe:
     /// each has at least one envelope back and at least one pending.
-    fn readers_overlap(state: &State, cfg: &FlightConfig) -> bool {
+    fn readers_overlap(cfg: &FlightConfig, state: &State) -> bool {
         let full = (1u8 << cfg.backends) - 1;
         state
             .readers
@@ -1460,49 +1409,143 @@ pub mod flight {
             >= 2
     }
 
-    /// Exhaustive BFS over every interleaving. The state space is tiny
-    /// (thousands of states for `small()`), so there is no depth bound
-    /// — the frontier simply drains.
-    pub fn check_flights(cfg: &FlightConfig) -> FlightReport {
-        let start = Instant::now();
-        let mut overlap_reached = false;
-        let run = super::explore(
-            State::initial(cfg),
-            u32::MAX,
-            0,
-            |s| enabled(s, cfg),
-            |s, a| apply(s, a, cfg),
-            |next| overlap_reached |= readers_overlap(next, cfg),
-        );
-        FlightReport {
-            config: *cfg,
-            states: run.states,
-            transitions: run.transitions,
-            overlap_reached,
-            elapsed: start.elapsed(),
-            counterexample: run
-                .violation
-                .map(|(violation, trace)| FlightCounterexample { violation, trace }),
+    /// The state space is tiny (thousands of states for `small()`),
+    /// so the search has no depth bound — the frontier simply drains.
+    impl Model for FlightConfig {
+        type State = State;
+        type Action = FlightAction;
+        type Violation = TornRead;
+        type Mutation = FlightMutation;
+
+        const NAME: &'static str = "flight";
+        const MUTATIONS: &'static [(FlightMutation, &'static str)] = &[
+            (FlightMutation::OverlapConflictingRead, "overlap-conflicting-read"),
+            (FlightMutation::ReorderAheadOfWrites, "reorder-ahead-of-writes"),
+        ];
+        /// The fences must not serialise read against read.
+        const COVERAGE: &'static [Fact<FlightConfig>] = &[("read-read-overlap", readers_overlap)];
+
+        /// The CI configuration: exhausts in microseconds.
+        fn small() -> FlightConfig {
+            FlightConfig {
+                backends: 3,
+                writes: 3,
+                read_after: 1,
+                readers: 2,
+                mutation: FlightMutation::None,
+            }
+        }
+
+        fn mutation(&self) -> FlightMutation {
+            self.mutation
+        }
+
+        fn mutated(self, mutation: FlightMutation) -> FlightConfig {
+            FlightConfig { mutation, ..self }
+        }
+
+        fn initial(&self) -> State {
+            State {
+                present: vec![0b11; self.writes as usize],
+                waves: vec![0; self.writes as usize],
+                readers: vec![Reader { probed: 0, seen: 0 }; self.readers as usize],
+            }
+        }
+
+        fn enabled(&self, state: &State) -> Vec<FlightAction> {
+            let mut actions = Vec::new();
+            for w in 0..self.writes {
+                for replica in 0..2u8 {
+                    if state.waves[w as usize] & (1 << replica) != 0 {
+                        continue;
+                    }
+                    // Fence 2: writes admitted after the readers hold
+                    // their waves until every probe has returned.
+                    if w >= self.read_after
+                        && !state.readers_done(self)
+                        && self.mutation != FlightMutation::ReorderAheadOfWrites
+                    {
+                        continue;
+                    }
+                    actions.push(FlightAction::WriteWave { w, replica });
+                }
+            }
+            // Fence 1: probes stage only once the earlier-admitted
+            // conflicting writes have fully drained.
+            let may_probe = state.prefix_drained(self)
+                || self.mutation == FlightMutation::OverlapConflictingRead;
+            if may_probe {
+                for reader in 0..self.readers {
+                    for backend in 0..self.backends {
+                        if state.readers[reader as usize].probed & (1 << backend) == 0 {
+                            actions.push(FlightAction::Probe { reader, backend });
+                        }
+                    }
+                }
+            }
+            actions
+        }
+
+        /// Apply `action`; returns the torn-read violation if the
+        /// acting reader completed with a non-prefix deleted set.
+        fn apply(&self, state: &State, action: FlightAction) -> Result<State, TornRead> {
+            let mut next = state.clone();
+            match action {
+                FlightAction::WriteWave { w, replica } => {
+                    next.waves[w as usize] |= 1 << replica;
+                    next.present[w as usize] &= !(1 << replica);
+                }
+                FlightAction::Probe { reader, backend } => {
+                    let r = &mut next.readers[reader as usize];
+                    r.probed |= 1 << backend;
+                    for w in 0..self.writes {
+                        for replica in 0..2u8 {
+                            if State::backend_of(w, replica, self) == backend
+                                && state.present[w as usize] & (1 << replica) != 0
+                            {
+                                r.seen |= 1 << w;
+                            }
+                        }
+                    }
+                    if next.all_probed(reader as usize, self) {
+                        let observed: Vec<u8> = (0..self.writes)
+                            .filter(|&w| next.readers[reader as usize].seen & (1 << w) == 0)
+                            .collect();
+                        let expected: Vec<u8> = (0..self.read_after).collect();
+                        if observed != expected {
+                            return Err(TornRead {
+                                reader,
+                                observed_deleted: observed,
+                                expected_deleted: expected,
+                            });
+                        }
+                    }
+                }
+            }
+            Ok(next)
         }
     }
 
     #[cfg(test)]
     mod tests {
+        use super::super::{check, tests::names_round_trip};
         use super::*;
 
         #[test]
         fn shipped_protocol_has_no_torn_reads_and_reads_overlap() {
-            let report = check_flights(&FlightConfig::small());
+            let report = check(&FlightConfig::small());
             assert!(report.counterexample.is_none(), "{}", report.summary());
-            assert!(report.overlap_reached, "fences must not serialise read vs read");
+            assert!(
+                report.reached("read-read-overlap"),
+                "fences must not serialise read vs read"
+            );
             assert!(report.states > 50, "{}", report.summary());
         }
 
         #[test]
         fn overlapping_a_conflicting_read_yields_a_torn_prefix() {
-            let report = check_flights(&FlightConfig::with_mutation(
-                FlightMutation::OverlapConflictingRead,
-            ));
+            let report =
+                check(&FlightConfig::with_mutation(FlightMutation::OverlapConflictingRead));
             let ce = report.counterexample.expect("mutation must be caught");
             // The tear is a *missing* prefix delete: a probe raced the
             // two delete envelopes and resurrected the record.
@@ -1516,9 +1559,7 @@ pub mod flight {
 
         #[test]
         fn reordering_later_writes_ahead_of_probes_is_caught() {
-            let report = check_flights(&FlightConfig::with_mutation(
-                FlightMutation::ReorderAheadOfWrites,
-            ));
+            let report = check(&FlightConfig::with_mutation(FlightMutation::ReorderAheadOfWrites));
             let ce = report.counterexample.expect("mutation must be caught");
             // The reader saw a delete from a write admitted after it.
             assert!(
@@ -1533,10 +1574,7 @@ pub mod flight {
 
         #[test]
         fn flight_mutation_names_round_trip() {
-            for m in FlightMutation::ALL.iter().chain([FlightMutation::None].iter()) {
-                assert_eq!(FlightMutation::parse(m.name()), Some(*m));
-            }
-            assert_eq!(FlightMutation::parse("bogus"), None);
+            names_round_trip::<FlightConfig>();
         }
     }
 }
@@ -1574,14 +1612,15 @@ pub mod flight {
 /// protocol closes, and each must be killed with a shortest
 /// counterexample trace (BFS order).
 pub mod rebalance {
+    use super::{Fact, Model};
     use std::fmt;
-    use std::time::{Duration, Instant};
 
     /// Protocol mutations: each deletes one guard the real move
     /// protocol enforces, and each must produce a counterexample.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub enum RebalanceMutation {
         /// The shipped protocol, unmodified.
+        #[default]
         None,
         /// The directory retargets the group at `MoveBegin` instead of
         /// at the commit point — reads route to the new members while
@@ -1591,32 +1630,6 @@ pub mod rebalance {
         /// committed: it retargets the directory without re-running
         /// the copy redo (`finish_interrupted_move` skipped).
         SkipMoveEndOnRecovery,
-    }
-
-    impl RebalanceMutation {
-        /// Every mutation in the catalogue (excluding `None`).
-        pub const ALL: [RebalanceMutation; 2] = [
-            RebalanceMutation::ServeFromNewBeforeCommit,
-            RebalanceMutation::SkipMoveEndOnRecovery,
-        ];
-
-        /// Stable identifier, e.g. for a CLI flag.
-        pub fn name(self) -> &'static str {
-            match self {
-                RebalanceMutation::None => "none",
-                RebalanceMutation::ServeFromNewBeforeCommit => "serve-from-new-before-commit",
-                RebalanceMutation::SkipMoveEndOnRecovery => "skip-move-end-on-recovery",
-            }
-        }
-
-        /// Inverse of [`RebalanceMutation::name`].
-        pub fn parse(s: &str) -> Option<RebalanceMutation> {
-            RebalanceMutation::ALL
-                .iter()
-                .chain([RebalanceMutation::None].iter())
-                .copied()
-                .find(|m| m.name() == s)
-        }
     }
 
     /// Checker configuration. `small()` exhausts in microseconds and
@@ -1630,18 +1643,6 @@ pub mod rebalance {
         pub max_crashes: u8,
         /// Protocol mutation under test.
         pub mutation: RebalanceMutation,
-    }
-
-    impl RebalanceConfig {
-        /// The CI configuration: exhausts in microseconds.
-        pub fn small() -> RebalanceConfig {
-            RebalanceConfig { records: 3, max_crashes: 2, mutation: RebalanceMutation::None }
-        }
-
-        /// `small()` with one guard deleted.
-        pub fn with_mutation(mutation: RebalanceMutation) -> RebalanceConfig {
-            RebalanceConfig { mutation, ..RebalanceConfig::small() }
-        }
     }
 
     /// One atomic step of the interleaving.
@@ -1664,11 +1665,11 @@ pub mod rebalance {
         Crash,
         /// The primary restarts and replays the log, re-running an
         /// unmatched move at its begin marker.
-        Promote,
+        Recover,
         /// The standby (whose mirror applied the whole move at
         /// `MoveBegin`) takes over, healing partial copies before it
         /// serves.
-        Recover,
+        Promote,
     }
 
     impl fmt::Display for RebalanceAction {
@@ -1720,68 +1721,6 @@ pub mod rebalance {
         }
     }
 
-    /// A violating interleaving: the invariant broken plus the exact
-    /// action sequence (shortest, by BFS) that reaches it.
-    #[derive(Clone, Debug)]
-    pub struct RebalanceCounterexample {
-        /// The invariant that broke.
-        pub violation: MoveViolation,
-        /// The shortest action sequence reaching the violation.
-        pub trace: Vec<RebalanceAction>,
-    }
-
-    impl RebalanceCounterexample {
-        /// The numbered action trace plus the violated invariant.
-        pub fn render(&self) -> String {
-            let mut out = String::new();
-            for (i, action) in self.trace.iter().enumerate() {
-                out.push_str(&format!("{:>3}. {}\n", i + 1, action));
-            }
-            out.push_str(&format!("VIOLATION: {}", self.violation));
-            out
-        }
-    }
-
-    /// What an exhaustive run found.
-    #[derive(Clone, Debug)]
-    pub struct RebalanceReport {
-        /// The configuration that was checked.
-        pub config: RebalanceConfig,
-        /// Distinct states visited.
-        pub states: usize,
-        /// Transitions explored (states are revisited via BFS dedupe).
-        pub transitions: u64,
-        /// True iff a crash landed strictly inside a bracket — the
-        /// window the redo/heal paths exist for is actually explored.
-        pub mid_move_crash_reached: bool,
-        /// True iff a crash landed *after* the commit point — the
-        /// "committed moves survive" invariant is exercised, not
-        /// vacuous.
-        pub committed_crash_reached: bool,
-        /// Wall-clock time of the exhaustive search.
-        pub elapsed: Duration,
-        /// `Some` iff some interleaving violated an invariant.
-        pub counterexample: Option<RebalanceCounterexample>,
-    }
-
-    impl RebalanceReport {
-        /// One-line stats: states, transitions, coverage, verdict.
-        pub fn summary(&self) -> String {
-            format!(
-                "{} states, {} transitions, mid-move crash {}, committed crash {}, {:?}, {}",
-                self.states,
-                self.transitions,
-                if self.mid_move_crash_reached { "reachable" } else { "UNREACHABLE" },
-                if self.committed_crash_reached { "reachable" } else { "UNREACHABLE" },
-                self.elapsed,
-                match &self.counterexample {
-                    Some(ce) => format!("VIOLATED ({})", ce.violation),
-                    None => "invariants hold".to_string(),
-                }
-            )
-        }
-    }
-
     /// Where the move stands, from the serving controller's view.
     #[derive(Clone, Copy, Hash, PartialEq, Eq)]
     enum Phase {
@@ -1793,8 +1732,9 @@ pub mod rebalance {
         Done,
     }
 
+    /// One abstract move state — hashable, so BFS dedupes on it.
     #[derive(Clone, Hash, PartialEq, Eq)]
-    struct State {
+    pub struct State {
         phase: Phase,
         /// Bitmask of records durably landed on the new members.
         copied: u8,
@@ -1813,50 +1753,9 @@ pub mod rebalance {
     }
 
     impl State {
-        fn initial() -> State {
-            State {
-                phase: Phase::Idle,
-                copied: 0,
-                old_present: true,
-                dir_new: false,
-                begun: false,
-                committed: false,
-                crashed: false,
-                crashes: 0,
-            }
-        }
-
         fn all(cfg: &RebalanceConfig) -> u8 {
             (1u8 << cfg.records) - 1
         }
-    }
-
-    fn enabled(state: &State, cfg: &RebalanceConfig) -> Vec<RebalanceAction> {
-        let mut actions = Vec::new();
-        if state.crashed {
-            actions.push(RebalanceAction::Recover);
-            actions.push(RebalanceAction::Promote);
-            return actions;
-        }
-        match state.phase {
-            Phase::Idle if !state.begun => actions.push(RebalanceAction::MoveBegin),
-            Phase::Copying => {
-                for r in 0..cfg.records {
-                    if state.copied & (1 << r) == 0 {
-                        actions.push(RebalanceAction::ChunkCopy { r });
-                    }
-                }
-                if state.copied == State::all(cfg) {
-                    actions.push(RebalanceAction::MoveCommit);
-                }
-            }
-            _ => {}
-        }
-        actions.push(RebalanceAction::Read);
-        if state.crashes < cfg.max_crashes {
-            actions.push(RebalanceAction::Crash);
-        }
-        actions
     }
 
     /// The post-crash redo both recovery paths share: given the
@@ -1896,122 +1795,169 @@ pub mod rebalance {
         }
     }
 
-    /// Apply `action`; returns the violation if a read observed a
-    /// partial group or a committed move regressed across recovery.
-    fn apply(
-        state: &State,
-        action: RebalanceAction,
-        cfg: &RebalanceConfig,
-    ) -> Result<State, MoveViolation> {
-        let mut next = state.clone();
-        let all = State::all(cfg);
-        match action {
-            RebalanceAction::MoveBegin => {
-                next.begun = true;
-                next.phase = Phase::Copying;
-                if cfg.mutation == RebalanceMutation::ServeFromNewBeforeCommit {
-                    next.dir_new = true;
-                }
-            }
-            RebalanceAction::ChunkCopy { r } => {
-                next.copied |= 1 << r;
-            }
-            RebalanceAction::MoveCommit => {
-                // The single atomic step (w.r.t. foreground traffic):
-                // delete the old copies, retarget, log `MoveEnd`.
-                next.old_present = false;
-                next.dir_new = true;
-                next.committed = true;
-                next.phase = Phase::Done;
-            }
-            RebalanceAction::Read => {
-                let observed = if state.dir_new {
-                    state.copied.count_ones() as u8
-                } else if state.old_present {
-                    cfg.records
-                } else {
-                    0
-                };
-                if observed != cfg.records {
-                    return Err(MoveViolation::HalfMovedRead {
-                        observed,
-                        expected: cfg.records,
-                    });
-                }
-            }
-            RebalanceAction::Crash => {
-                next.crashed = true;
-                next.crashes += 1;
-            }
-            RebalanceAction::Recover => {
-                redo(&mut next, false, cfg);
-            }
-            RebalanceAction::Promote => {
-                redo(&mut next, true, cfg);
-            }
-        }
-        // Invariant 2, checked whenever a controller starts serving:
-        // a committed move must still be whole at the new placement.
-        if matches!(action, RebalanceAction::Recover | RebalanceAction::Promote)
-            && state.committed
-            && !(next.dir_new && next.copied == all)
-        {
-            return Err(MoveViolation::CommittedMoveLost {
-                present: next.copied.count_ones() as u8,
-                expected: cfg.records,
-            });
-        }
-        Ok(next)
-    }
+    /// The state space is tiny (hundreds of states for `small()`), so
+    /// the search has no depth bound — the frontier simply drains.
+    impl Model for RebalanceConfig {
+        type State = State;
+        type Action = RebalanceAction;
+        type Violation = MoveViolation;
+        type Mutation = RebalanceMutation;
 
-    /// Exhaustive BFS over every interleaving. The state space is tiny
-    /// (hundreds of states for `small()`), so there is no depth bound
-    /// — the frontier simply drains.
-    pub fn check_rebalance(cfg: &RebalanceConfig) -> RebalanceReport {
-        let start = Instant::now();
-        let mut mid_move_crash_reached = false;
-        let mut committed_crash_reached = false;
-        let run = super::explore(
-            State::initial(),
-            u32::MAX,
-            0,
-            |s| enabled(s, cfg),
-            |s, a| apply(s, a, cfg),
-            |next| {
-                if next.crashed {
-                    mid_move_crash_reached |= next.begun && !next.committed;
-                    committed_crash_reached |= next.committed;
+        const NAME: &'static str = "rebalance";
+        const MUTATIONS: &'static [(RebalanceMutation, &'static str)] = &[
+            (RebalanceMutation::ServeFromNewBeforeCommit, "serve-from-new-before-commit"),
+            (RebalanceMutation::SkipMoveEndOnRecovery, "skip-move-end-on-recovery"),
+        ];
+        /// A crash strictly inside a bracket (the window the redo and
+        /// heal paths exist for), and one after the commit point (so
+        /// "committed moves survive" is exercised, not vacuous).
+        const COVERAGE: &'static [Fact<RebalanceConfig>] = &[
+            ("mid-move-crash", |_, s| s.crashed && s.begun && !s.committed),
+            ("post-commit-crash", |_, s| s.crashed && s.committed),
+        ];
+
+        /// The CI configuration: exhausts in microseconds.
+        fn small() -> RebalanceConfig {
+            RebalanceConfig { records: 3, max_crashes: 2, mutation: RebalanceMutation::None }
+        }
+
+        fn mutation(&self) -> RebalanceMutation {
+            self.mutation
+        }
+
+        fn mutated(self, mutation: RebalanceMutation) -> RebalanceConfig {
+            RebalanceConfig { mutation, ..self }
+        }
+
+        fn initial(&self) -> State {
+            State {
+                phase: Phase::Idle,
+                copied: 0,
+                old_present: true,
+                dir_new: false,
+                begun: false,
+                committed: false,
+                crashed: false,
+                crashes: 0,
+            }
+        }
+
+        fn enabled(&self, state: &State) -> Vec<RebalanceAction> {
+            let mut actions = Vec::new();
+            if state.crashed {
+                actions.push(RebalanceAction::Recover);
+                actions.push(RebalanceAction::Promote);
+                return actions;
+            }
+            match state.phase {
+                Phase::Idle if !state.begun => actions.push(RebalanceAction::MoveBegin),
+                Phase::Copying => {
+                    for r in 0..self.records {
+                        if state.copied & (1 << r) == 0 {
+                            actions.push(RebalanceAction::ChunkCopy { r });
+                        }
+                    }
+                    if state.copied == State::all(self) {
+                        actions.push(RebalanceAction::MoveCommit);
+                    }
                 }
-            },
-        );
-        RebalanceReport {
-            config: *cfg,
-            states: run.states,
-            transitions: run.transitions,
-            mid_move_crash_reached,
-            committed_crash_reached,
-            elapsed: start.elapsed(),
-            counterexample: run
-                .violation
-                .map(|(violation, trace)| RebalanceCounterexample { violation, trace }),
+                _ => {}
+            }
+            actions.push(RebalanceAction::Read);
+            if state.crashes < self.max_crashes {
+                actions.push(RebalanceAction::Crash);
+            }
+            actions
+        }
+
+        /// Apply `action`; returns the violation if a read observed a
+        /// partial group or a committed move regressed across recovery.
+        fn apply(&self, state: &State, action: RebalanceAction) -> Result<State, MoveViolation> {
+            let mut next = state.clone();
+            let all = State::all(self);
+            match action {
+                RebalanceAction::MoveBegin => {
+                    next.begun = true;
+                    next.phase = Phase::Copying;
+                    if self.mutation == RebalanceMutation::ServeFromNewBeforeCommit {
+                        next.dir_new = true;
+                    }
+                }
+                RebalanceAction::ChunkCopy { r } => {
+                    next.copied |= 1 << r;
+                }
+                RebalanceAction::MoveCommit => {
+                    // The single atomic step (w.r.t. foreground traffic):
+                    // delete the old copies, retarget, log `MoveEnd`.
+                    next.old_present = false;
+                    next.dir_new = true;
+                    next.committed = true;
+                    next.phase = Phase::Done;
+                }
+                RebalanceAction::Read => {
+                    let observed = if state.dir_new {
+                        state.copied.count_ones() as u8
+                    } else if state.old_present {
+                        self.records
+                    } else {
+                        0
+                    };
+                    if observed != self.records {
+                        return Err(MoveViolation::HalfMovedRead {
+                            observed,
+                            expected: self.records,
+                        });
+                    }
+                }
+                RebalanceAction::Crash => {
+                    next.crashed = true;
+                    next.crashes += 1;
+                }
+                RebalanceAction::Recover => {
+                    redo(&mut next, false, self);
+                }
+                RebalanceAction::Promote => {
+                    redo(&mut next, true, self);
+                }
+            }
+            // Invariant 2, checked whenever a controller starts serving:
+            // a committed move must still be whole at the new placement.
+            if matches!(action, RebalanceAction::Recover | RebalanceAction::Promote)
+                && state.committed
+                && !(next.dir_new && next.copied == all)
+            {
+                return Err(MoveViolation::CommittedMoveLost {
+                    present: next.copied.count_ones() as u8,
+                    expected: self.records,
+                });
+            }
+            Ok(next)
+        }
+
+        fn invariant(violation: &MoveViolation) -> u8 {
+            match violation {
+                MoveViolation::HalfMovedRead { .. } => 1,
+                MoveViolation::CommittedMoveLost { .. } => 2,
+            }
         }
     }
 
     #[cfg(test)]
     mod tests {
+        use super::super::{check, tests::names_round_trip};
         use super::*;
 
         #[test]
         fn shipped_move_protocol_holds_both_invariants() {
-            let report = check_rebalance(&RebalanceConfig::small());
+            let report = check(&RebalanceConfig::small());
             assert!(report.counterexample.is_none(), "{}", report.summary());
             assert!(
-                report.mid_move_crash_reached,
+                report.reached("mid-move-crash"),
                 "a crash inside the bracket must be explored: {}",
                 report.summary()
             );
             assert!(
-                report.committed_crash_reached,
+                report.reached("post-commit-crash"),
                 "a crash after the commit point must be explored: {}",
                 report.summary()
             );
@@ -2020,7 +1966,7 @@ pub mod rebalance {
 
         #[test]
         fn serving_from_the_new_placement_before_commit_is_caught() {
-            let report = check_rebalance(&RebalanceConfig::with_mutation(
+            let report = check(&RebalanceConfig::with_mutation(
                 RebalanceMutation::ServeFromNewBeforeCommit,
             ));
             let ce = report.counterexample.expect("mutation must be caught");
@@ -2036,7 +1982,7 @@ pub mod rebalance {
 
         #[test]
         fn skipping_the_move_redo_on_recovery_is_caught() {
-            let report = check_rebalance(&RebalanceConfig::with_mutation(
+            let report = check(&RebalanceConfig::with_mutation(
                 RebalanceMutation::SkipMoveEndOnRecovery,
             ));
             let ce = report.counterexample.expect("mutation must be caught");
@@ -2056,10 +2002,7 @@ pub mod rebalance {
 
         #[test]
         fn rebalance_mutation_names_round_trip() {
-            for m in RebalanceMutation::ALL.iter().chain([RebalanceMutation::None].iter()) {
-                assert_eq!(RebalanceMutation::parse(m.name()), Some(*m));
-            }
-            assert_eq!(RebalanceMutation::parse("bogus"), None);
+            names_round_trip::<RebalanceConfig>();
         }
     }
 }

@@ -1,44 +1,87 @@
 //! `mbds-model` — offline driver for the explicit-state model checker
-//! of the epoch-fenced failover protocol (`mbds::model`).
+//! (`mbds::model`): the failover, flight and rebalance models.
 //!
-//! CI runs the bounded configuration through `tests/model_check.rs`;
-//! this binary exists for deeper sweeps on a workstation:
+//! CI runs the bounded configurations through `tests/model_check.rs`
+//! and `--sweep`; the sizing flags exist for deeper failover sweeps on
+//! a workstation:
 //!
 //! ```sh
-//! # the CI configuration, exhaustively:
+//! # the failover model's CI configuration, exhaustively:
 //! cargo run --release -p mlds-core --bin mbds-model
 //! # deeper / wider:
 //! cargo run --release -p mlds-core --bin mbds-model -- --depth 16 --writes 5
-//! # one intentionally broken protocol variant (expects a counterexample):
+//! # one intentionally broken protocol variant of any model (prints its counterexample):
 //! cargo run --release -p mlds-core --bin mbds-model -- --mutation skip-fence-raise
-//! # the full verification matrix (protocol must hold, every mutation must fail):
+//! # the full verification matrix (every protocol must hold, every mutation must fail):
 //! cargo run --release -p mlds-core --bin mbds-model -- --sweep
 //! ```
 //!
-//! Exit status is 0 when the run matches expectations (no violation
-//! for the real protocol, a counterexample for every mutation) and 1
-//! otherwise. `--trace-out PATH` writes the counterexample trace for
-//! CI to upload as an artifact.
+//! `--mutation NAME` finds NAME in whichever model's catalogue holds
+//! it; `none` and the sizing flags mean the failover model. Exit status
+//! is 0 when every run meets its expectation (the shipped protocol
+//! holds and reaches its coverage facts, a mutation is caught) and 1
+//! otherwise. `--trace-out PATH` writes the runs that missed, each
+//! tagged with its model and mutation, for CI to upload as an
+//! artifact; it is left empty when none missed.
 
-use mbds::model::{check, ModelConfig, Mutation};
+use mbds::model::flight::FlightConfig;
+use mbds::model::rebalance::RebalanceConfig;
+use mbds::model::{check, Model, ModelConfig};
 use std::process::ExitCode;
 
 fn usage() -> ! {
+    let names: Vec<&str> = (ModelConfig::MUTATIONS.iter().map(|m| m.1))
+        .chain(FlightConfig::MUTATIONS.iter().map(|m| m.1))
+        .chain(RebalanceConfig::MUTATIONS.iter().map(|m| m.1))
+        .collect();
     eprintln!(
         "usage: mbds-model [--depth N] [--writes N] [--backends N] [--crashes N] \
          [--snapshots N] [--max-states N] [--mutation NAME] [--sweep] [--trace-out PATH]\n\
          mutations: {}",
-        Mutation::ALL
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(", ")
+        names.join(", ")
     );
     std::process::exit(2);
 }
 
+/// Check `cfg` and print its summary line, and its counterexample when
+/// `show_trace`. A run that misses its expectation is reported and
+/// logged onto `missed`, tagged with its model and mutation.
+fn run<M: Model>(cfg: M, show_trace: bool, missed: &mut String) {
+    let report = check(&cfg);
+    println!("{}", report.summary());
+    let trace = report.counterexample.as_ref().map_or(String::new(), |ce| ce.render());
+    if report.as_expected() {
+        if show_trace {
+            print!("{trace}");
+        }
+        return;
+    }
+    let record = format!(
+        "model={} mutation={}: missed its expectation\n{}\n{trace}",
+        M::NAME,
+        cfg.mutation_name(),
+        report.summary()
+    );
+    eprint!("FAIL: {record}");
+    missed.push_str(&record);
+}
+
+/// Run `base` with the mutation called `name`, if its catalogue holds it.
+fn run_named<M: Model>(base: M, name: &str, missed: &mut String) -> bool {
+    base.named(name).map(|cfg| run(cfg, true, missed)).is_some()
+}
+
+/// Run `base`, the shipped protocol, and every mutation in its catalogue.
+fn run_catalogue<M: Model>(base: M, missed: &mut String) {
+    run(base, false, missed);
+    for &(mutation, _) in M::MUTATIONS {
+        run(base.mutated(mutation), false, missed);
+    }
+}
+
 fn main() -> ExitCode {
     let mut cfg = ModelConfig::small();
+    let mut mutation: Option<String> = None;
     let mut sweep = false;
     let mut trace_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -55,56 +98,37 @@ fn main() -> ExitCode {
             "--crashes" => cfg.max_crashes = num(&mut args) as u8,
             "--snapshots" => cfg.max_snapshots = num(&mut args) as u8,
             "--max-states" => cfg.max_states = num(&mut args) as usize,
-            "--mutation" => {
-                let name = args.next().unwrap_or_else(|| usage());
-                cfg.mutation = Mutation::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown mutation `{name}`");
-                    usage()
-                });
-            }
+            "--mutation" => mutation = Some(args.next().unwrap_or_else(|| usage())),
             "--sweep" => sweep = true,
             "--trace-out" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
     }
 
-    let mutations: Vec<Mutation> = if sweep {
-        std::iter::once(Mutation::None).chain(Mutation::ALL).collect()
-    } else {
-        vec![cfg.mutation]
-    };
-
-    let mut ok = true;
-    for mutation in mutations {
-        let run_cfg = ModelConfig { mutation, ..cfg };
-        let report = check(&run_cfg);
-        println!("{}", report.summary());
-        let expected_violation = mutation != Mutation::None;
-        match (&report.counterexample, expected_violation) {
-            (None, false) | (Some(_), true) => {}
-            (None, true) => {
-                eprintln!("FAIL: mutation {} produced no counterexample", mutation.name());
-                ok = false;
-            }
-            (Some(_), false) => {
-                eprintln!("FAIL: the real protocol violated an invariant");
-                ok = false;
-            }
+    let mut missed = String::new();
+    match mutation.as_deref() {
+        _ if sweep => {
+            run_catalogue(cfg, &mut missed);
+            run_catalogue(FlightConfig::small(), &mut missed);
+            run_catalogue(RebalanceConfig::small(), &mut missed);
         }
-        if let Some(ce) = &report.counterexample {
-            let rendered = ce.render();
-            if !expected_violation {
-                eprint!("{rendered}");
-            }
-            if let Some(path) = &trace_out {
-                let tagged = format!("mutation={}\n{rendered}", mutation.name());
-                if let Err(e) = std::fs::write(path, tagged) {
-                    eprintln!("could not write {path}: {e}");
-                }
+        None => run(cfg, true, &mut missed),
+        Some(name) => {
+            let found = run_named(cfg, name, &mut missed)
+                || run_named(FlightConfig::small(), name, &mut missed)
+                || run_named(RebalanceConfig::small(), name, &mut missed);
+            if !found {
+                eprintln!("unknown mutation `{name}`");
+                usage();
             }
         }
     }
-    if ok {
+    if let Some(path) = &trace_out {
+        if let Err(e) = std::fs::write(path, &missed) {
+            eprintln!("could not write {path}: {e}");
+        }
+    }
+    if missed.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

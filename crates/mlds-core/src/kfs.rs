@@ -32,18 +32,6 @@ fn items_of(rt: &RecordType, rec: &Record) -> String {
         .join(", ")
 }
 
-/// Format a set-occurrence listing (FIND FIRST/NEXT sweeps).
-pub fn format_occurrence(
-    schema: &NetworkSchema,
-    record_type: &str,
-    rows: &[(i64, Record)],
-) -> String {
-    rows.iter()
-        .map(|(k, r)| format_network_record(schema, record_type, *k, r))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Format a Daplex FOR EACH row: `name = 'Coker', gpa = 3.6`.
 pub fn format_daplex_row(print: &[String], values: &[Value]) -> String {
     print
@@ -123,20 +111,6 @@ mod tests {
         let rec = Record::from_pairs([("title", Value::str("X"))]);
         let text = format_network_record(&s, "course", 1, &rec);
         assert!(text.contains("credits = NULL"));
-    }
-
-    #[test]
-    fn occurrence_listing_is_one_record_per_line() {
-        let s = schema();
-        let rows = vec![
-            (1, Record::from_pairs([("title", Value::str("A"))])),
-            (2, Record::from_pairs([("title", Value::str("B"))])),
-        ];
-        let text = format_occurrence(&s, "course", &rows);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("course #1"));
-        assert!(lines[1].contains("title = 'B'"));
     }
 
     #[test]

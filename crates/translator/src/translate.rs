@@ -54,16 +54,6 @@ impl Translator {
         Translator { schema, mode: TargetMode::AbFunctional }
     }
 
-    /// Choose the mode from the schema's provenance metadata.
-    pub fn auto(schema: NetworkSchema) -> Self {
-        let mode = if schema.is_transformed() {
-            TargetMode::AbFunctional
-        } else {
-            TargetMode::AbNetwork
-        };
-        Translator { schema, mode }
-    }
-
     /// The network schema the translator operates over.
     pub fn schema(&self) -> &NetworkSchema {
         &self.schema

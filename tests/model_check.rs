@@ -1,7 +1,8 @@
-//! Exhaustive bounded model check of the epoch-fenced failover
-//! protocol (`mbds::model`), plus the counterexample traces the
-//! checker produced during development transcribed into deterministic
-//! regression tests against the real `Controller`/`Standby` stack.
+//! Exhaustive bounded model checks (`mbds::model`) of the epoch-fenced
+//! failover protocol, the flight scheduler and the live group move,
+//! plus the counterexample traces the checker produced during
+//! development transcribed into deterministic regression tests against
+//! the real `Controller`/`Standby` stack.
 //!
 //! The empirically tested protocol (crash sweeps, failover sweeps,
 //! partition harness) is checked here by enumeration: BFS over every
@@ -12,7 +13,9 @@
 
 use mlds::abdl::parse::parse_request;
 use mlds::abdl::{Error, Kernel, Record, Request, Value};
-use mlds::mbds::model::{check, Action, ModelConfig, Mutation, Violation};
+use mlds::mbds::model::flight::{FlightConfig, FlightMutation};
+use mlds::mbds::model::rebalance::{RebalanceConfig, RebalanceMutation};
+use mlds::mbds::model::{check, Action, Model, ModelConfig, Mutation, Violation};
 use mlds::mbds::wal::{crc32, CursorUpdate};
 use mlds::mbds::{Controller, LogCursor, LogRecord, LogStore, MemLog, Wal};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,7 +67,7 @@ fn skipping_fence_raise_on_promote_yields_a_counterexample_trace() {
         .counterexample
         .expect("skip-fence-raise must break invariant 1");
     println!("counterexample:\n{}", ce.render());
-    assert_eq!(ce.violation.invariant(), 1, "split brain is invariant 1: {}", ce.violation);
+    assert_eq!(ce.invariant(), 1, "split brain is invariant 1: {}", ce.violation);
     // The trace is a real protocol history: it must actually promote
     // and must end at the violating action.
     assert!(
@@ -79,21 +82,20 @@ fn skipping_fence_raise_on_promote_yields_a_counterexample_trace() {
 /// invariant its protocol window attacks.
 #[test]
 fn every_mutation_in_the_catalogue_is_caught() {
-    for mutation in Mutation::ALL {
+    for &(mutation, name) in ModelConfig::MUTATIONS {
         let report = check(&ModelConfig::with_mutation(mutation));
-        println!("{}: {}", mutation.name(), report.summary());
+        println!("{}", report.summary());
         let ce = report
             .counterexample
-            .unwrap_or_else(|| panic!("{} produced no counterexample", mutation.name()));
+            .unwrap_or_else(|| panic!("{name} produced no counterexample"));
         let expected_invariant = match mutation {
             Mutation::AckDespiteFailedFlush | Mutation::PromoteSkipsFinalPoll => 2,
             _ => 1,
         };
         assert_eq!(
-            ce.violation.invariant(),
+            ce.invariant(),
             expected_invariant,
-            "{} hit the wrong invariant: {}",
-            mutation.name(),
+            "{name} hit the wrong invariant: {}",
             ce.violation
         );
     }
@@ -436,8 +438,6 @@ fn cursor_resyncs_across_a_racing_snapshot_install() {
 // Flight-scheduling model: overlapped reads never observe a torn batch.
 // ---------------------------------------------------------------------------
 
-use mlds::mbds::model::flight::{check_flights, FlightConfig, FlightMutation};
-
 /// The read pipeline's safety/liveness pair, machine-checked: with the
 /// scheduler's two fences in place (reads wait for earlier-admitted
 /// conflicting writes to drain; later-admitted writes wait for the
@@ -446,13 +446,13 @@ use mlds::mbds::model::flight::{check_flights, FlightConfig, FlightMutation};
 /// set — and the two readers' probe envelopes still genuinely overlap.
 #[test]
 fn overlapped_reads_never_observe_a_torn_write_batch() {
-    let report = check_flights(&FlightConfig::small());
+    let report = check(&FlightConfig::small());
     println!("flight_model: {}", report.summary());
     if let Some(ce) = &report.counterexample {
         panic!("the read pipeline violated the prefix invariant:\n{}", ce.render());
     }
     assert!(
-        report.overlap_reached,
+        report.reached("read-read-overlap"),
         "conflict fences must not serialise read against read"
     );
 }
@@ -461,12 +461,12 @@ fn overlapped_reads_never_observe_a_torn_write_batch() {
 /// are load-bearing, not incidental.
 #[test]
 fn every_flight_mutation_is_caught() {
-    for mutation in FlightMutation::ALL {
-        let report = check_flights(&FlightConfig::with_mutation(mutation));
-        println!("{}: {}", mutation.name(), report.summary());
+    for &(mutation, name) in FlightConfig::MUTATIONS {
+        let report = check(&FlightConfig::with_mutation(mutation));
+        println!("{}", report.summary());
         let ce = report
             .counterexample
-            .unwrap_or_else(|| panic!("{} produced no counterexample", mutation.name()));
+            .unwrap_or_else(|| panic!("{name} produced no counterexample"));
         assert!(!ce.trace.is_empty());
     }
 }
@@ -475,8 +475,6 @@ fn every_flight_mutation_is_caught() {
 // Rebalance model: WAL-bracketed group moves vs reads, crash, promotion.
 // ---------------------------------------------------------------------------
 
-use mlds::mbds::model::rebalance::{check_rebalance, RebalanceConfig, RebalanceMutation};
-
 /// The live-move protocol's two invariants, machine-checked: reads
 /// route to the old placement until the commit point and to the new
 /// one after (never a partial copy set), and a committed move survives
@@ -484,25 +482,71 @@ use mlds::mbds::model::rebalance::{check_rebalance, RebalanceConfig, RebalanceMu
 /// landing strictly inside the bracket.
 #[test]
 fn bracketed_group_moves_hold_both_invariants() {
-    let report = check_rebalance(&RebalanceConfig::small());
+    let report = check(&RebalanceConfig::small());
     println!("rebalance_model: {}", report.summary());
     if let Some(ce) = &report.counterexample {
         panic!("the move protocol violated an invariant:\n{}", ce.render());
     }
-    assert!(report.mid_move_crash_reached, "mid-bracket crashes must be explored");
-    assert!(report.committed_crash_reached, "post-commit crashes must be explored");
+    assert!(report.reached("mid-move-crash"), "mid-bracket crashes must be explored");
+    assert!(report.reached("post-commit-crash"), "post-commit crashes must be explored");
 }
 
 /// Deleting either guard — commit-point routing, or the recovery redo
 /// at an unmatched begin marker — must produce a counterexample.
 #[test]
 fn every_rebalance_mutation_is_caught() {
-    for mutation in RebalanceMutation::ALL {
-        let report = check_rebalance(&RebalanceConfig::with_mutation(mutation));
-        println!("{}: {}", mutation.name(), report.summary());
+    for &(mutation, name) in RebalanceConfig::MUTATIONS {
+        let report = check(&RebalanceConfig::with_mutation(mutation));
+        println!("{}", report.summary());
         let ce = report
             .counterexample
-            .unwrap_or_else(|| panic!("{} produced no counterexample", mutation.name()));
+            .unwrap_or_else(|| panic!("{name} produced no counterexample"));
         assert!(!ce.trace.is_empty());
     }
+}
+
+// ---------------------------------------------------------------------------
+// One checker for every model.
+// ---------------------------------------------------------------------------
+
+/// Every model's CI configuration, shipped and mutated, visits exactly
+/// these states, takes exactly these transitions and (for a mutation)
+/// returns a shortest trace of exactly this many actions. A change to
+/// any model's abstraction, or to the one search behind them, shows
+/// here first; update a row only when its model is meant to change.
+#[test]
+fn every_model_explores_its_pinned_state_space() {
+    fn pinned<M: Model>(rows: &[(M::Mutation, usize, u64, usize)]) {
+        assert_eq!(rows.len(), M::MUTATIONS.len() + 1, "{}: one row per catalogue entry", M::NAME);
+        for &(mutation, states, transitions, trace_len) in rows {
+            let report = check(&M::with_mutation(mutation));
+            let found = report.counterexample.as_ref().map_or(0, |ce| ce.trace.len());
+            assert_eq!(
+                (report.states, report.transitions, found),
+                (states, transitions, trace_len),
+                "{}",
+                report.summary()
+            );
+            assert!(report.as_expected(), "{}", report.summary());
+        }
+    }
+    pinned::<ModelConfig>(&[
+        (Mutation::None, 16470, 37897, 0),
+        (Mutation::AckDespiteFailedFlush, 91, 130, 5),
+        (Mutation::RacyFlushFence, 194, 297, 6),
+        (Mutation::SkipFenceRaiseOnPromote, 1177, 2067, 8),
+        (Mutation::PromoteWithoutEpochBump, 212, 324, 6),
+        (Mutation::RecoverWithoutRefence, 1104, 2030, 8),
+        (Mutation::PromoteSkipsFinalPoll, 204, 309, 6),
+    ]);
+    pinned::<FlightConfig>(&[
+        (FlightMutation::None, 82, 228, 0),
+        (FlightMutation::OverlapConflictingRead, 85, 151, 3),
+        (FlightMutation::ReorderAheadOfWrites, 767, 2045, 7),
+    ]);
+    pinned::<RebalanceConfig>(&[
+        (RebalanceMutation::None, 50, 132, 0),
+        (RebalanceMutation::ServeFromNewBeforeCommit, 6, 7, 2),
+        (RebalanceMutation::SkipMoveEndOnRecovery, 24, 43, 4),
+    ]);
 }
